@@ -41,6 +41,7 @@ from .geometry import (
     cross_validate,
     enumerate_regions,
     enumerate_regions_sweep,
+    oracle_pass,
     oracle_report,
     recession_dimension,
     region_ceilings,

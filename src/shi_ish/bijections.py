@@ -291,13 +291,16 @@ def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages
     initial = tuple(working)
 
     cycle_index = (d - 1 - working.index(1)) % n
-    assert 0 <= cycle_index < d
+    if not 0 <= cycle_index < d:
+        raise AssertionError(f"cycle index {cycle_index} outside [0, {d})")
     if cycle_index:
         moved = working[-cycle_index:]
-        assert not any(isinstance(s, Diamond) for s in moved)
+        if any(isinstance(s, Diamond) for s in moved):
+            raise AssertionError("cycling moved a diamond past the end")
         working = moved + working[:-cycle_index]
     after_cycling = tuple(working)
-    assert working[d - 1] == 1
+    if working[d - 1] != 1:
+        raise AssertionError("cycling did not bring 1 to position d")
 
     working = [working[d - 1]] + working[: d - 1] + working[d:]
     after_prefix = tuple(working)
@@ -312,17 +315,20 @@ def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages
         end = start
         surplus = len(cols[end]) - 1
         while surplus != 0:
-            assert surplus > 0
+            if surplus < 0:
+                raise AssertionError("column surplus went negative")
             end += 1
             surplus += len(cols[end]) - 1
         components[i] = tuple(cols[start : end + 1])
         del cols[start : end + 1]
 
     if len(cols) == 1:
-        assert cols[0] == (1,)
+        if cols[0] != (1,):
+            raise AssertionError(f"last column is {cols[0]}, not (1,)")
         components[1] = ((1,),)
     else:
-        assert cols[0] and cols[0][0] == 1 and cols[-1] == ()
+        if not (cols[0] and cols[0][0] == 1 and cols[-1] == ()):
+            raise AssertionError("component of 1 does not start at 1 and end empty")
         body = cols[:-1]
         good = [
             r
@@ -332,14 +338,16 @@ def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages
                 for s in range(1, len(body) + 1)
             )
         ]
-        assert len(good) == 1
+        if len(good) != 1:
+            raise AssertionError(f"{len(good)} rotations are Dyck paths, expected 1")
         rotated = body[good[0] :] + body[: good[0]]
         components[1] = tuple(rotated) + ((),)
 
     order = tuple((m + cycle_index) % d + 1 for m in range(1, d + 1))
     columns = [col for i in order for col in components[i]]
     word = dyck_to_word(columns)
-    assert position_partition(word) == stats.ceiling_partition
+    if position_partition(word) != stats.ceiling_partition:
+        raise AssertionError("parking word does not keep the ceiling partition")
     return IshToDyckStages(
         diamond_word=initial,
         cycle_index=cycle_index,

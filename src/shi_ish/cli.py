@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Optional, Sequence
@@ -48,7 +49,7 @@ from .core import (
     position_partition,
     set_partitions,
 )
-from .geometry import cross_validate, oracle_report
+from .geometry import cross_validate, oracle_pass  # noqa: F401 - cross_validate is re-exported
 from .ish import (
     IshCeilingDiagram,
     ceiling_partition_count,
@@ -117,18 +118,15 @@ def config_hash(config: dict) -> str:
 def load_graph(spec: str, n: int) -> Graph:
     """Resolve a --graph argument: preset name or JSON file path.
 
-    Presets: "complete", "empty", and anything starting with "path" (the
-    path 1-2-...-n).  Files hold {"n": int, "edges": [[i, j], ...]}.
+    Presets: "complete", "empty" and "path" (the path 1-2-...-n), matched
+    exactly; anything else is a file holding {"n": int, "edges": [[i, j], ...]}.
 
     >>> load_graph("path", 3).sorted_edges()
     ((1, 2), (2, 3))
     """
-    if spec == "complete":
-        return Graph.complete(n)
-    if spec == "empty":
-        return Graph.empty(n)
-    if spec.startswith("path"):
-        return Graph.path(n)
+    presets = {"complete": Graph.complete, "empty": Graph.empty, "path": Graph.path}
+    if spec in presets:
+        return presets[spec](n)
     try:
         with open(spec, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -519,6 +517,16 @@ def _partition_arcs(partition: SetPartition) -> list[tuple[int, int]]:
     return pairs
 
 
+def _pool_size(jobs: int, tasks: int, cpus: Optional[int]) -> int:
+    """Worker processes for a sweep: no more than requested, than there are
+    tasks, or than the machine has CPUs.
+
+    >>> _pool_size(64, 8, 2), _pool_size(4, 1, 16), _pool_size(3, 8, None)
+    (2, 1, 1)
+    """
+    return max(1, min(jobs, tasks, cpus or 1))
+
+
 def _run_sweep(
     worker: Callable[[tuple[int, tuple[tuple[int, int], ...]]], dict],
     graphs: list[Graph],
@@ -526,8 +534,9 @@ def _run_sweep(
     jobs: int,
 ) -> list[dict]:
     payloads = [(n, graph.sorted_edges()) for graph in graphs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(payloads), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, payloads))
     else:
         results = []
@@ -805,8 +814,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph, args.n)
     kind = args.arrangement
     _progress(f"enumerating {kind} arrangement geometrically (n={args.n})")
-    validation = cross_validate(kind, args.n, graph)
-    report = oracle_report(kind, args.n, graph)
+    validation, report = oracle_pass(kind, args.n, graph)
     _progress(
         f"{validation['matched']}/{validation['region_count']} regions matched"
     )
@@ -875,7 +883,12 @@ def _add_common(parser: argparse.ArgumentParser, *, graph_default: str = "comple
         help='graph preset ("complete", "empty", "path") or JSON file path',
     )
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel workers for sweeps (at least 1; capped at the graph and CPU counts)",
+    )
     parser.add_argument(
         "--allow-large", action="store_true", help="raise the default size limits"
     )
@@ -927,6 +940,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("--n must be at least 1")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -17,6 +17,11 @@ Rows are triples ``(coeffs, rhs, strict)``.  Strict rows participate in the
 slack objective; weak rows (``strict=False``) only require a.x >= rhs and
 must have rhs <= 0, which makes the s-pivot start feasible.  They exist for
 recession-cone tests, where every bound is zero.
+
+When every row is a difference x_a - x_b, :func:`difference_feasible`
+decides the same question as a negative-cycle test and certifies its answer
+either way: a witness checked by substitution, or a cycle whose summed
+weight is checked to be negative.
 """
 
 from __future__ import annotations
@@ -225,6 +230,100 @@ def strict_feasible(
         root, off = uf.resolve(k)
         witness.append(reduced_witness[col[root]] + off)
     return tuple(witness)
+
+
+def _difference_arc(coeffs: Sequence[int], n_vars: int) -> tuple[int, int]:
+    """``(a, b)`` for a coefficient vector equal to e_a - e_b."""
+    if len(coeffs) != n_vars:
+        raise ValueError("row length does not match the variable count")
+    if coeffs.count(0) != n_vars - 2 or 1 not in coeffs or -1 not in coeffs:
+        raise ValueError(f"row {tuple(coeffs)} is not a difference e_a - e_b")
+    return coeffs.index(1), coeffs.index(-1)
+
+
+def difference_feasible(
+    rows: Sequence[Row],
+    n_vars: int,
+    equalities: Sequence[tuple[int, int, int]] = (),
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """Certified feasibility of a difference-constraint system.
+
+    Accepts the rows of :func:`strict_feasible`, restricted to coefficient
+    vectors ``e_a - e_b``, plus equalities ``(i, j, c)`` meaning
+    x_i - x_j = c.  A row x_a - x_b > rhs (or >= rhs when weak) is the arc
+    a -> b of weight ``(-rhs, -1)`` (or ``(-rhs, 0)``) bounding x_b - x_a,
+    where the second coordinate counts a symbolic epsilon; weights are
+    compared lexicographically.  Bellman-Ford from a virtual source then
+    either settles (CLRS 24.4) or exposes a negative cycle.
+
+    Feasible systems return ``(X, den)``: the integer vector
+    ``X = den * dist_value + dist_epsilon`` with ``den = n_vars + 1``, so the
+    witness is ``X / den`` (epsilon = 1/den is small enough because a
+    shortest path has fewer than n_vars arcs).  The witness is checked by
+    substitution in integers before it is returned.  Infeasible systems
+    return None after the weight of the negative cycle found is checked to
+    be lexicographically negative, which refutes every epsilon > 0.
+
+    >>> difference_feasible([((1, -1), 0, True), ((-1, 1), -3, True)], 2)
+    ((0, -1), 3)
+    >>> difference_feasible([((1, -1), 0, True)], 2, equalities=[(0, 1, 0)]) is None
+    True
+    """
+    den = n_vars + 1
+    arcs: list[tuple[int, int, int, int]] = []  # u -> v bounds x_v - x_u
+    for coeffs, rhs, strict in rows:
+        a, b = _difference_arc(coeffs, n_vars)
+        arcs.append((a, b, -rhs, -1 if strict else 0))
+    for i, j, c in equalities:
+        arcs.append((j, i, c, 0))
+        arcs.append((i, j, -c, 0))
+
+    value = [0] * n_vars
+    eps = [0] * n_vars
+    pred = [-1] * n_vars
+    relaxed = -1
+    for _ in range(n_vars):
+        relaxed = -1
+        for k, (u, v, w_value, w_eps) in enumerate(arcs):
+            cand = value[u] + w_value
+            if cand < value[v] or (cand == value[v] and eps[u] + w_eps < eps[v]):
+                value[v] = cand
+                eps[v] = eps[u] + w_eps
+                pred[v] = k
+                relaxed = v
+        if relaxed < 0:
+            break
+
+    if relaxed < 0:
+        witness = tuple(den * x + e for x, e in zip(value, eps))
+        for u, v, w_value, w_eps in arcs:
+            if witness[v] - witness[u] > den * w_value + w_eps:
+                raise ArithmeticError("difference witness violates a constraint")
+        return witness, den
+
+    # still relaxing after n_vars rounds: walking predecessors n_vars times
+    # from the last relaxed vertex lands on a cycle of the predecessor graph
+    def pred_arc(x: int) -> tuple[int, int, int, int]:
+        if pred[x] < 0:
+            raise AssertionError("predecessor walk left the relaxed vertices")
+        return arcs[pred[x]]
+
+    start = relaxed
+    for _ in range(n_vars):
+        start = pred_arc(start)[0]
+    cycle_value = cycle_eps = 0
+    x = start
+    for _ in range(n_vars):
+        x, _, w_value, w_eps = pred_arc(x)
+        cycle_value += w_value
+        cycle_eps += w_eps
+        if x == start:
+            break
+    else:
+        raise AssertionError("predecessor walk did not close a cycle")
+    if not (cycle_value < 0 or (cycle_value == 0 and cycle_eps < 0)):
+        raise ArithmeticError("refuting cycle is not negative")
+    return None
 
 
 def integer_rank(vectors: Sequence[Sequence[int]]) -> int:

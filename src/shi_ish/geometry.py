@@ -7,8 +7,15 @@ interior witnesses, ceilings as facet hyperplanes on the origin side,
 degrees of freedom as the dimension of the recession cone -- so that the
 combinatorial labellings can be validated region by region.
 
-All arithmetic is exact: integer hyperplane data, rational witnesses, and
-the simplex-based feasibility test from :mod:`shi_ish.exactlp`.
+All arithmetic is exact.  Every hyperplane is a difference x_a - x_b = c,
+so every feasibility question here is a difference-constraint system, and
+the certifying negative-cycle solver :func:`shi_ish.exactlp.difference_feasible`
+decides each one: every split probe during enumeration and every ceiling
+test.  The fraction-free simplex (:func:`shi_ish.exactlp.strict_feasible`)
+only supplies the rational interior witness of each newly found region, and
+it backs the independent slow paths :func:`enumerate_regions_sweep` and
+:func:`recession_dimension_lp`.  :func:`oracle_pass` measures every region
+once and builds both the cross-validation and the report from that pass.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .core import (
     identity_permutation,
     partition_from_blocks,
 )
-from .exactlp import Row, integer_rank, strict_feasible
+from .exactlp import Row, difference_feasible, integer_rank, strict_feasible
 from .ish import ish_ceiling_pairs, ish_diagrams, ish_region_count, ish_statistics
 from .shi import ceiling_hyperplane_tags, shi_diagrams, shi_statistics
 
@@ -163,8 +170,10 @@ def enumerate_regions(
     Hyperplanes are inserted one at a time starting from all of R^n (witness:
     the origin).  Each region keeps the side its witness is on for free and
     runs one exact feasibility probe for the opposite side; a region splits
-    exactly when both sides are nonempty.  ``insertion_order`` permutes the
-    insertion sequence (the resulting region set must not depend on it).
+    exactly when both sides are nonempty.  The difference-constraint solver
+    decides the probe; only a nonempty side goes on to the simplex, whose
+    optimizer becomes the new region's witness.  ``insertion_order`` permutes
+    the insertion sequence (the resulting region set must not depend on it).
 
     >>> len(enumerate_regions(build_arrangement("shi", 3)))
     16
@@ -211,9 +220,12 @@ def enumerate_regions(
             grown.append(({**signs, idx: known}, witness))
             rows = [cached_row(k, sign) for k, sign in signs.items()]
             rows.append(cached_row(idx, -known))
+            if difference_feasible(rows, n) is None:
+                continue
             probe = strict_feasible(rows, n)
-            if probe is not None:
-                grown.append(({**signs, idx: -known}, probe))
+            if probe is None:
+                raise AssertionError("simplex refutes a side the difference solver found")
+            grown.append(({**signs, idx: -known}, probe))
         partial = grown
     return tuple(
         GeomRegion(tuple(signs[k] for k in range(m)), witness) for signs, witness in partial
@@ -274,8 +286,8 @@ def region_ceilings(arrangement: Arrangement, region: GeomRegion) -> tuple[Hyper
 
     Every affine member has positive offset, so the origin is strictly on
     the minus side and the separation test is just ``sign == -1``; the facet
-    test asks for a point on the hyperplane satisfying every other region
-    inequality strictly.
+    test asks the difference-constraint solver for a point on the hyperplane
+    satisfying every other region inequality strictly.
 
     >>> arr = build_arrangement("shi", 3)
     >>> sorted({len(region_ceilings(arr, r)) for r in enumerate_regions(arr)})
@@ -283,17 +295,14 @@ def region_ceilings(arrangement: Arrangement, region: GeomRegion) -> tuple[Hyper
     """
     hyperplanes = arrangement.hyperplanes
     n = arrangement.n
+    rows = [_signed_row(hyp, sign) for hyp, sign in zip(hyperplanes, region.signs)]
     ceilings = []
     for idx, hyp in enumerate(hyperplanes):
         if hyp.offset == 0 or region.signs[idx] != -1:
             continue
-        rows = [
-            _signed_row(other, region.signs[k])
-            for k, other in enumerate(hyperplanes)
-            if k != idx
-        ]
         pinned = (hyp.normal.index(1), hyp.normal.index(-1), hyp.offset)
-        if strict_feasible(rows, n, equalities=(pinned,)) is not None:
+        others = rows[:idx] + rows[idx + 1 :]
+        if difference_feasible(others, n, equalities=(pinned,)) is not None:
             ceilings.append(hyp)
     return tuple(ceilings)
 
@@ -354,24 +363,21 @@ def recession_dimension(arrangement: Arrangement, region: GeomRegion) -> int:
     """Dimension of the recession cone of the region (degrees of freedom).
 
     A hyperplane's linear form vanishes identically on the cone exactly when
-    its two coordinates are forced equal; the cone's dimension is n minus
-    the rank of those vanishing normals.
+    its two coordinates are forced equal.  Every arrangement here contains
+    all Coxeter hyperplanes, so the vanishing normals are all e_i - e_j with
+    i, j forced equal; they span rank n minus the number of forced-equality
+    classes, and the cone's dimension is that number of classes.
 
     >>> arr = build_arrangement("cox", 3)
     >>> {recession_dimension(arr, r) for r in enumerate_regions(arr)}
     {3}
     """
-    n = arrangement.n
     reach = _forced_equal_pairs(arrangement, region)
-    vanishing = []
-    for hyp in arrangement.hyperplanes:
-        i = hyp.normal.index(1) + 1
-        j = hyp.normal.index(-1) + 1
-        if reach[i][j] and reach[j][i]:
-            vanishing.append(hyp.normal)
-    if not vanishing:
-        return n
-    return n - integer_rank(vanishing)
+    return sum(
+        1
+        for v in range(1, arrangement.n + 1)
+        if not any(reach[u][v] and reach[v][u] for u in range(1, v))
+    )
 
 
 def recession_dimension_lp(arrangement: Arrangement, region: GeomRegion) -> int:
@@ -441,40 +447,49 @@ def _combinatorial_catalog(
     return catalog
 
 
-def cross_validate(kind: str, n: int, graph: Optional[Graph] = None) -> dict:
-    """Match every geometric region to its combinatorial diagram and compare.
+@dataclass(frozen=True)
+class _MeasuredRegion:
+    """A region with every statistic the oracle reports, computed once."""
 
-    Regions and diagrams are paired up by (coordinate order, ceiling pairs);
-    the report records whether the pairing is a bijection and whether the
-    ceiling partition, degrees of freedom and dominance agree on every pair.
+    region: GeomRegion
+    order: Permutation
+    ceilings: tuple[Hyperplane, ...]
+    ceiling_partition: SetPartition
+    dof: int
+    dominant: bool
 
-    >>> cross_validate("shi", 3)["ok"]
-    True
-    >>> cross_validate("ish", 3, Graph.path(3))["region_count"]
-    13
-    """
-    arrangement = build_arrangement(kind, n, graph)
-    regions = enumerate_regions(arrangement)
 
-    geometric: dict[tuple[Permutation, frozenset[tuple[int, int]]], dict] = {}
-    mismatches: list[dict] = []
-    for region in regions:
+def _measure_regions(arrangement: Arrangement) -> list[_MeasuredRegion]:
+    n = arrangement.n
+    measured = []
+    for region in enumerate_regions(arrangement):
         order = region_order(arrangement, region)
-        pairs = frozenset(
-            (h.tag[1], h.tag[2]) for h in region_ceilings(arrangement, region)
+        ceilings = region_ceilings(arrangement, region)
+        measured.append(
+            _MeasuredRegion(
+                region,
+                order,
+                ceilings,
+                _partition_from_pairs(n, [(h.tag[1], h.tag[2]) for h in ceilings]),
+                recession_dimension(arrangement, region),
+                order == identity_permutation(n),
+            )
         )
-        key = (order, pairs)
+    return measured
+
+
+def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -> dict:
+    kind, n = arrangement.kind, arrangement.n
+    geometric: dict[tuple[Permutation, frozenset[tuple[int, int]]], _MeasuredRegion] = {}
+    mismatches: list[dict] = []
+    for entry in measured:
+        key = (entry.order, frozenset((h.tag[1], h.tag[2]) for h in entry.ceilings))
         if key in geometric:
             mismatches.append(
                 {"reason": "two regions share a combinatorial key", "key": repr(key)}
             )
             continue
-        geometric[key] = {
-            "region": region,
-            "ceiling_partition": _partition_from_pairs(n, pairs),
-            "dof": recession_dimension(arrangement, region),
-            "dominant": order == identity_permutation(n),
-        }
+        geometric[key] = entry
 
     catalog = _combinatorial_catalog(kind, n, arrangement.graph)
     matched = 0
@@ -485,15 +500,15 @@ def cross_validate(kind: str, n: int, graph: Optional[Graph] = None) -> dict:
                     "reason": "region has no matching diagram",
                     "order": key[0],
                     "ceiling_pairs": sorted(key[1]),
-                    "witness": [str(x) for x in geo["region"].witness],
+                    "witness": [str(x) for x in geo.region.witness],
                 }
             )
             continue
         comb = catalog[key]
         disagreements = {
-            stat: {"geometric": geo[stat], "combinatorial": comb[stat]}
+            stat: {"geometric": getattr(geo, stat), "combinatorial": comb[stat]}
             for stat in ("ceiling_partition", "dof", "dominant")
-            if geo[stat] != comb[stat]
+            if getattr(geo, stat) != comb[stat]
         }
         if disagreements:
             mismatches.append(
@@ -525,18 +540,76 @@ def cross_validate(kind: str, n: int, graph: Optional[Graph] = None) -> dict:
         "kind": kind,
         "n": n,
         "edges": arrangement.graph.sorted_edges(),
-        "region_count": len(regions),
+        "region_count": len(measured),
         "diagram_count": len(catalog),
         "formula_count": formula,
         "matched": matched,
         "mismatches": mismatches,
         "ok": not mismatches
-        and matched == len(regions) == len(catalog) == formula,
+        and matched == len(measured) == len(catalog) == formula,
     }
 
 
 def _partition_key(partition: SetPartition) -> str:
     return "|".join(",".join(str(v) for v in block) for block in partition)
+
+
+def _report(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -> dict:
+    entries = []
+    by_dof: dict[int, int] = {}
+    by_partition: dict[str, int] = {}
+    dominant_count = 0
+    for entry in measured:
+        entries.append(
+            {
+                "signs": list(entry.region.signs),
+                "witness": [str(x) for x in entry.region.witness],
+                "order": list(entry.order),
+                "ceilings": [list(h.tag) for h in entry.ceilings],
+                "ceiling_partition": [list(block) for block in entry.ceiling_partition],
+                "dof": entry.dof,
+                "dominant": entry.dominant,
+            }
+        )
+        by_dof[entry.dof] = by_dof.get(entry.dof, 0) + 1
+        key = _partition_key(entry.ceiling_partition)
+        by_partition[key] = by_partition.get(key, 0) + 1
+        dominant_count += entry.dominant
+    return {
+        "arrangement": {
+            "kind": arrangement.kind,
+            "n": arrangement.n,
+            "edges": [list(e) for e in arrangement.graph.sorted_edges()],
+        },
+        "regions": entries,
+        "summary": {
+            "region_count": len(measured),
+            "by_dof": {str(d): by_dof[d] for d in sorted(by_dof)},
+            "by_dominance": {
+                "dominant": dominant_count,
+                "non_dominant": len(measured) - dominant_count,
+            },
+            "by_ceiling_partition": {
+                key: by_partition[key] for key in sorted(by_partition)
+            },
+        },
+    }
+
+
+def cross_validate(kind: str, n: int, graph: Optional[Graph] = None) -> dict:
+    """Match every geometric region to its combinatorial diagram and compare.
+
+    Regions and diagrams are paired up by (coordinate order, ceiling pairs);
+    the report records whether the pairing is a bijection and whether the
+    ceiling partition, degrees of freedom and dominance agree on every pair.
+
+    >>> cross_validate("shi", 3)["ok"]
+    True
+    >>> cross_validate("ish", 3, Graph.path(3))["region_count"]
+    13
+    """
+    arrangement = build_arrangement(kind, n, graph)
+    return _validation(arrangement, _measure_regions(arrangement))
 
 
 def oracle_report(kind: str, n: int, graph: Optional[Graph] = None) -> dict:
@@ -547,48 +620,16 @@ def oracle_report(kind: str, n: int, graph: Optional[Graph] = None) -> dict:
     histograms by dof, dominance and ceiling partition.
     """
     arrangement = build_arrangement(kind, n, graph)
-    regions = enumerate_regions(arrangement)
-    entries = []
-    by_dof: dict[int, int] = {}
-    by_partition: dict[str, int] = {}
-    dominant_count = 0
-    for region in regions:
-        order = region_order(arrangement, region)
-        ceilings = region_ceilings(arrangement, region)
-        partition = _partition_from_pairs(n, [(h.tag[1], h.tag[2]) for h in ceilings])
-        dof = recession_dimension(arrangement, region)
-        dominant = order == identity_permutation(n)
-        entries.append(
-            {
-                "signs": list(region.signs),
-                "witness": [str(x) for x in region.witness],
-                "order": list(order),
-                "ceilings": [list(h.tag) for h in ceilings],
-                "ceiling_partition": [list(block) for block in partition],
-                "dof": dof,
-                "dominant": dominant,
-            }
-        )
-        by_dof[dof] = by_dof.get(dof, 0) + 1
-        key = _partition_key(partition)
-        by_partition[key] = by_partition.get(key, 0) + 1
-        dominant_count += dominant
-    return {
-        "arrangement": {
-            "kind": kind,
-            "n": n,
-            "edges": [list(e) for e in arrangement.graph.sorted_edges()],
-        },
-        "regions": entries,
-        "summary": {
-            "region_count": len(regions),
-            "by_dof": {str(d): by_dof[d] for d in sorted(by_dof)},
-            "by_dominance": {
-                "dominant": dominant_count,
-                "non_dominant": len(regions) - dominant_count,
-            },
-            "by_ceiling_partition": {
-                key: by_partition[key] for key in sorted(by_partition)
-            },
-        },
-    }
+    return _report(arrangement, _measure_regions(arrangement))
+
+
+def oracle_pass(kind: str, n: int, graph: Optional[Graph] = None) -> tuple[dict, dict]:
+    """``(cross_validate(...), oracle_report(...))`` from one enumeration.
+
+    >>> validation, report = oracle_pass("shi", 3)
+    >>> validation["ok"], report["summary"]["region_count"]
+    (True, 16)
+    """
+    arrangement = build_arrangement(kind, n, graph)
+    measured = _measure_regions(arrangement)
+    return _validation(arrangement, measured), _report(arrangement, measured)

@@ -308,7 +308,8 @@ def ish_diagram_to_placement(
         else:
             rooks.add((value, n + e))
     placement = RookPlacement(Board(n, True, graph), frozenset(rooks))
-    assert is_valid_hatted_placement(placement)
+    if not is_valid_hatted_placement(placement):
+        raise AssertionError("placement is not a valid hatted placement")
     return placement
 
 
@@ -414,7 +415,8 @@ def parking_to_placement(word: Sequence[int]) -> RookPlacement:
     n = len(word)
     t = (1 - word[0]) % (n + 1)
     v = tuple((a - 1 + t) % (n + 1) + 1 for a in word)
-    assert v[0] == 1
+    if v[0] != 1:
+        raise AssertionError("shifted word does not start with 1")
     rooks = set()
     used: list[int] = []
     for col in range(2, n + 1):
@@ -456,7 +458,8 @@ def placement_to_rook_word(placement: RookPlacement) -> Word:
         else:
             # columns left of col are already resolved since row - n < col
             word[col - 1] = word[row - n - 1]
-    assert is_rook_word(word)
+    if not is_rook_word(word):
+        raise AssertionError(f"{tuple(word)} is not a rook word")
     return tuple(word)
 
 
@@ -476,7 +479,8 @@ def rook_word_to_placement(word: Sequence[int]) -> RookPlacement:
             rooks.add((pos, letter))
         last_at[letter] = pos
     placement = RookPlacement(Board(n, True, Graph.complete(n)), frozenset(rooks))
-    assert is_valid_hatted_placement(placement)
+    if not is_valid_hatted_placement(placement):
+        raise AssertionError("placement is not a valid hatted placement")
     return placement
 
 

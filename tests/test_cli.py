@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from shi_ish.cli import config_hash, load_graph, main
+from shi_ish.cli import _pool_size, config_hash, load_graph, main
 from shi_ish.core import Graph
 
 
@@ -41,6 +41,22 @@ def test_load_graph_file(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 3, "edges": [[1, 3]]}))
     assert load_graph(str(path), 3) == Graph(3, frozenset({(1, 3)}))
+
+
+def test_load_graph_file_under_a_paths_directory(tmp_path, capsys, monkeypatch):
+    """A file path starting with "path" is read, not taken for the preset."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "paths").mkdir()
+    (tmp_path / "paths" / "g.json").write_text(json.dumps({"n": 4, "edges": [[1, 4]]}))
+    assert load_graph("paths/g.json", 4) == Graph(4, frozenset({(1, 4)}))
+    code, doc, _ = run_json(
+        capsys, "count", "--n", "4", "--arrangement", "shi", "--graph", "paths/g.json"
+    )
+    assert code == 0
+    assert doc["results"]["shi"]["total"] == doc["results"]["shi"]["formula"] == 36
+    code, _, err = run(capsys, "count", "--n", "4", "--graph", "paths/missing.json")
+    assert code == 2
+    assert "paths/missing.json" in err
 
 
 def test_reports_carry_config_and_hash(capsys):
@@ -343,6 +359,28 @@ def test_graph_order_mismatch(tmp_path, capsys):
     path.write_text(json.dumps({"n": 4, "edges": []}))
     code, _, err = run(capsys, "count", "--n", "3", "--graph", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_nonpositive_jobs(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "3", "--suite", "formulas", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_pool_size_is_clamped_to_tasks_and_cpus():
+    assert _pool_size(1, 8, 4) == 1
+    assert _pool_size(64, 8, 4) == 4
+    assert _pool_size(64, 3, 4) == 3
+    assert _pool_size(2, 64, None) == 1
+    assert _pool_size(4, 0, 4) == 1
+
+
+def test_jobs_is_echoed_unclamped(capsys):
+    code, doc, _ = run_json(capsys, "verify", "--n", "1", "--suite", "formulas", "--jobs", "64")
+    assert code == 0
+    assert doc["config"]["jobs"] == 64
 
 
 def test_nonpositive_n():

@@ -4,10 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shi_ish.exactlp import integer_rank, max_slack, strict_feasible
+from shi_ish.exactlp import difference_feasible, integer_rank, max_slack, strict_feasible
 
 
 def slack_of(row, point):
@@ -220,3 +220,160 @@ def test_integer_rank_matches_fraction_elimination(vectors):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[ref])]
         ref += 1
     assert rank == ref
+
+
+# ---------------------------------------------------------------------------
+# difference-constraint solver
+
+
+def difference_witness(rows, n, equalities=()):
+    """The solver's witness as rationals, or None."""
+    result = difference_feasible(rows, n, equalities)
+    if result is None:
+        return None
+    scaled, den = result
+    assert den == n + 1
+    return tuple(Fraction(x, den) for x in scaled)
+
+
+def diff(n, a, b):
+    coeffs = [0] * n
+    coeffs[a] += 1
+    coeffs[b] -= 1
+    return tuple(coeffs)
+
+
+def test_difference_dominant_shi_chamber_is_feasible():
+    rows = [
+        ((1, -1, 0), 0, True),
+        ((0, 1, -1), 0, True),
+        ((-1, 0, 1), -1, True),
+        ((-1, 1, 0), -1, True),
+        ((0, -1, 1), -1, True),
+        ((1, 0, -1), 0, True),
+    ]
+    witness = difference_witness(rows, 3)
+    assert witness is not None
+    assert satisfies(rows, witness)
+
+
+def test_difference_contradictory_cycles_are_infeasible():
+    assert difference_feasible([((1, -1), 0, True), ((-1, 1), 0, True)], 2) is None
+    # x0 > x1 > x2 > x0
+    cycle = [(diff(3, 0, 1), 0, True), (diff(3, 1, 2), 0, True), (diff(3, 2, 0), 0, True)]
+    assert difference_feasible(cycle, 3) is None
+    # x1 > x2, x0 - x2 < 1, x0 - x1 > 1
+    gaps = [((1, -1, 0), 1, True), ((0, 1, -1), 0, True), ((-1, 0, 1), -1, True)]
+    assert difference_feasible(gaps, 3) is None
+
+
+def test_difference_weak_cycles_need_positive_weight_to_fail():
+    # x0 >= x1 >= x0 is the line x0 = x1; one strict link breaks it
+    weak = [((1, -1), 0, False), ((-1, 1), 0, False)]
+    witness = difference_witness(weak, 2)
+    assert witness is not None and witness[0] == witness[1]
+    assert difference_feasible([((1, -1), 0, False), ((-1, 1), 0, True)], 2) is None
+    # x0 - x1 >= 1 and x1 - x0 >= -1 pin the gap at exactly 1
+    pinned = [((1, -1), 1, False), ((-1, 1), -1, False)]
+    witness = difference_witness(pinned, 2)
+    assert witness is not None and witness[0] - witness[1] == 1
+    assert difference_feasible([((1, -1), 1, False), ((-1, 1), -1, True)], 2) is None
+
+
+def test_difference_equalities():
+    rows = [((1, 0, -1), 0, True), ((0, -1, 1), 0, True)]
+    witness = difference_witness(rows, 3, equalities=[(0, 1, 1)])
+    assert witness is not None
+    assert witness[0] - witness[1] == 1
+    assert witness[1] < witness[2] < witness[0]
+    # an equality contradicting a strict row, or satisfying it outright
+    assert difference_feasible([((-1, 1), 0, True)], 2, equalities=[(0, 1, 1)]) is None
+    witness = difference_witness([((1, -1), 0, True)], 2, equalities=[(0, 1, 1)])
+    assert witness is not None and witness[0] - witness[1] == 1
+
+
+def test_difference_contradictory_equalities_return_none():
+    row = [((1, -1, 0), -10, True)]
+    assert difference_feasible(row, 3, equalities=[(0, 1, 0), (0, 1, 1)]) is None
+    assert difference_feasible(row, 3, equalities=[(0, 1, 1), (1, 2, 1), (0, 2, 3)]) is None
+    witness = difference_witness(row, 3, equalities=[(0, 1, 1), (1, 2, 1), (0, 2, 2)])
+    assert witness is not None
+    assert (witness[0] - witness[1], witness[1] - witness[2]) == (1, 1)
+    assert difference_feasible([], 1, equalities=[(0, 0, 1)]) is None
+    assert difference_witness([], 1, equalities=[(0, 0, 0)]) == (0,)
+
+
+@pytest.mark.parametrize(
+    "coeffs, n",
+    [((1, 1), 2), ((2, -2), 2), ((1, 0), 2), ((0, 0), 2), ((1, -1, 0), 2), ((1, -1, 1), 3)],
+)
+def test_difference_rejects_non_difference_rows(coeffs, n):
+    with pytest.raises(ValueError):
+        difference_feasible([(coeffs, 0, True)], n)
+
+
+def difference_systems(max_n=6, eq_offsets=st.integers(-2, 2)):
+    """(n, rows, equalities) with strict rows, weak rows and equalities."""
+
+    def build(n):
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]
+        )
+        strict = st.tuples(pair, st.integers(-3, 3), st.just(True))
+        weak = st.tuples(pair, st.integers(-3, 0), st.just(False))
+        rows = st.lists(st.one_of(strict, weak), max_size=8).map(
+            lambda raw: [(diff(n, a, b), rhs, s) for (a, b), rhs, s in raw]
+        )
+        eqs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), eq_offsets), max_size=2)
+        return st.tuples(st.just(n), rows, eqs)
+
+    return st.integers(2, max_n).flatmap(build)
+
+
+@given(difference_systems())
+@settings(max_examples=200, deadline=None)
+def test_difference_agrees_with_simplex(system):
+    n, rows, equalities = system
+    try:
+        simplex = strict_feasible(rows, n, equalities)
+    except ValueError:
+        # a substituted weak row got a positive bound, which the capped
+        # simplex does not accept
+        assume(False)
+    witness = difference_witness(rows, n, equalities)
+    assert (witness is None) == (simplex is None)
+    if witness is not None:
+        assert satisfies(rows, witness)
+        assert all(witness[i] - witness[j] == c for i, j, c in equalities)
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()),
+                min_size=1,
+                max_size=10,
+            ),
+        )
+    )
+)
+@settings(max_examples=200)
+def test_difference_planted_point_is_found(planted_and_rows):
+    """Plant a point with quarter-integer coordinates and generate difference
+    rows and equalities it satisfies; the solver must find a witness."""
+    numerators, raw = planted_and_rows
+    planted = [Fraction(k, 4) for k in numerators]
+    n = len(planted)
+    rows, equalities = [], []
+    for a, b, strict in raw:
+        gap = planted[a] - planted[b]
+        if a != b:
+            rows.append((diff(n, a, b), math.ceil(gap) - 1 if strict else math.floor(gap), strict))
+        if gap.denominator == 1:
+            equalities.append((a, b, int(gap)))
+    witness = difference_witness(rows, n, equalities)
+    assert witness is not None
+    assert satisfies(rows, witness)
+    assert all(witness[i] - witness[j] == c for i, j, c in equalities)

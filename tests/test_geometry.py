@@ -1,9 +1,12 @@
 """Geometric region enumeration and the combinatorial cross-check."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shi_ish.core import Graph
 from shi_ish.geometry import (
@@ -12,6 +15,7 @@ from shi_ish.geometry import (
     cross_validate,
     enumerate_regions,
     enumerate_regions_sweep,
+    oracle_pass,
     oracle_report,
     recession_dimension,
     recession_dimension_lp,
@@ -181,6 +185,25 @@ def test_cross_validate_subgraphs():
     assert report["region_count"] == 13
     report = cross_validate("shi", 4, Graph(4, frozenset({(1, 2), (3, 4)})))
     assert report["ok"]
+
+
+@pytest.mark.parametrize("kind", ("shi", "ish"))
+@given(
+    st.sets(st.sampled_from(list(itertools.combinations(range(1, 6), 2))), min_size=2, max_size=6)
+)
+@settings(max_examples=3, deadline=None)
+def test_cross_validate_random_graphs_n5(kind, edges):
+    """Geometry and the diagram catalog agree beyond the exhaustive n <= 4."""
+    report = cross_validate(kind, 5, Graph(5, frozenset(edges)))
+    assert report["ok"], report["mismatches"][:3]
+
+
+def test_oracle_pass_matches_separate_calls():
+    graph = Graph(4, frozenset({(1, 3), (2, 4)}))
+    for kind in KINDS:
+        validation, report = oracle_pass(kind, 4, graph)
+        assert validation == cross_validate(kind, 4, graph)
+        assert report == oracle_report(kind, 4, graph)
 
 
 def test_oracle_report_shape():
