@@ -18,14 +18,16 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .bijections import (
     basic_bijection,
@@ -43,13 +45,14 @@ from .core import (
     Graph,
     SetPartition,
     all_graphs,
-    identity_permutation,
+    arcs,
     inverse_permutation,
     orbit,
+    partition_str,
     position_partition,
     set_partitions,
 )
-from .geometry import cross_validate, oracle_pass  # noqa: F401 - cross_validate is re-exported
+from .geometry import cross_validate, diagram_statistics, oracle_pass  # noqa: F401 - re-export
 from .ish import (
     IshCeilingDiagram,
     ceiling_partition_count,
@@ -140,10 +143,6 @@ def load_graph(spec: str, n: int) -> Graph:
     return graph
 
 
-def _partition_str(partition: SetPartition) -> str:
-    return "|".join(",".join(str(v) for v in block) for block in partition)
-
-
 def _word_str(word: Sequence[int]) -> str:
     return ",".join(str(v) for v in word)
 
@@ -171,52 +170,29 @@ def _check_size(name: str, n: int, limit: int, large_limit: int, allow_large: bo
 # region records shared by count/enumerate
 
 
-def _region_records(kind: str, n: int, graph: Graph) -> Iterator[dict]:
-    """Uniform per-region statistic records for one arrangement."""
-    if kind == "shi":
-        for diagram in shi_diagrams(n, graph):
-            stats = shi_statistics(diagram)
-            yield {
-                "pi": list(diagram.pi),
-                "partition": [list(b) for b in diagram.partition],
-                "ceiling_partition": stats.ceiling_partition,
-                "dof": stats.dof,
-                "dominant": stats.dominant,
-            }
-    elif kind == "ish":
-        for diagram in ish_diagrams(n, graph):
-            stats = ish_statistics(diagram)
-            yield {
-                "pi": list(diagram.pi),
-                "eps": list(diagram.eps),
-                "ceiling_partition": stats.ceiling_partition,
-                "dof": stats.dof,
-                "dominant": stats.dominant,
-                "relatively_bounded": stats.relatively_bounded,
-            }
-    elif kind == "cox":
-        for pi in itertools.permutations(range(1, n + 1)):
-            yield {
-                "pi": list(pi),
-                "ceiling_partition": tuple((v,) for v in range(1, n + 1)),
-                "dof": n,
-                "dominant": tuple(pi) == identity_permutation(n),
-            }
-    else:  # pragma: no cover - guarded by argparse choices
-        raise UsageError(f"unknown arrangement {kind!r}")
+def _region_record(kind: str, diagram, stats) -> dict:
+    """The record of one region: its diagram (a Cox region is its coordinate
+    order) followed by its statistics."""
+    record = {"pi": list(diagram)} if kind == "cox" else diagram.to_json()
+    record["ceiling_partition"] = [list(b) for b in stats.ceiling_partition]
+    record["dof"] = stats.dof
+    record["dominant"] = stats.dominant
+    if kind == "ish":
+        record["relatively_bounded"] = stats.relatively_bounded
+    return record
 
 
-def _breakdown(records: Iterator[dict], by: str) -> tuple[int, dict]:
+def _breakdown(regions: Iterator[tuple], by: str) -> tuple[int, dict]:
     total = 0
     hist: dict[str, int] = {}
-    for record in records:
+    for _, stats in regions:
         total += 1
         if by == "dof":
-            key = str(record["dof"])
+            key = str(stats.dof)
         elif by == "dominance":
-            key = "dominant" if record["dominant"] else "non_dominant"
+            key = "dominant" if stats.dominant else "non_dominant"
         else:  # ceiling-partition
-            key = _partition_str(record["ceiling_partition"])
+            key = partition_str(stats.ceiling_partition)
         hist[key] = hist.get(key, 0) + 1
     ordered = {k: hist[k] for k in sorted(hist, key=lambda s: (len(s), s))}
     return total, ordered
@@ -235,12 +211,13 @@ def cmd_count(args: argparse.Namespace) -> int:
         _progress(f"counting {kind} regions (n={args.n})")
         formula = math.factorial(args.n) if kind == "cox" else ish_region_count(graph)
         entry: dict = {"formula": formula}
+        regions = diagram_statistics(kind, args.n, graph)
         if args.by:
-            total, hist = _breakdown(_region_records(kind, args.n, graph), args.by)
+            total, hist = _breakdown(regions, args.by)
             entry["total"] = total
             entry[f"by_{args.by.replace('-', '_')}"] = hist
         else:
-            entry["total"] = sum(1 for _ in _region_records(kind, args.n, graph))
+            entry["total"] = sum(1 for _ in regions)
         results[kind] = entry
     doc = _wrap(args, "count", {"results": results})
     if args.format == "tsv":
@@ -265,10 +242,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph, args.n)
     kind = args.arrangement
     _progress(f"enumerating {kind} regions (n={args.n})")
-    records = []
-    for record in _region_records(kind, args.n, graph):
-        record["ceiling_partition"] = [list(b) for b in record["ceiling_partition"]]
-        records.append(record)
+    records = [
+        _region_record(kind, diagram, stats)
+        for diagram, stats in diagram_statistics(kind, args.n, graph)
+    ]
     doc = _wrap(args, "enumerate", {"arrangement": kind, "regions": records})
     if args.format == "tsv":
         columns = list(records[0].keys()) if records else ["pi"]
@@ -277,7 +254,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             rows.append(
                 tuple(
                     _word_str(v) if isinstance(v, list) and v and isinstance(v[0], int)
-                    else "|".join(_word_str(b) for b in v) if isinstance(v, list)
+                    else partition_str(v) if isinstance(v, list)
                     else v
                     for v in (record[c] for c in columns)
                 )
@@ -297,6 +274,54 @@ _BIJECTIONS: dict[str, Callable[[IshCeilingDiagram], ShiCeilingDiagram]] = {
     "dominance": dominance_bijection,
     "bounded": bounded_bijection,
     "freedom": freedom_bijection,
+}
+_INVERSES: dict[str, Callable[[ShiCeilingDiagram], IshCeilingDiagram]] = {
+    "basic": basic_bijection_inverse,
+    "dominance": dominance_bijection_inverse,
+    "bounded": bounded_bijection_inverse,
+    "freedom": freedom_bijection_inverse,
+}
+
+
+class _Theorem(NamedTuple):
+    """A row of the README bijection table.  The maps themselves are
+    ``_BIJECTIONS[name]`` and ``_INVERSES[name]``, looked up there on every
+    call so that rebinding a dict entry reaches every caller."""
+
+    domain: str  # "all", "complete" (the complete graph only) or "bounded" (regions)
+    checks: tuple[str, ...]  # preserved statistics, in the order verify checks them
+    certificates: tuple[str, ...]  # the same statistics, in the order map prints them
+    invalid_detail: str = "image invalid for G: {}"
+    roundtrip_detail: str = "roundtrip broken: {}"
+    free_regions: bool = False  # full-freedom regions map to pi with every arc dropped
+    compare_with: Optional[str] = None  # count the regions where this bijection agrees
+    counters: tuple[str, ...] = ()  # report keys of those counts: (agrees, differs)
+
+
+_THEOREMS: dict[str, _Theorem] = {
+    "basic": _Theorem("complete", (), (), "roundtrip broken at {}", "roundtrip broken at {}"),
+    "dominance": _Theorem(
+        "all",
+        ("ceiling_partition", "dominant"),
+        ("ceiling_partition", "dominant"),
+        free_regions=True,
+    ),
+    "bounded": _Theorem(
+        "bounded",
+        ("relatively_bounded", "ceiling_partition"),
+        ("ceiling_partition", "relatively_bounded"),
+        compare_with="freedom",
+        counters=("freedom_agrees_with_bounded", "freedom_differs_from_bounded"),
+    ),
+    "freedom": _Theorem("all", ("ceiling_partition", "dof"), ("ceiling_partition", "dof")),
+}
+
+#: statistic -> (verify failure detail, map failure line)
+_BROKEN: dict[str, tuple[str, str]] = {
+    "ceiling_partition": ("ceiling partition broken: {}", "ceiling partition not preserved"),
+    "dominant": ("dominance broken: {}", "dominance not preserved"),
+    "dof": ("dof broken: {}", "degrees of freedom not preserved"),
+    "relatively_bounded": ("image not relatively bounded: {}", "image is not relatively bounded"),
 }
 
 
@@ -319,35 +344,21 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise UsageError(f"diagram has {diagram.n} letters, --n is {args.n}")
     if not is_valid_ish(diagram, graph):
         raise UsageError("input is not a valid Ish ceiling diagram for the graph")
-    if args.bijection == "basic" and graph != Graph.complete(args.n):
-        raise UsageError("the basic bijection is defined on the complete graph only")
+    theorem = _THEOREMS[args.bijection]
+    if theorem.domain == "complete" and graph != Graph.complete(args.n):
+        raise UsageError(f"the {args.bijection} bijection is defined on the complete graph only")
     stats_in = ish_statistics(diagram)
-    if args.bijection == "bounded" and not stats_in.relatively_bounded:
-        raise UsageError("the bounded bijection needs a relatively bounded input")
+    if theorem.domain == "bounded" and not stats_in.relatively_bounded:
+        raise UsageError(f"the {args.bijection} bijection needs a relatively bounded input")
 
     image = _BIJECTIONS[args.bijection](diagram)
     stats_out = shi_statistics(image)
-    certificates: dict = {}
-    failures = []
-    if args.bijection != "basic":
-        if stats_in.ceiling_partition != stats_out.ceiling_partition:
-            failures.append("ceiling partition not preserved")
-        certificates["ceiling_partition"] = [
-            list(b) for b in stats_out.ceiling_partition
-        ]
-    if args.bijection == "dominance":
-        if stats_in.dominant != stats_out.dominant:
-            failures.append("dominance not preserved")
-        certificates["dominant"] = stats_out.dominant
-    if args.bijection == "freedom":
-        if stats_in.dof != stats_out.dof:
-            failures.append("degrees of freedom not preserved")
-        certificates["dof"] = stats_out.dof
-    if args.bijection == "bounded":
-        if stats_out.dof != 1:
-            failures.append("image is not relatively bounded")
-        certificates["relatively_bounded"] = stats_out.dof == 1
-
+    certificates = {stat: getattr(stats_out, stat) for stat in theorem.certificates}
+    failures = [
+        _BROKEN[stat][1]
+        for stat in theorem.certificates
+        if getattr(stats_in, stat) != certificates[stat]
+    ]
     doc = _wrap(
         args,
         "map",
@@ -355,7 +366,7 @@ def cmd_map(args: argparse.Namespace) -> int:
             "bijection": args.bijection,
             "input": diagram.to_json(),
             "output": image.to_json(),
-            **({"certificates": certificates} if args.bijection != "basic" else {}),
+            **({"certificates": certificates} if certificates else {}),
         },
     )
     _emit_json(doc)
@@ -383,112 +394,72 @@ def _sweep_graphs(n: int, allow_large: bool, suite: str) -> list[Graph]:
     )
 
 
-def _check_dominance_graph(payload: tuple[int, tuple[tuple[int, int], ...]]) -> dict:
-    n, edges = payload
-    graph = Graph(n, frozenset(edges))
-    shi_set = set(shi_diagrams(n, graph))
-    seen = set()
+def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
+    """Check the bijection theorem ``_THEOREMS[name]`` on one graph.
+
+    Returns the failure detail (None if the theorem holds), the number of
+    images seen before the check stopped, and the agreement counts.
+    """
+    theorem = _THEOREMS[name]
+    n = graph.n
+    bounded = theorem.domain == "bounded"
+    targets = set(shi_diagrams(n, graph))
+    if bounded:
+        targets = {d for d in targets if shi_statistics(d).relatively_bounded}
     singletons = tuple((v,) for v in range(1, n + 1))
-    for diagram in ish_diagrams(n, graph):
-        stats = ish_statistics(diagram)
-        image = dominance_bijection(diagram)
-        image_stats = shi_statistics(image)
-        if not is_valid_shi(image, graph):
-            return {"edges": edges, "ok": False, "detail": f"image invalid for G: {diagram}"}
-        if image_stats.ceiling_partition != stats.ceiling_partition:
-            return {"edges": edges, "ok": False, "detail": f"ceiling partition broken: {diagram}"}
-        if image_stats.dominant != stats.dominant:
-            return {"edges": edges, "ok": False, "detail": f"dominance broken: {diagram}"}
-        if dominance_bijection_inverse(image) != diagram:
-            return {"edges": edges, "ok": False, "detail": f"roundtrip broken: {diagram}"}
-        if stats.dof == n:
-            # full-freedom regions: the image diagram keeps pi and drops all
-            # arcs, and the parking word labeling it is the inverse of pi
-            if image != ShiCeilingDiagram(diagram.pi, singletons):
-                return {"edges": edges, "ok": False, "detail": f"free-region image wrong: {diagram}"}
-            if shi_diagram_to_parking(image) != inverse_permutation(diagram.pi):
-                return {"edges": edges, "ok": False, "detail": f"free-region word wrong: {diagram}"}
-        seen.add(image)
-    if seen != shi_set:
-        return {"edges": edges, "ok": False, "detail": "image set is not all Shi diagrams"}
-    return {"edges": edges, "ok": True, "count": len(seen)}
-
-
-def _check_bounded_graph(payload: tuple[int, tuple[tuple[int, int], ...]]) -> dict:
-    n, edges = payload
-    graph = Graph(n, frozenset(edges))
-    shi_bounded = {d for d in shi_diagrams(n, graph) if shi_statistics(d).dof == 1}
     seen = set()
-    freedom_agrees = 0
-    freedom_differs = 0
+    counts: Counter = Counter()
     for diagram in ish_diagrams(n, graph):
-        stats = ish_statistics(diagram)
-        if not stats.relatively_bounded:
+        stats = ish_statistics(diagram) if theorem.checks else None
+        if bounded and not stats.relatively_bounded:
             continue
-        image = bounded_bijection(diagram)
-        image_stats = shi_statistics(image)
+        image = _BIJECTIONS[name](diagram)
+        image_stats = shi_statistics(image) if theorem.checks else None
+        broken = [s for s in theorem.checks if getattr(image_stats, s) != getattr(stats, s)]
+        # a region with n degrees of freedom maps to pi with every arc dropped,
+        # so the parking word labeling its image is the inverse of pi
+        free = theorem.free_regions and stats.dof == n
         if not is_valid_shi(image, graph):
-            return {"edges": edges, "ok": False, "detail": f"image invalid for G: {diagram}"}
-        if image_stats.dof != 1:
-            return {"edges": edges, "ok": False, "detail": f"image not relatively bounded: {diagram}"}
-        if image_stats.ceiling_partition != stats.ceiling_partition:
-            return {"edges": edges, "ok": False, "detail": f"ceiling partition broken: {diagram}"}
-        if bounded_bijection_inverse(image) != diagram:
-            return {"edges": edges, "ok": False, "detail": f"roundtrip broken: {diagram}"}
-        if freedom_bijection(diagram) == image:
-            freedom_agrees += 1
+            detail = theorem.invalid_detail
+        elif broken:
+            detail = _BROKEN[broken[0]][0]
+        elif _INVERSES[name](image) != diagram:
+            detail = theorem.roundtrip_detail
+        elif free and image != ShiCeilingDiagram(diagram.pi, singletons):
+            detail = "free-region image wrong: {}"
+        elif free and shi_diagram_to_parking(image) != inverse_permutation(diagram.pi):
+            detail = "free-region word wrong: {}"
         else:
-            freedom_differs += 1
+            detail = None
+        if detail is not None:
+            return detail.format(diagram), len(seen), counts
+        if theorem.compare_with is not None:
+            agrees = _BIJECTIONS[theorem.compare_with](diagram) == image
+            counts[theorem.counters[0 if agrees else 1]] += 1
         seen.add(image)
-    if seen != shi_bounded:
-        return {"edges": edges, "ok": False, "detail": "image set is not all bounded Shi diagrams"}
-    return {
-        "edges": edges,
-        "ok": True,
-        "count": len(seen),
-        "freedom_agrees": freedom_agrees,
-        "freedom_differs": freedom_differs,
-    }
+    detail = None
+    if seen != targets:
+        detail = f"image set is not all {'bounded ' if bounded else ''}Shi diagrams"
+    return detail, len(seen), counts
 
 
-def _check_freedom_graph(payload: tuple[int, tuple[tuple[int, int], ...]]) -> dict:
+def _check_theorem_graph(name: str, payload: tuple[int, tuple[tuple[int, int], ...]]) -> dict:
     n, edges = payload
-    graph = Graph(n, frozenset(edges))
-    shi_set = set(shi_diagrams(n, graph))
-    seen = set()
-    for diagram in ish_diagrams(n, graph):
-        stats = ish_statistics(diagram)
-        image = freedom_bijection(diagram)
-        image_stats = shi_statistics(image)
-        if not is_valid_shi(image, graph):
-            return {"edges": edges, "ok": False, "detail": f"image invalid for G: {diagram}"}
-        if image_stats.ceiling_partition != stats.ceiling_partition:
-            return {"edges": edges, "ok": False, "detail": f"ceiling partition broken: {diagram}"}
-        if image_stats.dof != stats.dof:
-            return {"edges": edges, "ok": False, "detail": f"dof broken: {diagram}"}
-        if freedom_bijection_inverse(image) != diagram:
-            return {"edges": edges, "ok": False, "detail": f"roundtrip broken: {diagram}"}
-        seen.add(image)
-    if seen != shi_set:
-        return {"edges": edges, "ok": False, "detail": "image set is not all Shi diagrams"}
-    return {"edges": edges, "ok": True, "count": len(seen)}
+    detail, count, counts = _theorem_run(name, Graph(n, frozenset(edges)))
+    if detail is not None:
+        return {"edges": edges, "ok": False, "detail": detail}
+    return {"edges": edges, "ok": True, "count": count, **counts}
 
 
 def _check_formulas_graph(payload: tuple[int, tuple[tuple[int, int], ...]]) -> dict:
     n, edges = payload
     graph = Graph(n, frozenset(edges))
     formula = ish_region_count(graph)
-    shi_hist: dict[SetPartition, int] = {}
-    ish_hist: dict[SetPartition, int] = {}
-    shi_count = ish_count = 0
-    for diagram in shi_diagrams(n, graph):
-        cp = shi_statistics(diagram).ceiling_partition
-        shi_hist[cp] = shi_hist.get(cp, 0) + 1
-        shi_count += 1
-    for diagram in ish_diagrams(n, graph):
-        cp = ish_statistics(diagram).ceiling_partition
-        ish_hist[cp] = ish_hist.get(cp, 0) + 1
-        ish_count += 1
+    shi_hist, ish_hist = (
+        Counter(stats.ceiling_partition for _, stats in diagram_statistics(kind, n, graph))
+        for kind in ("shi", "ish")
+    )
+    shi_count, ish_count = shi_hist.total(), ish_hist.total()
     if not (shi_count == ish_count == formula):
         return {"edges": edges, "ok": False, "detail": f"counts {shi_count}/{ish_count}/formula {formula}"}
     poly = ish_char_poly(graph)
@@ -499,22 +470,15 @@ def _check_formulas_graph(payload: tuple[int, tuple[tuple[int, int], ...]]) -> d
     if shi_hist != ish_hist:
         return {"edges": edges, "ok": False, "detail": "ceiling-partition histograms differ"}
     for partition in set_partitions(n):
-        admissible = all(graph.has_edge(i, j) for i, j in _partition_arcs(partition))
+        admissible = all(graph.has_edge(i, j) for i, j in arcs(partition))
         expected = ceiling_partition_count(graph, partition) if admissible else 0
-        if ish_hist.get(partition, 0) != expected:
+        if ish_hist[partition] != expected:
             return {
                 "edges": edges,
                 "ok": False,
-                "detail": f"partition {partition} count {ish_hist.get(partition, 0)} != {expected}",
+                "detail": f"partition {partition} count {ish_hist[partition]} != {expected}",
             }
     return {"edges": edges, "ok": True, "count": formula}
-
-
-def _partition_arcs(partition: SetPartition) -> list[tuple[int, int]]:
-    pairs = []
-    for block in partition:
-        pairs.extend(zip(block, block[1:]))
-    return pairs
 
 
 def _pool_size(jobs: int, tasks: int, cpus: Optional[int]) -> int:
@@ -616,24 +580,13 @@ def _suite_cycle_lemma(args: argparse.Namespace) -> tuple[bool, dict]:
 def _suite_thm_basic(args: argparse.Namespace) -> tuple[bool, dict]:
     n = args.n
     _check_size("thm-basic", n, 5, 6, args.allow_large)
-    graph = Graph.complete(n)
-    shi_set = set(shi_diagrams(n, graph))
-    seen = set()
-    ok = True
-    detail = None
-    for diagram in ish_diagrams(n, graph):
-        image = basic_bijection(diagram)
-        if not is_valid_shi(image, graph) or basic_bijection_inverse(image) != diagram:
-            ok, detail = False, f"roundtrip broken at {diagram}"
-            break
-        seen.add(image)
-    if ok and seen != shi_set:
-        ok, detail = False, "image set is not all Shi diagrams"
-    report = {"n": n, "regions": len(seen), "detail": detail}
-    return ok, report
+    detail, count, _ = _theorem_run("basic", Graph.complete(n))
+    return detail is None, {"n": n, "regions": count, "detail": detail}
 
 
-def _graph_sweep_suite(args: argparse.Namespace, worker, suite: str) -> tuple[bool, dict]:
+def _graph_sweep_suite(
+    args: argparse.Namespace, worker, suite: str, counters: Sequence[str] = ()
+) -> tuple[bool, dict]:
     graphs = _sweep_graphs(args.n, args.allow_large, suite)
     _progress(f"{suite}: sweeping {len(graphs)} graph(s) at n={args.n}")
     results = _run_sweep(worker, graphs, args.n, args.jobs)
@@ -642,16 +595,20 @@ def _graph_sweep_suite(args: argparse.Namespace, worker, suite: str) -> tuple[bo
         "n": args.n,
         "graphs": len(graphs),
         "regions_checked": sum(r.get("count", 0) for r in results),
-        "failures": failures[:5],
+        "failures": failures,
     }
-    if suite == "thm-bounded":
-        report["freedom_agrees_with_bounded"] = sum(r.get("freedom_agrees", 0) for r in results)
-        report["freedom_differs_from_bounded"] = sum(r.get("freedom_differs", 0) for r in results)
+    for key in counters:
+        report[key] = sum(r.get(key, 0) for r in results)
     return not failures, report
 
 
+def _suite_theorem(args: argparse.Namespace, name: str) -> tuple[bool, dict]:
+    worker = functools.partial(_check_theorem_graph, name)
+    return _graph_sweep_suite(args, worker, f"thm-{name}", _THEOREMS[name].counters)
+
+
 def _suite_thm_freedom(args: argparse.Namespace) -> tuple[bool, dict]:
-    passed, report = _graph_sweep_suite(args, _check_freedom_graph, "thm-freedom")
+    passed, report = _suite_theorem(args, "freedom")
     if passed:
         roundtrip_ok = True
         for word in parking_functions(args.n):
@@ -674,6 +631,19 @@ def _suite_formulas(args: argparse.Namespace) -> tuple[bool, dict]:
     report["char_poly"] = list(actual)
     report["char_poly_closed_form"] = actual == expected
     return passed and actual == expected, report
+
+
+def _relatively_bounded_counts(n: int, dominant_only: bool) -> list[int]:
+    """Relatively bounded regions of Shi(K_n) and of Ish(K_n), dominant ones
+    only if asked."""
+    return [
+        sum(
+            1
+            for _, stats in diagram_statistics(kind, n, Graph.complete(n))
+            if stats.relatively_bounded and (stats.dominant or not dominant_only)
+        )
+        for kind in ("shi", "ish")
+    ]
 
 
 def _suite_negative_controls(args: argparse.Namespace) -> tuple[bool, dict]:
@@ -699,16 +669,7 @@ def _suite_negative_controls(args: argparse.Namespace) -> tuple[bool, dict]:
         }
     )
 
-    shi_dom = sum(
-        1
-        for d in shi_diagrams(3, Graph.complete(3))
-        if (lambda s: s.dof == 1 and s.dominant)(shi_statistics(d))
-    )
-    ish_dom = sum(
-        1
-        for d in ish_diagrams(3, Graph.complete(3))
-        if (lambda s: s.relatively_bounded and s.dominant)(ish_statistics(d))
-    )
+    shi_dom, ish_dom = _relatively_bounded_counts(3, dominant_only=True)
     checks.append(
         {
             "name": "dominant relatively bounded counts differ at n=3",
@@ -720,14 +681,7 @@ def _suite_negative_controls(args: argparse.Namespace) -> tuple[bool, dict]:
 
     for n in (3, 4):
         expected = (n - 1) ** (n - 1)
-        shi_total = sum(
-            1 for d in shi_diagrams(n, Graph.complete(n)) if shi_statistics(d).dof == 1
-        )
-        ish_total = sum(
-            1
-            for d in ish_diagrams(n, Graph.complete(n))
-            if ish_statistics(d).relatively_bounded
-        )
+        shi_total, ish_total = _relatively_bounded_counts(n, dominant_only=False)
         checks.append(
             {
                 "name": f"relatively bounded totals at n={n}",
@@ -763,7 +717,7 @@ def _suite_factorization_candidates(args: argparse.Namespace) -> tuple[bool, dic
         joint.setdefault(key, [0, 0])[1] += 1
     agree = sum(1 for counts in joint.values() if counts[0] == counts[1])
     disagree = {
-        f"{_partition_str(partition)} dof={dof}": counts
+        f"{partition_str(partition)} dof={dof}": counts
         for (partition, dof), counts in sorted(joint.items())
         if counts[0] != counts[1]
     }
@@ -782,8 +736,8 @@ def _suite_factorization_candidates(args: argparse.Namespace) -> tuple[bool, dic
 _SUITES: dict[str, Callable[[argparse.Namespace], tuple[bool, dict]]] = {
     "cycle-lemma": _suite_cycle_lemma,
     "thm-basic": _suite_thm_basic,
-    "thm-dominance": lambda a: _graph_sweep_suite(a, _check_dominance_graph, "thm-dominance"),
-    "thm-bounded": lambda a: _graph_sweep_suite(a, _check_bounded_graph, "thm-bounded"),
+    "thm-dominance": lambda a: _suite_theorem(a, "dominance"),
+    "thm-bounded": lambda a: _suite_theorem(a, "bounded"),
     "thm-freedom": _suite_thm_freedom,
     "formulas": _suite_formulas,
     "negative-controls": _suite_negative_controls,

@@ -28,6 +28,15 @@ SetPartition = tuple[Block, ...]
 # words
 
 
+def strict_int(value: object) -> int:
+    """``value`` itself if it is an int; ValueError for anything else, bools,
+    floats and numeric strings included, so that JSON input is never
+    silently converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def check_word(letters: Sequence[int], alphabet: int) -> Word:
     """Validate a word over the alphabet [m] and return it as a tuple."""
     if alphabet < 1:
@@ -117,6 +126,37 @@ def partition_from_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
                 raise ValueError(f"element {x} appears in two blocks")
             seen.add(x)
     return canon
+
+
+def partition_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> SetPartition:
+    """The partition of [n] generated by joining i and j for every pair (i, j).
+
+    >>> partition_from_pairs(5, [(1, 4), (4, 3)])
+    ((1, 3, 4), (2,), (5,))
+    """
+    parent = list(range(n + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    blocks: dict[int, list[int]] = {}
+    for v in range(1, n + 1):
+        blocks.setdefault(find(v), []).append(v)
+    return partition_from_blocks(blocks.values())
+
+
+def partition_str(partition: SetPartition) -> str:
+    """Blocks joined by "|", elements within a block by ",".
+
+    >>> partition_str(((1, 3), (2,)))
+    '1,3|2'
+    """
+    return "|".join(",".join(str(v) for v in block) for block in partition)
 
 
 def check_partition_of(partition: SetPartition, n: int) -> SetPartition:
@@ -306,8 +346,8 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
-        edges = frozenset((int(i), int(j)) for i, j in data["edges"])
-        return cls(int(data["n"]), edges)
+        edges = frozenset((strict_int(i), strict_int(j)) for i, j in data["edges"])
+        return cls(strict_int(data["n"]), edges)
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

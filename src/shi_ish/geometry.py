@@ -24,18 +24,19 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     Graph,
     Permutation,
     SetPartition,
     identity_permutation,
-    partition_from_blocks,
+    partition_from_pairs,
+    partition_str,
 )
 from .exactlp import Row, difference_feasible, integer_rank, strict_feasible
 from .ish import ish_ceiling_pairs, ish_diagrams, ish_region_count, ish_statistics
-from .shi import ceiling_hyperplane_tags, shi_diagrams, shi_statistics
+from .shi import ShiStatistics, ceiling_hyperplane_tags, shi_diagrams, shi_statistics
 
 #: ("cox", i, j) is x_i - x_j = 0; ("shi", i, j) is x_i - x_j = 1;
 #: ("ish", i, j) is x_1 - x_j = i.  Indices are 1-based with i < j.
@@ -307,27 +308,10 @@ def region_ceilings(arrangement: Arrangement, region: GeomRegion) -> tuple[Hyper
     return tuple(ceilings)
 
 
-def _partition_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> SetPartition:
-    parent = list(range(n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in pairs:
-        parent[find(i)] = find(j)
-    blocks: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        blocks.setdefault(find(v), []).append(v)
-    return partition_from_blocks(blocks.values())
-
-
 def region_ceiling_partition(arrangement: Arrangement, region: GeomRegion) -> SetPartition:
     """Partition of [n] generated by i ~ j over the ceiling tags (i, j)."""
     pairs = [(h.tag[1], h.tag[2]) for h in region_ceilings(arrangement, region)]
-    return _partition_from_pairs(arrangement.n, pairs)
+    return partition_from_pairs(arrangement.n, pairs)
 
 
 def _forced_equal_pairs(arrangement: Arrangement, region: GeomRegion) -> list[list[bool]]:
@@ -403,47 +387,51 @@ def recession_dimension_lp(arrangement: Arrangement, region: GeomRegion) -> int:
     return n - integer_rank(vanishing)
 
 
-def _all_singletons(n: int) -> SetPartition:
-    return tuple((v,) for v in range(1, n + 1))
+def diagram_statistics(kind: str, n: int, graph: Graph) -> Iterator[tuple]:
+    """Every region of Cox(n), Shi(G) or Ish(G) with its statistics, in
+    enumeration order.
+
+    Shi and Ish regions come as their ceiling diagrams.  A Cox region is its
+    coordinate order; it has no ceilings, so its ceiling partition is all
+    singletons, and it has n degrees of freedom.
+
+    >>> [stats.dof for _, stats in diagram_statistics("ish", 2, Graph.complete(2))]
+    [2, 1, 2]
+    """
+    if kind == "shi":
+        for diagram in shi_diagrams(n, graph):
+            yield diagram, shi_statistics(diagram)
+    elif kind == "ish":
+        for diagram in ish_diagrams(n, graph):
+            yield diagram, ish_statistics(diagram)
+    elif kind == "cox":
+        singletons = tuple((v,) for v in range(1, n + 1))
+        identity = identity_permutation(n)
+        for pi in itertools.permutations(range(1, n + 1)):
+            yield pi, ShiStatistics(singletons, n, pi == identity)
+    else:
+        raise ValueError(f"unknown arrangement kind: {kind!r}")
 
 
 def _combinatorial_catalog(
     kind: str, n: int, graph: Graph
-) -> dict[tuple[Permutation, frozenset[tuple[int, int]]], dict]:
-    """Diagram-side catalog keyed by (order, ceiling pairs).
+) -> dict[tuple[Permutation, frozenset[tuple[int, int]]], tuple]:
+    """Diagram-side catalog of (diagram, statistics) keyed by (order,
+    ceiling pairs).
 
     The key matches the geometric key: for "shi" a ceiling pair (i, j) means
     the hyperplane x_i - x_j = 1, for "ish" it means x_1 - x_j = i.  Cox
-    regions are plain permutations with no ceilings and a full-dimensional
-    recession cone.
+    regions have no ceilings.
     """
-    catalog: dict[tuple[Permutation, frozenset[tuple[int, int]]], dict] = {}
-    if kind == "shi":
-        for diagram in shi_diagrams(n, graph):
-            stats = shi_statistics(diagram)
-            catalog[(diagram.pi, ceiling_hyperplane_tags(diagram))] = {
-                "diagram": diagram,
-                "ceiling_partition": stats.ceiling_partition,
-                "dof": stats.dof,
-                "dominant": stats.dominant,
-            }
-    elif kind == "ish":
-        for diagram in ish_diagrams(n, graph):
-            stats = ish_statistics(diagram)
-            catalog[(diagram.pi, ish_ceiling_pairs(diagram))] = {
-                "diagram": diagram,
-                "ceiling_partition": stats.ceiling_partition,
-                "dof": stats.dof,
-                "dominant": stats.dominant,
-            }
-    else:
-        for pi in itertools.permutations(range(1, n + 1)):
-            catalog[(tuple(pi), frozenset())] = {
-                "diagram": tuple(pi),
-                "ceiling_partition": _all_singletons(n),
-                "dof": n,
-                "dominant": tuple(pi) == identity_permutation(n),
-            }
+    catalog = {}
+    for diagram, stats in diagram_statistics(kind, n, graph):
+        if kind == "shi":
+            key = (diagram.pi, ceiling_hyperplane_tags(diagram))
+        elif kind == "ish":
+            key = (diagram.pi, ish_ceiling_pairs(diagram))
+        else:
+            key = (diagram, frozenset())
+        catalog[key] = (diagram, stats)
     return catalog
 
 
@@ -470,7 +458,7 @@ def _measure_regions(arrangement: Arrangement) -> list[_MeasuredRegion]:
                 region,
                 order,
                 ceilings,
-                _partition_from_pairs(n, [(h.tag[1], h.tag[2]) for h in ceilings]),
+                partition_from_pairs(n, [(h.tag[1], h.tag[2]) for h in ceilings]),
                 recession_dimension(arrangement, region),
                 order == identity_permutation(n),
             )
@@ -504,11 +492,11 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
                 }
             )
             continue
-        comb = catalog[key]
+        diagram, stats = catalog[key]
         disagreements = {
-            stat: {"geometric": getattr(geo, stat), "combinatorial": comb[stat]}
+            stat: {"geometric": getattr(geo, stat), "combinatorial": getattr(stats, stat)}
             for stat in ("ceiling_partition", "dof", "dominant")
-            if getattr(geo, stat) != comb[stat]
+            if getattr(geo, stat) != getattr(stats, stat)
         }
         if disagreements:
             mismatches.append(
@@ -516,20 +504,20 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
                     "reason": "statistics disagree",
                     "order": key[0],
                     "ceiling_pairs": sorted(key[1]),
-                    "diagram": comb["diagram"],
+                    "diagram": diagram,
                     "disagreements": disagreements,
                 }
             )
         else:
             matched += 1
-    for key, comb in catalog.items():
+    for key, (diagram, _) in catalog.items():
         if key not in geometric:
             mismatches.append(
                 {
                     "reason": "diagram has no matching region",
                     "order": key[0],
                     "ceiling_pairs": sorted(key[1]),
-                    "diagram": comb["diagram"],
+                    "diagram": diagram,
                 }
             )
 
@@ -550,10 +538,6 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
     }
 
 
-def _partition_key(partition: SetPartition) -> str:
-    return "|".join(",".join(str(v) for v in block) for block in partition)
-
-
 def _report(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -> dict:
     entries = []
     by_dof: dict[int, int] = {}
@@ -572,7 +556,7 @@ def _report(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -> di
             }
         )
         by_dof[entry.dof] = by_dof.get(entry.dof, 0) + 1
-        key = _partition_key(entry.ceiling_partition)
+        key = partition_str(entry.ceiling_partition)
         by_partition[key] = by_partition.get(key, 0) + 1
         dominant_count += entry.dominant
     return {

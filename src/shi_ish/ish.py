@@ -29,8 +29,9 @@ from .core import (
     arcs,
     check_permutation,
     identity_permutation,
-    partition_from_blocks,
+    partition_from_pairs,
     set_partitions,
+    strict_int,
 )
 from .parking import is_parking_function
 from .rookwords import is_rook_word, orbit_certificate
@@ -64,8 +65,8 @@ class IshCeilingDiagram:
     @classmethod
     def from_json(cls, data: dict) -> "IshCeilingDiagram":
         return cls(
-            pi=tuple(int(x) for x in data["pi"]),
-            eps=tuple(int(x) for x in data["eps"]),
+            pi=tuple(strict_int(x) for x in data["pi"]),
+            eps=tuple(strict_int(x) for x in data["eps"]),
         )
 
 
@@ -117,34 +118,22 @@ def ish_statistics(diagram: IshCeilingDiagram) -> IshStatistics:
     The ceiling partition is generated by joining eps_i with pi_i at every
     dotted position.  With k the last dotted position (the position of the
     letter 1 if no dots), the region has n - k + pi^{-1}(1) degrees of
-    freedom.  Relative boundedness reads off as pi_1 = 1 with the final
-    position dotted; the flag is meaningful for graphs with at least one
-    edge, where minimal-dimension regions have one degree of freedom.
+    freedom.  A region is relatively bounded when it has one degree of
+    freedom: it is bounded up to translation along (1, ..., 1).
     """
     _check_coherent(diagram)
     n = diagram.n
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p, e in zip(diagram.pi, diagram.eps):
-        if e > 0:
-            parent[find(e)] = find(p)
-    groups: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
     one_at = diagram.pi.index(1) + 1
     dotted = diagram.dotted_positions()
     last = dotted[-1] if dotted else one_at
+    dof = n - last + one_at
     return IshStatistics(
-        ceiling_partition=partition_from_blocks(groups.values()),
-        dof=n - last + one_at,
+        ceiling_partition=partition_from_pairs(
+            n, ((e, p) for p, e in zip(diagram.pi, diagram.eps) if e > 0)
+        ),
+        dof=dof,
         dominant=diagram.pi == identity_permutation(n),
-        relatively_bounded=diagram.pi[0] == 1 and diagram.eps[-1] > 0,
+        relatively_bounded=dof == 1,
     )
 
 
@@ -215,7 +204,7 @@ class Board:
     @classmethod
     def from_json(cls, data: dict) -> "Board":
         return cls(
-            n=int(data["n"]),
+            n=strict_int(data["n"]),
             hatted=bool(data["hatted"]),
             graph=Graph.from_json(data["graph"]),
         )
@@ -258,7 +247,7 @@ class RookPlacement:
     def from_json(cls, data: dict) -> "RookPlacement":
         return cls(
             board=Board.from_json(data["board"]),
-            rooks=frozenset((int(c), int(r)) for c, r in data["rooks"]),
+            rooks=frozenset((strict_int(c), strict_int(r)) for c, r in data["rooks"]),
         )
 
 

@@ -31,6 +31,7 @@ from .core import (
     is_nonnesting,
     nonnesting_from_block_specs,
     partition_from_blocks,
+    strict_int,
 )
 from .parking import is_parking_function, parking_functions
 
@@ -57,8 +58,10 @@ class ShiCeilingDiagram:
     @classmethod
     def from_json(cls, data: dict) -> "ShiCeilingDiagram":
         return cls(
-            pi=tuple(int(x) for x in data["pi"]),
-            partition=partition_from_blocks(data["partition"]),
+            pi=tuple(strict_int(x) for x in data["pi"]),
+            partition=partition_from_blocks(
+                [strict_int(x) for x in block] for block in data["partition"]
+            ),
         )
 
 
@@ -94,6 +97,11 @@ class ShiStatistics(NamedTuple):
     ceiling_partition: SetPartition
     dof: int
     dominant: bool
+
+    @property
+    def relatively_bounded(self) -> bool:
+        """One degree of freedom: bounded up to translation along (1, ..., 1)."""
+        return self.dof == 1
 
 
 def shi_statistics(diagram: ShiCeilingDiagram) -> ShiStatistics:

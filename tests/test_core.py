@@ -23,6 +23,8 @@ from shi_ish.core import (
     nonnesting_from_block_specs,
     orbit,
     partition_from_blocks,
+    partition_from_pairs,
+    partition_str,
     position_partition,
     set_partitions,
 )
@@ -102,6 +104,33 @@ def test_partition_from_blocks_canonicalizes():
         partition_from_blocks([[1, 2], [2, 3]])
     with pytest.raises(ValueError):
         partition_from_blocks([[]])
+
+
+pair_lists = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=10),
+    )
+)
+
+
+@given(pair_lists)
+def test_partition_from_pairs_is_the_transitive_closure(case):
+    n, pairs = case
+    related = {(v, v) for v in range(1, n + 1)}
+    related |= set(pairs) | {(j, i) for i, j in pairs}
+    while True:
+        closed = related | {(a, d) for a, b in related for c, d in related if b == c}
+        if closed == related:
+            break
+        related = closed
+    classes = {tuple(sorted(b for a, b in related if a == v)) for v in range(1, n + 1)}
+    assert partition_from_pairs(n, pairs) == tuple(sorted(classes))
+
+
+def test_partition_str():
+    assert partition_str(((1, 4), (2, 3, 5))) == "1,4|2,3,5"
+    assert partition_str(((1,),)) == "1"
 
 
 def test_check_partition_of_wants_canonical_cover():
