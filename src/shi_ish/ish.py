@@ -28,6 +28,7 @@ from .core import (
     Word,
     arcs,
     check_permutation,
+    cyclic_shift,
     identity_permutation,
     partition_from_pairs,
     set_partitions,
@@ -203,11 +204,10 @@ class Board:
 
     @classmethod
     def from_json(cls, data: dict) -> "Board":
-        return cls(
-            n=strict_int(data["n"]),
-            hatted=bool(data["hatted"]),
-            graph=Graph.from_json(data["graph"]),
-        )
+        hatted = data["hatted"]
+        if not isinstance(hatted, bool):
+            raise ValueError(f"expected a boolean for hatted, got {hatted!r}")
+        return cls(n=strict_int(data["n"]), hatted=hatted, graph=Graph.from_json(data["graph"]))
 
 
 @dataclass(frozen=True)
@@ -274,9 +274,7 @@ def is_valid_hatted_placement(placement: RookPlacement) -> bool:
     return all(r in occupied for r in range(1, first_row))
 
 
-def ish_diagram_to_placement(
-    diagram: IshCeilingDiagram, graph: Optional[Graph] = None
-) -> RookPlacement:
+def ish_diagram_to_placement(diagram: IshCeilingDiagram) -> RookPlacement:
     """Place one rook per letter: undotted letters below the bar in the row
     of their position, dotted letters above the bar at the height given by
     their dot count.
@@ -287,16 +285,13 @@ def ish_diagram_to_placement(
     """
     _check_coherent(diagram)
     n = diagram.n
-    graph = Graph.complete(n) if graph is None else graph
-    if not is_valid_ish(diagram, graph):
-        raise ValueError("diagram is not valid for the given graph")
     rooks = set()
     for position, (value, e) in enumerate(zip(diagram.pi, diagram.eps), start=1):
         if e == 0:
             rooks.add((value, position))
         else:
             rooks.add((value, n + e))
-    placement = RookPlacement(Board(n, True, graph), frozenset(rooks))
+    placement = RookPlacement(Board(n, True, Graph.complete(n)), frozenset(rooks))
     if not is_valid_hatted_placement(placement):
         raise AssertionError("placement is not a valid hatted placement")
     return placement
@@ -402,8 +397,7 @@ def parking_to_placement(word: Sequence[int]) -> RookPlacement:
     if not is_parking_function(word):
         raise ValueError(f"{word!r} is not a parking function")
     n = len(word)
-    t = (1 - word[0]) % (n + 1)
-    v = tuple((a - 1 + t) % (n + 1) + 1 for a in word)
+    v = cyclic_shift(word, 1 - word[0], n + 1)
     if v[0] != 1:
         raise AssertionError("shifted word does not start with 1")
     rooks = set()

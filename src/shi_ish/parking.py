@@ -16,7 +16,6 @@ from typing import Iterator, Optional, Sequence
 from .core import (
     Block,
     Graph,
-    SetPartition,
     Word,
     arcs,
     position_partition,

@@ -13,7 +13,7 @@ import pytest
 import shi_ish.cli as cli
 from shi_ish.cli import main
 from shi_ish.core import Graph, all_graphs
-from shi_ish.ish import IshCeilingDiagram, ish_diagrams, ish_statistics
+from shi_ish.ish import Board, IshCeilingDiagram, ish_diagrams, ish_statistics
 from shi_ish.shi import ShiCeilingDiagram
 
 SUITES = [
@@ -134,6 +134,43 @@ def test_sweep_lists_every_failing_graph(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "word, prime, failing",
+    [((1, 1, 2), False, "orbit uniqueness"), ((1, 2, 2), True, "prime orbit uniqueness")],
+)
+def test_failed_orbit_certificate_is_a_failed_check(word, prime, failing, capsys, monkeypatch):
+    real = cli.orbit_certificate
+    refused = (word, prime)
+    message = f"orbit of {word!r} refused"
+
+    def fake(w, prime=False):
+        if (tuple(w), prime) == refused:
+            raise ValueError(message)
+        return real(w, prime=prime)
+
+    rebind(monkeypatch, real, fake)
+    code, out, err = run(capsys, "verify", "--n", "3", "--suite", "cycle-lemma")
+    assert code == 1
+    assert "FAIL" in err
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    checks = {check["name"]: check for check in doc["report"]["checks"]}
+    assert checks.pop(failing)["detail"] == message
+    assert all(check["ok"] and "detail" not in check for check in checks.values())
+
+
+def test_falsified_position_partition_fails_both_beta_checks(capsys, monkeypatch):
+    rebind(monkeypatch, cli.position_partition, lambda word: tuple(word))
+    code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "cycle-lemma")
+    assert code == 1
+    assert [(c["name"], c["ok"]) for c in json.loads(out)["report"]["checks"]] == [
+        ("orbit uniqueness", True),
+        ("beta preserves position partitions", False),
+        ("prime orbit uniqueness", True),
+        ("beta-prime preserves position partitions", False),
+    ]
+
+
+@pytest.mark.parametrize(
     "bijection, diagram, field, change, line",
     [
         ("dominance", {"pi": [1, 3, 2], "eps": [0, 0, 1]}, "ceiling_partition", reverse,
@@ -246,3 +283,32 @@ def test_diagram_json_readers_take_integers_only():
         ShiCeilingDiagram.from_json({"pi": [1, 2.0], "partition": [[1], [2]]})
     with pytest.raises(ValueError):
         ShiCeilingDiagram.from_json({"pi": [1, 2], "partition": [[1], [2.0]]})
+
+
+def test_board_json_reader_takes_a_boolean_hatted_only():
+    graph = {"n": 2, "edges": []}
+    assert Board.from_json({"n": 2, "hatted": False, "graph": graph}).hatted is False
+    assert Board.from_json({"n": 2, "hatted": True, "graph": graph}).hatted is True
+    for hatted in ("false", 0):
+        with pytest.raises(ValueError):
+            Board.from_json({"n": 2, "hatted": hatted, "graph": graph})
+
+
+# ---------------------------------------------------------------------------
+# verify takes no graph
+
+
+@pytest.mark.parametrize("graph", ["/nonexistent.json", "path", "empty"])
+def test_verify_refuses_a_graph(graph, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_graph", None)  # never reached
+    code, out, err = run(capsys, "verify", "--n", "2", "--suite", "thm-freedom", "--graph", graph)
+    assert code == 2
+    assert out == ""
+    assert f"verify does not take --graph (got {graph!r})" in err
+
+
+def test_verify_takes_the_default_graph_by_name(capsys):
+    default = run(capsys, "verify", "--n", "2", "--suite", "thm-freedom")
+    named = run(capsys, "verify", "--n", "2", "--suite", "thm-freedom", "--graph", "complete")
+    assert default[0] == named[0] == 0
+    assert default[1] == named[1]

@@ -9,8 +9,10 @@ report's fields, their order, the enumeration order or the formatting of a
 partition shows up here.  A change that alters these reports on purpose must
 re-record the digests and say so.
 
-n = 1 is left out: its ``thm-bounded`` report changed when relative
-boundedness became ``dof == 1``.  The ``map`` input is the worked example of
+The ``cycle-lemma`` report is pinned for every n from 1 to 5 as well,
+recorded before its plain and prime orbit census loops became one loop.
+Apart from that suite, n = 1 is left out: its ``thm-bounded`` report changed
+when relative boundedness became ``dof == 1``.  The ``map`` input is the worked example of
 the README, written to a fresh directory that becomes the working directory,
 so its relative path -- echoed in ``config`` -- is stable.  It is not
 relatively bounded, so ``map --bijection bounded`` refuses it.
@@ -29,6 +31,14 @@ INPUT_FILE = "example.json"
 INPUT_DATA = {"pi": [4, 1, 7, 3, 8, 5, 6, 2], "eps": [0, 0, 1, 2, 0, 3, 5, 0]}
 
 GOLDEN = {
+    "verify --n 1 --suite cycle-lemma --format json":
+        "cef1ad191c1703e95dbbab25a50e9b94fbec6bec77c52ff70b2e7f49ad4a58f4",
+    "verify --n 2 --suite cycle-lemma --format json":
+        "c4e264cadad514a95ac10094aaf55fd2405e56038563accba13f02b41f7e5098",
+    "verify --n 4 --suite cycle-lemma --format json":
+        "1a0bf22563c0b5aa9322f8766d1acc9619cc88345cd0dfd2c7e83d9f57695a44",
+    "verify --n 5 --suite cycle-lemma --format json":
+        "1b1a4533c45170951bff7ccb06fe0420097f0b723603d6e7f6dc650ec02c5e5c",
     "verify --n 3 --suite cycle-lemma --format json":
         "e11e0cfb6b4f8b9a78f1144cc3221ee344944012fb2c09b15082d1f7ea07c87e",
     "verify --n 3 --suite cycle-lemma --format tsv":

@@ -19,3 +19,25 @@ def test_no_assert_statements_in_the_package():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert not found, found
+
+
+def test_no_unused_module_level_imports():
+    """Every name a module imports at module level is used in that module.
+    ``__init__.py`` is skipped, because its imports are the public API, and so
+    is an import line marked ``# noqa: F401``, a deliberate re-export."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert not found, found
