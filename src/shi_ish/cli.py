@@ -334,14 +334,17 @@ def _read_diagram(path: str) -> IshCeilingDiagram:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph, args.n)
+    if args.format != "json" or args.allow_large:
+        raise UsageError("map prints JSON and has no size limit: it takes neither --format tsv nor --allow-large")
     diagram = _read_diagram(args.input)
     if diagram.n != args.n:
         raise UsageError(f"diagram has {diagram.n} letters, --n is {args.n}")
+    graph = load_graph(args.graph, args.n)
     if not is_valid_ish(diagram, graph):
         raise UsageError("input is not a valid Ish ceiling diagram for the graph")
     theorem = _THEOREMS[args.bijection]
-    if theorem.domain == "complete" and graph != Graph.complete(args.n):
+    # Graph holds distinct pairs i < j of [n], so the edge count decides completeness
+    if theorem.domain == "complete" and len(graph.edges) != args.n * (args.n - 1) // 2:
         raise UsageError(f"the {args.bijection} bijection is defined on the complete graph only")
     stats_in = ish_statistics(diagram)
     if theorem.domain == "bounded" and not stats_in.relatively_bounded:
@@ -716,6 +719,9 @@ def _suite_factorization_candidates(args: argparse.Namespace) -> tuple[bool, dic
     return True, report
 
 
+#: the suites that run their graphs through _run_sweep, the only readers of --jobs
+_SWEEP_SUITES = ("thm-dominance", "thm-bounded", "thm-freedom", "formulas")
+
 _SUITES: dict[str, Callable[[argparse.Namespace], tuple[bool, dict]]] = {
     "cycle-lemma": _suite_cycle_lemma,
     "thm-basic": _suite_thm_basic,
@@ -826,7 +832,7 @@ def _add_common(parser: argparse.ArgumentParser, *, graph_default: str = "comple
         "--jobs",
         type=int,
         default=1,
-        help="parallel workers for sweeps (at least 1; capped at the graph and CPU counts)",
+        help="parallel workers for the graph-sweep verify suites (at least 1; capped at the graph and CPU counts)",
     )
     parser.add_argument(
         "--allow-large", action="store_true", help="raise the default size limits"
@@ -882,6 +888,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
+        name = getattr(args, "suite", args.command)
+        if args.jobs != 1 and name not in _SWEEP_SUITES:
+            raise UsageError(f"{name} does not read --jobs (got {args.jobs}): only {', '.join(_SWEEP_SUITES)} do")
         return args.func(args)
     except UsageError as exc:
         _progress(f"error: {exc}")

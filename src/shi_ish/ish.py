@@ -72,28 +72,17 @@ class IshCeilingDiagram:
 
 
 def is_valid_ish(diagram: IshCeilingDiagram, graph: Graph) -> bool:
-    """Check the diagram conditions for the Ish arrangement of ``graph``.
+    """Whether the diagram is a region of the Ish arrangement of ``graph``:
+    it is coherent and every ceiling is an edge.
 
     >>> d = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
     >>> is_valid_ish(d, Graph.complete(8))
     True
     """
-    if graph.n != diagram.n:
+    try:
+        return graph.n == diagram.n and ish_ceiling_pairs(diagram) <= graph.edges
+    except ValueError:
         return False
-    one_at = diagram.pi.index(1) + 1
-    last = 0
-    for i, (p, e) in enumerate(zip(diagram.pi, diagram.eps), start=1):
-        if e == 0:
-            continue
-        if i <= one_at or e <= last or e >= p or (e, p) not in graph.edges:
-            return False
-        last = e
-    return True
-
-
-def _check_coherent(diagram: IshCeilingDiagram) -> None:
-    if not is_valid_ish(diagram, Graph.complete(diagram.n)):
-        raise ValueError(f"{diagram!r} is not an Ish ceiling diagram")
 
 
 class IshStatistics(NamedTuple):
@@ -105,11 +94,17 @@ class IshStatistics(NamedTuple):
 
 def ish_ceiling_pairs(diagram: IshCeilingDiagram) -> frozenset[tuple[int, int]]:
     """The ceilings of the region, as (i, j) tags of hyperplanes
-    x_1 - x_j = i: one pair (eps_i, pi_i) per dotted position."""
-    _check_coherent(diagram)
-    return frozenset(
-        (e, p) for p, e in zip(diagram.pi, diagram.eps) if e > 0
-    )
+    x_1 - x_j = i: one pair (eps_i, pi_i) per dotted position.  ValueError
+    unless the diagram is coherent: the dotted positions lie right of the
+    letter 1, their dot counts strictly increase, each below its letter."""
+    one_at = diagram.pi.index(1) + 1
+    pairs: list[tuple[int, int]] = []
+    for i, (p, e) in enumerate(zip(diagram.pi, diagram.eps), start=1):
+        if e > 0:
+            if i <= one_at or e >= p or (pairs and e <= pairs[-1][0]):
+                raise ValueError(f"{diagram!r} is not an Ish ceiling diagram")
+            pairs.append((e, p))
+    return frozenset(pairs)
 
 
 def ish_statistics(diagram: IshCeilingDiagram) -> IshStatistics:
@@ -122,16 +117,14 @@ def ish_statistics(diagram: IshCeilingDiagram) -> IshStatistics:
     freedom.  A region is relatively bounded when it has one degree of
     freedom: it is bounded up to translation along (1, ..., 1).
     """
-    _check_coherent(diagram)
+    pairs = ish_ceiling_pairs(diagram)
     n = diagram.n
     one_at = diagram.pi.index(1) + 1
     dotted = diagram.dotted_positions()
     last = dotted[-1] if dotted else one_at
     dof = n - last + one_at
     return IshStatistics(
-        ceiling_partition=partition_from_pairs(
-            n, ((e, p) for p, e in zip(diagram.pi, diagram.eps) if e > 0)
-        ),
+        ceiling_partition=partition_from_pairs(n, pairs),
         dof=dof,
         dominant=diagram.pi == identity_permutation(n),
         relatively_bounded=dof == 1,
@@ -283,7 +276,7 @@ def ish_diagram_to_placement(diagram: IshCeilingDiagram) -> RookPlacement:
     >>> sorted(ish_diagram_to_placement(d).rooks)[:3]
     [(1, 2), (2, 8), (3, 10)]
     """
-    _check_coherent(diagram)
+    ish_ceiling_pairs(diagram)
     n = diagram.n
     rooks = set()
     for position, (value, e) in enumerate(zip(diagram.pi, diagram.eps), start=1):
@@ -343,7 +336,7 @@ def placement_to_ish_diagram(placement: RookPlacement) -> IshCeilingDiagram:
         pi[position - 1] = value
         eps[position - 1] = e
     diagram = IshCeilingDiagram(pi=tuple(pi), eps=tuple(eps))
-    _check_coherent(diagram)
+    ish_ceiling_pairs(diagram)
     return diagram
 
 

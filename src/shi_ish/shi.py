@@ -22,8 +22,6 @@ from .core import (
     Permutation,
     SetPartition,
     Word,
-    apply_permutation,
-    arcs,
     check_partition_of,
     check_permutation,
     connected_components,
@@ -66,31 +64,16 @@ class ShiCeilingDiagram:
 
 
 def is_valid_shi(diagram: ShiCeilingDiagram, graph: Graph) -> bool:
-    """Check the diagram conditions for the Shi arrangement of ``graph``:
-    partition nonnesting, pi increasing along blocks, consecutive block
-    values joined by edges.
+    """Whether the diagram is a region of the Shi arrangement of ``graph``:
+    it is coherent and every ceiling is an edge.
 
     >>> is_valid_shi(ShiCeilingDiagram((1, 3, 2), ((1,), (2, 3))), Graph.complete(3))
     False
     """
-    if graph.n != diagram.n:
+    try:
+        return graph.n == diagram.n and ceiling_hyperplane_tags(diagram) <= graph.edges
+    except ValueError:
         return False
-    if not is_nonnesting(diagram.partition):
-        return False
-    for block in diagram.partition:
-        values = [diagram.pi[b - 1] for b in block]
-        if values != sorted(values):
-            return False
-        for a, b in zip(values, values[1:]):
-            if (a, b) not in graph.edges:
-                return False
-    return True
-
-
-def _check_coherent(diagram: ShiCeilingDiagram) -> None:
-    # validity against the complete graph = validity against some graph
-    if not is_valid_shi(diagram, Graph.complete(diagram.n)):
-        raise ValueError(f"{diagram!r} is not a Shi ceiling diagram")
 
 
 class ShiStatistics(NamedTuple):
@@ -112,9 +95,8 @@ def shi_statistics(diagram: ShiCeilingDiagram) -> ShiStatistics:
     is the number of connected components of the partition; dominant regions
     are those with pi the identity.
     """
-    _check_coherent(diagram)
     return ShiStatistics(
-        ceiling_partition=apply_permutation(diagram.pi, diagram.partition),
+        ceiling_partition=partition_from_blocks(_ceiling_blocks(diagram)),
         dof=len(connected_components(diagram.partition)),
         dominant=diagram.pi == identity_permutation(diagram.n),
     )
@@ -122,11 +104,17 @@ def shi_statistics(diagram: ShiCeilingDiagram) -> ShiStatistics:
 
 def ceiling_hyperplane_tags(diagram: ShiCeilingDiagram) -> frozenset[tuple[int, int]]:
     """The ceilings of the region, as (i, j) tags of hyperplanes
-    x_i - x_j = 1: one per arc of the diagram partition."""
-    _check_coherent(diagram)
-    return frozenset(
-        (diagram.pi[a - 1], diagram.pi[b - 1]) for a, b in arcs(diagram.partition)
-    )
+    x_i - x_j = 1: one per arc of the diagram partition, carried along pi.
+    ValueError unless the partition is nonnesting and pi increases along every block."""
+    return frozenset(pair for block in _ceiling_blocks(diagram) for pair in zip(block, block[1:]))
+
+
+def _ceiling_blocks(diagram: ShiCeilingDiagram) -> list[tuple[int, ...]]:
+    """The diagram's blocks carried along pi; raises as :func:`ceiling_hyperplane_tags` does."""
+    blocks = [tuple([diagram.pi[b - 1] for b in block]) for block in diagram.partition]
+    if any(block != tuple(sorted(block)) for block in blocks) or not is_nonnesting(diagram.partition):
+        raise ValueError(f"{diagram!r} is not a Shi ceiling diagram")
+    return blocks
 
 
 def parking_to_shi_diagram(word: Sequence[int]) -> ShiCeilingDiagram:
@@ -163,7 +151,7 @@ def shi_diagram_to_parking(diagram: ShiCeilingDiagram) -> Word:
     >>> shi_diagram_to_parking(parking_to_shi_diagram((3, 2, 3, 7, 1, 2, 7, 2)))
     (3, 2, 3, 7, 1, 2, 7, 2)
     """
-    _check_coherent(diagram)
+    ceiling_hyperplane_tags(diagram)
     word = [0] * diagram.n
     for block in diagram.partition:
         for b in block:

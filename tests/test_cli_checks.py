@@ -6,6 +6,7 @@ the module holds the original: as a module global or as a value of a
 module-level dict such as the bijection table.
 """
 
+import io
 import json
 
 import pytest
@@ -312,3 +313,91 @@ def test_verify_takes_the_default_graph_by_name(capsys):
     named = run(capsys, "verify", "--n", "2", "--suite", "thm-freedom", "--graph", "complete")
     assert default[0] == named[0] == 0
     assert default[1] == named[1]
+
+
+# ---------------------------------------------------------------------------
+# map reads the diagram before the graph
+
+
+def test_map_checks_the_diagram_size_before_building_the_graph(capsys, monkeypatch):
+    def refuse(spec, n):
+        raise AssertionError(f"load_graph({spec!r}, {n}) called")
+
+    monkeypatch.setattr(cli, "load_graph", refuse)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"pi": [1, 2], "eps": [0, 1]})))
+    code, out, err = run(capsys, "map", "--n", "3000", "--bijection", "freedom")
+    assert code == 2
+    assert out == ""
+    assert "error: diagram has 2 letters, --n is 3000" in err
+
+
+def test_map_basic_takes_every_graph_with_all_edges(tmp_path, capsys):
+    diagram = tmp_path / "d.json"
+    diagram.write_text(json.dumps({"pi": [3, 1, 2], "eps": [0, 0, 1]}))
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"n": 3, "edges": [[2, 3], [1, 2], [1, 3]]}))
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps({"n": 3, "edges": [[1, 2], [1, 3]]}))
+    argv = ("map", "--n", "3", "--bijection", "basic", "--input", str(diagram))
+    preset = run(capsys, *argv)
+    on_file = run(capsys, *argv, "--graph", str(full))
+    assert preset[0] == on_file[0] == 0
+    assert json.loads(preset[1])["output"] == json.loads(on_file[1])["output"]
+    code, out, err = run(capsys, *argv, "--graph", str(missing))
+    assert code == 2
+    assert out == ""
+    assert "the basic bijection is defined on the complete graph only" in err
+
+
+# ---------------------------------------------------------------------------
+# flags a command never reads
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("count", "--n", "2", "--jobs", "7"), "count"),
+        (("enumerate", "--n", "2", "--jobs", "2"), "enumerate"),
+        (("map", "--n", "2", "--bijection", "freedom", "--jobs", "2"), "map"),
+        (("oracle", "--n", "2", "--jobs", "2"), "oracle"),
+    ]
+    + [
+        (("verify", "--n", "2", "--suite", suite, "--jobs", "2"), suite)
+        for suite in ("cycle-lemma", "thm-basic", "negative-controls", "factorization-candidates")
+    ],
+)
+def test_jobs_is_refused_where_nothing_reads_it(argv, name, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} does not read --jobs (got {argv[-1]})" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "3"),
+        ("enumerate", "--n", "3", "--arrangement", "ish"),
+        ("oracle", "--n", "2"),
+        ("verify", "--n", "2", "--suite", "cycle-lemma"),
+        ("verify", "--n", "2", "--suite", "thm-basic"),
+        ("map", "--n", "2", "--bijection", "freedom"),
+    ],
+)
+def test_an_explicit_single_job_is_accepted_everywhere(argv, capsys, monkeypatch):
+    reports = []
+    for extra in ((), ("--jobs", "1")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"pi": [1, 2], "eps": [0, 1]})))
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("flags", [("--format", "tsv"), ("--allow-large",)])
+def test_map_refuses_flags_it_never_reads(flags, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"pi": [1, 2], "eps": [0, 1]})))
+    code, out, err = run(capsys, "map", "--n", "2", "--bijection", "freedom", *flags)
+    assert code == 2
+    assert out == ""
+    assert "error: map prints JSON and has no size limit: it takes neither --format tsv nor --allow-large" in err
