@@ -100,6 +100,7 @@ from .shi import (
     shi_diagram_to_parking,
     shi_diagrams,
     shi_statistics,
+    shi_word_statistics,
 )
 
 __version__ = "0.1.0"

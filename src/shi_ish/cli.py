@@ -81,6 +81,7 @@ from .rookwords import (
 from .shi import (
     ShiCeilingDiagram,
     is_valid_shi,
+    parking_to_shi_diagram,
     shi_diagram_to_parking,
     shi_diagrams,
     shi_statistics,
@@ -166,10 +167,14 @@ def _check_size(name: str, n: int, limit: int, large_limit: int, allow_large: bo
 # region records shared by count/enumerate
 
 
-def _region_record(kind: str, diagram, stats) -> dict:
-    """The record of one region: its diagram (a Cox region is its coordinate
-    order) followed by its statistics."""
-    record = {"pi": list(diagram)} if kind == "cox" else diagram.to_json()
+def _region_record(kind: str, region, stats) -> dict:
+    """The record of one region from :func:`diagram_statistics`: its diagram
+    (built here from a Shi region's parking word; a Cox region is its
+    coordinate order) followed by its statistics."""
+    if kind == "cox":
+        record = {"pi": list(region)}
+    else:
+        record = (parking_to_shi_diagram(region) if kind == "shi" else region).to_json()
     record["ceiling_partition"] = [list(b) for b in stats.ceiling_partition]
     record["dof"] = stats.dof
     record["dominant"] = stats.dominant
@@ -239,8 +244,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     kind = args.arrangement
     _progress(f"enumerating {kind} regions (n={args.n})")
     records = [
-        _region_record(kind, diagram, stats)
-        for diagram, stats in diagram_statistics(kind, args.n, graph)
+        _region_record(kind, region, stats)
+        for region, stats in diagram_statistics(kind, args.n, graph)
     ]
     doc = _wrap(args, "enumerate", {"arrangement": kind, "regions": records})
     if args.format == "tsv":

@@ -187,18 +187,17 @@ def is_nonnesting(partition: SetPartition) -> bool:
     """True unless some arc strictly nests inside another.
 
     Nesting means arcs a-d and b-c with a < b < c < d; arcs sharing an
-    endpoint never nest.
+    endpoint never nest.  No two arcs share a left or a right endpoint, so
+    the partition is nonnesting exactly when the right endpoints increase
+    with the left ones.
 
     >>> is_nonnesting(((1, 3), (2, 4)))
     True
     >>> is_nonnesting(((1, 4, 5), (2, 6), (3,)))
     False
     """
-    arc_list = arcs(partition)
-    for (a, d), (b, c) in itertools.permutations(arc_list, 2):
-        if a < b and c < d:
-            return False
-    return True
+    rights = [d for _, d in arcs(partition)]
+    return all(c < d for c, d in zip(rights, rights[1:]))
 
 
 def connected_components(partition: SetPartition) -> tuple[SetPartition, ...]:

@@ -30,13 +30,15 @@ from .core import (
     Graph,
     Permutation,
     SetPartition,
+    arcs,
     identity_permutation,
     partition_from_pairs,
     partition_str,
 )
 from .exactlp import Row, difference_feasible, integer_rank, strict_feasible
 from .ish import ish_ceiling_pairs, ish_diagrams, ish_region_count, ish_statistics
-from .shi import ShiStatistics, ceiling_hyperplane_tags, shi_diagrams, shi_statistics
+from .parking import parking_functions
+from .shi import ShiStatistics, ceiling_hyperplane_tags, parking_to_shi_diagram, shi_word_statistics
 
 #: ("cox", i, j) is x_i - x_j = 0; ("shi", i, j) is x_i - x_j = 1;
 #: ("ish", i, j) is x_1 - x_j = i.  Indices are 1-based with i < j.
@@ -391,16 +393,29 @@ def diagram_statistics(kind: str, n: int, graph: Graph) -> Iterator[tuple]:
     """Every region of Cox(n), Shi(G) or Ish(G) with its statistics, in
     enumeration order.
 
-    Shi and Ish regions come as their ceiling diagrams.  A Cox region is its
-    coordinate order; it has no ceilings, so its ceiling partition is all
-    singletons, and it has n degrees of freedom.
+    A Shi region is its parking word and an Ish region its ceiling diagram.
+    A Cox region is its coordinate order; it has no ceilings, so its ceiling
+    partition is all singletons, and it has n degrees of freedom.
+
+    Every Shi word is checked before it is yielded: it must be a parking
+    function and every arc of its position partition an edge of G.  A word
+    that fails raises AssertionError, with or without ``python -O``.
 
     >>> [stats.dof for _, stats in diagram_statistics("ish", 2, Graph.complete(2))]
     [2, 1, 2]
+    >>> [word for word, _ in diagram_statistics("shi", 2, Graph.empty(2))]
+    [(1, 2), (2, 1)]
     """
     if kind == "shi":
-        for diagram in shi_diagrams(n, graph):
-            yield diagram, shi_statistics(diagram)
+        for word in parking_functions(n, graph):
+            try:
+                stats = shi_word_statistics(word)
+            except ValueError as err:
+                raise AssertionError(f"{word!r} is not a parking function") from err
+            # the ceiling partition is the position partition, so these are its arcs
+            if not set(arcs(stats.ceiling_partition)) <= graph.edges:
+                raise AssertionError(f"{word!r} has a ceiling that is not an edge of {graph!r}")
+            yield word, stats
     elif kind == "ish":
         for diagram in ish_diagrams(n, graph):
             yield diagram, ish_statistics(diagram)
@@ -421,16 +436,18 @@ def _combinatorial_catalog(
 
     The key matches the geometric key: for "shi" a ceiling pair (i, j) means
     the hyperplane x_i - x_j = 1, for "ish" it means x_1 - x_j = i.  Cox
-    regions have no ceilings.
+    regions have no ceilings.  A Shi word becomes its diagram here, and the
+    key is read off the diagram, not the word.
     """
     catalog = {}
-    for diagram, stats in diagram_statistics(kind, n, graph):
+    for region, stats in diagram_statistics(kind, n, graph):
         if kind == "shi":
+            diagram = parking_to_shi_diagram(region)
             key = (diagram.pi, ceiling_hyperplane_tags(diagram))
         elif kind == "ish":
-            key = (diagram.pi, ish_ceiling_pairs(diagram))
+            diagram, key = region, (region.pi, ish_ceiling_pairs(region))
         else:
-            key = (diagram, frozenset())
+            diagram, key = region, (region, frozenset())
         catalog[key] = (diagram, stats)
     return catalog
 

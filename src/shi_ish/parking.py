@@ -5,21 +5,21 @@ rearrangement a satisfies a_i <= i.  Drawn as a labeled Dyck path, label i
 sits in column w_i (column c covers x-coordinate c - 1), and the path stays
 weakly above the diagonal.  Paths are stored column-first: a tuple of n
 label tuples, each increasing, empty columns included.
+
+Parking functions, with or without a graph, and prime parking functions are
+generated in lexicographic order by a depth-first search that only extends
+prefixes which can still be completed, so no word outside the family is
+ever built.  With a graph the words are the labels of the regions of its
+Shi arrangement (see :mod:`shi_ish.shi`).
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import (
-    Block,
-    Graph,
-    Word,
-    arcs,
-    position_partition,
-)
+from .core import Block, Graph, Word
 
 LabeledDyckPath = tuple[tuple[int, ...], ...]
 
@@ -31,12 +31,10 @@ def is_parking_function(word: Sequence[int]) -> bool:
     >>> is_parking_function((1, 3, 3))
     False
     """
-    n = len(word)
-    if n == 0:
+    if not word:
         return False
-    if any(not 1 <= a <= n for a in word):
-        return False
-    return all(a <= i for i, a in enumerate(sorted(word), start=1))
+    letters = sorted(word)
+    return letters[0] >= 1 and all(map(operator.le, letters, range(1, len(word) + 1)))
 
 
 def is_prime_parking_function(word: Sequence[int]) -> bool:
@@ -66,28 +64,68 @@ def parking_functions(n: int, graph: Optional[Graph] = None) -> Iterator[Word]:
     With a graph, only words whose position partition has all its arcs among
     the graph's edges are produced; those are the words labeling regions of
     the Shi arrangement of the graph.
+
+    >>> list(parking_functions(2))
+    [(1, 1), (1, 2), (2, 1)]
+    >>> list(parking_functions(3, Graph(3, frozenset({(1, 2)}))))[:4]
+    [(1, 1, 2), (1, 1, 3), (1, 2, 3), (1, 3, 2)]
     """
     if n < 1:
         raise ValueError("n must be positive")
     if graph is not None and graph.n != n:
         raise ValueError("graph order does not match n")
-    for word in itertools.product(range(1, n + 1), repeat=n):
-        if not is_parking_function(word):
-            continue
-        if graph is not None:
-            if any(e not in graph.edges for e in arcs(position_partition(word))):
-                continue
-        yield word
+    yield from _ballot_words(n, n, None if graph is None else graph.edges)
 
 
 def prime_parking_functions(n: int) -> Iterator[Word]:
-    """Prime parking functions of size n in lexicographic order."""
+    """Prime parking functions of size n in lexicographic order.
+
+    >>> list(prime_parking_functions(3))
+    [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    limit = max(1, n - 1)
-    for word in itertools.product(range(1, limit + 1), repeat=n):
-        if is_prime_parking_function(word):
-            yield word
+    yield from _ballot_words(n, max(1, n - 1), None)
+
+
+def _ballot_words(
+    n: int, alphabet: int, edges: Optional[frozenset[tuple[int, int]]]
+) -> Iterator[Word]:
+    """Words in [alphabet]^n with at most alphabet - k letters above k, for
+    every k, in lexicographic order: the parking functions for alphabet n,
+    the prime ones for alphabet n - 1.
+
+    A depth-first search that only extends prefixes which can still be
+    completed.  The bound is monotone along a prefix, so letter a fits at the
+    next position exactly when every k < a still has room for one more letter
+    above it (``room[k] > 0``).  With ``edges``, letter a also fits only when
+    the previous position holding a is joined to this one by an edge: the
+    arcs of the position partition are exactly those pairs.
+    """
+    word = [0] * n
+    room = [alphabet - k for k in range(alphabet + 1)]
+    last = [0] * (alphabet + 1)  # latest position holding each letter, 0 if none
+
+    def extend(pos: int) -> Iterator[Word]:
+        for a in range(1, alphabet + 1):
+            if a > 1 and not room[a - 1]:
+                return
+            before = last[a]
+            if edges is not None and before and (before, pos) not in edges:
+                continue
+            word[pos - 1] = a
+            if pos == n:
+                yield tuple(word)
+                continue
+            for k in range(1, a):
+                room[k] -= 1
+            last[a] = pos
+            yield from extend(pos + 1)
+            last[a] = before
+            for k in range(1, a):
+                room[k] += 1
+
+    return extend(1)
 
 
 # ---------------------------------------------------------------------------

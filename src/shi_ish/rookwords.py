@@ -51,22 +51,42 @@ def is_prime_rook_word(word: Sequence[int]) -> bool:
 
 
 def rook_words(n: int) -> Iterator[Word]:
-    """Rook words of size n in lexicographic order."""
+    """Rook words of size n in lexicographic order.
+
+    A depth-first search over [n]^n that drops a prefix as soon as the values
+    of [1, w_1] it still misses outnumber the positions left to fill.
+
+    >>> list(rook_words(2))
+    [(1, 1), (1, 2), (2, 1)]
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    for word in itertools.product(range(1, n + 1), repeat=n):
-        if is_rook_word(word):
-            yield word
+    word = [0] * n
+
+    def extend(pos: int, missing: frozenset[int]) -> Iterator[Word]:
+        if pos == n:
+            yield tuple(word)
+            return
+        for a in range(1, n + 1):
+            rest = (missing if pos else frozenset(range(1, a))) - {a}
+            if len(rest) < n - pos:
+                word[pos] = a
+                yield from extend(pos + 1, rest)
+
+    yield from extend(0, frozenset())
 
 
 def prime_rook_words(n: int) -> Iterator[Word]:
-    """Prime rook words of size n in lexicographic order."""
+    """Prime rook words of size n in lexicographic order: the letter 1
+    followed by every word of [n-1]^(n-1).
+
+    >>> list(prime_rook_words(3))
+    [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    limit = max(1, n - 1)
-    for word in itertools.product(range(1, limit + 1), repeat=n):
-        if is_prime_rook_word(word):
-            yield word
+    for rest in itertools.product(range(1, max(1, n - 1) + 1), repeat=n - 1):
+        yield (1,) + rest
 
 
 @dataclass(frozen=True)

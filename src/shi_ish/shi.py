@@ -1,15 +1,20 @@
-"""Ceiling diagrams for regions of Shi arrangements.
+"""Shi regions: parking words, and ceiling diagrams as their view.
 
 The Shi arrangement of a graph G on [n] adds the hyperplanes x_i - x_j = 1
-(one per edge i < j) to the Coxeter arrangement.  Each region is encoded by
-a permutation pi, giving the coordinate order on the region, together with a
-nonnesting partition of [n] recording which added hyperplanes span facets on
-the origin side.  Valid diagrams have pi increasing along every block, with
-consecutive block values joined by edges of G.
+(one per edge i < j) to the Coxeter arrangement.  Its regions are labeled by
+the parking functions of size n whose position partition has every arc among
+the edges of G, and that word is the region wherever regions are counted:
+:func:`shi_word_statistics` reads the ceiling partition, the degrees of
+freedom and dominance straight off it.
 
-The translation to and from parking functions realizes the standard labeling
-of Shi regions by parking functions and is the calculation engine behind
-every region statistic here.
+A ceiling diagram is the geometric view of the same region: a permutation pi,
+giving the coordinate order on the region, together with a nonnesting
+partition of [n] recording which added hyperplanes span facets on the origin
+side.  Valid diagrams have pi increasing along every block, with consecutive
+block values joined by edges of G.  Diagrams are built from words only where
+a region is printed, mapped or matched against the geometry;
+:func:`parking_to_shi_diagram` and :func:`shi_diagram_to_parking` translate
+between the two.
 """
 
 from __future__ import annotations
@@ -24,11 +29,10 @@ from .core import (
     Word,
     check_partition_of,
     check_permutation,
-    connected_components,
-    identity_permutation,
     is_nonnesting,
     nonnesting_from_block_specs,
     partition_from_blocks,
+    position_partition,
     strict_int,
 )
 from .parking import is_parking_function, parking_functions
@@ -88,33 +92,55 @@ class ShiStatistics(NamedTuple):
 
 
 def shi_statistics(diagram: ShiCeilingDiagram) -> ShiStatistics:
-    """Ceiling partition, degrees of freedom, and dominance of a region.
+    """Ceiling partition, degrees of freedom, and dominance of a region:
+    the statistics of its parking word (:func:`shi_word_statistics`).
 
-    The ceiling partition is the diagram partition pushed forward along pi;
-    the degrees of freedom of the region (dimension of its recession cone)
-    is the number of connected components of the partition; dominant regions
-    are those with pi the identity.
+    ValueError unless the diagram is coherent, as for
+    :func:`ceiling_hyperplane_tags`.
     """
-    return ShiStatistics(
-        ceiling_partition=partition_from_blocks(_ceiling_blocks(diagram)),
-        dof=len(connected_components(diagram.partition)),
-        dominant=diagram.pi == identity_permutation(diagram.n),
-    )
+    return shi_word_statistics(shi_diagram_to_parking(diagram))
+
+
+def shi_word_statistics(word: Sequence[int]) -> ShiStatistics:
+    """Statistics of the Shi region labeled by the parking function ``word``,
+    read off the word itself.
+
+    The ceiling partition is the word's position partition; the degrees of
+    freedom are its diagonal touches, the k with exactly k letters at most k;
+    the region is dominant when the position partition is nonnesting and
+    every block holds the letter equal to its minimum (then the diagram
+    partition is the position partition and pi is the identity).
+
+    >>> shi_word_statistics((3, 2, 3, 7, 1, 2, 7, 2))
+    ShiStatistics(ceiling_partition=((1, 3), (2, 6, 8), (4, 7), (5,)), dof=3, dominant=False)
+    >>> shi_word_statistics((1, 2, 1))
+    ShiStatistics(ceiling_partition=((1, 3), (2,)), dof=1, dominant=True)
+    """
+    n = len(word)
+    if not n or min(word) < 1 or max(word) > n:
+        raise ValueError(f"{word!r} is not a parking function")
+    counts = [0] * (n + 1)
+    for letter in word:
+        counts[letter] += 1
+    dof = below = 0
+    for k in range(1, n + 1):
+        below += counts[k]
+        if below < k:
+            raise ValueError(f"{word!r} is not a parking function")
+        dof += below == k
+    partition = position_partition(word)
+    dominant = all(word[block[0] - 1] == block[0] for block in partition) and is_nonnesting(partition)
+    return ShiStatistics(ceiling_partition=partition, dof=dof, dominant=dominant)
 
 
 def ceiling_hyperplane_tags(diagram: ShiCeilingDiagram) -> frozenset[tuple[int, int]]:
     """The ceilings of the region, as (i, j) tags of hyperplanes
     x_i - x_j = 1: one per arc of the diagram partition, carried along pi.
     ValueError unless the partition is nonnesting and pi increases along every block."""
-    return frozenset(pair for block in _ceiling_blocks(diagram) for pair in zip(block, block[1:]))
-
-
-def _ceiling_blocks(diagram: ShiCeilingDiagram) -> list[tuple[int, ...]]:
-    """The diagram's blocks carried along pi; raises as :func:`ceiling_hyperplane_tags` does."""
     blocks = [tuple([diagram.pi[b - 1] for b in block]) for block in diagram.partition]
     if any(block != tuple(sorted(block)) for block in blocks) or not is_nonnesting(diagram.partition):
         raise ValueError(f"{diagram!r} is not a Shi ceiling diagram")
-    return blocks
+    return frozenset(pair for block in blocks for pair in zip(block, block[1:]))
 
 
 def parking_to_shi_diagram(word: Sequence[int]) -> ShiCeilingDiagram:

@@ -1,0 +1,195 @@
+"""Shi regions as parking words: the prefix-pruned generators, the
+word-native statistics and the per-word check of the region stream.
+
+Every generator is compared, as a list and so in order, with the filter of
+its defining predicate over ``itertools.product``; the word statistics with
+the statistics read off the diagram the old way.
+"""
+
+import itertools
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from shi_ish import geometry
+from shi_ish.core import (
+    Graph,
+    all_graphs,
+    arcs,
+    connected_components,
+    identity_permutation,
+    is_nonnesting,
+    partition_from_blocks,
+    position_partition,
+    set_partitions,
+)
+from shi_ish.geometry import diagram_statistics
+from shi_ish.parking import (
+    is_parking_function,
+    is_prime_parking_function,
+    parking_functions,
+    prime_parking_functions,
+)
+from shi_ish.rookwords import is_prime_rook_word, is_rook_word, prime_rook_words, rook_words
+from shi_ish.shi import (
+    ShiStatistics,
+    parking_to_shi_diagram,
+    shi_statistics,
+    shi_word_statistics,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def filtered_parking_functions(n, graph=None):
+    """The n^n filter the generator replaces, kept as its reference."""
+    for word in itertools.product(range(1, n + 1), repeat=n):
+        if not is_parking_function(word):
+            continue
+        if graph is not None:
+            if any(e not in graph.edges for e in arcs(position_partition(word))):
+                continue
+        yield word
+
+
+def seeded_graphs(n, count, seed):
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for _ in range(count):
+        density = rng.random()
+        yield Graph(n, frozenset(p for p in pairs if rng.random() < density))
+
+
+def diagram_side_statistics(diagram):
+    """Statistics read off a coherent diagram: its partition carried along
+    pi, the connected components of its partition, and pi = identity."""
+    return ShiStatistics(
+        ceiling_partition=partition_from_blocks(
+            [diagram.pi[b - 1] for b in block] for block in diagram.partition
+        ),
+        dof=len(connected_components(diagram.partition)),
+        dominant=diagram.pi == identity_permutation(diagram.n),
+    )
+
+
+# ---------------------------------------------------------------------------
+# generators
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_graph_parking_functions_match_the_filter_on_every_graph(n):
+    for graph in all_graphs(n):
+        assert list(parking_functions(n, graph)) == list(filtered_parking_functions(n, graph))
+
+
+def test_graph_parking_functions_match_the_filter_on_seeded_graphs():
+    graphs = list(seeded_graphs(5, 60, seed=5))
+    assert len({g.edges for g in graphs}) > 40
+    for graph in graphs:
+        assert list(parking_functions(5, graph)) == list(filtered_parking_functions(5, graph))
+
+
+@pytest.mark.parametrize("make", [Graph.complete, Graph.path, Graph.empty, None])
+def test_parking_functions_match_the_filter_at_six(make):
+    graph = None if make is None else make(6)
+    assert list(parking_functions(6, graph)) == list(filtered_parking_functions(6, graph))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize(
+    "generate, predicate, alphabet",
+    [
+        (prime_parking_functions, is_prime_parking_function, lambda n: max(1, n - 1)),
+        (rook_words, is_rook_word, lambda n: n),
+        (prime_rook_words, is_prime_rook_word, lambda n: max(1, n - 1)),
+    ],
+    ids=["prime_parking_functions", "rook_words", "prime_rook_words"],
+)
+def test_word_generators_match_their_filters(n, generate, predicate, alphabet):
+    words = itertools.product(range(1, alphabet(n) + 1), repeat=n)
+    assert list(generate(n)) == [w for w in words if predicate(w)]
+
+
+# ---------------------------------------------------------------------------
+# nonnesting
+
+
+def pairwise_nonnesting(partition):
+    return not any(
+        a < b and c < d for (a, d), (b, c) in itertools.permutations(arcs(partition), 2)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_nonnesting_matches_the_pairwise_definition(n):
+    for partition in set_partitions(n):
+        assert is_nonnesting(partition) == pairwise_nonnesting(partition)
+
+
+# ---------------------------------------------------------------------------
+# word statistics
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_word_statistics_match_the_diagram_statistics(n):
+    for word in parking_functions(n):
+        diagram = parking_to_shi_diagram(word)
+        stats = shi_word_statistics(word)
+        assert stats == shi_statistics(diagram) == diagram_side_statistics(diagram), word
+
+
+@pytest.mark.parametrize("word", [(), (0,), (2, 2), (1, 3, 3), (1, 4, 1)])
+def test_word_statistics_refuse_non_parking_words(word):
+    with pytest.raises(ValueError):
+        shi_word_statistics(word)
+
+
+# ---------------------------------------------------------------------------
+# the Shi region stream
+
+
+def test_shi_regions_stream_as_words():
+    graph = Graph.path(4)
+    streamed = list(diagram_statistics("shi", 4, graph))
+    assert [word for word, _ in streamed] == list(filtered_parking_functions(4, graph))
+    assert all(stats == shi_word_statistics(word) for word, stats in streamed)
+
+
+@pytest.mark.parametrize(
+    "graph, bad",
+    [
+        (Graph.complete(3), (2, 2, 3)),  # not a parking function
+        (Graph.path(3), (1, 2, 1)),  # arc (1, 3) is not an edge
+    ],
+)
+def test_a_word_that_fails_the_check_raises(monkeypatch, graph, bad):
+    def generator(n, g):
+        yield from parking_functions(n, g)
+        yield bad
+
+    monkeypatch.setattr(geometry, "parking_functions", generator)
+    with pytest.raises(AssertionError, match=re.escape(repr(bad))):
+        for _ in diagram_statistics("shi", graph.n, graph):
+            pass
+
+
+def test_the_word_check_survives_python_O():
+    script = (
+        "from shi_ish import geometry\n"
+        "from shi_ish.core import Graph\n"
+        "geometry.parking_functions = lambda n, g: iter([(1, 2, 1)])\n"
+        "try:\n"
+        "    list(geometry.diagram_statistics('shi', 3, Graph.path(3)))\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout == "raised\n"
