@@ -547,8 +547,7 @@ def _suite_cycle_lemma(args: argparse.Namespace) -> tuple[bool, dict]:
             except ValueError as exc:
                 failure = failure or str(exc)
                 continue
-            park_member, rook_member = cert.shifts[cert.parking_index], cert.shifts[cert.rook_index]
-            if position_partition(park_member) != position_partition(rook_member):
+            if position_partition(cert.parking) != position_partition(cert.rook):
                 preserved = False
         ok = failure is None and (prime or parking == rook == orbits)
         census = {"name": census_name, "ok": ok, "words": words, "orbits": orbits}
@@ -638,6 +637,13 @@ def _relatively_bounded_counts(n: int, dominant_only: bool) -> list[int]:
 
 
 def _suite_negative_controls(args: argparse.Namespace) -> tuple[bool, dict]:
+    """Fixed counterexamples at n = 3, 4 and 8, whatever ``--n`` says (it is
+    only echoed in ``config``); there is no size limit to raise."""
+    if args.allow_large:
+        raise UsageError(
+            "negative-controls checks fixed sizes (n = 3, 4 and one diagram at n = 8) "
+            "and has no size limit: it takes no --allow-large"
+        )
     checks = []
 
     diagram = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
@@ -855,12 +861,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_count)
     p_count.add_argument("--arrangement", choices=("cox", "shi", "ish"))
     p_count.add_argument("--by", choices=("dof", "dominance", "ceiling-partition"))
-    p_count.set_defaults(func=cmd_count)
 
     p_enum = sub.add_parser("enumerate", help="list regions as ceiling diagrams")
     _add_common(p_enum)
     p_enum.add_argument("--arrangement", choices=("cox", "shi", "ish"), default="shi")
-    p_enum.set_defaults(func=cmd_enumerate)
 
     p_map = sub.add_parser("map", help="apply an Ish-to-Shi bijection to a diagram")
     _add_common(p_map)
@@ -870,33 +874,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument(
         "--input", default="-", help='JSON file with {"pi": [...], "eps": [...]} ("-" = stdin)'
     )
-    p_map.set_defaults(func=cmd_map)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     _add_common(p_verify)
     p_verify.add_argument("--suite", choices=tuple(_SUITES), required=True)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="geometric cross-validation report")
     _add_common(p_oracle)
     p_oracle.add_argument("--arrangement", choices=("cox", "shi", "ish"), default="shi")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
 
 
+#: subcommand -> handler, looked up on every call so that rebinding an entry
+#: reaches the next run
+_COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
+    "count": cmd_count,
+    "enumerate": cmd_enumerate,
+    "map": cmd_map,
+    "verify": cmd_verify,
+    "oracle": cmd_oracle,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.n < 1:
-        parser.error("--n must be at least 1")
+        _PARSER.error("--n must be at least 1")
     if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
+        _PARSER.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         name = getattr(args, "suite", args.command)
         if args.jobs != 1 and name not in _SWEEP_SUITES:
             raise UsageError(f"{name} does not read --jobs (got {args.jobs}): only {', '.join(_SWEEP_SUITES)} do")
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         _progress(f"error: {exc}")
         return EXIT_USAGE
@@ -904,6 +915,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _progress(f"skipped: {exc}")
         return EXIT_SKIPPED
 
+
+# built once per process: parsing leaves the parser unchanged, so every call reuses it
+_PARSER = build_parser()
 
 if __name__ == "__main__":
     sys.exit(main())

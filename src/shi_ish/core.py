@@ -14,6 +14,7 @@ All positions and letters are 1-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -324,7 +325,9 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        return cls(n, frozenset(itertools.combinations(range(1, n + 1), 2)))
+        """K_n.  A Graph is immutable, so every call shares one instance per n;
+        a subclass gets a fresh object of its own class."""
+        return _complete_graph(n) if cls is Graph else cls(n, _complete_graph(n).edges)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -347,6 +350,11 @@ class Graph:
     def from_json(cls, data: dict) -> "Graph":
         edges = frozenset((strict_int(i), strict_int(j)) for i, j in data["edges"])
         return cls(strict_int(data["n"]), edges)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _complete_graph(n: int) -> Graph:
+    return Graph(n, frozenset(itertools.combinations(range(1, n + 1), 2)))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

@@ -376,8 +376,7 @@ def placement_to_parking(placement: RookPlacement) -> Word:
     (4, 2, 3, 4, 2, 3, 1, 7)
     """
     word = placement_laser_word(placement)
-    cert = orbit_certificate(word)
-    return cert.shifts[cert.parking_index]
+    return orbit_certificate(word).parking
 
 
 def parking_to_placement(word: Sequence[int]) -> RookPlacement:

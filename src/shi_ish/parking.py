@@ -15,6 +15,7 @@ Shi arrangement (see :mod:`shi_ish.shi`).
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -50,12 +51,11 @@ def is_prime_parking_function(word: Sequence[int]) -> bool:
     >>> is_prime_parking_function((1, 2, 2))
     False
     """
-    n = len(word)
-    if n == 0:
+    if not word:
         return False
-    if any(not 1 <= a <= max(1, n - 1) for a in word):
-        return False
-    return all(a <= max(1, i - 1) for i, a in enumerate(sorted(word), start=1))
+    letters = sorted(word)
+    # the bounds max(1, i - 1) for i = 1..n are 1, 1, 2, ..., n - 1
+    return letters[0] >= 1 and all(map(operator.le, letters, itertools.chain((1,), range(1, len(word)))))
 
 
 def parking_functions(n: int, graph: Optional[Graph] = None) -> Iterator[Word]:

@@ -10,10 +10,11 @@ Those two uniqueness facts drive every translation in this module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import Word, orbit
+from .core import Word, check_word, cyclic_shift, orbit
 from .parking import is_parking_function, is_prime_parking_function
 
 
@@ -47,7 +48,8 @@ def is_prime_rook_word(word: Sequence[int]) -> bool:
     n = len(word)
     if n == 0 or word[0] != 1:
         return False
-    return all(1 <= a <= max(1, n - 1) for a in word)
+    top = max(1, n - 1)
+    return all(1 <= a <= top for a in word)
 
 
 def rook_words(n: int) -> Iterator[Word]:
@@ -93,45 +95,101 @@ def prime_rook_words(n: int) -> Iterator[Word]:
 class OrbitCertificate:
     """A cyclic-shift orbit together with its two distinguished members.
 
-    ``shifts[t]`` is the shift of ``word`` by t; ``parking_index`` and
-    ``rook_index`` locate the unique parking function and rook word (prime
-    versions when ``prime`` is set).
+    ``parking_index`` and ``rook_index`` are the shifts that carry ``word``
+    to its orbit's unique parking function and rook word (prime versions
+    when ``prime`` is set), and ``parking`` and ``rook`` are those members.
     """
 
     word: Word
     alphabet: int
     prime: bool
-    shifts: tuple[Word, ...]
     parking_index: int
     rook_index: int
+    parking: Word
+    rook: Word
+
+    @property
+    def shifts(self) -> tuple[Word, ...]:
+        """The whole orbit: ``shifts[t]`` is the shift of ``word`` by t."""
+        return orbit(self.word, self.alphabet)
+
+
+def _parking_shifts(counts: Sequence[int], bar: int) -> list[int]:
+    """The shifts t over [m] whose image has every proper prefix of its
+    letter counts ahead of the diagonal by at least ``bar``: for k < m, at
+    least k + bar letters at most k (a parking function for bar 0 and m =
+    n + 1, a prime one for bar 1 and m = n - 1).
+
+    Shift t sends the value s + 1, s = -t mod m, to 1.  The prefix sums of
+    (count - 1) of the shifted word, of lengths 1 to m - 1, are the prefix
+    sums of ``counts[v] - 1`` over the doubled sequence at s + 1, ...,
+    s + m - 1, less their value at s.  That window is the rest of one
+    period, so its minimum is the suffix minimum after s or the prefix
+    minimum before s plus the period's total, whichever is smaller.
+    """
+    m = len(counts)
+    level = list(itertools.accumulate((c - 1 for c in counts[:-1]), initial=0))
+    total = sum(counts) - m
+    before = list(itertools.accumulate(level[:-1], min, initial=math.inf))
+    after = list(itertools.accumulate(reversed(level[1:]), min, initial=math.inf))[::-1]
+    return [
+        -s % m
+        for s, low, head, tail in zip(range(m), level, before, after)
+        if tail - low >= bar and head + total - low >= bar
+    ]
+
+
+def _rook_shifts(counts: Sequence[int], first: int) -> list[int]:
+    """The shifts t over [n+1] whose image is a rook word: t sends an unused
+    value u to n + 1, and the run of used values after u reaches the first
+    letter, so every value up to the image of the first letter occurs."""
+    m = len(counts)
+    unused = [v for v in range(m) if counts[v] == 0]
+    shifts = []
+    for u, following in zip(unused, unused[1:] + unused[:1]):
+        run = (following - u - 1) % m + 1  # distance to the next unused value
+        if 0 < (first - 1 - u) % m < run:
+            shifts.append((m - 1 - u) % m)
+    return shifts
 
 
 def orbit_certificate(word: Sequence[int], prime: bool = False) -> OrbitCertificate:
-    """Scan the cyclic orbit of a word and certify the cycle lemma for it.
+    """Certify the cycle lemma for the cyclic orbit of a word, from its
+    letter counts.
 
-    The alphabet is [n+1] (or [n-1] for the prime variant); raises if the
-    orbit does not contain exactly one parking function and one rook word.
+    The alphabet is [n+1] (or [n-1] for the prime variant).  Every parking
+    shift and every rook shift is found in O(n): the parking shifts by one
+    pass of cycle-lemma prefix sums, the rook shifts by one walk over the
+    unused values (the prime rook shift sends the first letter to 1).
+    Raises ``ValueError`` unless the orbit holds exactly one of each, and
+    checks both members by substitution into the predicates.
+
+    >>> cert = orbit_certificate((1, 4, 4, 2, 5))
+    >>> cert.parking, cert.rook
+    ((4, 1, 1, 5, 2), (1, 4, 4, 2, 5))
     """
     n = len(word)
     m = max(1, n - 1) if prime else n + 1
-    shifts = orbit(word, m)
-    is_park = is_prime_parking_function if prime else is_parking_function
-    is_rook = is_prime_rook_word if prime else is_rook_word
-    park_hits = [t for t, w in enumerate(shifts) if is_park(w)]
-    rook_hits = [t for t, w in enumerate(shifts) if is_rook(w)]
+    word = check_word(word, m)
+    park_hits: list[int] = []
+    rook_hits: list[int] = []
+    if n:
+        counts = [0] * m
+        for a in word:
+            counts[a - 1] += 1
+        park_hits = _parking_shifts(counts, 1 if prime else 0)
+        rook_hits = [(1 - word[0]) % m] if prime else _rook_shifts(counts, word[0])
     if len(park_hits) != 1 or len(rook_hits) != 1:
         raise ValueError(
-            f"orbit of {tuple(word)!r} over [1, {m}] has {len(park_hits)} parking "
+            f"orbit of {word!r} over [1, {m}] has {len(park_hits)} parking "
             f"functions and {len(rook_hits)} rook words; expected one of each"
         )
-    return OrbitCertificate(
-        word=tuple(word),
-        alphabet=m,
-        prime=prime,
-        shifts=shifts,
-        parking_index=park_hits[0],
-        rook_index=rook_hits[0],
-    )
+    parking, rook = cyclic_shift(word, park_hits[0], m), cyclic_shift(word, rook_hits[0], m)
+    is_park = is_prime_parking_function if prime else is_parking_function
+    is_rook = is_prime_rook_word if prime else is_rook_word
+    if not (is_park(parking) and is_rook(rook)):
+        raise AssertionError(f"orbit certificate of {word!r} names a wrong member")
+    return OrbitCertificate(word, m, prime, park_hits[0], rook_hits[0], parking, rook)
 
 
 def rook_word_to_parking(word: Sequence[int]) -> Word:
@@ -142,16 +200,14 @@ def rook_word_to_parking(word: Sequence[int]) -> Word:
     """
     if not is_rook_word(word):
         raise ValueError(f"{word!r} is not a rook word")
-    cert = orbit_certificate(word)
-    return cert.shifts[cert.parking_index]
+    return orbit_certificate(word).parking
 
 
 def parking_to_rook_word(word: Sequence[int]) -> Word:
     """The unique rook word in the Z_{n+1}-orbit of a parking function."""
     if not is_parking_function(word):
         raise ValueError(f"{word!r} is not a parking function")
-    cert = orbit_certificate(word)
-    return cert.shifts[cert.rook_index]
+    return orbit_certificate(word).rook
 
 
 def prime_rook_word_to_parking(word: Sequence[int]) -> Word:
@@ -162,16 +218,14 @@ def prime_rook_word_to_parking(word: Sequence[int]) -> Word:
     """
     if not is_prime_rook_word(word):
         raise ValueError(f"{word!r} is not a prime rook word")
-    cert = orbit_certificate(word, prime=True)
-    return cert.shifts[cert.parking_index]
+    return orbit_certificate(word, prime=True).parking
 
 
 def prime_parking_to_rook_word(word: Sequence[int]) -> Word:
     """The unique prime rook word in the Z_{n-1}-orbit."""
     if not is_prime_parking_function(word):
         raise ValueError(f"{word!r} is not a prime parking function")
-    cert = orbit_certificate(word, prime=True)
-    return cert.shifts[cert.rook_index]
+    return orbit_certificate(word, prime=True).rook
 
 
 def pollak_empty_spot(word: Sequence[int]) -> int:

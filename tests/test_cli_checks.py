@@ -401,3 +401,22 @@ def test_map_refuses_flags_it_never_reads(flags, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "error: map prints JSON and has no size limit: it takes neither --format tsv nor --allow-large" in err
+
+
+def test_negative_controls_refuses_allow_large(capsys):
+    code, out, err = run(capsys, "verify", "--n", "5", "--suite", "negative-controls", "--allow-large")
+    assert code == 2
+    assert out == ""
+    assert "error: negative-controls checks fixed sizes (n = 3, 4" in err
+    assert "it takes no --allow-large" in err
+
+
+def test_negative_controls_echoes_n_and_checks_the_same_sizes(capsys):
+    reports = {}
+    for n in ("3", "5"):
+        code, out, _ = run(capsys, "verify", "--n", n, "--suite", "negative-controls")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["n"] == int(n)
+        reports[n] = doc["report"]
+    assert reports["3"] == reports["5"]

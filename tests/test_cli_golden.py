@@ -22,10 +22,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shi_ish.cli as cli
 from shi_ish.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 INPUT_FILE = "example.json"
 INPUT_DATA = {"pi": [4, 1, 7, 3, 8, 5, 6, 2], "eps": [0, 0, 1, 2, 0, 3, 5, 0]}
@@ -298,3 +305,46 @@ def test_cli_stdout_is_byte_stable(command, tmp_path, monkeypatch):
     code, stdout = cli_stdout(command)
     assert code == 0
     assert hashlib.sha256(stdout).hexdigest() == GOLDEN[command]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_one_parser_serves_refusals_then_reports(tmp_path, monkeypatch):
+    """A refused flag and a refused command leave the shared parser as it
+    was: the reports that follow keep their pinned bytes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / INPUT_FILE).write_text(json.dumps(INPUT_DATA))
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        main(["count", "--n", "3", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert cli_stdout("verify --n 3 --suite cycle-lemma --graph path") == (2, b"")
+    for command in (
+        "count --n 4 --graph path --by dof --format json",
+        f"map --n 8 --bijection dominance --input {INPUT_FILE}",
+        "verify --n 3 --suite thm-freedom --format tsv",
+    ):
+        code, stdout = cli_stdout(command)
+        assert code == 0
+        assert hashlib.sha256(stdout).hexdigest() == GOLDEN[command], command
+
+
+def test_rebinding_a_command_reaches_the_next_call(monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "map", lambda args: seen.append(args.bijection) or 7)
+    assert main(["map", "--n", "2", "--bijection", "freedom"]) == 7
+    assert seen == ["freedom"]
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["count", "--n", "2"], 0), (["count", "--n", "2", "--no-such-flag"], 2)]
+)
+def test_the_module_runs_as_a_script(argv, code):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "shi_ish.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == code
+    if code == 0:
+        assert json.loads(done.stdout)["results"]["shi"]["total"] == 3

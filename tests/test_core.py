@@ -204,6 +204,24 @@ def test_graph_constructors_and_edges():
         Graph(3, frozenset({(1, 4)}))
 
 
+def test_complete_graph_is_one_shared_instance_per_n():
+    for n in range(1, 9):
+        k = Graph.complete(n)
+        assert k == Graph(n, frozenset(itertools.combinations(range(1, n + 1), 2)))
+        assert Graph.complete(n) is k
+    with pytest.raises(ValueError):
+        Graph.complete(0)
+
+
+def test_complete_graph_of_a_subclass_is_fresh():
+    class Tagged(Graph):
+        pass
+
+    k = Tagged.complete(4)
+    assert type(k) is Tagged and k is not Tagged.complete(4)
+    assert k.edges == Graph.complete(4).edges
+
+
 def test_graph_json_roundtrip():
     g = Graph(5, frozenset({(1, 3), (2, 5)}))
     assert Graph.from_json(g.to_json()) == g

@@ -1,0 +1,101 @@
+"""The counted orbit certificate against the scan it replaced.
+
+``scan_certificate`` is the earlier ``orbit_certificate``: it builds every
+cyclic shift of the word and tests each one with both predicates.  The
+counted certificate must name the same shifts on every word of [n+1]^n and
+[n-1]^n for n <= 6 and on seeded words at n = 8, 16 and 64, and it must keep
+refusing an orbit whose counts are not exactly one of each.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from shi_ish import rookwords
+from shi_ish.core import orbit
+from shi_ish.parking import is_parking_function, is_prime_parking_function
+from shi_ish.rookwords import is_prime_rook_word, is_rook_word, orbit_certificate
+
+
+def scan_certificate(word, prime=False):
+    """(parking_index, rook_index, shifts) by testing every shift."""
+    n = len(word)
+    m = max(1, n - 1) if prime else n + 1
+    shifts = orbit(word, m)
+    is_park = is_prime_parking_function if prime else is_parking_function
+    is_rook = is_prime_rook_word if prime else is_rook_word
+    park_hits = [t for t, w in enumerate(shifts) if is_park(w)]
+    rook_hits = [t for t, w in enumerate(shifts) if is_rook(w)]
+    assert len(park_hits) == 1 and len(rook_hits) == 1, word
+    return park_hits[0], rook_hits[0], shifts
+
+
+def assert_agrees(word, prime, scanned=None):
+    parking_index, rook_index, shifts = scanned or scan_certificate(word, prime)
+    cert = orbit_certificate(word, prime=prime)
+    assert (cert.parking_index, cert.rook_index) == (parking_index, rook_index), (word, prime)
+    assert cert.shifts == shifts
+    assert (cert.parking, cert.rook) == (shifts[parking_index], shifts[rook_index])
+    assert (cert.word, cert.alphabet, cert.prime) == (tuple(word), len(shifts), prime)
+
+
+def assert_agrees_on_every_word(n, prime):
+    """Scan each orbit once, from its word starting with 1, and compare
+    every word of the orbit: the scan of the shift by k is the scan of the
+    orbit rotated by k."""
+    m = max(1, n - 1) if prime else n + 1
+    words = 0
+    for rest in itertools.product(range(1, m + 1), repeat=n - 1):
+        parking_index, rook_index, shifts = scan_certificate((1,) + rest, prime)
+        for k, word in enumerate(shifts):
+            rotated = shifts[k:] + shifts[:k]
+            assert_agrees(word, prime, ((parking_index - k) % m, (rook_index - k) % m, rotated))
+            words += 1
+    assert words == m**n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_word_over_n_plus_one(n):
+    assert_agrees_on_every_word(n, prime=False)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_word_over_n_minus_one(n):
+    assert_agrees_on_every_word(n, prime=True)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_seeded_words(n):
+    rng = random.Random(n)
+    for _ in range(300):
+        assert_agrees(tuple(rng.randint(1, n + 1) for _ in range(n)), prime=False)
+        assert_agrees(tuple(rng.randint(1, n - 1) for _ in range(n)), prime=True)
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_a_second_parking_shift_is_refused(prime, monkeypatch):
+    monkeypatch.setattr(rookwords, "_parking_shifts", lambda counts, bar: [0, 1])
+    with pytest.raises(ValueError, match="has 2 parking functions and 1 rook words"):
+        orbit_certificate((1, 2, 2, 1), prime=prime)
+
+
+def test_a_missing_rook_shift_is_refused(monkeypatch):
+    monkeypatch.setattr(rookwords, "_rook_shifts", lambda counts, first: [])
+    with pytest.raises(ValueError, match="has 1 parking functions and 0 rook words"):
+        orbit_certificate((1, 2, 2, 1))
+
+
+@pytest.mark.parametrize("counter", ["_parking_shifts", "_rook_shifts"])
+def test_a_wrong_member_fails_the_substitution_check(counter, monkeypatch):
+    word = (1, 4, 4, 2, 5)  # the rook word of its orbit; its shift by 3 is the parking function
+    real = getattr(rookwords, counter)
+    monkeypatch.setattr(rookwords, counter, lambda *args: [(real(*args)[0] + 1) % 6])
+    with pytest.raises(AssertionError, match="names a wrong member"):
+        orbit_certificate(word)
+
+
+@pytest.mark.parametrize("word", [(), (0, 1), (1, 5, 1), (1, 2.0)])
+def test_words_off_the_alphabet_are_refused(word):
+    with pytest.raises(ValueError):
+        orbit_certificate(word)
