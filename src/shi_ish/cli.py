@@ -26,7 +26,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .bijections import (
@@ -80,11 +79,10 @@ from .rookwords import (
 )
 from .shi import (
     ShiCeilingDiagram,
-    is_valid_shi,
     parking_to_shi_diagram,
     shi_diagram_to_parking,
-    shi_diagrams,
     shi_statistics,
+    shi_word_statistics,
 )
 
 EXIT_OK = 0
@@ -326,6 +324,19 @@ _BROKEN: dict[str, tuple[str, str]] = {
 }
 
 
+def _region_word(image: ShiCeilingDiagram, graph: Graph) -> Optional[tuple[int, ...]]:
+    """The parking word of ``image`` if it is a region of Shi(G), else None:
+    the decode raises on an incoherent diagram, and every ceiling (an arc of
+    the word's position partition) must be an edge of G."""
+    try:
+        word = shi_diagram_to_parking(image)
+    except ValueError:
+        return None
+    if len(word) != graph.n or not set(arcs(position_partition(word))) <= graph.edges:
+        return None
+    return word
+
+
 def _read_diagram(path: str) -> IshCeilingDiagram:
     try:
         if path == "-":
@@ -356,13 +367,17 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise UsageError(f"the {args.bijection} bijection needs a relatively bounded input")
 
     image = _BIJECTIONS[args.bijection](diagram)
-    stats_out = shi_statistics(image)
-    certificates = {stat: getattr(stats_out, stat) for stat in theorem.certificates}
-    failures = [
-        _BROKEN[stat][1]
-        for stat in theorem.certificates
-        if getattr(stats_in, stat) != certificates[stat]
-    ]
+    word = _region_word(image, graph)
+    if word is None:
+        certificates, failures = {}, ["image invalid for G"]
+    else:
+        stats_out = shi_word_statistics(word)
+        certificates = {stat: getattr(stats_out, stat) for stat in theorem.certificates}
+        failures = [
+            _BROKEN[stat][1]
+            for stat in theorem.certificates
+            if getattr(stats_in, stat) != certificates[stat]
+        ]
     doc = _wrap(
         args,
         "map",
@@ -402,14 +417,16 @@ def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
     """Check the bijection theorem ``_THEOREMS[name]`` on one graph.
 
     Returns the failure detail (None if the theorem holds), the number of
-    images seen before the check stopped, and the agreement counts.
+    images seen before the check stopped, and the agreement counts.  The
+    Shi regions are their parking words: each image is decoded once, and its
+    validity for G and its statistics are read off that word.
     """
     theorem = _THEOREMS[name]
     n = graph.n
     bounded = theorem.domain == "bounded"
-    targets = set(shi_diagrams(n, graph))
+    targets = set(parking_functions(n, graph))
     if bounded:
-        targets = {d for d in targets if shi_statistics(d).relatively_bounded}
+        targets = {w for w in targets if shi_word_statistics(w).relatively_bounded}
     singletons = tuple((v,) for v in range(1, n + 1))
     seen = set()
     counts: Counter = Counter()
@@ -418,12 +435,13 @@ def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
         if bounded and not stats.relatively_bounded:
             continue
         image = _BIJECTIONS[name](diagram)
-        image_stats = shi_statistics(image) if theorem.checks else None
-        broken = [s for s in theorem.checks if getattr(image_stats, s) != getattr(stats, s)]
+        word = _region_word(image, graph)
+        image_stats = shi_word_statistics(word) if word is not None and theorem.checks else None
+        broken = image_stats and [s for s in theorem.checks if getattr(image_stats, s) != getattr(stats, s)]
         # a region with n degrees of freedom maps to pi with every arc dropped,
         # so the parking word labeling its image is the inverse of pi
         free = theorem.free_regions and stats.dof == n
-        if not is_valid_shi(image, graph):
+        if word is None:
             detail = theorem.invalid_detail
         elif broken:
             detail = _BROKEN[broken[0]][0]
@@ -431,7 +449,7 @@ def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
             detail = theorem.roundtrip_detail
         elif free and image != ShiCeilingDiagram(diagram.pi, singletons):
             detail = "free-region image wrong: {}"
-        elif free and shi_diagram_to_parking(image) != inverse_permutation(diagram.pi):
+        elif free and word != inverse_permutation(diagram.pi):
             detail = "free-region word wrong: {}"
         else:
             detail = None
@@ -440,7 +458,7 @@ def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
         if theorem.compare_with is not None:
             agrees = _BIJECTIONS[theorem.compare_with](diagram) == image
             counts[theorem.counters[0 if agrees else 1]] += 1
-        seen.add(image)
+        seen.add(word)
     detail = None
     if seen != targets:
         detail = f"image set is not all {'bounded ' if bounded else ''}Shi diagrams"
@@ -504,6 +522,10 @@ def _run_sweep(
     payloads = [(n, graph.sorted_edges()) for graph in graphs]
     workers = _pool_size(jobs, len(payloads), os.cpu_count())
     if workers > 1:
+        # imported here: the pool machinery is a large share of the module's
+        # import time, and only these sweeps use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, payloads))
     else:

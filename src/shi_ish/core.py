@@ -57,10 +57,12 @@ def position_partition(word: Sequence[int]) -> SetPartition:
     """
     if len(word) == 0:
         raise ValueError("position partition of the empty word is undefined")
+    # filled by increasing position: each block is increasing, and a letter's
+    # block enters the dict at its first position, that is, at its minimum
     by_letter: dict[int, list[int]] = {}
     for pos, letter in enumerate(word, start=1):
         by_letter.setdefault(letter, []).append(pos)
-    return partition_from_blocks(by_letter.values())
+    return tuple(map(tuple, by_letter.values()))
 
 
 def cyclic_shift(word: Sequence[int], t: int, alphabet: int) -> Word:
@@ -145,10 +147,11 @@ def partition_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> SetPartiti
 
     for i, j in pairs:
         parent[find(i)] = find(j)
+    # filled by increasing vertex, so already canonical (see position_partition)
     blocks: dict[int, list[int]] = {}
     for v in range(1, n + 1):
         blocks.setdefault(find(v), []).append(v)
-    return partition_from_blocks(blocks.values())
+    return tuple(map(tuple, blocks.values()))
 
 
 def partition_str(partition: SetPartition) -> str:

@@ -16,6 +16,7 @@ lasers give the parking-function side, downward lasers give rook words.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
@@ -358,11 +359,13 @@ def placement_laser_word(placement: RookPlacement) -> Word:
     if not is_maximal_placement(placement):
         raise ValueError("expected a maximal placement on the restricted board")
     n = placement.board.n
-    heights = {col: placement.row_of(col) for col in range(2, n + 1)}
+    heights = dict(placement.rooks)
     word = [1]
+    left: list[int] = []  # heights of the rooks left of col, sorted
     for col in range(2, n + 1):
         h = heights[col]
-        lasered = sum(1 for j in range(2, col) if heights[j] < h)
+        lasered = bisect.bisect_left(left, h)
+        bisect.insort(left, h)
         word.append(h - lasered)
     return tuple(word)
 
@@ -425,9 +428,10 @@ def placement_to_rook_word(placement: RookPlacement) -> Word:
     if not is_valid_hatted_placement(placement):
         raise ValueError("expected a valid placement on the full board")
     n = placement.board.n
+    rows = dict(placement.rooks)
     word = [0] * n
     for col in range(1, n + 1):
-        row = placement.row_of(col)
+        row = rows[col]
         if row <= n:
             word[col - 1] = row
         else:

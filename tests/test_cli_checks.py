@@ -46,10 +46,11 @@ def rebind(monkeypatch, original, fake):
 
 
 def falsify_shi_statistic(monkeypatch, field, change):
-    real = cli.shi_statistics
+    """The CLI reads a Shi image's statistics off its parking word."""
+    real = cli.shi_word_statistics
 
-    def fake(diagram):
-        stats = real(diagram)
+    def fake(word):
+        stats = real(word)
         return stats._replace(**{field: change(getattr(stats, field))})
 
     rebind(monkeypatch, real, fake)
@@ -196,6 +197,87 @@ def test_falsified_statistic_fails_map(
     assert err.splitlines() == [line]
 
 
+INCOHERENT = ShiCeilingDiagram((3, 2, 1), ((1, 2), (3,)))  # pi decreases along a block
+
+
+@pytest.mark.parametrize(
+    "suite, label",
+    [
+        ("thm-dominance", "image invalid for G: "),
+        ("thm-bounded", "image invalid for G: "),
+        ("thm-freedom", "image invalid for G: "),
+        ("thm-basic", "roundtrip broken at "),
+    ],
+)
+def test_incoherent_image_is_a_failed_check(suite, label, capsys, monkeypatch):
+    monkeypatch.setitem(cli._BIJECTIONS, suite.removeprefix("thm-"), lambda diagram: INCOHERENT)
+    code, out, err = run(capsys, "verify", "--n", "3", "--suite", suite)
+    assert code == 1
+    assert "FAIL" in err
+    report = json.loads(out)["report"]
+    details = [report["detail"]] if suite == "thm-basic" else [f["detail"] for f in report["failures"]]
+    # every graph fails but the empty one in thm-bounded, which has no relatively bounded region
+    assert len(details) == {"thm-basic": 1, "thm-bounded": 7}.get(suite, 8)
+    assert all(detail.startswith(label + "IshCeilingDiagram(") for detail in details), details
+
+
+def test_image_with_a_ceiling_outside_the_graph_fails_the_sweep(capsys, monkeypatch):
+    image = ShiCeilingDiagram((1, 2, 3), ((1, 2), (3,)))  # one ceiling, x_1 - x_2 = 1
+    monkeypatch.setitem(cli._BIJECTIONS, "freedom", lambda diagram: image)
+    code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "thm-freedom")
+    assert code == 1
+    failures = json.loads(out)["report"]["failures"]
+    assert len(failures) == 8
+    for failure in failures:
+        invalid = failure["detail"].startswith("image invalid for G: ")
+        assert invalid == ([1, 2] not in failure["edges"]), failure
+
+
+def test_wrong_free_region_word_fails_the_sweep(capsys, monkeypatch):
+    """A decode that labels each free region by pi instead of its inverse
+    keeps every statistic and the set of words; only the word check sees it."""
+    real = cli.shi_diagram_to_parking
+
+    def fake(image):
+        return image.pi if len(image.partition) == image.n else real(image)
+
+    monkeypatch.setattr(cli, "shi_diagram_to_parking", fake)
+    code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "thm-dominance")
+    assert code == 1
+    failures = json.loads(out)["report"]["failures"]
+    assert len(failures) == 8
+    assert all(f["detail"].startswith("free-region word wrong: IshCeilingDiagram(") for f in failures)
+
+
+@pytest.mark.parametrize("suite", ["thm-dominance", "thm-bounded", "thm-freedom", "thm-basic"])
+def test_uncovered_target_fails_the_sweep(suite, capsys, monkeypatch):
+    real = cli.parking_functions
+    monkeypatch.setattr(cli, "parking_functions", lambda n, graph: [(1,) * (n + 1), *real(n, graph)])
+    code, out, _ = run(capsys, "verify", "--n", "3", "--suite", suite)
+    assert code == 1
+    report = json.loads(out)["report"]
+    details = [report["detail"]] if suite == "thm-basic" else [f["detail"] for f in report["failures"]]
+    bounded = "bounded " if suite == "thm-bounded" else ""
+    assert details and all(d == f"image set is not all {bounded}Shi diagrams" for d in details)
+
+
+@pytest.mark.parametrize(
+    "image, graph",
+    [(INCOHERENT, "complete"), (ShiCeilingDiagram((1, 2, 3), ((1, 3), (2,))), "path")],
+)
+def test_invalid_image_fails_map(image, graph, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"pi": [1, 2, 3], "eps": [0, 0, 0]}))
+    monkeypatch.setitem(cli._BIJECTIONS, "freedom", lambda diagram: image)
+    argv = ("map", "--n", "3", "--bijection", "freedom", "--input", str(path), "--graph", graph)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["output"] == image.to_json()
+    assert "certificates" not in doc
+    assert err.splitlines() == ["FAIL: image invalid for G"]
+
+
 def test_theorem_sweep_fans_out_across_processes(capsys):
     reports = []
     for jobs in ("1", "2"):
@@ -204,6 +286,14 @@ def test_theorem_sweep_fans_out_across_processes(capsys):
         reports.append(json.loads(out)["report"])
     assert reports[0] == reports[1]
     assert reports[0]["freedom_agrees_with_bounded"] == 14
+
+
+@pytest.mark.parametrize("suite", ["thm-dominance", "thm-freedom", "formulas"])
+def test_every_graph_sweep_fans_out_the_same(suite, capsys):
+    outputs = [run(capsys, "verify", "--n", "3", "--suite", suite, "--jobs", jobs) for jobs in ("1", "2")]
+    assert outputs[0][0] == outputs[1][0] == 0
+    reports = [json.loads(out)["report"] for _, out, _ in outputs]
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
