@@ -12,12 +12,20 @@ from .bijections import (
     DIAMOND,
     basic_bijection,
     basic_bijection_inverse,
+    basic_parking,
+    basic_parking_inverse,
     bounded_bijection,
     bounded_bijection_inverse,
+    bounded_parking,
+    bounded_parking_inverse,
     dominance_bijection,
     dominance_bijection_inverse,
+    dominance_parking,
+    dominance_parking_inverse,
     freedom_bijection,
     freedom_bijection_inverse,
+    freedom_parking,
+    freedom_parking_inverse,
     ish_diagram_to_parking,
     ish_diagram_to_parking_stages,
     parking_to_ish_diagram,

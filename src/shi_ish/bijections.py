@@ -14,6 +14,13 @@ All four bijections factor through parking functions and rook words:
 * ``freedom_bijection`` goes through labeled Dyck paths, cutting them into
   prime components.  It preserves ceiling partitions and degrees of freedom.
 
+A Shi region is its parking word, so each bijection is implemented once in
+the word domain: ``{name}_parking`` carries an Ish diagram to the parking word
+of its Shi image and ``{name}_parking_inverse`` carries the word back.  The
+diagram maps ``{name}_bijection`` and ``{name}_bijection_inverse`` are those
+two read through :func:`parking_to_shi_diagram` and
+:func:`shi_diagram_to_parking`.
+
 The Dyck-path construction works with partially built words whose dotted
 positions are marked by the :data:`DIAMOND` placeholder until the very last
 step resolves them into dotted letters.
@@ -75,7 +82,74 @@ DiamondWord = tuple[Union[int, Diamond], ...]
 
 
 # ---------------------------------------------------------------------------
-# the four region bijections
+# the four region bijections: the word maps, then their diagram views
+
+
+def basic_parking(diagram: IshCeilingDiagram) -> Word:
+    """The parking word of the ``basic`` image: restrict the rook placement
+    of an Ish region, read its rightward-laser word and park it.
+
+    >>> d = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
+    >>> basic_parking(d)
+    (4, 2, 3, 4, 2, 3, 1, 7)
+    """
+    return placement_to_parking(restrict_placement(ish_diagram_to_placement(diagram)))
+
+
+def basic_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
+    return placement_to_ish_diagram(complete_placement(parking_to_placement(word)))
+
+
+def dominance_parking(diagram: IshCeilingDiagram) -> Word:
+    """The parking word of the ``dominance`` image: the downward-laser rook
+    word of the region, parked by the cycle lemma.
+
+    >>> d = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
+    >>> dominance_parking(d)
+    (4, 1, 1, 3, 1, 1, 4, 7)
+    """
+    return rook_word_to_parking(placement_to_rook_word(ish_diagram_to_placement(diagram)))
+
+
+def dominance_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
+    return placement_to_ish_diagram(rook_word_to_placement(parking_to_rook_word(word)))
+
+
+def bounded_parking(diagram: IshCeilingDiagram) -> Word:
+    """The prime parking word of the ``bounded`` image of a relatively
+    bounded region: its rook word, parked by the prime cycle lemma.
+
+    >>> bounded_parking(IshCeilingDiagram((1, 2, 3), (0, 0, 1)))
+    (1, 2, 1)
+    >>> bounded_parking(IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0)))
+    Traceback (most recent call last):
+    ...
+    ValueError: input region is not relatively bounded
+    """
+    if not ish_statistics(diagram).relatively_bounded:
+        raise ValueError("input region is not relatively bounded")
+    return prime_rook_word_to_parking(placement_to_rook_word(ish_diagram_to_placement(diagram)))
+
+
+def bounded_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
+    if not is_prime_parking_function(word):
+        raise ValueError("input region is not relatively bounded")
+    return placement_to_ish_diagram(rook_word_to_placement(prime_parking_to_rook_word(word)))
+
+
+def freedom_parking(diagram: IshCeilingDiagram) -> Word:
+    """The parking word of the ``freedom`` image: the labeled Dyck path of
+    the region, built from its prime components.
+
+    >>> d = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
+    >>> freedom_parking(d)
+    (2, 4, 4, 1, 4, 4, 2, 7)
+    """
+    return ish_diagram_to_parking(diagram)
+
+
+def freedom_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
+    return parking_to_ish_diagram(word)
 
 
 def basic_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
@@ -88,13 +162,11 @@ def basic_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
     >>> basic_bijection(d).pi
     (7, 2, 3, 1, 5, 6, 8, 4)
     """
-    placement = restrict_placement(ish_diagram_to_placement(diagram))
-    return parking_to_shi_diagram(placement_to_parking(placement))
+    return parking_to_shi_diagram(basic_parking(diagram))
 
 
 def basic_bijection_inverse(diagram: ShiCeilingDiagram) -> IshCeilingDiagram:
-    placement = parking_to_placement(shi_diagram_to_parking(diagram))
-    return placement_to_ish_diagram(complete_placement(placement))
+    return basic_parking_inverse(shi_diagram_to_parking(diagram))
 
 
 def dominance_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
@@ -106,13 +178,11 @@ def dominance_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
     >>> dominance_bijection(d).pi
     (2, 3, 4, 1, 5, 7, 8, 6)
     """
-    word = placement_to_rook_word(ish_diagram_to_placement(diagram))
-    return parking_to_shi_diagram(rook_word_to_parking(word))
+    return parking_to_shi_diagram(dominance_parking(diagram))
 
 
 def dominance_bijection_inverse(diagram: ShiCeilingDiagram) -> IshCeilingDiagram:
-    word = parking_to_rook_word(shi_diagram_to_parking(diagram))
-    return placement_to_ish_diagram(rook_word_to_placement(word))
+    return dominance_parking_inverse(shi_diagram_to_parking(diagram))
 
 
 def bounded_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
@@ -122,29 +192,22 @@ def bounded_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
     >>> bounded_bijection(IshCeilingDiagram((1, 2, 3), (0, 0, 1))).partition
     ((1, 3), (2,))
     """
-    if not ish_statistics(diagram).relatively_bounded:
-        raise ValueError("input region is not relatively bounded")
-    word = placement_to_rook_word(ish_diagram_to_placement(diagram))
-    return parking_to_shi_diagram(prime_rook_word_to_parking(word))
+    return parking_to_shi_diagram(bounded_parking(diagram))
 
 
 def bounded_bijection_inverse(diagram: ShiCeilingDiagram) -> IshCeilingDiagram:
-    parking = shi_diagram_to_parking(diagram)
-    if not is_prime_parking_function(parking):
-        raise ValueError("input region is not relatively bounded")
-    word = prime_parking_to_rook_word(parking)
-    return placement_to_ish_diagram(rook_word_to_placement(word))
+    return bounded_parking_inverse(shi_diagram_to_parking(diagram))
 
 
 def freedom_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
     """Map an Ish region to a Shi region through labeled Dyck paths.
     Preserves ceiling partitions and degrees of freedom, hence restricts to
     a bijection for every graph."""
-    return parking_to_shi_diagram(ish_diagram_to_parking(diagram))
+    return parking_to_shi_diagram(freedom_parking(diagram))
 
 
 def freedom_bijection_inverse(diagram: ShiCeilingDiagram) -> IshCeilingDiagram:
-    return parking_to_ish_diagram(shi_diagram_to_parking(diagram))
+    return freedom_parking_inverse(shi_diagram_to_parking(diagram))
 
 
 # ---------------------------------------------------------------------------

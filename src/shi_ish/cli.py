@@ -30,19 +30,24 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .bijections import (
     basic_bijection,
-    basic_bijection_inverse,
+    basic_parking,
+    basic_parking_inverse,
     bounded_bijection,
-    bounded_bijection_inverse,
+    bounded_parking,
+    bounded_parking_inverse,
     dominance_bijection,
-    dominance_bijection_inverse,
+    dominance_parking,
+    dominance_parking_inverse,
     freedom_bijection,
-    freedom_bijection_inverse,
+    freedom_parking,
+    freedom_parking_inverse,
     ish_diagram_to_parking,
     parking_to_ish_diagram,
 )
 from .core import (
     Graph,
     SetPartition,
+    Word,
     all_graphs,
     arcs,
     inverse_permutation,
@@ -274,23 +279,31 @@ _BIJECTIONS: dict[str, Callable[[IshCeilingDiagram], ShiCeilingDiagram]] = {
     "bounded": bounded_bijection,
     "freedom": freedom_bijection,
 }
-_INVERSES: dict[str, Callable[[ShiCeilingDiagram], IshCeilingDiagram]] = {
-    "basic": basic_bijection_inverse,
-    "dominance": dominance_bijection_inverse,
-    "bounded": bounded_bijection_inverse,
-    "freedom": freedom_bijection_inverse,
+#: the same bijections onto the parking word of the Shi image, and back:
+#: ``verify`` checks these, ``map`` prints the diagram views above
+_PARKING_MAPS: dict[str, Callable[[IshCeilingDiagram], Word]] = {
+    "basic": basic_parking,
+    "dominance": dominance_parking,
+    "bounded": bounded_parking,
+    "freedom": freedom_parking,
+}
+_INVERSES: dict[str, Callable[[Word], IshCeilingDiagram]] = {
+    "basic": basic_parking_inverse,
+    "dominance": dominance_parking_inverse,
+    "bounded": bounded_parking_inverse,
+    "freedom": freedom_parking_inverse,
 }
 
 
 class _Theorem(NamedTuple):
     """A row of the README bijection table.  The maps themselves are
-    ``_BIJECTIONS[name]`` and ``_INVERSES[name]``, looked up there on every
-    call so that rebinding a dict entry reaches every caller."""
+    ``_BIJECTIONS[name]``, ``_PARKING_MAPS[name]`` and ``_INVERSES[name]``,
+    looked up there on every call so that rebinding a dict entry reaches
+    every caller."""
 
     domain: str  # "all", "complete" (the complete graph only) or "bounded" (regions)
     checks: tuple[str, ...]  # preserved statistics, in the order verify checks them
     certificates: tuple[str, ...]  # the same statistics, in the order map prints them
-    invalid_detail: str = "image invalid for G: {}"
     roundtrip_detail: str = "roundtrip broken: {}"
     free_regions: bool = False  # full-freedom regions map to pi with every arc dropped
     compare_with: Optional[str] = None  # count the regions where this bijection agrees
@@ -298,7 +311,7 @@ class _Theorem(NamedTuple):
 
 
 _THEOREMS: dict[str, _Theorem] = {
-    "basic": _Theorem("complete", (), (), "roundtrip broken at {}", "roundtrip broken at {}"),
+    "basic": _Theorem("complete", (), (), "roundtrip broken at {}"),
     "dominance": _Theorem(
         "all",
         ("ceiling_partition", "dominant"),
@@ -324,17 +337,25 @@ _BROKEN: dict[str, tuple[str, str]] = {
 }
 
 
-def _region_word(image: ShiCeilingDiagram, graph: Graph) -> Optional[tuple[int, ...]]:
-    """The parking word of ``image`` if it is a region of Shi(G), else None:
-    the decode raises on an incoherent diagram, and every ceiling (an arc of
-    the word's position partition) must be an edge of G."""
+def _is_region_word(word: Word, graph: Graph) -> bool:
+    """Whether ``word`` labels a region of Shi(G): a parking function of
+    length n whose every ceiling (an arc of its position partition) is an
+    edge of G."""
+    return (
+        len(word) == graph.n
+        and is_parking_function(word)
+        and set(arcs(position_partition(word))) <= graph.edges
+    )
+
+
+def _region_word(image: ShiCeilingDiagram, graph: Graph) -> Optional[Word]:
+    """The parking word of ``image`` if it is a region of Shi(G), else None;
+    the decode raises on an incoherent diagram."""
     try:
         word = shi_diagram_to_parking(image)
     except ValueError:
         return None
-    if len(word) != graph.n or not set(arcs(position_partition(word))) <= graph.edges:
-        return None
-    return word
+    return word if _is_region_word(word, graph) else None
 
 
 def _read_diagram(path: str) -> IshCeilingDiagram:
@@ -417,9 +438,9 @@ def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
     """Check the bijection theorem ``_THEOREMS[name]`` on one graph.
 
     Returns the failure detail (None if the theorem holds), the number of
-    images seen before the check stopped, and the agreement counts.  The
-    Shi regions are their parking words: each image is decoded once, and its
-    validity for G and its statistics are read off that word.
+    images seen before the check stopped, and the agreement counts.  A Shi
+    region is its parking word, so the image is that word: its validity for
+    G and its statistics are read off it, and no Shi diagram is built.
     """
     theorem = _THEOREMS[name]
     n = graph.n
@@ -427,28 +448,25 @@ def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
     targets = set(parking_functions(n, graph))
     if bounded:
         targets = {w for w in targets if shi_word_statistics(w).relatively_bounded}
-    singletons = tuple((v,) for v in range(1, n + 1))
     seen = set()
     counts: Counter = Counter()
     for diagram in ish_diagrams(n, graph):
         stats = ish_statistics(diagram) if theorem.checks else None
         if bounded and not stats.relatively_bounded:
             continue
-        image = _BIJECTIONS[name](diagram)
-        word = _region_word(image, graph)
-        image_stats = shi_word_statistics(word) if word is not None and theorem.checks else None
+        word = _PARKING_MAPS[name](diagram)
+        valid = _is_region_word(word, graph)
+        image_stats = shi_word_statistics(word) if valid and theorem.checks else None
         broken = image_stats and [s for s in theorem.checks if getattr(image_stats, s) != getattr(stats, s)]
         # a region with n degrees of freedom maps to pi with every arc dropped,
-        # so the parking word labeling its image is the inverse of pi
+        # which is the region labeled by the parking word pi^-1
         free = theorem.free_regions and stats.dof == n
-        if word is None:
-            detail = theorem.invalid_detail
+        if not valid:
+            detail = "image invalid for G: {}"
         elif broken:
             detail = _BROKEN[broken[0]][0]
-        elif _INVERSES[name](image) != diagram:
+        elif _INVERSES[name](word) != diagram:
             detail = theorem.roundtrip_detail
-        elif free and image != ShiCeilingDiagram(diagram.pi, singletons):
-            detail = "free-region image wrong: {}"
         elif free and word != inverse_permutation(diagram.pi):
             detail = "free-region word wrong: {}"
         else:
@@ -456,7 +474,7 @@ def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
         if detail is not None:
             return detail.format(diagram), len(seen), counts
         if theorem.compare_with is not None:
-            agrees = _BIJECTIONS[theorem.compare_with](diagram) == image
+            agrees = _PARKING_MAPS[theorem.compare_with](diagram) == word
             counts[theorem.counters[0 if agrees else 1]] += 1
         seen.add(word)
     detail = None

@@ -13,7 +13,7 @@ import pytest
 
 import shi_ish.cli as cli
 from shi_ish.cli import main
-from shi_ish.core import Graph, all_graphs
+from shi_ish.core import Graph, all_graphs, inverse_permutation
 from shi_ish.ish import Board, IshCeilingDiagram, ish_diagrams, ish_statistics
 from shi_ish.shi import ShiCeilingDiagram
 
@@ -100,7 +100,7 @@ def test_falsified_statistic_fails_the_sweep(suite, field, change, label, capsys
 @pytest.mark.parametrize("suite", ["thm-dominance", "thm-freedom"])
 def test_falsified_inverse_fails_the_sweep(suite, capsys, monkeypatch):
     name = suite.removeprefix("thm-")
-    rebind(monkeypatch, getattr(cli, f"{name}_bijection_inverse"), lambda image: None)
+    rebind(monkeypatch, getattr(cli, f"{name}_parking_inverse"), lambda word: None)
     code, out, _ = run(capsys, "verify", "--n", "2", "--suite", suite)
     doc = json.loads(out)
     assert code == 1
@@ -112,7 +112,7 @@ def test_falsified_inverse_fails_the_sweep(suite, capsys, monkeypatch):
 
 
 def test_falsified_inverse_fails_thm_basic(capsys, monkeypatch):
-    rebind(monkeypatch, cli.basic_bijection_inverse, lambda image: None)
+    rebind(monkeypatch, cli.basic_parking_inverse, lambda word: None)
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "thm-basic")
     doc = json.loads(out)
     assert code == 1
@@ -198,6 +198,7 @@ def test_falsified_statistic_fails_map(
 
 
 INCOHERENT = ShiCeilingDiagram((3, 2, 1), ((1, 2), (3,)))  # pi decreases along a block
+NOT_PARKING = (3, 3, 3)  # no letter at most 1: labels no Shi region
 
 
 @pytest.mark.parametrize(
@@ -206,11 +207,11 @@ INCOHERENT = ShiCeilingDiagram((3, 2, 1), ((1, 2), (3,)))  # pi decreases along 
         ("thm-dominance", "image invalid for G: "),
         ("thm-bounded", "image invalid for G: "),
         ("thm-freedom", "image invalid for G: "),
-        ("thm-basic", "roundtrip broken at "),
+        ("thm-basic", "image invalid for G: "),
     ],
 )
 def test_incoherent_image_is_a_failed_check(suite, label, capsys, monkeypatch):
-    monkeypatch.setitem(cli._BIJECTIONS, suite.removeprefix("thm-"), lambda diagram: INCOHERENT)
+    monkeypatch.setitem(cli._PARKING_MAPS, suite.removeprefix("thm-"), lambda diagram: NOT_PARKING)
     code, out, err = run(capsys, "verify", "--n", "3", "--suite", suite)
     assert code == 1
     assert "FAIL" in err
@@ -222,8 +223,8 @@ def test_incoherent_image_is_a_failed_check(suite, label, capsys, monkeypatch):
 
 
 def test_image_with_a_ceiling_outside_the_graph_fails_the_sweep(capsys, monkeypatch):
-    image = ShiCeilingDiagram((1, 2, 3), ((1, 2), (3,)))  # one ceiling, x_1 - x_2 = 1
-    monkeypatch.setitem(cli._BIJECTIONS, "freedom", lambda diagram: image)
+    image = (1, 1, 3)  # one ceiling, x_1 - x_2 = 1
+    monkeypatch.setitem(cli._PARKING_MAPS, "freedom", lambda diagram: image)
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "thm-freedom")
     assert code == 1
     failures = json.loads(out)["report"]["failures"]
@@ -234,14 +235,17 @@ def test_image_with_a_ceiling_outside_the_graph_fails_the_sweep(capsys, monkeypa
 
 
 def test_wrong_free_region_word_fails_the_sweep(capsys, monkeypatch):
-    """A decode that labels each free region by pi instead of its inverse
-    keeps every statistic and the set of words; only the word check sees it."""
-    real = cli.shi_diagram_to_parking
+    """A forward map that labels each free region by pi instead of its
+    inverse, with an inverse map that undoes it, keeps every statistic, the
+    set of words and the round trip; only the word check sees it.  The free
+    regions are the ones whose word is a permutation."""
+    forward, backward = cli._PARKING_MAPS["dominance"], cli._INVERSES["dominance"]
 
-    def fake(image):
-        return image.pi if len(image.partition) == image.n else real(image)
+    def relabel(word):
+        return inverse_permutation(word) if sorted(word) == list(range(1, len(word) + 1)) else word
 
-    monkeypatch.setattr(cli, "shi_diagram_to_parking", fake)
+    monkeypatch.setitem(cli._PARKING_MAPS, "dominance", lambda diagram: relabel(forward(diagram)))
+    monkeypatch.setitem(cli._INVERSES, "dominance", lambda word: backward(relabel(word)))
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "thm-dominance")
     assert code == 1
     failures = json.loads(out)["report"]["failures"]

@@ -1,0 +1,74 @@
+"""The bijections in the word domain.
+
+Each bijection is implemented once, as ``{name}_parking`` (Ish diagram to the
+parking word of its Shi image) and ``{name}_parking_inverse``; the diagram
+maps ``{name}_bijection`` and ``{name}_bijection_inverse`` are their views
+through Shi diagrams.  The two must agree on every region and every word of
+small size, and the theorem sweeps must never build or decode a Shi diagram.
+"""
+
+import json
+
+import pytest
+
+import shi_ish.bijections as bijections
+import shi_ish.cli as cli
+from shi_ish.core import Graph, all_graphs
+from shi_ish.ish import ish_diagrams, ish_statistics
+from shi_ish.parking import is_prime_parking_function, parking_functions
+from shi_ish.shi import parking_to_shi_diagram
+
+NAMES = ("basic", "dominance", "bounded", "freedom")
+GRAPHS = [g for n in range(1, 5) for g in all_graphs(n)] + [Graph.complete(5)]
+
+
+def maps(name):
+    """``{name}_parking``, its inverse, ``{name}_bijection`` and its inverse."""
+    suffixes = ("parking", "parking_inverse", "bijection", "bijection_inverse")
+    return [getattr(bijections, f"{name}_{suffix}") for suffix in suffixes]
+
+
+def regions(name):
+    """The Ish regions of every graph in GRAPHS, each once, in the domain of
+    the bijection (the relatively bounded ones for ``bounded``)."""
+    found = dict.fromkeys(d for graph in GRAPHS for d in ish_diagrams(graph.n, graph))
+    return [d for d in found if name != "bounded" or ish_statistics(d).relatively_bounded]
+
+
+def words(name):
+    """The parking words of every graph in GRAPHS, each once (the prime ones
+    for ``bounded``)."""
+    found = dict.fromkeys(w for graph in GRAPHS for w in parking_functions(graph.n, graph))
+    return [w for w in found if name != "bounded" or is_prime_parking_function(w)]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_word_map_is_the_diagram_map(name):
+    parking, _, bijection, _ = maps(name)
+    domain = regions(name)
+    assert domain
+    for diagram in domain:
+        assert parking_to_shi_diagram(parking(diagram)) == bijection(diagram), diagram
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_word_inverse_is_the_diagram_inverse(name):
+    _, parking_inverse, _, bijection_inverse = maps(name)
+    domain = words(name)
+    assert domain
+    for word in domain:
+        assert parking_inverse(word) == bijection_inverse(parking_to_shi_diagram(word)), word
+
+
+def test_theorem_sweeps_never_touch_a_shi_diagram(capsys, monkeypatch):
+    def refuse(_):
+        raise RuntimeError("a theorem sweep built or decoded a Shi diagram")
+
+    for module in (cli, bijections):
+        for attr in ("parking_to_shi_diagram", "shi_diagram_to_parking"):
+            monkeypatch.setattr(module, attr, refuse)
+    for suite in ("thm-basic", "thm-dominance", "thm-bounded", "thm-freedom"):
+        code = cli.main(["verify", "--n", "3", "--suite", suite])
+        out = capsys.readouterr().out
+        assert code == 0, suite
+        assert json.loads(out)["passed"] is True, suite

@@ -1,9 +1,10 @@
 """The theorem sweeps in the word domain, and partitions canonical by
 construction.
 
-``cli._theorem_run`` decodes each Shi image once to its parking word and
-reads validity and statistics off that word; the targets are the parking
-words of G.  The diagram-domain run it replaced is kept here as its
+``cli._theorem_run`` maps each Ish region straight to the parking word of its
+Shi image and reads validity and statistics off that word; the targets are
+the parking words of G.  The diagram-domain run it replaced, through
+``bijections.{name}_bijection`` and its inverse, is kept here as its
 reference, and both must return the same ``(detail, count, counts)``.  The
 two partition functions of ``core`` skip ``partition_from_blocks``, so each
 is compared with the canonicalized result on every input of small size.
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import shi_ish.bijections as bijections
 import shi_ish.cli as cli
 from shi_ish.core import (
     Graph,
@@ -45,6 +47,8 @@ def diagram_theorem_run(name, graph):
     the statistics of valid images only; the old run read them first and
     raised on an incoherent image."""
     theorem = cli._THEOREMS[name]
+    bijection = getattr(bijections, f"{name}_bijection")
+    inverse = getattr(bijections, f"{name}_bijection_inverse")
     n = graph.n
     bounded = theorem.domain == "bounded"
     targets = set(shi_diagrams(n, graph))
@@ -57,16 +61,16 @@ def diagram_theorem_run(name, graph):
         stats = ish_statistics(diagram) if theorem.checks else None
         if bounded and not stats.relatively_bounded:
             continue
-        image = cli._BIJECTIONS[name](diagram)
+        image = bijection(diagram)
         valid = is_valid_shi(image, graph)
         image_stats = shi_statistics(image) if valid and theorem.checks else None
         broken = [s for s in theorem.checks if valid and getattr(image_stats, s) != getattr(stats, s)]
         free = theorem.free_regions and stats.dof == n
         if not valid:
-            detail = theorem.invalid_detail
+            detail = "image invalid for G: {}"
         elif broken:
             detail = cli._BROKEN[broken[0]][0]
-        elif cli._INVERSES[name](image) != diagram:
+        elif inverse(image) != diagram:
             detail = theorem.roundtrip_detail
         elif free and image != ShiCeilingDiagram(diagram.pi, singletons):
             detail = "free-region image wrong: {}"
@@ -77,7 +81,7 @@ def diagram_theorem_run(name, graph):
         if detail is not None:
             return detail.format(diagram), len(seen), counts
         if theorem.compare_with is not None:
-            agrees = cli._BIJECTIONS[theorem.compare_with](diagram) == image
+            agrees = getattr(bijections, f"{theorem.compare_with}_bijection")(diagram) == image
             counts[theorem.counters[0 if agrees else 1]] += 1
         seen.add(image)
     detail = None
