@@ -85,6 +85,7 @@ from .rookwords import (
 from .shi import (
     ShiCeilingDiagram,
     parking_to_shi_diagram,
+    region_word_statistics,
     shi_diagram_to_parking,
     shi_statistics,
     shi_word_statistics,
@@ -159,6 +160,14 @@ def _jsonify(value):
     return repr(value)
 
 
+def _arrangement_graph(args: argparse.Namespace) -> Graph:
+    """The --graph of ``count`` and ``enumerate``.  Cox(n) has no graph, so
+    with ``--arrangement cox`` any --graph but the default is refused."""
+    if args.arrangement == "cox" and args.graph != "complete":
+        raise UsageError(f"the Coxeter arrangement has no graph (got --graph {args.graph!r})")
+    return load_graph(args.graph, args.n)
+
+
 def _check_size(name: str, n: int, limit: int, large_limit: int, allow_large: bool) -> None:
     cap = large_limit if allow_large else limit
     if n > cap:
@@ -208,7 +217,7 @@ def _breakdown(regions: Iterator[tuple], by: str) -> tuple[int, dict]:
 
 def cmd_count(args: argparse.Namespace) -> int:
     _check_size("count", args.n, 6, 8, args.allow_large)
-    graph = load_graph(args.graph, args.n)
+    graph = _arrangement_graph(args)
     kinds = [args.arrangement] if args.arrangement else ["shi", "ish"]
     results: dict[str, dict] = {}
     for kind in kinds:
@@ -243,7 +252,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_size("enumerate", args.n, 5, 6, args.allow_large)
-    graph = load_graph(args.graph, args.n)
+    graph = _arrangement_graph(args)
     kind = args.arrangement
     _progress(f"enumerating {kind} regions (n={args.n})")
     records = [
@@ -337,27 +346,6 @@ _BROKEN: dict[str, tuple[str, str]] = {
 }
 
 
-def _is_region_word(word: Word, graph: Graph) -> bool:
-    """Whether ``word`` labels a region of Shi(G): a parking function of
-    length n whose every ceiling (an arc of its position partition) is an
-    edge of G."""
-    return (
-        len(word) == graph.n
-        and is_parking_function(word)
-        and set(arcs(position_partition(word))) <= graph.edges
-    )
-
-
-def _region_word(image: ShiCeilingDiagram, graph: Graph) -> Optional[Word]:
-    """The parking word of ``image`` if it is a region of Shi(G), else None;
-    the decode raises on an incoherent diagram."""
-    try:
-        word = shi_diagram_to_parking(image)
-    except ValueError:
-        return None
-    return word if _is_region_word(word, graph) else None
-
-
 def _read_diagram(path: str) -> IshCeilingDiagram:
     try:
         if path == "-":
@@ -388,11 +376,15 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise UsageError(f"the {args.bijection} bijection needs a relatively bounded input")
 
     image = _BIJECTIONS[args.bijection](diagram)
-    word = _region_word(image, graph)
-    if word is None:
+    try:
+        word = shi_diagram_to_parking(image)
+    except ValueError:  # an incoherent diagram has no word
+        stats_out = None
+    else:
+        stats_out = region_word_statistics(word, graph)
+    if stats_out is None:
         certificates, failures = {}, ["image invalid for G"]
     else:
-        stats_out = shi_word_statistics(word)
         certificates = {stat: getattr(stats_out, stat) for stat in theorem.certificates}
         failures = [
             _BROKEN[stat][1]
@@ -455,13 +447,12 @@ def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
         if bounded and not stats.relatively_bounded:
             continue
         word = _PARKING_MAPS[name](diagram)
-        valid = _is_region_word(word, graph)
-        image_stats = shi_word_statistics(word) if valid and theorem.checks else None
+        image_stats = region_word_statistics(word, graph)
         broken = image_stats and [s for s in theorem.checks if getattr(image_stats, s) != getattr(stats, s)]
         # a region with n degrees of freedom maps to pi with every arc dropped,
         # which is the region labeled by the parking word pi^-1
         free = theorem.free_regions and stats.dof == n
-        if not valid:
+        if image_stats is None:
             detail = "image invalid for G: {}"
         elif broken:
             detail = _BROKEN[broken[0]][0]

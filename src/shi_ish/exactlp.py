@@ -15,13 +15,17 @@ integer arithmetic, and Bland's rule guarantees termination.
 
 Rows are triples ``(coeffs, rhs, strict)``.  Strict rows participate in the
 slack objective; weak rows (``strict=False``) only require a.x >= rhs and
-must have rhs <= 0, which makes the s-pivot start feasible.  They exist for
-recession-cone tests, where every bound is zero.
+must have rhs <= 0, which makes the s-pivot start feasible.  The package
+passes the simplex strict rows only; weak rows exist for the tests' simplex
+reference.
 
 When every row is a difference x_a - x_b, :func:`difference_feasible`
 decides the same question as a negative-cycle test and certifies its answer
 either way: a witness checked by substitution, or a cycle whose summed
-weight is checked to be negative.
+weight is checked to be negative.  It also takes difference equalities
+x_i - x_j = c.  The simplex has no equality mode: the package calls it for
+the interior witness of each new region and in the brute-force reference
+:func:`shi_ish.geometry.enumerate_regions_sweep`.
 """
 
 from __future__ import annotations
@@ -154,82 +158,15 @@ def max_slack(
     return Fraction(1) - s_value, witness
 
 
-class _OffsetUnionFind:
-    """Union-find over variables related by differences x_i - x_j = c."""
+def strict_feasible(rows: Sequence[Row], n_vars: int) -> Optional[tuple[Fraction, ...]]:
+    """Witness for a system of strict and weak inequalities, or None: the
+    optimizer of :func:`max_slack` when its slack ``tau`` is positive.
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.offset = [0] * n  # x_i = x_root + offset_i
-
-    def resolve(self, x: int) -> tuple[int, int]:
-        root = x
-        total = 0
-        while self.parent[root] != root:
-            total += self.offset[root]
-            root = self.parent[root]
-        # path compression with accumulated offsets
-        node = x
-        acc = total
-        while self.parent[node] != node:
-            nxt = self.parent[node]
-            step = self.offset[node]
-            self.parent[node] = root
-            self.offset[node] = acc
-            acc -= step
-            node = nxt
-        return root, total
-
-    def merge(self, i: int, j: int, c: int) -> bool:
-        """Impose x_i - x_j = c; False on contradiction."""
-        ri, oi = self.resolve(i)
-        rj, oj = self.resolve(j)
-        if ri == rj:
-            return oi - oj == c
-        self.parent[rj] = ri
-        self.offset[rj] = oi - c - oj
-        return True
-
-
-def strict_feasible(
-    rows: Sequence[Row],
-    n_vars: int,
-    equalities: Sequence[tuple[int, int, int]] = (),
-) -> Optional[tuple[Fraction, ...]]:
-    """Witness for a system of strict/weak inequalities and difference
-    equalities, or None.
-
-    ``equalities`` entries ``(i, j, c)`` pin x_i - x_j = c exactly; they are
-    eliminated by substitution before the linear program runs, so facets of
-    arrangement regions can be tested without perturbing the hyperplane.
+    >>> strict_feasible([((1, -1), 0, True), ((-1, 1), 0, True)], 2) is None
+    True
     """
-    uf = _OffsetUnionFind(n_vars)
-    for i, j, c in equalities:
-        if not uf.merge(i, j, c):
-            return None
-    roots = sorted({uf.resolve(k)[0] for k in range(n_vars)})
-    col = {r: t for t, r in enumerate(roots)}
-    reduced: list[Row] = []
-    for coeffs, rhs, strict in rows:
-        acc = [0] * len(roots)
-        shift = 0
-        for k, a in enumerate(coeffs):
-            if a:
-                root, off = uf.resolve(k)
-                acc[col[root]] += a
-                shift += a * off
-        bound = rhs - shift
-        if any(acc):
-            reduced.append((tuple(acc), bound, strict))
-        elif (strict and bound >= 0) or (not strict and bound > 0):
-            return None
-    tau, reduced_witness = max_slack(reduced, len(roots))
-    if tau <= 0:
-        return None
-    witness = []
-    for k in range(n_vars):
-        root, off = uf.resolve(k)
-        witness.append(reduced_witness[col[root]] + off)
-    return tuple(witness)
+    tau, witness = max_slack(rows, n_vars)
+    return witness if tau > 0 else None
 
 
 def _difference_arc(coeffs: Sequence[int], n_vars: int) -> tuple[int, int]:
@@ -324,33 +261,3 @@ def difference_feasible(
     if not (cycle_value < 0 or (cycle_value == 0 and cycle_eps < 0)):
         raise ArithmeticError("refuting cycle is not negative")
     return None
-
-
-def integer_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of integer vectors, by fraction-free row
-    elimination.
-
-    >>> integer_rank([(1, -1, 0), (0, 1, -1), (1, 0, -1)])
-    2
-    """
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return 0
-    n_cols = len(rows[0])
-    rank = 0
-    for c in range(n_cols):
-        pivot_at = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot_at is None:
-            continue
-        rows[rank], rows[pivot_at] = rows[pivot_at], rows[rank]
-        pivot = rows[rank][c]
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][c]
-            if factor:
-                rows[i] = [
-                    pivot * x - factor * y for x, y in zip(rows[i], rows[rank])
-                ]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank

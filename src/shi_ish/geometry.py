@@ -10,12 +10,13 @@ combinatorial labellings can be validated region by region.
 All arithmetic is exact.  Every hyperplane is a difference x_a - x_b = c,
 so every feasibility question here is a difference-constraint system, and
 the certifying negative-cycle solver :func:`shi_ish.exactlp.difference_feasible`
-decides each one: every split probe during enumeration and every ceiling
-test.  The fraction-free simplex (:func:`shi_ish.exactlp.strict_feasible`)
-only supplies the rational interior witness of each newly found region, and
-it backs the independent slow paths :func:`enumerate_regions_sweep` and
-:func:`recession_dimension_lp`.  :func:`oracle_pass` measures every region
-once and builds both the cross-validation and the report from that pass.
+decides each one: every split probe during enumeration, every ceiling test
+and every vanishing probe of the slow path :func:`recession_dimension_lp`.
+The fraction-free simplex (:func:`shi_ish.exactlp.strict_feasible`) only
+supplies the rational interior witness of each newly found region and
+decides the brute-force reference :func:`enumerate_regions_sweep`.
+:func:`oracle_pass` measures every region once and builds both the
+cross-validation and the report from that pass.
 """
 
 from __future__ import annotations
@@ -30,15 +31,14 @@ from .core import (
     Graph,
     Permutation,
     SetPartition,
-    arcs,
     identity_permutation,
     partition_from_pairs,
     partition_str,
 )
-from .exactlp import Row, difference_feasible, integer_rank, strict_feasible
+from .exactlp import Row, difference_feasible, strict_feasible
 from .ish import ish_ceiling_pairs, ish_diagrams, ish_region_count, ish_statistics
 from .parking import parking_functions
-from .shi import ShiStatistics, ceiling_hyperplane_tags, parking_to_shi_diagram, shi_word_statistics
+from .shi import ShiStatistics, ceiling_hyperplane_tags, parking_to_shi_diagram, region_word_statistics
 
 #: ("cox", i, j) is x_i - x_j = 0; ("shi", i, j) is x_i - x_j = 1;
 #: ("ish", i, j) is x_1 - x_j = i.  Indices are 1-based with i < j.
@@ -369,9 +369,12 @@ def recession_dimension(arrangement: Arrangement, region: GeomRegion) -> int:
 def recession_dimension_lp(arrangement: Arrangement, region: GeomRegion) -> int:
     """Recession-cone dimension with the vanishing test done by probes.
 
-    For each hyperplane, maximize its signed form over the cone (capped at
-    1): the optimum is 0 exactly when the form vanishes identically.  Slow
-    path kept for differential testing against :func:`recession_dimension`.
+    For each hyperplane, ask the difference solver for a point of the cone
+    where its signed form is strictly positive: there is none exactly when
+    the form vanishes identically, i.e. its two coordinates are forced
+    equal.  The dimension is the number of classes those pairs generate.
+    Slow path kept for differential testing against
+    :func:`recession_dimension`.
     """
     n = arrangement.n
     cone_rows: list[Row] = [
@@ -382,11 +385,9 @@ def recession_dimension_lp(arrangement: Arrangement, region: GeomRegion) -> int:
     for sign, hyp in zip(region.signs, arrangement.hyperplanes):
         probe: list[Row] = [(tuple(sign * a for a in hyp.normal), 0, True)]
         probe.extend(cone_rows)
-        if strict_feasible(probe, n) is None:
-            vanishing.append(hyp.normal)
-    if not vanishing:
-        return n
-    return n - integer_rank(vanishing)
+        if difference_feasible(probe, n) is None:
+            vanishing.append((hyp.normal.index(1) + 1, hyp.normal.index(-1) + 1))
+    return len(partition_from_pairs(n, vanishing))
 
 
 def diagram_statistics(kind: str, n: int, graph: Graph) -> Iterator[tuple]:
@@ -397,9 +398,9 @@ def diagram_statistics(kind: str, n: int, graph: Graph) -> Iterator[tuple]:
     A Cox region is its coordinate order; it has no ceilings, so its ceiling
     partition is all singletons, and it has n degrees of freedom.
 
-    Every Shi word is checked before it is yielded: it must be a parking
-    function and every arc of its position partition an edge of G.  A word
-    that fails raises AssertionError, with or without ``python -O``.
+    Every Shi word is checked by :func:`shi_ish.shi.region_word_statistics`
+    before it is yielded.  A word that labels no region of Shi(G) raises
+    AssertionError, with or without ``python -O``.
 
     >>> [stats.dof for _, stats in diagram_statistics("ish", 2, Graph.complete(2))]
     [2, 1, 2]
@@ -408,13 +409,9 @@ def diagram_statistics(kind: str, n: int, graph: Graph) -> Iterator[tuple]:
     """
     if kind == "shi":
         for word in parking_functions(n, graph):
-            try:
-                stats = shi_word_statistics(word)
-            except ValueError as err:
-                raise AssertionError(f"{word!r} is not a parking function") from err
-            # the ceiling partition is the position partition, so these are its arcs
-            if not set(arcs(stats.ceiling_partition)) <= graph.edges:
-                raise AssertionError(f"{word!r} has a ceiling that is not an edge of {graph!r}")
+            stats = region_word_statistics(word, graph)
+            if stats is None:
+                raise AssertionError(f"{word!r} does not label a region of Shi({graph!r})")
             yield word, stats
     elif kind == "ish":
         for diagram in ish_diagrams(n, graph):

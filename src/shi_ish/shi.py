@@ -27,6 +27,7 @@ from .core import (
     Permutation,
     SetPartition,
     Word,
+    arcs,
     check_partition_of,
     check_permutation,
     is_nonnesting,
@@ -131,6 +132,26 @@ def shi_word_statistics(word: Sequence[int]) -> ShiStatistics:
     partition = position_partition(word)
     dominant = all(word[block[0] - 1] == block[0] for block in partition) and is_nonnesting(partition)
     return ShiStatistics(ceiling_partition=partition, dof=dof, dominant=dominant)
+
+
+def region_word_statistics(word: Sequence[int], graph: Graph) -> Optional[ShiStatistics]:
+    """Statistics of the region of Shi(G) labeled by ``word``, or None when
+    the word labels no region: it must have n letters, be a parking
+    function, and every arc of its position partition (the ceilings) must be
+    an edge of G.  The parking test is the one in :func:`shi_word_statistics`.
+
+    >>> region_word_statistics((1, 2, 1), Graph.complete(3)).dof
+    1
+    >>> region_word_statistics((1, 2, 1), Graph.path(3)) is None
+    True
+    """
+    if len(word) != graph.n:
+        return None
+    try:
+        stats = shi_word_statistics(word)
+    except ValueError:
+        return None
+    return stats if set(arcs(stats.ceiling_partition)) <= graph.edges else None
 
 
 def ceiling_hyperplane_tags(diagram: ShiCeilingDiagram) -> frozenset[tuple[int, int]]:

@@ -46,12 +46,13 @@ def rebind(monkeypatch, original, fake):
 
 
 def falsify_shi_statistic(monkeypatch, field, change):
-    """The CLI reads a Shi image's statistics off its parking word."""
-    real = cli.shi_word_statistics
+    """The CLI reads a Shi image's statistics off its parking word, through
+    the check that the word labels a region of Shi(G)."""
+    real = cli.region_word_statistics
 
-    def fake(word):
-        stats = real(word)
-        return stats._replace(**{field: change(getattr(stats, field))})
+    def fake(word, graph):
+        stats = real(word, graph)
+        return stats and stats._replace(**{field: change(getattr(stats, field))})
 
     rebind(monkeypatch, real, fake)
 

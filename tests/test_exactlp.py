@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shi_ish.exactlp import difference_feasible, integer_rank, max_slack, strict_feasible
+from shi_ish.exactlp import difference_feasible, max_slack, strict_feasible
 
 
 def slack_of(row, point):
@@ -23,6 +23,80 @@ def satisfies(rows, point):
         if not row[2] and s < 0:
             return False
     return True
+
+
+class OffsetUnionFind:
+    """Union-find over variables related by differences x_i - x_j = c."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.offset = [0] * n  # x_i = x_root + offset_i
+
+    def resolve(self, x: int) -> tuple[int, int]:
+        root = x
+        total = 0
+        while self.parent[root] != root:
+            total += self.offset[root]
+            root = self.parent[root]
+        # path compression with accumulated offsets
+        node = x
+        acc = total
+        while self.parent[node] != node:
+            nxt = self.parent[node]
+            step = self.offset[node]
+            self.parent[node] = root
+            self.offset[node] = acc
+            acc -= step
+            node = nxt
+        return root, total
+
+    def merge(self, i: int, j: int, c: int) -> bool:
+        """Impose x_i - x_j = c; False on contradiction."""
+        ri, oi = self.resolve(i)
+        rj, oj = self.resolve(j)
+        if ri == rj:
+            return oi - oj == c
+        self.parent[rj] = ri
+        self.offset[rj] = oi - c - oj
+        return True
+
+
+def simplex_with_equalities(rows, n_vars, equalities):
+    """Simplex reference for strict/weak rows plus difference equalities
+    ``(i, j, c)`` pinning x_i - x_j = c: the equalities are eliminated by
+    substitution and :func:`strict_feasible` solves the reduced rows.
+
+    A substituted weak row can get a positive bound, which the capped
+    simplex refuses with ValueError even when the system is feasible.
+    """
+    uf = OffsetUnionFind(n_vars)
+    for i, j, c in equalities:
+        if not uf.merge(i, j, c):
+            return None
+    roots = sorted({uf.resolve(k)[0] for k in range(n_vars)})
+    col = {r: t for t, r in enumerate(roots)}
+    reduced = []
+    for coeffs, rhs, strict in rows:
+        acc = [0] * len(roots)
+        shift = 0
+        for k, a in enumerate(coeffs):
+            if a:
+                root, off = uf.resolve(k)
+                acc[col[root]] += a
+                shift += a * off
+        bound = rhs - shift
+        if any(acc):
+            reduced.append((tuple(acc), bound, strict))
+        elif (strict and bound >= 0) or (not strict and bound > 0):
+            return None
+    reduced_witness = strict_feasible(reduced, len(roots))
+    if reduced_witness is None:
+        return None
+    witness = []
+    for k in range(n_vars):
+        root, off = uf.resolve(k)
+        witness.append(reduced_witness[col[root]] + off)
+    return tuple(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +168,7 @@ def test_slack_is_capped_at_one():
 def test_equalities_substitute_before_solving():
     # x0 - x1 = 1 exactly, x0 > x2, x2 > x1: forces x2 inside a unit gap
     rows = [((1, 0, -1), 0, True), ((0, -1, 1), 0, True)]
-    witness = strict_feasible(rows, 3, equalities=[(0, 1, 1)])
+    witness = simplex_with_equalities(rows, 3, [(0, 1, 1)])
     assert witness is not None
     assert witness[0] - witness[1] == 1
     assert witness[1] < witness[2] < witness[0]
@@ -102,21 +176,21 @@ def test_equalities_substitute_before_solving():
 
 def test_contradictory_equalities_return_none():
     rows = [((1, -1), -10, True)]
-    assert strict_feasible(rows, 2, equalities=[(0, 1, 0), (0, 1, 1)]) is None
+    assert simplex_with_equalities(rows, 2, [(0, 1, 0), (0, 1, 1)]) is None
     # cycles must be consistent too
     assert (
-        strict_feasible(
+        simplex_with_equalities(
             [((1, 0, 0), -10, True)],
             3,
-            equalities=[(0, 1, 1), (1, 2, 1), (0, 2, 3)],
+            [(0, 1, 1), (1, 2, 1), (0, 2, 3)],
         )
         is None
     )
     assert (
-        strict_feasible(
+        simplex_with_equalities(
             [((1, 0, 0), -10, True)],
             3,
-            equalities=[(0, 1, 1), (1, 2, 1), (0, 2, 2)],
+            [(0, 1, 1), (1, 2, 1), (0, 2, 2)],
         )
         is not None
     )
@@ -125,10 +199,10 @@ def test_contradictory_equalities_return_none():
 def test_equality_can_kill_a_strict_row():
     # x0 - x1 = 1 contradicts x1 - x0 > 0 outright
     rows = [((-1, 1), 0, True)]
-    assert strict_feasible(rows, 2, equalities=[(0, 1, 1)]) is None
+    assert simplex_with_equalities(rows, 2, [(0, 1, 1)]) is None
     # ... and satisfies x0 - x1 > 0 outright (constant row dropped)
     rows = [((1, -1), 0, True)]
-    witness = strict_feasible(rows, 2, equalities=[(0, 1, 1)])
+    witness = simplex_with_equalities(rows, 2, [(0, 1, 1)])
     assert witness is not None
     assert witness[0] - witness[1] == 1
 
@@ -183,43 +257,6 @@ def test_completeness_planted_point_is_found(planted_and_coeffs):
     witness = strict_feasible(rows, n)
     assert witness is not None
     assert satisfies(rows, witness)
-
-
-# ---------------------------------------------------------------------------
-# integer rank
-
-
-def test_integer_rank_cases():
-    assert integer_rank([]) == 0
-    assert integer_rank([(0, 0)]) == 0
-    assert integer_rank([(1, -1, 0), (0, 1, -1), (1, 0, -1)]) == 2
-    assert integer_rank([(2, 0), (0, 3), (5, 7)]) == 2
-    assert integer_rank([(1, 2, 3)]) == 1
-
-
-@given(
-    st.lists(
-        st.lists(st.integers(-5, 5), min_size=3, max_size=3),
-        min_size=1,
-        max_size=5,
-    )
-)
-def test_integer_rank_matches_fraction_elimination(vectors):
-    rank = integer_rank(vectors)
-    # reference: Gaussian elimination over Fraction
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    ref = 0
-    for c in range(3):
-        pivot_at = next((i for i in range(ref, len(rows)) if rows[i][c]), None)
-        if pivot_at is None:
-            continue
-        rows[ref], rows[pivot_at] = rows[pivot_at], rows[ref]
-        for i in range(ref + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / rows[ref][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[ref])]
-        ref += 1
-    assert rank == ref
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +372,7 @@ def difference_systems(max_n=6, eq_offsets=st.integers(-2, 2)):
 def test_difference_agrees_with_simplex(system):
     n, rows, equalities = system
     try:
-        simplex = strict_feasible(rows, n, equalities)
+        simplex = simplex_with_equalities(rows, n, equalities)
     except ValueError:
         # a substituted weak row got a positive bound, which the capped
         # simplex does not accept

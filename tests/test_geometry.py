@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shi_ish.core import Graph
+from shi_ish.core import Graph, all_graphs
 from shi_ish.geometry import (
     build_arrangement,
     check_region,
@@ -156,13 +156,20 @@ def test_ish_region_with_two_ceilings():
 @pytest.mark.parametrize("kind", KINDS)
 def test_recession_dimension_against_lp_probe(kind):
     """The reachability-based recession dimension matches the slow
-    one-probe-per-hyperplane version on every region."""
-    arr = build_arrangement(kind, 3)
-    for r in enumerate_regions(arr):
-        fast = recession_dimension(arr, r)
-        slow = recession_dimension_lp(arr, r)
-        assert fast == slow
-        assert 1 <= fast <= 3
+    one-probe-per-hyperplane version on every region: of every graph at
+    n <= 3, and of the complete, path and empty graphs at n = 4 (Cox(n)
+    has no graph)."""
+    if kind == "cox":
+        graphs = [Graph.empty(n) for n in (1, 2, 3, 4)]
+    else:
+        graphs = [g for n in (1, 2, 3) for g in all_graphs(n)]
+        graphs += [Graph.complete(4), Graph.path(4), Graph.empty(4)]
+    for graph in graphs:
+        arr = build_arrangement(kind, graph.n, graph)
+        for r in enumerate_regions(arr):
+            fast = recession_dimension(arr, r)
+            assert fast == recession_dimension_lp(arr, r), (graph, r)
+            assert 1 <= fast <= graph.n
 
 
 def test_coxeter_regions_are_full_dimensional_cones():

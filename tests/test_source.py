@@ -1,7 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import shi_ish
 
@@ -19,6 +24,24 @@ def test_no_assert_statements_in_the_package():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert not found, found
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "--n", "3", "--arrangement", "ish"], ["verify", "--n", "3", "--suite", "thm-dominance"]],
+)
+def test_reports_survive_python_O(argv):
+    """The same command prints the same report and exits the same way with
+    and without ``python -O``: no check the report rests on is stripped."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")])}
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "shi_ish.cli", *argv], capture_output=True, text=True, env=env
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.stdout
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
 
 
 def test_no_unused_module_level_imports():

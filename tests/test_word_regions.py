@@ -39,6 +39,7 @@ from shi_ish.rookwords import is_prime_rook_word, is_rook_word, prime_rook_words
 from shi_ish.shi import (
     ShiStatistics,
     parking_to_shi_diagram,
+    region_word_statistics,
     shi_statistics,
     shi_word_statistics,
 )
@@ -147,6 +148,20 @@ def test_word_statistics_match_the_diagram_statistics(n):
 def test_word_statistics_refuse_non_parking_words(word):
     with pytest.raises(ValueError):
         shi_word_statistics(word)
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_region_words_are_the_filtered_parking_functions(n):
+    """A word labels a region of Shi(G) exactly when the filter keeps it;
+    words of the wrong length label none."""
+    for graph in all_graphs(n):
+        regions = set(filtered_parking_functions(n, graph))
+        for length in (n - 1, n, n + 1):
+            for word in itertools.product(range(n + 2), repeat=length):
+                stats = region_word_statistics(word, graph)
+                assert (stats is not None) == (word in regions), (graph, word)
+                if stats is not None:
+                    assert stats == shi_word_statistics(word)
 
 
 # ---------------------------------------------------------------------------
