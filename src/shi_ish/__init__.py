@@ -63,11 +63,14 @@ from .ish import (
     ceiling_partition_count,
     complete_placement,
     ish_char_poly,
+    ish_diagram_to_laser_word,
     ish_diagram_to_placement,
+    ish_diagram_to_rook_word,
     ish_diagrams,
     ish_region_count,
     ish_statistics,
     is_valid_ish,
+    laser_word_to_ish_diagram,
     parking_to_placement,
     placement_laser_word,
     placement_to_ish_diagram,
@@ -75,6 +78,7 @@ from .ish import (
     placement_to_rook_word,
     restrict_placement,
     rook_number,
+    rook_word_to_ish_diagram,
     rook_word_to_placement,
     stir,
 )

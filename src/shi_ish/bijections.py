@@ -19,7 +19,10 @@ the word domain: ``{name}_parking`` carries an Ish diagram to the parking word
 of its Shi image and ``{name}_parking_inverse`` carries the word back.  The
 diagram maps ``{name}_bijection`` and ``{name}_bijection_inverse`` are those
 two read through :func:`parking_to_shi_diagram` and
-:func:`shi_diagram_to_parking`.
+:func:`shi_diagram_to_parking`.  The laser steps of ``basic``, ``dominance``
+and ``bounded`` run on (pi, eps) through the board-free codec of
+:mod:`shi_ish.ish`; the rook placements there are the documented
+construction and the tests' reference.
 
 The Dyck-path construction works with partially built words whose dotted
 positions are marked by the :data:`DIAMOND` placeholder until the very last
@@ -33,24 +36,22 @@ from typing import NamedTuple, Sequence, Union
 from .core import SetPartition, Word, arcs, position_partition
 from .ish import (
     IshCeilingDiagram,
-    complete_placement,
-    ish_diagram_to_placement,
+    ish_diagram_to_laser_word,
+    ish_diagram_to_rook_word,
     ish_statistics,
-    parking_to_placement,
-    placement_to_ish_diagram,
-    placement_to_parking,
-    placement_to_rook_word,
-    restrict_placement,
-    rook_word_to_placement,
+    laser_word_to_ish_diagram,
+    rook_word_to_ish_diagram,
 )
 from .parking import (
     LabeledDyckPath,
     dyck_to_word,
+    is_parking_function,
     is_prime_parking_function,
     prime_components,
     word_to_dyck,
 )
 from .rookwords import (
+    orbit_certificate,
     parking_to_rook_word,
     prime_parking_to_rook_word,
     prime_rook_word_to_parking,
@@ -93,11 +94,13 @@ def basic_parking(diagram: IshCeilingDiagram) -> Word:
     >>> basic_parking(d)
     (4, 2, 3, 4, 2, 3, 1, 7)
     """
-    return placement_to_parking(restrict_placement(ish_diagram_to_placement(diagram)))
+    return orbit_certificate(ish_diagram_to_laser_word(diagram)).parking
 
 
 def basic_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    return placement_to_ish_diagram(complete_placement(parking_to_placement(word)))
+    if not is_parking_function(word):
+        raise ValueError(f"{word!r} is not a parking function")
+    return laser_word_to_ish_diagram(word)
 
 
 def dominance_parking(diagram: IshCeilingDiagram) -> Word:
@@ -108,11 +111,11 @@ def dominance_parking(diagram: IshCeilingDiagram) -> Word:
     >>> dominance_parking(d)
     (4, 1, 1, 3, 1, 1, 4, 7)
     """
-    return rook_word_to_parking(placement_to_rook_word(ish_diagram_to_placement(diagram)))
+    return rook_word_to_parking(ish_diagram_to_rook_word(diagram))
 
 
 def dominance_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    return placement_to_ish_diagram(rook_word_to_placement(parking_to_rook_word(word)))
+    return rook_word_to_ish_diagram(parking_to_rook_word(word))
 
 
 def bounded_parking(diagram: IshCeilingDiagram) -> Word:
@@ -128,13 +131,13 @@ def bounded_parking(diagram: IshCeilingDiagram) -> Word:
     """
     if not ish_statistics(diagram).relatively_bounded:
         raise ValueError("input region is not relatively bounded")
-    return prime_rook_word_to_parking(placement_to_rook_word(ish_diagram_to_placement(diagram)))
+    return prime_rook_word_to_parking(ish_diagram_to_rook_word(diagram))
 
 
 def bounded_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
     if not is_prime_parking_function(word):
         raise ValueError("input region is not relatively bounded")
-    return placement_to_ish_diagram(rook_word_to_placement(prime_parking_to_rook_word(word)))
+    return rook_word_to_ish_diagram(prime_parking_to_rook_word(word))
 
 
 def freedom_parking(diagram: IshCeilingDiagram) -> Word:

@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .bijections import (
@@ -161,8 +162,9 @@ def _jsonify(value):
 
 
 def _arrangement_graph(args: argparse.Namespace) -> Graph:
-    """The --graph of ``count`` and ``enumerate``.  Cox(n) has no graph, so
-    with ``--arrangement cox`` any --graph but the default is refused."""
+    """The --graph of ``count``, ``enumerate`` and ``oracle``.  Cox(n) has no
+    graph, so with ``--arrangement cox`` any --graph but the default is
+    refused."""
     if args.arrangement == "cox" and args.graph != "complete":
         raise UsageError(f"the Coxeter arrangement has no graph (got --graph {args.graph!r})")
     return load_graph(args.graph, args.n)
@@ -798,7 +800,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     _check_size("oracle", args.n, 4, 5, args.allow_large)
-    graph = load_graph(args.graph, args.n)
+    graph = _arrangement_graph(args)
     kind = args.arrangement
     _progress(f"enumerating {kind} arrangement geometrically (n={args.n})")
     validation, report = oracle_pass(kind, args.n, graph)
@@ -840,8 +842,65 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # plumbing
 
 
+def _indented_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with str keys, lists,
+    tuples, str, int, bool and None; TypeError for anything else.
+
+    ``json.dumps`` drops to its pure-Python encoder whenever it indents.
+    This builds the same text with one join per container; a list of ints
+    (most of every report) is joined straight from ``map(repr, ...)``.
+
+    >>> print(_indented_json({"a": [1, 2], "b": [], "c": {"d": None}}))
+    {
+      "a": [
+        1,
+        2
+      ],
+      "b": [],
+      "c": {
+        "d": null
+      }
+    }
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if any(type(key) is not str for key in value):
+            raise TypeError("a key that is not a str")
+        inner = indent + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if all(type(v) is int for v in value):
+            items = map(repr, value)
+        else:
+            items = [_indented_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise TypeError(f"{kind.__name__} is left to json.dumps")
+
+
+def _json_text(doc) -> str:
+    """The report text: ``json.dumps(doc, indent=2)``, byte for byte."""
+    try:
+        return _indented_json(doc)
+    except TypeError:
+        return json.dumps(doc, indent=2)
+
+
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
 
 
 def _emit_tsv(rows: list[tuple]) -> None:
@@ -938,7 +997,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         name = getattr(args, "suite", args.command)
         if args.jobs != 1 and name not in _SWEEP_SUITES:
             raise UsageError(f"{name} does not read --jobs (got {args.jobs}): only {', '.join(_SWEEP_SUITES)} do")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # exit cannot raise again (the recipe of the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _progress("error: stdout was closed before the report was written")
+        return EXIT_FAIL
     except UsageError as exc:
         _progress(f"error: {exc}")
         return EXIT_USAGE

@@ -12,6 +12,9 @@ Diagrams correspond to rook placements on a staircase board whose column i
 has n + i - 1 squares; rows above n exist only where G has the matching
 edge.  Two laser constructions translate placements to words: rightward
 lasers give the parking-function side, downward lasers give rook words.
+The placements are the documented construction; the bijections run both
+lasers on (pi, eps) directly, through the board-free codec at the end of
+the laser sections.
 """
 
 from __future__ import annotations
@@ -461,6 +464,136 @@ def rook_word_to_placement(word: Sequence[int]) -> RookPlacement:
     if not is_valid_hatted_placement(placement):
         raise AssertionError("placement is not a valid hatted placement")
     return placement
+
+
+# ---------------------------------------------------------------------------
+# both lasers on (pi, eps) directly: the placement is a list of rows
+#
+# A coherent diagram's placement has one rook per column, so it is the list
+# ``rows`` with rows[c - 1] the row of column c's rook.  Every placement the
+# lasers produce is valid on the full board of the complete graph, so the
+# codec checks coherence on the diagrams at both ends and nothing between.
+
+
+def _rook_rows(diagram: IshCeilingDiagram) -> list[int]:
+    """The rows of :func:`ish_diagram_to_placement`: letter p sits at its
+    position if undotted, at n plus its dot count if dotted."""
+    ish_ceiling_pairs(diagram)
+    n = diagram.n
+    rows = [0] * n
+    for position, (value, e) in enumerate(zip(diagram.pi, diagram.eps), start=1):
+        rows[value - 1] = n + e if e else position
+    return rows
+
+
+def _diagram_from_rows(rows: Sequence[int]) -> IshCeilingDiagram:
+    """The diagram of :func:`placement_to_ish_diagram`: rows up to n pin their
+    column's letter to that position; the rows above the bar, by increasing
+    height, fill the remaining positions left to right."""
+    n = len(rows)
+    pi = [0] * n
+    eps = [0] * n
+    above = []
+    for col, row in enumerate(rows, start=1):
+        if row <= n:
+            pi[row - 1] = col
+        else:
+            above.append((row - n, col))
+    free = [i for i in range(n) if not pi[i]]
+    for i, (e, value) in zip(free, sorted(above)):
+        pi[i] = value
+        eps[i] = e
+    diagram = IshCeilingDiagram(pi=tuple(pi), eps=tuple(eps))
+    ish_ceiling_pairs(diagram)
+    return diagram
+
+
+def ish_diagram_to_rook_word(diagram: IshCeilingDiagram) -> Word:
+    """The downward-laser rook word of a region, in O(n):
+    ``placement_to_rook_word(ish_diagram_to_placement(diagram))``.
+
+    Letter p at position i reads i if undotted, and otherwise the letter
+    already read for its dot count eps_i < p.
+
+    >>> d = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
+    >>> ish_diagram_to_rook_word(d)
+    (2, 8, 8, 1, 8, 8, 2, 5)
+    """
+    rows = _rook_rows(diagram)
+    n = len(rows)
+    word: list[int] = []
+    for row in rows:
+        word.append(row if row <= n else word[row - n - 1])
+    if not is_rook_word(word):
+        raise AssertionError(f"{tuple(word)} is not a rook word")
+    return tuple(word)
+
+
+def rook_word_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
+    """Inverse of :func:`ish_diagram_to_rook_word`:
+    ``placement_to_ish_diagram(rook_word_to_placement(word))``.
+
+    The first occurrence of letter a, at position q, puts q at position a.
+    The repeats, as (previous position, position) pairs in increasing
+    order, fill the positions of the missing letters left to right as
+    dotted letters.
+
+    >>> rook_word_to_ish_diagram((2, 8, 8, 1, 8, 8, 2, 5))
+    IshCeilingDiagram(pi=(4, 1, 7, 3, 8, 5, 6, 2), eps=(0, 0, 1, 2, 0, 3, 5, 0))
+    """
+    if not is_rook_word(word):
+        raise ValueError(f"{word!r} is not a rook word")
+    n = len(word)
+    rows = []
+    last_at: dict[int, int] = {}
+    for pos, letter in enumerate(word, start=1):
+        rows.append(n + last_at[letter] if letter in last_at else letter)
+        last_at[letter] = pos
+    return _diagram_from_rows(rows)
+
+
+def ish_diagram_to_laser_word(diagram: IshCeilingDiagram) -> Word:
+    """The raw rightward-laser word of a region, one bisection per letter:
+    ``placement_laser_word(restrict_placement(ish_diagram_to_placement(diagram)))``.
+
+    >>> d = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
+    >>> ish_diagram_to_laser_word(d)
+    (1, 8, 9, 1, 8, 9, 7, 4)
+    """
+    word = [1]
+    left: list[int] = []  # rows of the rooks left of the column, sorted
+    for h in _rook_rows(diagram)[1:]:
+        word.append(h - bisect.bisect_left(left, h))
+        bisect.insort(left, h)
+    return tuple(word)
+
+
+def laser_word_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
+    """The region whose laser word lies in the cyclic orbit of ``word`` over
+    [n+1]: ``placement_to_ish_diagram(complete_placement(parking_to_placement(w)))``
+    for the parking function w of that orbit.
+
+    Shifted to start with 1, letter c puts column c's rook in its v_c-th
+    row no earlier rook uses; column 1's rook takes the lowest such row.
+
+    >>> laser_word_to_ish_diagram((4, 2, 3, 4, 2, 3, 1, 7))
+    IshCeilingDiagram(pi=(4, 1, 7, 3, 8, 5, 6, 2), eps=(0, 0, 1, 2, 0, 3, 5, 0))
+    """
+    if not word:
+        raise ValueError("a laser word has at least one letter")
+    n = len(word)
+    v = cyclic_shift(word, 1 - word[0], n + 1)
+    used: list[int] = []  # rows of the rooks placed so far, sorted
+
+    def free_row(k: int) -> int:
+        # the k-th unused row is k + j, j the used rows below it: the first j
+        # with used[j] - j > k, and used[j] - j never decreases
+        row = k + bisect.bisect_right(range(len(used)), k, key=lambda j: used[j] - j)
+        bisect.insort(used, row)
+        return row
+
+    rows = [free_row(k) for k in v[1:]]
+    return _diagram_from_rows([free_row(1)] + rows)
 
 
 # ---------------------------------------------------------------------------

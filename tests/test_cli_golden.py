@@ -275,11 +275,11 @@ def test_cli_stdout_is_byte_stable(command, tmp_path, monkeypatch):
     assert hashlib.sha256(stdout).hexdigest() == GOLDEN[command]
 
 
-#: Cox(n) has no graph, so count and enumerate refuse any --graph but the
-#: default with --arrangement cox
+#: Cox(n) has no graph, so count, enumerate and oracle refuse any --graph
+#: but the default with --arrangement cox
 COX_WITH_GRAPH = [
     f"{command} --n 4 --graph {graph} --arrangement cox{by} --format {fmt}"
-    for command in ("count", "enumerate")
+    for command in ("count", "enumerate", "oracle")
     for graph in ("path", "empty")
     for by in (("", " --by dof", " --by dominance", " --by ceiling-partition") if command == "count" else ("",))
     for fmt in ("json", "tsv")
