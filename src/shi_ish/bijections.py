@@ -33,14 +33,16 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence, Union
 
-from .core import SetPartition, Word, arcs, position_partition
+from .core import SetPartition, Word, arcs, partition_from_pairs, position_partition
 from .ish import (
     IshCeilingDiagram,
+    _decode_rook_word,
+    _degrees_of_freedom,
+    _encode_rook_word,
+    ish_ceiling_pairs,
     ish_diagram_to_laser_word,
-    ish_diagram_to_rook_word,
     ish_statistics,
     laser_word_to_ish_diagram,
-    rook_word_to_ish_diagram,
 )
 from .parking import (
     LabeledDyckPath,
@@ -50,13 +52,7 @@ from .parking import (
     prime_components,
     word_to_dyck,
 )
-from .rookwords import (
-    orbit_certificate,
-    parking_to_rook_word,
-    prime_parking_to_rook_word,
-    prime_rook_word_to_parking,
-    rook_word_to_parking,
-)
+from .rookwords import OrbitCertificate, orbit_certificate, parking_to_rook_word
 from .shi import ShiCeilingDiagram, parking_to_shi_diagram, shi_diagram_to_parking
 
 
@@ -86,6 +82,16 @@ DiamondWord = tuple[Union[int, Diamond], ...]
 # the four region bijections: the word maps, then their diagram views
 
 
+def _certified_rook_orbit(word: Word, prime: bool = False) -> OrbitCertificate:
+    """The orbit certificate of a region's rook word.  The certificate checks
+    its (prime) rook member by substitution; that member must be ``word``
+    itself, which certifies the encoded word with that one check."""
+    cert = orbit_certificate(word, prime=prime)
+    if cert.rook != word:
+        raise AssertionError(f"{word} is not a {'prime ' if prime else ''}rook word")
+    return cert
+
+
 def basic_parking(diagram: IshCeilingDiagram) -> Word:
     """The parking word of the ``basic`` image: restrict the rook placement
     of an Ish region, read its rightward-laser word and park it.
@@ -111,11 +117,12 @@ def dominance_parking(diagram: IshCeilingDiagram) -> Word:
     >>> dominance_parking(d)
     (4, 1, 1, 3, 1, 1, 4, 7)
     """
-    return rook_word_to_parking(ish_diagram_to_rook_word(diagram))
+    return _certified_rook_orbit(_encode_rook_word(diagram)).parking
 
 
 def dominance_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    return rook_word_to_ish_diagram(parking_to_rook_word(word))
+    # the certificate inside parking_to_rook_word has checked its rook member
+    return _decode_rook_word(parking_to_rook_word(word))
 
 
 def bounded_parking(diagram: IshCeilingDiagram) -> Word:
@@ -129,15 +136,17 @@ def bounded_parking(diagram: IshCeilingDiagram) -> Word:
     ...
     ValueError: input region is not relatively bounded
     """
-    if not ish_statistics(diagram).relatively_bounded:
+    word = _encode_rook_word(diagram)  # ValueError unless the diagram is coherent
+    if _degrees_of_freedom(diagram) != 1:
         raise ValueError("input region is not relatively bounded")
-    return prime_rook_word_to_parking(ish_diagram_to_rook_word(diagram))
+    return _certified_rook_orbit(word, prime=True).parking
 
 
 def bounded_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
     if not is_prime_parking_function(word):
         raise ValueError("input region is not relatively bounded")
-    return rook_word_to_ish_diagram(prime_parking_to_rook_word(word))
+    # a prime rook word is a rook word, and the certificate has checked it
+    return _decode_rook_word(orbit_certificate(word, prime=True).rook)
 
 
 def freedom_parking(diagram: IshCeilingDiagram) -> Word:
@@ -249,6 +258,11 @@ def resolve_diamond_word(
     resulting diagram is valid and has the prescribed ceiling partition: the
     available relations are the arcs of the partition, and sorting them by
     left endpoint is forced by the increasing-dots condition.
+
+    Checks that the filled diagram is coherent (:func:`ish_ceiling_pairs`).
+    Its ceiling pairs are then the arcs placed in the diamonds, so its
+    ceiling partition is the one those arcs generate, and that must be
+    ``partition``.  ValueError otherwise.
     """
     pairs = sorted(arcs(partition))
     positions = [i for i, s in enumerate(word) if isinstance(s, Diamond)]
@@ -260,7 +274,7 @@ def resolve_diamond_word(
         pi[pos] = high
         eps[pos] = low
     diagram = IshCeilingDiagram(pi=tuple(pi), eps=tuple(eps))
-    if ish_statistics(diagram).ceiling_partition != partition:
+    if partition_from_pairs(diagram.n, ish_ceiling_pairs(diagram)) != partition:
         raise ValueError("word letters are inconsistent with the partition")
     return diagram
 

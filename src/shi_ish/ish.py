@@ -123,16 +123,22 @@ def ish_statistics(diagram: IshCeilingDiagram) -> IshStatistics:
     """
     pairs = ish_ceiling_pairs(diagram)
     n = diagram.n
-    one_at = diagram.pi.index(1) + 1
-    dotted = diagram.dotted_positions()
-    last = dotted[-1] if dotted else one_at
-    dof = n - last + one_at
+    dof = _degrees_of_freedom(diagram)
     return IshStatistics(
         ceiling_partition=partition_from_pairs(n, pairs),
         dof=dof,
         dominant=diagram.pi == identity_permutation(n),
         relatively_bounded=dof == 1,
     )
+
+
+def _degrees_of_freedom(diagram: IshCeilingDiagram) -> int:
+    """The ``dof`` of :func:`ish_statistics`, for a diagram whose coherence
+    the caller has checked."""
+    one_at = diagram.pi.index(1) + 1
+    dotted = diagram.dotted_positions()
+    last = dotted[-1] if dotted else one_at
+    return diagram.n - last + one_at
 
 
 def ish_diagrams(n: int, graph: Optional[Graph] = None) -> Iterator[IshCeilingDiagram]:
@@ -519,13 +525,20 @@ def ish_diagram_to_rook_word(diagram: IshCeilingDiagram) -> Word:
     >>> ish_diagram_to_rook_word(d)
     (2, 8, 8, 1, 8, 8, 2, 5)
     """
+    word = _encode_rook_word(diagram)
+    if not is_rook_word(word):
+        raise AssertionError(f"{word} is not a rook word")
+    return word
+
+
+def _encode_rook_word(diagram: IshCeilingDiagram) -> Word:
+    """:func:`ish_diagram_to_rook_word` without the closing rook-word check,
+    for callers that certify the word themselves."""
     rows = _rook_rows(diagram)
     n = len(rows)
     word: list[int] = []
     for row in rows:
         word.append(row if row <= n else word[row - n - 1])
-    if not is_rook_word(word):
-        raise AssertionError(f"{tuple(word)} is not a rook word")
     return tuple(word)
 
 
@@ -543,6 +556,12 @@ def rook_word_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
     """
     if not is_rook_word(word):
         raise ValueError(f"{word!r} is not a rook word")
+    return _decode_rook_word(word)
+
+
+def _decode_rook_word(word: Sequence[int]) -> IshCeilingDiagram:
+    """:func:`rook_word_to_ish_diagram` of a word already known to be a rook
+    word; the decoded diagram's coherence is still checked."""
     n = len(word)
     rows = []
     last_at: dict[int, int] = {}

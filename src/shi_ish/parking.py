@@ -207,10 +207,8 @@ class PrimeComponent:
         return tuple(sorted(x for col in self.columns for x in col))
 
 
-def path_returns(columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Columns after which the path touches the diagonal, final column
-    excluded."""
-    path = check_labeled_dyck(columns)
+def _returns(path: LabeledDyckPath) -> tuple[int, ...]:
+    """:func:`path_returns` of a path already validated."""
     total = 0
     touches = []
     for c, col in enumerate(path[:-1], start=1):
@@ -220,14 +218,23 @@ def path_returns(columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(touches)
 
 
+def path_returns(columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Columns after which the path touches the diagonal, final column
+    excluded.  ValueError unless ``columns`` is a labeled Dyck path."""
+    return _returns(check_labeled_dyck(columns))
+
+
 def prime_components(columns: Sequence[Sequence[int]]) -> tuple[PrimeComponent, ...]:
     """Split a labeled Dyck path at its diagonal touches.
+
+    The path is validated once, by :func:`check_labeled_dyck` (ValueError
+    unless it is a labeled Dyck path), and the touches are read off it.
 
     >>> [c.size for c in prime_components(word_to_dyck((3, 7, 3, 8, 2, 2, 7, 1, 2)))]
     [1, 5, 3]
     """
     path = check_labeled_dyck(columns)
-    cuts = (0,) + path_returns(path) + (len(path),)
+    cuts = (0,) + _returns(path) + (len(path),)
     return tuple(
         PrimeComponent(columns=path[lo:hi], start=lo + 1)
         for lo, hi in zip(cuts, cuts[1:])

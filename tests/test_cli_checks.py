@@ -12,9 +12,11 @@ import json
 import pytest
 
 import shi_ish.cli as cli
+from shi_ish.bijections import ish_diagram_to_parking, parking_to_ish_diagram
 from shi_ish.cli import main
 from shi_ish.core import Graph, all_graphs, inverse_permutation
 from shi_ish.ish import Board, IshCeilingDiagram, ish_diagrams, ish_statistics
+from shi_ish.parking import parking_functions
 from shi_ish.shi import ShiCeilingDiagram
 
 SUITES = [
@@ -123,6 +125,74 @@ def test_falsified_inverse_fails_thm_basic(capsys, monkeypatch):
         "regions": 0,
         "detail": "roundtrip broken at IshCeilingDiagram(pi=(1, 2, 3), eps=(0, 0, 0))",
     }
+
+
+def parking_roundtrip_reference(n):
+    """The parking round trip as ``thm-freedom`` once ran it after the
+    sweep: every parking word of size n through the inverse and back."""
+    return all(
+        ish_diagram_to_parking(parking_to_ish_diagram(word)) == word for word in parking_functions(n)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_parking_roundtrip_is_the_reference_loop(n, capsys):
+    """The K_n run of the sweep certifies the round trip: the suite reports
+    what the loop it replaced would have reported."""
+    assert Graph.complete(n) in cli._sweep_graphs(n, False, "thm-freedom")
+    code, out, _ = run(capsys, "verify", "--n", str(n), "--suite", "thm-freedom")
+    doc = json.loads(out)
+    reference = parking_roundtrip_reference(n)
+    assert reference is True
+    assert doc["report"]["parking_roundtrip"] is reference
+    assert doc["passed"] is (not doc["report"]["failures"] and reference)
+    assert code == 0
+
+
+def _same_statistics_pair(n):
+    """Two regions of Ish(K_n) with the same ceiling partition and degrees
+    of freedom: exchanging them keeps every statistic and the image set."""
+    seen = {}
+    for diagram in ish_diagrams(n):
+        key = ish_statistics(diagram)[:2]
+        if key in seen:
+            return seen[key], diagram
+        seen[key] = diagram
+    raise AssertionError(f"no two regions of Ish(K_{n}) share their statistics")
+
+
+def _exchanged(function, a, b):
+    """``function`` with its arguments a and b exchanged."""
+    return lambda x: function(b if x == a else a if x == b else x)
+
+
+@pytest.mark.parametrize("target", ["forward", "inverse", "module inverse"])
+def test_broken_freedom_roundtrip_fails_the_suite(target, capsys, monkeypatch):
+    """A forward map or an inverse that is off on two regions of the same
+    statistics keeps the statistics and the image set; the round trip of
+    the K_n run must still catch it."""
+    n = 3
+    first, second = _same_statistics_pair(n)
+    if target == "forward":
+        forward = cli._PARKING_MAPS["freedom"]
+        monkeypatch.setitem(cli._PARKING_MAPS, "freedom", _exchanged(forward, first, second))
+    else:
+        inverse = cli.freedom_parking_inverse
+        words = [cli.freedom_parking(d) for d in (first, second)]
+        broken = _exchanged(inverse, *words)
+        if target == "inverse":
+            monkeypatch.setitem(cli._INVERSES, "freedom", broken)
+        else:
+            rebind(monkeypatch, inverse, broken)
+            assert cli._INVERSES["freedom"] is broken
+    code, out, _ = run(capsys, "verify", "--n", str(n), "--suite", "thm-freedom")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["passed"] is False
+    assert "parking_roundtrip" not in doc["report"]
+    complete = [list(edge) for edge in Graph.complete(n).sorted_edges()]
+    (failure,) = [f for f in doc["report"]["failures"] if f["edges"] == complete]
+    assert failure["detail"].startswith("roundtrip broken: IshCeilingDiagram(")
 
 
 def test_sweep_lists_every_failing_graph(capsys, monkeypatch):

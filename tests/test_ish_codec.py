@@ -9,14 +9,18 @@ of ``bijections`` built on it must equal their placement-route definitions.
 """
 
 import itertools
+import json
+import sys
+from collections import Counter
 
 import pytest
 
 import shi_ish.bijections as bijections
 import shi_ish.cli as cli
 import shi_ish.ish as ish
+import shi_ish.parking as parking
 from shi_ish.bijections import ish_diagram_to_parking, parking_to_ish_diagram
-from shi_ish.core import Graph, all_graphs
+from shi_ish.core import Graph, all_graphs, is_nonnesting, position_partition
 from shi_ish.ish import (
     IshCeilingDiagram,
     complete_placement,
@@ -37,10 +41,13 @@ from shi_ish.ish import (
 )
 from shi_ish.parking import is_prime_parking_function, parking_functions
 from shi_ish.rookwords import (
+    is_prime_rook_word,
+    is_rook_word,
     parking_to_rook_word,
     prime_parking_to_rook_word,
     prime_rook_word_to_parking,
     rook_word_to_parking,
+    tail_and_dof,
 )
 
 
@@ -203,3 +210,80 @@ def test_theorem_sweeps_build_no_rook_placement(capsys, monkeypatch):
     # the counter is live: the placement route still builds placements
     ish_diagram_to_placement(IshCeilingDiagram((1, 2), (0, 1)))
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_rook_word_carries_every_statistic(n):
+    """On every region of Ish(K_n), w = ish_diagram_to_rook_word(d) gives the
+    statistics: the ceiling partition is the position partition of w, the
+    degrees of freedom are those of :func:`tail_and_dof`, and pi is the
+    identity exactly when the position partition is nonnesting and each of
+    its blocks holds its own minimum at its first position, the rule of
+    :func:`shi_ish.shi.shi_word_statistics`."""
+    dominant = 0
+    for diagram in ish_diagrams(n):
+        word = ish_diagram_to_rook_word(diagram)
+        partition = position_partition(word)
+        stats = ish_statistics(diagram)
+        assert stats.ceiling_partition == partition, diagram
+        assert stats.dof == tail_and_dof(word)[1], diagram
+        rule = is_nonnesting(partition) and all(word[block[0] - 1] == block[0] for block in partition)
+        assert stats.dominant == rule, diagram
+        dominant += rule
+    # the dominant regions are counted by the Catalan numbers
+    assert dominant == [1, 2, 5, 14, 42, 132][n - 1]
+
+
+def count_calls(monkeypatch, *functions):
+    """Count the calls of each function, patched wherever a ``shi_ish``
+    module binds it.  Returns the counter, keyed by function name."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name == "shi_ish" or name.startswith("shi_ish.")]
+    for function in functions:
+
+        def counting(*args, _function=function, **kwargs):
+            calls[_function.__name__] += 1
+            return _function(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["dominance", "bounded"])
+def test_each_rook_word_is_checked_once_per_direction(name, monkeypatch):
+    """Encoding a region checks its rook word once, by the orbit
+    certificate's substitution; decoding checks the certificate's rook
+    member once and does not check it again."""
+    parking, inverse = (getattr(bijections, f"{name}_{s}") for s in ("parking", "parking_inverse"))
+    regions = [d for d in ish_diagrams(4) if name == "dominance" or ish_statistics(d).relatively_bounded]
+    calls = count_calls(monkeypatch, is_rook_word, is_prime_rook_word)
+    for diagram in regions:
+        assert inverse(parking(diagram)) == diagram
+    assert len(regions) == {"dominance": 125, "bounded": 27}[name]
+    assert calls.total() == 2 * len(regions), calls
+
+
+def test_freedom_checks_each_region_once(capsys, monkeypatch):
+    """``verify --suite thm-freedom`` computes a region's statistics twice
+    (once for the check, once inside the map) and validates one labeled
+    Dyck path per direction."""
+    calls = count_calls(monkeypatch, ish.ish_statistics, parking.check_labeled_dyck)
+    assert cli.main(["verify", "--n", "4", "--suite", "thm-freedom"]) == 0
+    regions = json.loads(capsys.readouterr().out)["report"]["regions_checked"]
+    assert regions == 4296
+    assert calls == {"ish_statistics": 2 * regions, "check_labeled_dyck": 2 * regions}
+
+
+def test_bounded_computes_statistics_only_to_filter_and_compare(capsys, monkeypatch):
+    """``thm-bounded`` computes every region's statistics once, to keep the
+    relatively bounded ones, and once more per kept region inside the
+    ``freedom`` map it is compared with; ``bounded_parking`` reads the
+    degrees of freedom alone."""
+    calls = count_calls(monkeypatch, ish.ish_statistics)
+    assert cli.main(["verify", "--n", "4", "--suite", "thm-bounded"]) == 0
+    bounded = json.loads(capsys.readouterr().out)["report"]["regions_checked"]
+    regions = sum(1 for graph in all_graphs(4) for _ in ish_diagrams(4, graph))
+    assert calls["ish_statistics"] == regions + bounded
