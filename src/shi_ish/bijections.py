@@ -52,7 +52,7 @@ from .parking import (
     prime_components,
     word_to_dyck,
 )
-from .rookwords import OrbitCertificate, orbit_certificate, parking_to_rook_word
+from .rookwords import OrbitCertificate, orbit_certificate
 from .shi import ShiCeilingDiagram, parking_to_shi_diagram, shi_diagram_to_parking
 
 
@@ -121,8 +121,28 @@ def dominance_parking(diagram: IshCeilingDiagram) -> Word:
 
 
 def dominance_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    # the certificate inside parking_to_rook_word has checked its rook member
-    return _decode_rook_word(parking_to_rook_word(word))
+    """The Ish region whose ``dominance`` image has this parking word.
+
+    The orbit certificate checks its parking member by substitution; that
+    member must be ``word`` itself, which certifies the input with that one
+    check, as :func:`_certified_rook_orbit` does for rook words.
+
+    >>> dominance_parking_inverse((4, 1, 1, 3, 1, 1, 4, 7))
+    IshCeilingDiagram(pi=(4, 1, 7, 3, 8, 5, 6, 2), eps=(0, 0, 1, 2, 0, 3, 5, 0))
+    >>> dominance_parking_inverse((1, 3, 3))
+    Traceback (most recent call last):
+    ...
+    ValueError: (1, 3, 3) is not a parking function
+    """
+    try:
+        cert = orbit_certificate(word)
+    except ValueError:
+        if is_parking_function(word):
+            raise  # parking-shaped, but a letter is no integer: keep that message
+        cert = None
+    if cert is None or cert.parking != cert.word:
+        raise ValueError(f"{word!r} is not a parking function")
+    return _decode_rook_word(cert.rook)
 
 
 def bounded_parking(diagram: IshCeilingDiagram) -> Word:

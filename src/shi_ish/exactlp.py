@@ -9,9 +9,14 @@ is a rational interior witness.
 The cap keeps the program bounded: substituting tau = 1 - s with s >= 0
 turns it into minimizing s subject to a_i.x + s >= b_i + 1, which a primal
 simplex solves without a separate feasibility phase (pivoting s into the
-most violated row makes the starting basis feasible).  Pivots use the
-integer-preserving (fraction-free) update, so all arithmetic is exact
-integer arithmetic, and Bland's rule guarantees termination.
+most violated row makes the starting basis feasible).  Bland's rule
+guarantees termination and picks the same bases in any exact arithmetic.
+The tableau is exact and integer: each row is kept up to its own positive
+scale, reduced by its gcd, so a row whose entry in the entering column is 0
+is left as it is and no division is needed.  With x = u - v, the column of
+v_k is minus the column of u_k in every tableau, so only s, u and the row
+slacks are stored and v_k is read off u_k.  The optimizer is checked by
+substitution in integers before it is returned.
 
 Rows are triples ``(coeffs, rhs, strict)``.  Strict rows participate in the
 slack objective; weak rows (``strict=False``) only require a.x >= rhs and
@@ -23,24 +28,39 @@ When every row is a difference x_a - x_b, :func:`difference_feasible`
 decides the same question as a negative-cycle test and certifies its answer
 either way: a witness checked by substitution, or a cycle whose summed
 weight is checked to be negative.  It also takes difference equalities
-x_i - x_j = c.  The simplex has no equality mode: the package calls it for
-the interior witness of each new region and in the brute-force reference
+x_i - x_j = c.  It parses its rows into weighted arcs and runs the
+arc-level Bellman-Ford :func:`_arcs_feasible`, which
+:mod:`shi_ish.geometry` calls directly on arcs it caches.  The simplex has
+no equality mode: the package calls it for the interior witness of each new
+region and in the brute-force reference
 :func:`shi_ish.geometry.enumerate_regions_sweep`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 Row = tuple[Sequence[int], int, bool]
+#: ``(u, v, value, eps)``: the difference bound x_v - x_u <= value + eps * epsilon
+Arc = tuple[int, int, int, int]
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("fraction-free pivot produced a non-integer")
-    return q
+def _check_slack(rows: Sequence[Row], tau: Fraction, witness: Sequence[Fraction]) -> None:
+    """Raise ArithmeticError unless every strict row has slack at least
+    ``tau`` and every weak row slack at least 0 at ``witness``.
+
+    The check runs in integers: the witness and ``tau`` are scaled to a
+    common denominator first.
+    """
+    den = math.lcm(tau.denominator, *(x.denominator for x in witness))
+    scaled = [x.numerator * (den // x.denominator) for x in witness]
+    floor = tau.numerator * (den // tau.denominator)
+    for coeffs, rhs, strict in rows:
+        slack = sum(a * x for a, x in zip(coeffs, scaled)) - rhs * den
+        if slack < (floor if strict else 0):
+            raise ArithmeticError("simplex witness violates a row")
 
 
 def max_slack(
@@ -49,8 +69,9 @@ def max_slack(
     """Maximize the minimum slack of the strict rows, capped at 1.
 
     Returns ``(tau, witness)`` where every strict row has slack at least
-    ``tau`` at the witness and every weak row is satisfied.  The system of
-    strict inequalities is solvable iff ``tau > 0``.
+    ``tau`` at the witness and every weak row is satisfied; both are checked
+    by substitution before they are returned.  The system of strict
+    inequalities is solvable iff ``tau > 0``.
 
     >>> tau, x = max_slack([((1, -1), 0, True), ((-1, 1), -3, True)], 2)
     >>> tau
@@ -65,10 +86,6 @@ def max_slack(
             raise ValueError("weak rows must have nonpositive bounds")
 
     m = len(rows)
-    # columns: s | u_1..u_n | v_1..v_n | w_1..w_m   (x = u - v, all >= 0)
-    n_cols = 1 + 2 * n_vars + m
-    w0 = 1 + 2 * n_vars
-
     strict_idx = [i for i, row in enumerate(rows) if row[2]]
     bounds = [rhs + 1 if strict else rhs for _, rhs, strict in rows]
     if not strict_idx or max(bounds[i] for i in strict_idx) <= 0:
@@ -76,86 +93,102 @@ def max_slack(
         return Fraction(1), tuple(Fraction(0) for _ in range(n_vars))
     start = max(strict_idx, key=lambda i: bounds[i])
 
-    # tableau rows in <=-with-slack form:  -sigma*s - a.u + a.v + w_i = -beta_i
+    # The program's columns are s | u_1..u_n | v_1..v_n | w_1..w_m with
+    # x = u - v, numbered 0, 1.., 1+n.., 1+2n.. in that order; Bland's rule
+    # and the ratio test's tie-break use those numbers.  The column of v_k
+    # is minus the column of u_k in every tableau, so only s | u | w are
+    # stored (w_i at 1 + n + i) and v_k is read off u_k.  Each row is kept
+    # up to its own positive scale, reduced by its gcd: the value of the
+    # basic variable of a row is its right-hand side over its basic entry.
+    w0 = 1 + n_vars
+    rhs_col = w0 + m
+    # tableau rows in <=-with-slack form:  -sigma*s - a.u (+ a.v) + w_i = -beta_i
     table: list[list[int]] = []
     for i, (coeffs, _, strict) in enumerate(rows):
-        row = [0] * (n_cols + 1)
+        row = [0] * (rhs_col + 1)
         row[0] = -1 if strict else 0
         for k, a in enumerate(coeffs):
             row[1 + k] = -a
-            row[1 + n_vars + k] = a
         row[w0 + i] = 1
-        row[n_cols] = -bounds[i]
+        row[rhs_col] = -bounds[i]
         table.append(row)
-    obj = [0] * (n_cols + 1)
-    obj[0] = 1
-    basis = [w0 + i for i in range(m)]
-    det = 1
+    basis = [1 + 2 * n_vars + i for i in range(m)]
 
     # replace the most violated row by its >=-orientation and pivot s in by
     # hand; afterwards every right-hand side is nonnegative
-    row = [0] * (n_cols + 1)
-    row[0] = 1
-    for k, a in enumerate(rows[start][0]):
-        row[1 + k] = a
-        row[1 + n_vars + k] = -a
-    row[w0 + start] = -1
-    row[n_cols] = bounds[start]
-    table[start] = row
-    for i in range(m):
-        if i != start and rows[i][2]:
-            table[i] = [x + y for x, y in zip(table[i], row)]
-    obj = [x - y for x, y in zip(obj, row)]
+    pivot_row = [-x for x in table[start]]
+    table[start] = pivot_row
+    for i in strict_idx:
+        if i != start:
+            table[i] = [x + y for x, y in zip(table[i], pivot_row)]
+    obj = [-x for x in pivot_row]
+    obj[0] += 1
     basis[start] = 0
 
+    def column(j: int) -> tuple[int, int]:
+        """Stored column and sign of program column ``j``."""
+        if j <= n_vars:
+            return j, 1
+        if j <= 2 * n_vars:
+            return j - n_vars, -1
+        return j - n_vars, 1
+
     while True:
-        enter = next((j for j in range(n_cols) if obj[j] < 0), None)
-        if enter is None:
-            break
+        # Bland's rule: the lowest program column with a negative reduced
+        # cost; v_k's reduced cost is minus u_k's
+        if obj[0] < 0:
+            enter = 0
+        else:
+            enter = next((j for j in range(1, w0) if obj[j] < 0), None)
+            if enter is None:
+                enter = next((n_vars + j for j in range(1, w0) if obj[j] > 0), None)
+            if enter is None:
+                enter = next((n_vars + j for j in range(w0, rhs_col) if obj[j] < 0), None)
+            if enter is None:
+                break
+        col, sign = column(enter)
+        # ratio test; a row's scale cancels from its ratio
         leave = None
+        leave_entry = 0
         for i in range(m):
-            if table[i][enter] <= 0:
+            entry = sign * table[i][col]
+            if entry <= 0:
                 continue
-            if leave is None:
-                leave = i
-                continue
-            lhs = table[i][n_cols] * table[leave][enter]
-            rhs = table[leave][n_cols] * table[i][enter]
-            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                leave = i
+            if leave is not None:
+                lhs = table[i][rhs_col] * leave_entry
+                rhs = table[leave][rhs_col] * entry
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave, leave_entry = i, entry
         if leave is None:
             raise AssertionError("capped slack program cannot be unbounded")
-        pivot = table[leave][enter]
-        new_rows = []
+        pivot = table[leave]
+        pivot_entry = sign * pivot[col]
         for i in range(m):
-            if i == leave:
-                new_rows.append(table[i])
-                continue
-            factor = table[i][enter]
-            new_rows.append(
-                [
-                    _exact_div(pivot * x - factor * y, det)
-                    for x, y in zip(table[i], table[leave])
-                ]
-            )
-        factor = obj[enter]
-        obj = [
-            _exact_div(pivot * x - factor * y, det)
-            for x, y in zip(obj, table[leave])
-        ]
-        table = new_rows
+            factor = sign * table[i][col]
+            if i != leave and factor:
+                new = [pivot_entry * x - factor * y for x, y in zip(table[i], pivot)]
+                g = math.gcd(*new)
+                table[i] = [x // g for x in new] if g > 1 else new
+        factor = sign * obj[col]
+        new = [pivot_entry * x - factor * y for x, y in zip(obj, pivot)]
+        g = math.gcd(*new)
+        obj = [x // g for x in new] if g > 1 else new
         basis[leave] = enter
-        det = pivot
 
     values = {}
-    for i in range(m):
-        values[basis[i]] = Fraction(table[i][n_cols], det)
-    s_value = values.get(0, Fraction(0))
+    for i, j in enumerate(basis):
+        col, sign = column(j)
+        values[j] = Fraction(table[i][rhs_col], sign * table[i][col])
+    zero = Fraction(0)
+    tau = Fraction(1) - values.get(0, zero)
+    # at most one of u_k and v_k is basic: their columns are opposite
     witness = tuple(
-        values.get(1 + k, Fraction(0)) - values.get(1 + n_vars + k, Fraction(0))
+        values[1 + k] if 1 + k in values else -values.get(1 + n_vars + k, zero)
         for k in range(n_vars)
     )
-    return Fraction(1) - s_value, witness
+    _check_slack(rows, tau, witness)
+    return tau, witness
 
 
 def strict_feasible(rows: Sequence[Row], n_vars: int) -> Optional[tuple[Fraction, ...]]:
@@ -206,15 +239,21 @@ def difference_feasible(
     >>> difference_feasible([((1, -1), 0, True)], 2, equalities=[(0, 1, 0)]) is None
     True
     """
-    den = n_vars + 1
-    arcs: list[tuple[int, int, int, int]] = []  # u -> v bounds x_v - x_u
+    arcs: list[Arc] = []
     for coeffs, rhs, strict in rows:
         a, b = _difference_arc(coeffs, n_vars)
         arcs.append((a, b, -rhs, -1 if strict else 0))
     for i, j, c in equalities:
         arcs.append((j, i, c, 0))
         arcs.append((i, j, -c, 0))
+    return _arcs_feasible(arcs, n_vars)
 
+
+def _arcs_feasible(arcs: Sequence[Arc], n_vars: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """:func:`difference_feasible` on arcs ``(u, v, value, eps)``, each
+    bounding x_v - x_u by ``value + eps * epsilon``, with the same witness,
+    the same substitution check and the same negative-cycle check."""
+    den = n_vars + 1
     value = [0] * n_vars
     eps = [0] * n_vars
     pred = [-1] * n_vars
@@ -240,7 +279,7 @@ def difference_feasible(
 
     # still relaxing after n_vars rounds: walking predecessors n_vars times
     # from the last relaxed vertex lands on a cycle of the predecessor graph
-    def pred_arc(x: int) -> tuple[int, int, int, int]:
+    def pred_arc(x: int) -> Arc:
         if pred[x] < 0:
             raise AssertionError("predecessor walk left the relaxed vertices")
         return arcs[pred[x]]

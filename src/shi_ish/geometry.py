@@ -9,14 +9,17 @@ combinatorial labellings can be validated region by region.
 
 All arithmetic is exact.  Every hyperplane is a difference x_a - x_b = c,
 so every feasibility question here is a difference-constraint system, and
-the certifying negative-cycle solver :func:`shi_ish.exactlp.difference_feasible`
-decides each one: every split probe during enumeration, every ceiling test
-and every vanishing probe of the slow path :func:`recession_dimension_lp`.
-The fraction-free simplex (:func:`shi_ish.exactlp.strict_feasible`) only
-supplies the rational interior witness of each newly found region and
-decides the brute-force reference :func:`enumerate_regions_sweep`.
-:func:`oracle_pass` measures every region once and builds both the
-cross-validation and the report from that pass.
+the certifying negative-cycle solver of :mod:`shi_ish.exactlp` decides each
+one: every split probe during enumeration and every ceiling test, on arcs
+built once per (hyperplane, sign) or once per region, and every vanishing
+probe of the slow path :func:`recession_dimension_lp`, through
+:func:`shi_ish.exactlp.difference_feasible`.  The exact simplex
+(:func:`shi_ish.exactlp.strict_feasible`) only supplies the rational
+interior witness of each newly found region and decides the brute-force
+reference :func:`enumerate_regions_sweep`.  During enumeration witnesses
+are integer vectors over a denominator; they become ``Fraction``s in the
+finished regions.  :func:`oracle_pass` measures every region once and
+builds both the cross-validation and the report from that pass.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .core import (
     partition_from_pairs,
     partition_str,
 )
-from .exactlp import Row, difference_feasible, strict_feasible
+from .exactlp import Arc, Row, _arcs_feasible, difference_feasible, strict_feasible
 from .ish import ish_ceiling_pairs, ish_diagrams, ish_region_count, ish_statistics
 from .parking import parking_functions
 from .shi import ShiStatistics, ceiling_hyperplane_tags, parking_to_shi_diagram, region_word_statistics
@@ -137,31 +140,51 @@ def _signed_row(hyp: Hyperplane, sign: int) -> Row:
     return (tuple(sign * a for a in hyp.normal), sign * hyp.offset, True)
 
 
+def _signed_arc(hyp: Hyperplane, sign: int) -> Arc:
+    """The difference-solver arc of ``_signed_row(hyp, sign)``."""
+    a, b = hyp.normal.index(1), hyp.normal.index(-1)
+    return (a, b, -hyp.offset, -1) if sign == 1 else (b, a, hyp.offset, -1)
+
+
+def _dot(normal: Sequence[int], point: Sequence[int]) -> int:
+    return sum(a * x for a, x in zip(normal, point))
+
+
 def _nudged_witness(
     hyperplanes: Sequence[Hyperplane],
     signs: dict[int, int],
-    witness: tuple[Fraction, ...],
+    witness: tuple[int, ...],
+    den: int,
     hyp: Hyperplane,
     side: int,
-) -> tuple[Fraction, ...]:
-    """Move a witness lying on ``hyp`` strictly to the given side.
+) -> tuple[tuple[int, ...], int]:
+    """Move a witness ``witness / den`` lying on ``hyp`` strictly to the
+    given side; returns the new witness as integers over a denominator.
 
     Walking along ``side * hyp.normal`` increases the new signed value while
-    every previously strict inequality stays strict for a small enough step.
+    every previously strict inequality stays strict for a small enough step:
+    half the least bound ``slack / (den * drift)``.
     """
     direction = hyp.normal
-    step: Optional[Fraction] = None
+    best_slack = best_drift = 0
     for k, sign in signs.items():
         other = hyperplanes[k]
-        drift = side * sign * sum(a * d for a, d in zip(other.normal, direction))
-        if drift >= 0:
+        drift = -side * sign * _dot(other.normal, direction)
+        if drift <= 0:
             continue
-        slack = sign * other.value_at(witness)
-        bound = Fraction(slack, -drift)
-        if step is None or bound < step:
-            step = bound
-    t = Fraction(1) if step is None else step / 2
-    return tuple(x + side * t * d for x, d in zip(witness, direction))
+        slack = sign * (_dot(other.normal, witness) - other.offset * den)
+        if not best_drift or slack * best_drift < best_slack * drift:
+            best_slack, best_drift = slack, drift
+    if not best_drift:
+        return tuple(x + side * den * d for x, d in zip(witness, direction)), den
+    scaled = [2 * best_drift * x + side * best_slack * d for x, d in zip(witness, direction)]
+    scale = 2 * best_drift * den
+    g = math.gcd(scale, *scaled)
+    return tuple(x // g for x in scaled), scale // g
+
+
+#: a region under construction: its signs so far and its witness X / den
+_Partial = tuple[dict[int, int], tuple[int, ...], int]
 
 
 def enumerate_regions(
@@ -174,9 +197,12 @@ def enumerate_regions(
     the origin).  Each region keeps the side its witness is on for free and
     runs one exact feasibility probe for the opposite side; a region splits
     exactly when both sides are nonempty.  The difference-constraint solver
-    decides the probe; only a nonempty side goes on to the simplex, whose
-    optimizer becomes the new region's witness.  ``insertion_order`` permutes
-    the insertion sequence (the resulting region set must not depend on it).
+    decides the probe on the region's arcs, built once per signed
+    hyperplane; only a nonempty side goes on to the simplex, whose optimizer
+    becomes the new region's witness.  Witnesses are carried as integers
+    over a common denominator and become ``Fraction``s at the end.
+    ``insertion_order`` permutes the insertion sequence (the resulting
+    region set must not depend on it).
 
     >>> len(enumerate_regions(build_arrangement("shi", 3)))
     16
@@ -195,43 +221,41 @@ def enumerate_regions(
         if sorted(order) != list(range(m)):
             raise ValueError("insertion_order must be a permutation of range(#hyperplanes)")
 
-    origin = tuple(Fraction(0) for _ in range(n))
-    partial: list[tuple[dict[int, int], tuple[Fraction, ...]]] = [({}, origin)]
-    row_cache: dict[tuple[int, int], Row] = {}
-
-    def cached_row(k: int, sign: int) -> Row:
-        try:
-            return row_cache[(k, sign)]
-        except KeyError:
-            row = _signed_row(hyperplanes[k], sign)
-            row_cache[(k, sign)] = row
-            return row
+    partial: list[_Partial] = [({}, (0,) * n, 1)]
+    signed = {
+        (k, sign): (_signed_row(hyp, sign), _signed_arc(hyp, sign))
+        for k, hyp in enumerate(hyperplanes)
+        for sign in (1, -1)
+    }
 
     for idx in order:
         hyp = hyperplanes[idx]
-        grown: list[tuple[dict[int, int], tuple[Fraction, ...]]] = []
-        for signs, witness in partial:
-            value = hyp.value_at(witness)
+        grown: list[_Partial] = []
+        for signs, witness, den in partial:
+            value = _dot(hyp.normal, witness) - hyp.offset * den
             if value == 0:
                 # witness sits on the new hyperplane: the region is cut in
                 # two and a short walk along the normal lands in either half
                 for side in (1, -1):
-                    moved = _nudged_witness(hyperplanes, signs, witness, hyp, side)
-                    grown.append(({**signs, idx: side}, moved))
+                    moved = _nudged_witness(hyperplanes, signs, witness, den, hyp, side)
+                    grown.append(({**signs, idx: side}, *moved))
                 continue
             known = 1 if value > 0 else -1
-            grown.append(({**signs, idx: known}, witness))
-            rows = [cached_row(k, sign) for k, sign in signs.items()]
-            rows.append(cached_row(idx, -known))
-            if difference_feasible(rows, n) is None:
+            grown.append(({**signs, idx: known}, witness, den))
+            entries = [signed[k, sign] for k, sign in signs.items()]
+            entries.append(signed[idx, -known])
+            if _arcs_feasible([arc for _, arc in entries], n) is None:
                 continue
-            probe = strict_feasible(rows, n)
+            probe = strict_feasible([row for row, _ in entries], n)
             if probe is None:
                 raise AssertionError("simplex refutes a side the difference solver found")
-            grown.append(({**signs, idx: -known}, probe))
+            probe_den = math.lcm(*(x.denominator for x in probe))
+            scaled = tuple(x.numerator * (probe_den // x.denominator) for x in probe)
+            grown.append(({**signs, idx: -known}, scaled, probe_den))
         partial = grown
     return tuple(
-        GeomRegion(tuple(signs[k] for k in range(m)), witness) for signs, witness in partial
+        GeomRegion(tuple(signs[k] for k in range(m)), tuple(Fraction(x, den) for x in witness))
+        for signs, witness, den in partial
     )
 
 
@@ -298,14 +322,15 @@ def region_ceilings(arrangement: Arrangement, region: GeomRegion) -> tuple[Hyper
     """
     hyperplanes = arrangement.hyperplanes
     n = arrangement.n
-    rows = [_signed_row(hyp, sign) for hyp, sign in zip(hyperplanes, region.signs)]
+    arcs = [_signed_arc(hyp, sign) for hyp, sign in zip(hyperplanes, region.signs)]
     ceilings = []
     for idx, hyp in enumerate(hyperplanes):
         if hyp.offset == 0 or region.signs[idx] != -1:
             continue
-        pinned = (hyp.normal.index(1), hyp.normal.index(-1), hyp.offset)
-        others = rows[:idx] + rows[idx + 1 :]
-        if difference_feasible(others, n, equalities=(pinned,)) is not None:
+        # pin the facet: x_a - x_b = offset as two epsilon-free arcs
+        a, b = hyp.normal.index(1), hyp.normal.index(-1)
+        pinned = [(b, a, hyp.offset, 0), (a, b, -hyp.offset, 0)]
+        if _arcs_feasible(arcs[:idx] + arcs[idx + 1 :] + pinned, n) is not None:
             ceilings.append(hyp)
     return tuple(ceilings)
 

@@ -619,6 +619,17 @@ def laser_word_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
 # counting
 
 
+def _block_counts(graph: Graph) -> list[int]:
+    """Entry k: the set partitions of [n] into k blocks with every arc an
+    edge of the graph, tallied in one walk over all set partitions."""
+    counts = [0] * (graph.n + 1)
+    edges = graph.edges
+    for partition in set_partitions(graph.n):
+        if all(e in edges for e in arcs(partition)):
+            counts[len(partition)] += 1
+    return counts
+
+
 def stir(graph: Graph, k: int) -> int:
     """Number of set partitions of [n] into k blocks with every arc an edge
     of the graph.  For the complete graph this is the Stirling partition
@@ -626,11 +637,7 @@ def stir(graph: Graph, k: int) -> int:
     """
     if not 0 <= k <= graph.n:
         raise ValueError(f"block count {k} out of range for n = {graph.n}")
-    count = 0
-    for partition in set_partitions(graph.n):
-        if len(partition) == k and all(e in graph.edges for e in arcs(partition)):
-            count += 1
-    return count
+    return _block_counts(graph)[k]
 
 
 def ish_region_count(graph: Graph) -> int:
@@ -641,9 +648,8 @@ def ish_region_count(graph: Graph) -> int:
     16
     """
     n = graph.n
-    return sum(
-        stir(graph, n - k) * factorial(n) // factorial(k + 1) for k in range(n)
-    )
+    counts = _block_counts(graph)
+    return sum(counts[n - k] * factorial(n) // factorial(k + 1) for k in range(n))
 
 
 def ceiling_partition_count(graph: Graph, partition: SetPartition) -> int:
@@ -668,8 +674,9 @@ def rook_number(graph: Graph, m: int) -> int:
     n = graph.n
     if not 0 <= m <= n - 1:
         raise ValueError(f"rook count {m} out of range for n = {n}")
+    counts = _block_counts(graph)
     return sum(
-        stir(graph, n - k)
+        counts[n - k]
         * comb(n - k - 1, m - k)
         * factorial(n)
         // factorial(n - m + k)
@@ -712,11 +719,12 @@ def ish_char_poly(graph: Graph) -> tuple[int, ...]:
     (0, 9, -6, 1)
     """
     n = graph.n
+    counts = _block_counts(graph)
     total: tuple[int, ...] = (0,)
     for k in range(n):
         term: tuple[int, ...] = (1,)
         for j in range(k + 1, n):
             term = poly_mul(term, (-j, 1))
-        coeff = (-1) ** k * stir(graph, n - k)
+        coeff = (-1) ** k * counts[n - k]
         total = poly_add(total, tuple(coeff * c for c in term))
     return poly_mul((0, 1), total)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shi_ish.exactlp import difference_feasible, max_slack, strict_feasible
+from shi_ish.exactlp import _check_slack, difference_feasible, max_slack, strict_feasible
 
 
 def slack_of(row, point):
@@ -97,6 +97,104 @@ def simplex_with_equalities(rows, n_vars, equalities):
         root, off = uf.resolve(k)
         witness.append(reduced_witness[col[root]] + off)
     return tuple(witness)
+
+
+def _exact_div(num, den):
+    q, rem = divmod(num, den)
+    assert not rem, "fraction-free pivot produced a non-integer"
+    return q
+
+
+def fraction_free_max_slack(rows, n_vars):
+    """Reference for :func:`max_slack`: the same program and Bland's rule on
+    the full s | u | v | w tableau with the integer-preserving
+    (fraction-free) update, all rows sharing one determinant."""
+    for coeffs, rhs, strict in rows:
+        if len(coeffs) != n_vars:
+            raise ValueError("row length does not match the variable count")
+        if not strict and rhs > 0:
+            raise ValueError("weak rows must have nonpositive bounds")
+
+    m = len(rows)
+    n_cols = 1 + 2 * n_vars + m
+    w0 = 1 + 2 * n_vars
+
+    strict_idx = [i for i, row in enumerate(rows) if row[2]]
+    bounds = [rhs + 1 if strict else rhs for _, rhs, strict in rows]
+    if not strict_idx or max(bounds[i] for i in strict_idx) <= 0:
+        return Fraction(1), tuple(Fraction(0) for _ in range(n_vars))
+    start = max(strict_idx, key=lambda i: bounds[i])
+
+    table = []
+    for i, (coeffs, _, strict) in enumerate(rows):
+        row = [0] * (n_cols + 1)
+        row[0] = -1 if strict else 0
+        for k, a in enumerate(coeffs):
+            row[1 + k] = -a
+            row[1 + n_vars + k] = a
+        row[w0 + i] = 1
+        row[n_cols] = -bounds[i]
+        table.append(row)
+    obj = [0] * (n_cols + 1)
+    obj[0] = 1
+    basis = [w0 + i for i in range(m)]
+    det = 1
+
+    row = [0] * (n_cols + 1)
+    row[0] = 1
+    for k, a in enumerate(rows[start][0]):
+        row[1 + k] = a
+        row[1 + n_vars + k] = -a
+    row[w0 + start] = -1
+    row[n_cols] = bounds[start]
+    table[start] = row
+    for i in range(m):
+        if i != start and rows[i][2]:
+            table[i] = [x + y for x, y in zip(table[i], row)]
+    obj = [x - y for x, y in zip(obj, row)]
+    basis[start] = 0
+
+    while True:
+        enter = next((j for j in range(n_cols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(m):
+            if table[i][enter] <= 0:
+                continue
+            if leave is None:
+                leave = i
+                continue
+            lhs = table[i][n_cols] * table[leave][enter]
+            rhs = table[leave][n_cols] * table[i][enter]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
+        assert leave is not None, "capped slack program cannot be unbounded"
+        pivot = table[leave][enter]
+        new_rows = []
+        for i in range(m):
+            if i == leave:
+                new_rows.append(table[i])
+                continue
+            factor = table[i][enter]
+            new_rows.append(
+                [_exact_div(pivot * x - factor * y, det) for x, y in zip(table[i], table[leave])]
+            )
+        factor = obj[enter]
+        obj = [_exact_div(pivot * x - factor * y, det) for x, y in zip(obj, table[leave])]
+        table = new_rows
+        basis[leave] = enter
+        det = pivot
+
+    values = {}
+    for i in range(m):
+        values[basis[i]] = Fraction(table[i][n_cols], det)
+    s_value = values.get(0, Fraction(0))
+    witness = tuple(
+        values.get(1 + k, Fraction(0)) - values.get(1 + n_vars + k, Fraction(0))
+        for k in range(n_vars)
+    )
+    return Fraction(1) - s_value, witness
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +512,78 @@ def test_difference_planted_point_is_found(planted_and_rows):
     assert witness is not None
     assert satisfies(rows, witness)
     assert all(witness[i] - witness[j] == c for i, j, c in equalities)
+
+
+# ---------------------------------------------------------------------------
+# the per-row-scaled simplex against the fraction-free reference
+
+
+def general_systems():
+    """(n, rows): integer rows on n <= 6 variables, at most 10 of them,
+    strict rows and weak rows with a nonpositive bound."""
+
+    def build(n):
+        coeffs = st.lists(coeff, min_size=n, max_size=n).map(tuple)
+        strict = st.tuples(coeffs, st.integers(-6, 6), st.just(True))
+        weak = st.tuples(coeffs, st.integers(-6, 0), st.just(False))
+        return st.tuples(st.just(n), st.lists(st.one_of(strict, weak), min_size=1, max_size=10))
+
+    return st.integers(1, 6).flatmap(build)
+
+
+@given(st.one_of(general_systems(), difference_systems().map(lambda system: system[:2])))
+@settings(max_examples=500, deadline=None)
+def test_max_slack_equals_the_fraction_free_reference(system):
+    """Same pivot rule, same bases: the same (tau, witness), exactly."""
+    n, rows = system
+    tau, witness = max_slack(rows, n)
+    assert (tau, witness) == fraction_free_max_slack(rows, n)
+    assert all(type(x) is Fraction for x in (tau, *witness))
+
+
+def tight_rows(rows, tau, witness):
+    """Rows whose slack at the witness is exactly the bound the check asks
+    for (tau for strict rows, 0 for weak rows), with a nonzero coefficient."""
+    return [
+        row
+        for row in rows
+        if any(row[0]) and slack_of(row, witness) == (tau if row[2] else 0)
+    ]
+
+
+def assert_check_refuses_tight_rows_moved_off(rows, n):
+    """The optimum passes the check; moving one coordinate of the witness by
+    1/den against any tight row fails it.  Returns the number of rows moved."""
+    tau, witness = max_slack(rows, n)
+    _check_slack(rows, tau, witness)
+    den = math.lcm(tau.denominator, *(x.denominator for x in witness))
+    tight = tight_rows(rows, tau, witness)
+    for coeffs, _, _ in tight:
+        k = next(k for k, a in enumerate(coeffs) if a)
+        moved = list(witness)
+        moved[k] -= Fraction(1 if coeffs[k] > 0 else -1, den)
+        with pytest.raises(ArithmeticError):
+            _check_slack(rows, tau, moved)
+    return len(tight)
+
+
+def test_check_slack_refuses_a_witness_moved_off_by_one_over_den():
+    # x0 - x1 > 0, x1 - x0 > -3 and x1 >= 0: the gap is 1 and x1 = 0, so
+    # the first and the weak row are tight
+    rows = [((1, -1), 0, True), ((-1, 1), -3, True), ((0, 1), 0, False)]
+    assert assert_check_refuses_tight_rows_moved_off(rows, 2) == 2
+    tau, witness = max_slack(rows, 2)
+    with pytest.raises(ArithmeticError):
+        _check_slack(rows, tau + 1, witness)
+    # a capped optimum below 1: x0 > x1 and x1 - x0 > -1 leave a gap of 1/2
+    rows = [((1, -1), 0, True), ((-1, 1), -1, True)]
+    tau, witness = max_slack(rows, 2)
+    assert tau == Fraction(1, 2)
+    assert assert_check_refuses_tight_rows_moved_off(rows, 2) == 2
+
+
+@given(general_systems())
+@settings(max_examples=200, deadline=None)
+def test_check_slack_refuses_every_tight_row_moved_off(system):
+    n, rows = system
+    assert_check_refuses_tight_rows_moved_off(rows, n)

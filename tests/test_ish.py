@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
-from shi_ish.core import Graph, all_graphs, identity_permutation
+from shi_ish.core import Graph, all_graphs, arcs, identity_permutation, set_partitions
 from shi_ish.ish import (
     Board,
     IshCeilingDiagram,
@@ -26,7 +27,9 @@ from shi_ish.ish import (
     placement_to_ish_diagram,
     placement_to_parking,
     placement_to_rook_word,
+    poly_add,
     poly_eval,
+    poly_mul,
     restrict_placement,
     rook_number,
     rook_word_to_placement,
@@ -249,6 +252,62 @@ def test_stir_values():
     assert [stir(Graph.empty(3), k) for k in range(4)] == [0, 0, 0, 1]
     with pytest.raises(ValueError):
         stir(Graph.complete(3), 4)
+
+
+def stir_per_k(graph, k):
+    """One walk over the set partitions per block count k."""
+    return sum(
+        1
+        for partition in set_partitions(graph.n)
+        if len(partition) == k and all(e in graph.edges for e in arcs(partition))
+    )
+
+
+def formulas_per_k(graph):
+    """Region count, rook numbers and characteristic polynomial with every
+    partition count taken from :func:`stir_per_k`."""
+    n = graph.n
+    s = [stir_per_k(graph, k) for k in range(n + 1)]
+    count = sum(s[n - k] * math.factorial(n) // math.factorial(k + 1) for k in range(n))
+    rooks = [
+        sum(
+            s[n - k] * math.comb(n - k - 1, m - k) * math.factorial(n) // math.factorial(n - m + k)
+            for k in range(m + 1)
+        )
+        for m in range(n)
+    ]
+    total = (0,)
+    for k in range(n):
+        term = (1,)
+        for j in range(k + 1, n):
+            term = poly_mul(term, (-j, 1))
+        total = poly_add(total, tuple((-1) ** k * s[n - k] * c for c in term))
+    return s, count, rooks, poly_mul((0, 1), total)
+
+
+def seeded_graphs(n, count, seed):
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for _ in range(count):
+        density = rng.random()
+        yield Graph(n, frozenset(p for p in pairs if rng.random() < density))
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        pytest.param(lambda: [g for n in range(1, 5) for g in all_graphs(n)], id="all-n<=4"),
+        pytest.param(lambda: list(seeded_graphs(5, 20, seed=13)), id="seeded-n5"),
+        pytest.param(lambda: list(seeded_graphs(6, 20, seed=17)), id="seeded-n6"),
+    ],
+)
+def test_one_walk_formulas_equal_the_per_k_definition(graphs):
+    for g in graphs():
+        s, count, rooks, chi = formulas_per_k(g)
+        assert [stir(g, k) for k in range(g.n + 1)] == s
+        assert ish_region_count(g) == count
+        assert [rook_number(g, m) for m in range(g.n)] == rooks
+        assert ish_char_poly(g) == chi
 
 
 @pytest.mark.parametrize("n", range(1, 6))

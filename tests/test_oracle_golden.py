@@ -2,13 +2,17 @@
 
 The digests below are sha256 sums of the exact stdout of each command,
 recorded before the oracle moved to a single enumeration pass and to the
-difference-constraint solver.  Every byte is pinned, witnesses included, so
-any change to the enumeration order, the witnesses, the ceilings or the
-report layout shows up here.  A change that alters these reports on purpose
+difference-constraint solver; the two n = 5 digests were recorded before the
+simplex moved to per-row scaling and the witnesses to integers.  Every byte
+is pinned, witnesses included, so any change to the enumeration order, the
+witnesses, the ceilings or the report layout shows up here.  A change that alters these reports on purpose
 must re-record the digests and say so.
 
 The graph file is written to a fresh directory that becomes the working
 directory, so its relative path -- echoed in ``config`` -- is stable.
+
+The last test rechecks every witness of every preset at n <= 3 against its
+signed hyperplanes, for all three arrangement kinds.
 """
 
 import contextlib
@@ -19,6 +23,8 @@ import json
 import pytest
 
 from shi_ish.cli import main
+from shi_ish.core import Graph
+from shi_ish.geometry import ARRANGEMENT_KINDS, build_arrangement, check_region, enumerate_regions
 
 GRAPH_FILE = "two_edges.json"
 GRAPH_FILE_DATA = {"n": 4, "edges": [[1, 3], [2, 4]]}
@@ -46,6 +52,11 @@ GOLDEN = {
         "c626003ddffffc8cb9da34f3843196bccd1e676dfe9ce8bafaab3f7c5dafb82c",
     "oracle --n 4 --arrangement shi --format tsv":
         "0b70552c82f5a26460c44e7da02f43b28e9d8ff516d012aabfd49cbb74772b4d",
+    # n = 5: witness nudges and simplex systems larger than any at n <= 4
+    "oracle --n 5 --allow-large --arrangement shi --graph path":
+        "8ff4a71e0814db131bc9ef4e92b842c2c61265ba20133ea5c6c8336bb2f30720",
+    "oracle --n 5 --allow-large --arrangement ish --graph path":
+        "fefc14865c8ad4b58e8affbb83a1398a4bc99cd475a42bdd57df460222920b7b",
 }
 
 
@@ -63,3 +74,13 @@ def test_oracle_stdout_is_byte_stable(command, tmp_path, monkeypatch):
     code, stdout = oracle_stdout(command)
     assert code == 0
     assert hashlib.sha256(stdout).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("kind", ARRANGEMENT_KINDS)
+@pytest.mark.parametrize("preset", ["complete", "empty", "path"])
+def test_every_witness_is_strictly_inside_its_region(kind, preset):
+    for n in range(1, 4):
+        arrangement = build_arrangement(kind, n, getattr(Graph, preset)(n))
+        regions = enumerate_regions(arrangement)
+        assert regions
+        assert all(check_region(arrangement, region) for region in regions)

@@ -7,12 +7,15 @@ through Shi diagrams.  The two must agree on every region and every word of
 small size, and the theorem sweeps must never build or decode a Shi diagram.
 """
 
+import itertools
 import json
+import sys
 
 import pytest
 
 import shi_ish.bijections as bijections
 import shi_ish.cli as cli
+import shi_ish.parking as parking
 from shi_ish.core import Graph, all_graphs
 from shi_ish.ish import ish_diagrams, ish_statistics
 from shi_ish.parking import is_prime_parking_function, parking_functions
@@ -72,3 +75,37 @@ def test_theorem_sweeps_never_touch_a_shi_diagram(capsys, monkeypatch):
         out = capsys.readouterr().out
         assert code == 0, suite
         assert json.loads(out)["passed"] is True, suite
+
+
+@pytest.mark.parametrize(
+    "word",
+    [(1, 3, 3), (2, 2), (4, 1, 1), (0, 1, 1), (1, 1, 5), (3, 5, 1, 1), (), [1, 3, 3], [0]],
+)
+def test_dominance_inverse_refuses_non_parking_words(word):
+    """Letters 0 and n + 2 fail the orbit certificate's alphabet check; the
+    inverse still says the input is not a parking function."""
+    with pytest.raises(ValueError) as refused:
+        bijections.dominance_parking_inverse(word)
+    assert str(refused.value) == f"{word!r} is not a parking function"
+
+
+def test_dominance_round_trip_tests_each_parking_word_once(monkeypatch):
+    """One ``is_parking_function`` call in the forward certificate, one in
+    the inverse's certificate of its input."""
+    original = parking.is_parking_function
+    calls = 0
+
+    def counted(word):
+        nonlocal calls
+        calls += 1
+        return original(word)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("shi_ish") and getattr(module, "is_parking_function", None) is original:
+            monkeypatch.setattr(module, "is_parking_function", counted)
+    sample = list(itertools.islice(ish_diagrams(6), 0, None, 41))
+    assert len(sample) > 400
+    for diagram in sample:
+        word = bijections.dominance_parking(diagram)
+        assert bijections.dominance_parking_inverse(word) == diagram
+    assert calls == 2 * len(sample)
