@@ -18,7 +18,6 @@ stdout.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import itertools
 import json
@@ -410,8 +409,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites.  Each returns (passed, report-dict); per-graph workers are
-# module-level functions so --jobs can fan them out across processes.
+# verify suites.  Each returns (passed, report-dict); a graph sweep runs its
+# per-graph checks one after another in this process.
 
 
 def _sweep_graphs(n: int, allow_large: bool, suite: str) -> list[Graph]:
@@ -426,46 +425,77 @@ def _sweep_graphs(n: int, allow_large: bool, suite: str) -> list[Graph]:
     )
 
 
-def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
+def _region_facts(name: str, diagram: IshCeilingDiagram, complete: Graph) -> tuple:
+    """The part of a region's check under ``_THEOREMS[name]`` that is the
+    same in every graph holding the region: ``()`` outside the theorem's
+    domain, else ``(word, partition, detail, agrees)``.  ``partition`` is
+    the image's ceiling partition, read against ``complete`` (K_n), or None
+    when the word labels no region of Shi(K_n); ``detail`` is the first
+    failure that no graph changes, and ``agrees`` is None unless a compared
+    map was run."""
+    theorem = _THEOREMS[name]
+    stats = ish_statistics(diagram) if theorem.checks else None
+    if theorem.domain == "bounded" and not stats.relatively_bounded:
+        return ()
+    word = _PARKING_MAPS[name](diagram)
+    image_stats = region_word_statistics(word, complete)
+    if image_stats is None:
+        return word, None, "image invalid for G: {}", None
+    broken = [s for s in theorem.checks if getattr(image_stats, s) != getattr(stats, s)]
+    # a region with n degrees of freedom maps to pi with every arc dropped,
+    # which is the region labeled by the parking word pi^-1
+    free = theorem.free_regions and stats.dof == complete.n
+    if broken:
+        detail = _BROKEN[broken[0]][0]
+    elif _INVERSES[name](word) != diagram:
+        detail = theorem.roundtrip_detail
+    elif free and word != inverse_permutation(diagram.pi):
+        detail = "free-region word wrong: {}"
+    else:
+        detail = None
+    agrees = None
+    if detail is None and theorem.compare_with is not None:
+        agrees = _PARKING_MAPS[theorem.compare_with](diagram) == word
+    return word, image_stats.ceiling_partition, detail, agrees
+
+
+def _theorem_run(name: str, graph: Graph, facts: dict) -> tuple[Optional[str], int, Counter]:
     """Check the bijection theorem ``_THEOREMS[name]`` on one graph.
 
     Returns the failure detail (None if the theorem holds), the number of
     images seen before the check stopped, and the agreement counts.  A Shi
     region is its parking word, so the image is that word: its validity for
     G and its statistics are read off it, and no Shi diagram is built.
+
+    The maps take no graph, so ``facts`` keeps each region's
+    :func:`_region_facts` for all the graphs of a sweep; per graph, only the
+    image's ceilings are tested against the edges, once per partition.
     """
     theorem = _THEOREMS[name]
     n = graph.n
+    complete = Graph.complete(n)
     bounded = theorem.domain == "bounded"
     targets = set(parking_functions(n, graph))
     if bounded:
         targets = {w for w in targets if shi_word_statistics(w).relatively_bounded}
     seen = set()
     counts: Counter = Counter()
+    admits = {None: False}  # an image's ceiling partition -> whether G has all its arcs
     for diagram in ish_diagrams(n, graph):
-        stats = ish_statistics(diagram) if theorem.checks else None
-        if bounded and not stats.relatively_bounded:
+        fact = facts.get(diagram)
+        if fact is None:
+            fact = facts[diagram] = _region_facts(name, diagram, complete)
+        if not fact:
             continue
-        word = _PARKING_MAPS[name](diagram)
-        image_stats = region_word_statistics(word, graph)
-        broken = image_stats and [s for s in theorem.checks if getattr(image_stats, s) != getattr(stats, s)]
-        # a region with n degrees of freedom maps to pi with every arc dropped,
-        # which is the region labeled by the parking word pi^-1
-        free = theorem.free_regions and stats.dof == n
-        if image_stats is None:
+        word, partition, detail, agrees = fact
+        valid = admits.get(partition)
+        if valid is None:
+            valid = admits[partition] = graph.edges.issuperset(arcs(partition))
+        if not valid:
             detail = "image invalid for G: {}"
-        elif broken:
-            detail = _BROKEN[broken[0]][0]
-        elif _INVERSES[name](word) != diagram:
-            detail = theorem.roundtrip_detail
-        elif free and word != inverse_permutation(diagram.pi):
-            detail = "free-region word wrong: {}"
-        else:
-            detail = None
         if detail is not None:
             return detail.format(diagram), len(seen), counts
-        if theorem.compare_with is not None:
-            agrees = _PARKING_MAPS[theorem.compare_with](diagram) == word
+        if agrees is not None:
             counts[theorem.counters[0 if agrees else 1]] += 1
         seen.add(word)
     detail = None
@@ -474,17 +504,16 @@ def _theorem_run(name: str, graph: Graph) -> tuple[Optional[str], int, Counter]:
     return detail, len(seen), counts
 
 
-def _check_theorem_graph(name: str, payload: tuple[int, tuple[tuple[int, int], ...]]) -> dict:
-    n, edges = payload
-    detail, count, counts = _theorem_run(name, Graph(n, frozenset(edges)))
+def _check_theorem_graph(name: str, graph: Graph, facts: dict) -> dict:
+    edges = graph.sorted_edges()
+    detail, count, counts = _theorem_run(name, graph, facts)
     if detail is not None:
         return {"edges": edges, "ok": False, "detail": detail}
     return {"edges": edges, "ok": True, "count": count, **counts}
 
 
-def _check_formulas_graph(payload: tuple[int, tuple[tuple[int, int], ...]]) -> dict:
-    n, edges = payload
-    graph = Graph(n, frozenset(edges))
+def _check_formulas_graph(graph: Graph) -> dict:
+    n, edges = graph.n, graph.sorted_edges()
     formula = ish_region_count(graph)
     shi_hist, ish_hist = (
         Counter(stats.ceiling_partition for _, stats in diagram_statistics(kind, n, graph))
@@ -510,40 +539,6 @@ def _check_formulas_graph(payload: tuple[int, tuple[tuple[int, int], ...]]) -> d
                 "detail": f"partition {partition} count {ish_hist[partition]} != {expected}",
             }
     return {"edges": edges, "ok": True, "count": formula}
-
-
-def _pool_size(jobs: int, tasks: int, cpus: Optional[int]) -> int:
-    """Worker processes for a sweep: no more than requested, than there are
-    tasks, or than the machine has CPUs.
-
-    >>> _pool_size(64, 8, 2), _pool_size(4, 1, 16), _pool_size(3, 8, None)
-    (2, 1, 1)
-    """
-    return max(1, min(jobs, tasks, cpus or 1))
-
-
-def _run_sweep(
-    worker: Callable[[tuple[int, tuple[tuple[int, int], ...]]], dict],
-    graphs: list[Graph],
-    n: int,
-    jobs: int,
-) -> list[dict]:
-    payloads = [(n, graph.sorted_edges()) for graph in graphs]
-    workers = _pool_size(jobs, len(payloads), os.cpu_count())
-    if workers > 1:
-        # imported here: the pool machinery is a large share of the module's
-        # import time, and only these sweeps use it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, payloads))
-    else:
-        results = []
-        for k, payload in enumerate(payloads, 1):
-            results.append(worker(payload))
-            if len(payloads) > 1:
-                _progress(f"  graph {k}/{len(payloads)} done")
-    return results
 
 
 def _suite_cycle_lemma(args: argparse.Namespace) -> tuple[bool, dict]:
@@ -601,16 +596,20 @@ def _suite_cycle_lemma(args: argparse.Namespace) -> tuple[bool, dict]:
 def _suite_thm_basic(args: argparse.Namespace) -> tuple[bool, dict]:
     n = args.n
     _check_size("thm-basic", n, 5, 6, args.allow_large)
-    detail, count, _ = _theorem_run("basic", Graph.complete(n))
+    detail, count, _ = _theorem_run("basic", Graph.complete(n), {})
     return detail is None, {"n": n, "regions": count, "detail": detail}
 
 
 def _graph_sweep_suite(
-    args: argparse.Namespace, worker, suite: str, counters: Sequence[str] = ()
+    args: argparse.Namespace, worker: Callable[[Graph], dict], suite: str, counters: Sequence[str] = ()
 ) -> tuple[bool, dict]:
     graphs = _sweep_graphs(args.n, args.allow_large, suite)
     _progress(f"{suite}: sweeping {len(graphs)} graph(s) at n={args.n}")
-    results = _run_sweep(worker, graphs, args.n, args.jobs)
+    results = []
+    for k, graph in enumerate(graphs, 1):
+        results.append(worker(graph))
+        if len(graphs) > 1:
+            _progress(f"  graph {k}/{len(graphs)} done")
     failures = [r for r in results if not r["ok"]]
     report: dict = {
         "n": args.n,
@@ -624,8 +623,10 @@ def _graph_sweep_suite(
 
 
 def _suite_theorem(args: argparse.Namespace, name: str) -> tuple[bool, dict]:
-    worker = functools.partial(_check_theorem_graph, name)
-    return _graph_sweep_suite(args, worker, f"thm-{name}", _THEOREMS[name].counters)
+    facts: dict = {}  # each region's graph-free check, shared by this sweep's graphs only
+    return _graph_sweep_suite(
+        args, lambda graph: _check_theorem_graph(name, graph, facts), f"thm-{name}", _THEOREMS[name].counters
+    )
 
 
 def _suite_thm_freedom(args: argparse.Namespace) -> tuple[bool, dict]:
@@ -760,9 +761,6 @@ def _suite_factorization_candidates(args: argparse.Namespace) -> tuple[bool, dic
     }
     return True, report
 
-
-#: the suites that run their graphs through _run_sweep, the only readers of --jobs
-_SWEEP_SUITES = ("thm-dominance", "thm-bounded", "thm-freedom", "formulas")
 
 _SUITES: dict[str, Callable[[argparse.Namespace], tuple[bool, dict]]] = {
     "cycle-lemma": _suite_cycle_lemma,
@@ -931,7 +929,7 @@ def _add_common(parser: argparse.ArgumentParser, *, graph_default: str = "comple
         "--jobs",
         type=int,
         default=1,
-        help="parallel workers for the graph-sweep verify suites (at least 1; capped at the graph and CPU counts)",
+        help="accepted for existing command lines and echoed in config; every command runs in one process, so only 1",
     )
     parser.add_argument(
         "--allow-large", action="store_true", help="raise the default size limits"
@@ -993,8 +991,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _PARSER.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         name = getattr(args, "suite", args.command)
-        if args.jobs != 1 and name not in _SWEEP_SUITES:
-            raise UsageError(f"{name} does not read --jobs (got {args.jobs}): only {', '.join(_SWEEP_SUITES)} do")
+        if args.jobs != 1:
+            raise UsageError(f"{name} does not read --jobs (got {args.jobs}): every command runs in one process")
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from shi_ish.cli import _pool_size, config_hash, load_graph, main
+from shi_ish.cli import config_hash, load_graph, main
 from shi_ish.core import Graph
 
 
@@ -367,20 +367,6 @@ def test_nonpositive_jobs(jobs, capsys):
         main(["verify", "--n", "3", "--suite", "formulas", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs must be at least 1" in capsys.readouterr().err
-
-
-def test_pool_size_is_clamped_to_tasks_and_cpus():
-    assert _pool_size(1, 8, 4) == 1
-    assert _pool_size(64, 8, 4) == 4
-    assert _pool_size(64, 3, 4) == 3
-    assert _pool_size(2, 64, None) == 1
-    assert _pool_size(4, 0, 4) == 1
-
-
-def test_jobs_is_echoed_unclamped(capsys):
-    code, doc, _ = run_json(capsys, "verify", "--n", "1", "--suite", "formulas", "--jobs", "64")
-    assert code == 0
-    assert doc["config"]["jobs"] == 64
 
 
 def test_nonpositive_n():

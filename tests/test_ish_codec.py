@@ -267,23 +267,27 @@ def test_each_rook_word_is_checked_once_per_direction(name, monkeypatch):
 
 
 def test_freedom_checks_each_region_once(capsys, monkeypatch):
-    """``verify --suite thm-freedom`` computes a region's statistics twice
-    (once for the check, once inside the map) and validates one labeled
-    Dyck path per direction."""
+    """``verify --suite thm-freedom`` checks each region once per suite,
+    however many of its graphs hold it: it computes the region's statistics
+    twice (once for the check, once inside the map) and validates one
+    labeled Dyck path per direction."""
     calls = count_calls(monkeypatch, ish.ish_statistics, parking.check_labeled_dyck)
     assert cli.main(["verify", "--n", "4", "--suite", "thm-freedom"]) == 0
-    regions = json.loads(capsys.readouterr().out)["report"]["regions_checked"]
-    assert regions == 4296
+    assert json.loads(capsys.readouterr().out)["report"]["regions_checked"] == 4296
+    regions = sum(1 for _ in ish_diagrams(4))
+    assert regions == 125
     assert calls == {"ish_statistics": 2 * regions, "check_labeled_dyck": 2 * regions}
 
 
 def test_bounded_computes_statistics_only_to_filter_and_compare(capsys, monkeypatch):
-    """``thm-bounded`` computes every region's statistics once, to keep the
-    relatively bounded ones, and once more per kept region inside the
-    ``freedom`` map it is compared with; ``bounded_parking`` reads the
-    degrees of freedom alone."""
+    """``thm-bounded`` computes each region's statistics once per suite, to
+    keep the relatively bounded ones, and once more per kept region inside
+    the ``freedom`` map it is compared with; ``bounded_parking`` reads the
+    degrees of freedom alone.  Every graph's regions are regions of K_n."""
+    regions = list(ish_diagrams(4))
+    bounded = sum(1 for d in regions if ish_statistics(d).relatively_bounded)
     calls = count_calls(monkeypatch, ish.ish_statistics)
     assert cli.main(["verify", "--n", "4", "--suite", "thm-bounded"]) == 0
-    bounded = json.loads(capsys.readouterr().out)["report"]["regions_checked"]
-    regions = sum(1 for graph in all_graphs(4) for _ in ish_diagrams(4, graph))
-    assert calls["ish_statistics"] == regions + bounded
+    assert json.loads(capsys.readouterr().out)["report"]["graphs"] == 64
+    assert (len(regions), bounded) == (125, 27)
+    assert calls["ish_statistics"] == len(regions) + bounded

@@ -5,7 +5,8 @@ construction.
 Shi image and reads validity and statistics off that word; the targets are
 the parking words of G.  The diagram-domain run it replaced, through
 ``bijections.{name}_bijection`` and its inverse, is kept here as its
-reference, and both must return the same ``(detail, count, counts)``.  The
+reference, and both must return the same ``(detail, count, counts)``, with
+the per-region facts shared across a sweep's graphs or computed afresh.  The
 two partition functions of ``core`` skip ``partition_from_blocks``, so each
 is compared with the canonicalized result on every input of small size.
 """
@@ -95,14 +96,41 @@ GRAPHS = [g for n in range(1, 5) for g in all_graphs(n)] + [Graph.complete(5)]
 
 @pytest.mark.parametrize("name", sorted(cli._THEOREMS))
 def test_word_run_equals_the_diagram_run(name):
-    """Every graph at n <= 4 and K_5.  The theorems hold on all of them, but
-    ``basic`` holds on the complete graph only: off it the two runs must give
-    the same failure detail."""
+    """Every graph at n <= 4 and K_5, each run twice: with one ``facts`` dict
+    shared by all graphs of its size in sweep order, as a sweep shares it,
+    and with a fresh dict.  The theorems hold on all of them, but ``basic``
+    holds on the complete graph only: off it the runs must give the same
+    failure detail."""
+    shared = {}
     for graph in GRAPHS:
         expected = diagram_theorem_run(name, graph)
-        assert cli._theorem_run(name, graph) == expected, (name, graph)
+        assert cli._theorem_run(name, graph, shared.setdefault(graph.n, {})) == expected, (name, graph)
+        assert cli._theorem_run(name, graph, {}) == expected, (name, graph)
         if name != "basic" or graph == Graph.complete(graph.n):
             assert expected[0] is None, (name, graph, expected)
+
+
+@pytest.mark.parametrize("name", ["freedom", "bounded"])
+def test_shared_facts_equal_fresh_ones_under_a_partly_wrong_map(name, monkeypatch):
+    """A freedom map that sends the regions with a dot in the last column to
+    the word 1...1 fails on some graphs only: where a ceiling of that word is
+    missing the image is invalid, elsewhere the ceiling partition breaks.
+    ``bounded`` compares its words with that map.  Every graph's run with
+    the dict its sweep shares must equal a run with a fresh dict."""
+    real = cli._PARKING_MAPS["freedom"]
+    monkeypatch.setitem(cli._PARKING_MAPS, "freedom", lambda d: (1,) * d.n if d.eps[-1] else real(d))
+    details, differs = set(), 0
+    for n in range(1, 5):
+        shared = {}
+        for graph in all_graphs(n):
+            run = cli._theorem_run(name, graph, shared)
+            assert run == cli._theorem_run(name, graph, {}), (name, graph)
+            details.add(run[0] and run[0].split(":")[0])
+            differs += run[2]["freedom_differs_from_bounded"]
+    if name == "freedom":
+        assert details == {None, "image invalid for G", "ceiling partition broken"}
+    else:
+        assert details == {None} and differs > 0
 
 
 @pytest.mark.parametrize("n", range(1, 7))
