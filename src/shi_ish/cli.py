@@ -56,6 +56,7 @@ from .core import (
 from .geometry import cross_validate, diagram_statistics, oracle_pass  # noqa: F401 - re-export
 from .ish import (
     IshCeilingDiagram,
+    _decode_rook_word,
     ceiling_partition_count,
     is_valid_ish,
     ish_char_poly,
@@ -82,11 +83,11 @@ from .rookwords import (
 )
 from .shi import (
     ShiCeilingDiagram,
+    parking_dof,
     parking_to_shi_diagram,
     region_word_statistics,
     shi_diagram_to_parking,
     shi_statistics,
-    shi_word_statistics,
 )
 
 EXIT_OK = 0
@@ -179,8 +180,8 @@ def _check_size(name: str, n: int, limit: int, large_limit: int, allow_large: bo
 
 
 def _region_record(kind: str, region, stats) -> dict:
-    """The record of one region from :func:`diagram_statistics`: its diagram
-    (built here from a Shi region's parking word; a Cox region is its
+    """The record of one region: its diagram (built here from a Shi region's
+    parking word; an Ish region comes decoded, and a Cox region is its
     coordinate order) followed by its statistics."""
     if kind == "cox":
         record = {"pi": list(region)}
@@ -194,20 +195,22 @@ def _region_record(kind: str, region, stats) -> dict:
     return record
 
 
+#: --by value -> (the statistic tallied, the label of one of its values)
+_BREAKDOWNS: dict[str, tuple[str, Callable]] = {
+    "dof": ("dof", str),
+    "dominance": ("dominant", lambda dominant: "dominant" if dominant else "non_dominant"),
+    "ceiling-partition": ("ceiling_partition", partition_str),
+}
+
+
 def _breakdown(regions: Iterator[tuple], by: str) -> tuple[int, dict]:
-    total = 0
-    hist: dict[str, int] = {}
-    for _, stats in regions:
-        total += 1
-        if by == "dof":
-            key = str(stats.dof)
-        elif by == "dominance":
-            key = "dominant" if stats.dominant else "non_dominant"
-        else:  # ceiling-partition
-            key = partition_str(stats.ceiling_partition)
-        hist[key] = hist.get(key, 0) + 1
-    ordered = {k: hist[k] for k in sorted(hist, key=lambda s: (len(s), s))}
-    return total, ordered
+    """The region count and the histogram of one statistic, tallied by its
+    value and labeled once per distinct value."""
+    stat, label = _BREAKDOWNS[by]
+    hist = Counter(getattr(stats, stat) for _, stats in regions)
+    labeled = {label(value): count for value, count in hist.items()}
+    ordered = {k: labeled[k] for k in sorted(labeled, key=lambda s: (len(s), s))}
+    return hist.total(), ordered
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +257,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     graph = _arrangement_graph(args)
     kind = args.arrangement
     _progress(f"enumerating {kind} regions (n={args.n})")
-    records = [
-        _region_record(kind, region, stats)
-        for region, stats in diagram_statistics(kind, args.n, graph)
-    ]
+    regions = diagram_statistics(kind, args.n, graph)
+    if kind == "ish":
+        # an Ish region is printed as its (pi, eps), in lexicographic order;
+        # the stream has already checked that each word is a rook word
+        decoded = ((_decode_rook_word(word), stats) for word, stats in regions)
+        regions = sorted(decoded, key=lambda region: (region[0].pi, region[0].eps))
+    records = [_region_record(kind, region, stats) for region, stats in regions]
     doc = _wrap(args, "enumerate", {"arrangement": kind, "regions": records})
     if args.format == "tsv":
         columns = list(records[0].keys()) if records else ["pi"]
@@ -477,7 +483,7 @@ def _theorem_run(name: str, graph: Graph, facts: dict) -> tuple[Optional[str], i
     bounded = theorem.domain == "bounded"
     targets = set(parking_functions(n, graph))
     if bounded:
-        targets = {w for w in targets if shi_word_statistics(w).relatively_bounded}
+        targets = {w for w in targets if parking_dof(w) == 1}
     seen = set()
     counts: Counter = Counter()
     admits = {None: False}  # an image's ceiling partition -> whether G has all its arcs

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Word = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -63,6 +63,39 @@ def position_partition(word: Sequence[int]) -> SetPartition:
     for pos, letter in enumerate(word, start=1):
         by_letter.setdefault(letter, []).append(pos)
     return tuple(map(tuple, by_letter.values()))
+
+
+def _region_scan(
+    word: Sequence[int], edges: Optional[frozenset[tuple[int, int]]]
+) -> Optional[tuple[SetPartition, bool]]:
+    """The position partition of a word and its dominance rule, in one
+    left-to-right pass; None when ``edges`` is given and misses an arc.
+
+    Position p closes the arc (previous position of its letter, p), so the
+    arcs arrive by increasing right endpoint, and the partition is
+    nonnesting exactly when their left endpoints increase too (see
+    :func:`is_nonnesting`).  The rule holds when the partition is
+    nonnesting and each letter first occurs at its own position.
+
+    >>> _region_scan((1, 2, 1), None)
+    (((1, 3), (2,)), True)
+    """
+    blocks: dict[int, list[int]] = {}
+    dominant = True
+    left = 0  # left endpoint of the latest arc
+    for pos, letter in enumerate(word, start=1):
+        block = blocks.get(letter)
+        if block is None:
+            blocks[letter] = [pos]
+            dominant = dominant and letter == pos
+            continue
+        before = block[-1]
+        if edges is not None and (before, pos) not in edges:
+            return None
+        dominant = dominant and before > left
+        left = before
+        block.append(pos)
+    return tuple(map(tuple, blocks.values())), dominant
 
 
 def cyclic_shift(word: Sequence[int], t: int, alphabet: int) -> Word:

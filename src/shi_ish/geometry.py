@@ -1,11 +1,12 @@
 """Exact geometric enumeration of arrangement regions.
 
 The rest of the package describes regions of the Shi and Ish arrangements
-combinatorially, by ceiling diagrams.  This module recomputes everything
-from the raw hyperplanes -- regions as sign vectors with exact rational
-interior witnesses, ceilings as facet hyperplanes on the origin side,
-degrees of freedom as the dimension of the recession cone -- so that the
-combinatorial labellings can be validated region by region.
+combinatorially, by parking words, rook words and ceiling diagrams.  This
+module recomputes everything from the raw hyperplanes -- regions as sign
+vectors with exact rational interior witnesses, ceilings as facet
+hyperplanes on the origin side, degrees of freedom as the dimension of the
+recession cone -- so that the combinatorial labellings can be validated
+region by region.
 
 All arithmetic is exact.  Every hyperplane is a difference x_a - x_b = c,
 so every feasibility question here is a difference-constraint system, and
@@ -39,8 +40,9 @@ from .core import (
     partition_str,
 )
 from .exactlp import Arc, Row, _arcs_feasible, difference_feasible, strict_feasible
-from .ish import ish_ceiling_pairs, ish_diagrams, ish_region_count, ish_statistics
+from .ish import _decode_rook_word, ish_ceiling_pairs, ish_region_count, region_rook_word_statistics
 from .parking import parking_functions
+from .rookwords import rook_words
 from .shi import ShiStatistics, ceiling_hyperplane_tags, parking_to_shi_diagram, region_word_statistics
 
 #: ("cox", i, j) is x_i - x_j = 0; ("shi", i, j) is x_i - x_j = 1;
@@ -419,28 +421,29 @@ def diagram_statistics(kind: str, n: int, graph: Graph) -> Iterator[tuple]:
     """Every region of Cox(n), Shi(G) or Ish(G) with its statistics, in
     enumeration order.
 
-    A Shi region is its parking word and an Ish region its ceiling diagram.
-    A Cox region is its coordinate order; it has no ceilings, so its ceiling
-    partition is all singletons, and it has n degrees of freedom.
+    A Shi region is its parking word and an Ish region its rook word, each
+    in lexicographic order.  A Cox region is its coordinate order; it has no
+    ceilings, so its ceiling partition is all singletons, and it has n
+    degrees of freedom.
 
     Every Shi word is checked by :func:`shi_ish.shi.region_word_statistics`
-    before it is yielded.  A word that labels no region of Shi(G) raises
+    and every Ish word by :func:`shi_ish.ish.region_rook_word_statistics`
+    before it is yielded.  A word that labels no region raises
     AssertionError, with or without ``python -O``.
 
     >>> [stats.dof for _, stats in diagram_statistics("ish", 2, Graph.complete(2))]
-    [2, 1, 2]
+    [1, 2, 2]
     >>> [word for word, _ in diagram_statistics("shi", 2, Graph.empty(2))]
     [(1, 2), (2, 1)]
     """
-    if kind == "shi":
-        for word in parking_functions(n, graph):
-            stats = region_word_statistics(word, graph)
+    if kind in ("shi", "ish"):
+        words = parking_functions if kind == "shi" else rook_words
+        check = region_word_statistics if kind == "shi" else region_rook_word_statistics
+        for word in words(n, graph):
+            stats = check(word, graph)
             if stats is None:
-                raise AssertionError(f"{word!r} does not label a region of Shi({graph!r})")
+                raise AssertionError(f"{word!r} does not label a region of {kind.capitalize()}({graph!r})")
             yield word, stats
-    elif kind == "ish":
-        for diagram in ish_diagrams(n, graph):
-            yield diagram, ish_statistics(diagram)
     elif kind == "cox":
         singletons = tuple((v,) for v in range(1, n + 1))
         identity = identity_permutation(n)
@@ -458,8 +461,8 @@ def _combinatorial_catalog(
 
     The key matches the geometric key: for "shi" a ceiling pair (i, j) means
     the hyperplane x_i - x_j = 1, for "ish" it means x_1 - x_j = i.  Cox
-    regions have no ceilings.  A Shi word becomes its diagram here, and the
-    key is read off the diagram, not the word.
+    regions have no ceilings.  A Shi or Ish word becomes its diagram here,
+    and the key is read off the diagram, not the word.
     """
     catalog = {}
     for region, stats in diagram_statistics(kind, n, graph):
@@ -467,7 +470,8 @@ def _combinatorial_catalog(
             diagram = parking_to_shi_diagram(region)
             key = (diagram.pi, ceiling_hyperplane_tags(diagram))
         elif kind == "ish":
-            diagram, key = region, (region.pi, ish_ceiling_pairs(region))
+            diagram = _decode_rook_word(region)  # a rook word, checked by the stream
+            key = (diagram.pi, ish_ceiling_pairs(diagram))
         else:
             diagram, key = region, (region, frozenset())
         catalog[key] = (diagram, stats)

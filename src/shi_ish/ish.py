@@ -8,6 +8,12 @@ hyperplanes.  Valid diagrams have the positive eps entries strictly
 increasing, occurring only to the right of the position of the letter 1,
 with eps_i < pi_i and (eps_i, pi_i) an edge of G.
 
+Where regions are counted, a region is its rook word, as a Shi region is its
+parking word: :func:`~shi_ish.rookwords.rook_words` with a graph generates
+them, and :func:`region_rook_word_statistics` reads the statistics off the
+word.  The diagram is decoded by :func:`rook_word_to_ish_diagram` only where
+a region is printed or matched against the geometry.
+
 Diagrams correspond to rook placements on a staircase board whose column i
 has n + i - 1 squares; rows above n exist only where G has the matching
 edge.  Two laser constructions translate placements to words: rightward
@@ -30,6 +36,7 @@ from .core import (
     Permutation,
     SetPartition,
     Word,
+    _region_scan,
     arcs,
     check_permutation,
     cyclic_shift,
@@ -39,7 +46,7 @@ from .core import (
     strict_int,
 )
 from .parking import is_parking_function
-from .rookwords import is_rook_word, orbit_certificate
+from .rookwords import _rook_dof, is_rook_word, orbit_certificate
 
 
 @dataclass(frozen=True)
@@ -130,6 +137,27 @@ def ish_statistics(diagram: IshCeilingDiagram) -> IshStatistics:
         dominant=diagram.pi == identity_permutation(n),
         relatively_bounded=dof == 1,
     )
+
+
+def region_rook_word_statistics(word: Sequence[int], graph: Graph) -> Optional[IshStatistics]:
+    """Statistics of the region of Ish(G) labeled by ``word``, or None when
+    the word labels no region: it must have n letters, be a rook word, and
+    every arc of its position partition must be an edge of G.
+
+    The word is the region's :func:`ish_diagram_to_rook_word`.  Its position
+    partition is the ceiling partition, the degrees of freedom are those of
+    :func:`~shi_ish.rookwords.tail_and_dof`, and the region is dominant by
+    the rule of :func:`~shi_ish.shi.shi_word_statistics`; the arcs are
+    tested in the same scan that builds the partition.
+
+    >>> region_rook_word_statistics((2, 8, 8, 1, 8, 8, 2, 5), Graph.complete(8)).dof
+    3
+    """
+    if len(word) != graph.n:
+        return None
+    dof = _rook_dof(word)
+    scan = None if dof is None else _region_scan(word, graph.edges)
+    return None if scan is None else IshStatistics(scan[0], dof, scan[1], dof == 1)
 
 
 def _degrees_of_freedom(diagram: IshCeilingDiagram) -> int:

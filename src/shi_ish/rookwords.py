@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .core import Word, check_word, cyclic_shift, orbit
+from .core import Graph, Word, check_word, cyclic_shift, orbit
 from .parking import is_parking_function, is_prime_parking_function
 
 
@@ -25,13 +25,23 @@ def is_rook_word(word: Sequence[int]) -> bool:
     >>> is_rook_word((2, 4, 4, 5, 3))
     False
     """
+    return _rook_dof(word) is not None
+
+
+def _rook_dof(word: Sequence[int]) -> Optional[int]:
+    """The degrees of freedom of :func:`tail_and_dof`, or None unless
+    ``word`` is a rook word."""
     n = len(word)
     if n == 0:
-        return False
-    if any(not 1 <= a <= n for a in word):
-        return False
+        return None
     present = set(word)
-    return all(v in present for v in range(1, word[0] + 1))
+    first = word[0]
+    if min(present) < 1 or max(present) > n or not present.issuperset(range(1, first + 1)):
+        return None
+    j = n + 1  # the tail is [j, n]
+    while j - 1 > first and j - 1 in present:
+        j -= 1
+    return first + n + 1 - j
 
 
 def is_prime_rook_word(word: Sequence[int]) -> bool:
@@ -52,30 +62,45 @@ def is_prime_rook_word(word: Sequence[int]) -> bool:
     return all(1 <= a <= top for a in word)
 
 
-def rook_words(n: int) -> Iterator[Word]:
+def rook_words(n: int, graph: Optional[Graph] = None) -> Iterator[Word]:
     """Rook words of size n in lexicographic order.
 
     A depth-first search over [n]^n that drops a prefix as soon as the values
-    of [1, w_1] it still misses outnumber the positions left to fill.
+    of [1, w_1] it still misses outnumber the positions left to fill.  With a
+    graph, it keeps the words labeling the regions of its Ish arrangement,
+    pruned by arcs as :func:`~shi_ish.parking.parking_functions` does.
 
     >>> list(rook_words(2))
     [(1, 1), (1, 2), (2, 1)]
+    >>> list(rook_words(3, Graph(3, frozenset({(1, 2)}))))[:4]
+    [(1, 1, 2), (1, 1, 3), (1, 2, 3), (1, 3, 2)]
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if graph is not None and graph.n != n:
+        raise ValueError("graph order does not match n")
+    edges = None if graph is None else graph.edges
     word = [0] * n
+    last = [0] * (n + 1)  # latest position holding each letter, 0 if none
 
-    def extend(pos: int, missing: frozenset[int]) -> Iterator[Word]:
-        if pos == n:
-            yield tuple(word)
-            return
+    def extend(pos: int, missing: int) -> Iterator[Word]:
+        # missing: the values of [1, w_1] the prefix does not hold yet
         for a in range(1, n + 1):
-            rest = (missing if pos else frozenset(range(1, a))) - {a}
-            if len(rest) < n - pos:
-                word[pos] = a
-                yield from extend(pos + 1, rest)
+            before = last[a]
+            rest = a - 1 if pos == 1 else missing - (not before and a <= word[0])
+            if rest > n - pos:
+                continue
+            if edges is not None and before and (before, pos) not in edges:
+                continue
+            word[pos - 1] = a
+            if pos == n:
+                yield tuple(word)
+                continue
+            last[a] = pos
+            yield from extend(pos + 1, rest)
+            last[a] = before
 
-    yield from extend(0, frozenset())
+    yield from extend(1, 0)
 
 
 def prime_rook_words(n: int) -> Iterator[Word]:
@@ -266,12 +291,8 @@ def tail_and_dof(word: Sequence[int]) -> tuple[tuple[int, ...], int]:
     >>> tail_and_dof((2, 1, 1, 6, 3, 4))
     ((6,), 3)
     """
-    if not is_rook_word(word):
+    dof = _rook_dof(word)
+    if dof is None:
         raise ValueError(f"{word!r} is not a rook word")
     n = len(word)
-    present = set(word)
-    j = n + 1
-    while j - 1 >= word[0] + 1 and (j - 1) in present:
-        j -= 1
-    tail = tuple(range(j, n + 1))
-    return tail, word[0] + len(tail)
+    return tuple(range(n + 1 + word[0] - dof, n + 1)), dof

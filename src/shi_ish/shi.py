@@ -5,7 +5,7 @@ The Shi arrangement of a graph G on [n] adds the hyperplanes x_i - x_j = 1
 the parking functions of size n whose position partition has every arc among
 the edges of G, and that word is the region wherever regions are counted:
 :func:`shi_word_statistics` reads the ceiling partition, the degrees of
-freedom and dominance straight off it.
+freedom and dominance straight off it, in one scan of the word.
 
 A ceiling diagram is the geometric view of the same region: a permutation pi,
 giving the coordinate order on the region, together with a nonnesting
@@ -19,6 +19,7 @@ between the two.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -27,13 +28,12 @@ from .core import (
     Permutation,
     SetPartition,
     Word,
-    arcs,
+    _region_scan,
     check_partition_of,
     check_permutation,
     is_nonnesting,
     nonnesting_from_block_specs,
     partition_from_blocks,
-    position_partition,
     strict_int,
 )
 from .parking import is_parking_function, parking_functions
@@ -102,43 +102,49 @@ def shi_statistics(diagram: ShiCeilingDiagram) -> ShiStatistics:
     return shi_word_statistics(shi_diagram_to_parking(diagram))
 
 
+def parking_dof(word: Sequence[int]) -> int:
+    """Degrees of freedom of the Shi region labeled by the parking function
+    ``word``: its diagonal touches, the k with exactly k letters at most k.
+    With the letters sorted as a_1 <= ... <= a_n (a parking function has
+    a_i <= i), those are the i with a_i = i.  ValueError unless ``word`` is
+    a parking function.
+
+    >>> parking_dof((3, 2, 3, 7, 1, 2, 7, 2))
+    3
+    """
+    letters = sorted(word)
+    bounds = range(1, len(letters) + 1)
+    if not letters or letters[0] < 1 or any(map(operator.gt, letters, bounds)):
+        raise ValueError(f"{word!r} is not a parking function")
+    return sum(map(operator.eq, letters, bounds))
+
+
 def shi_word_statistics(word: Sequence[int]) -> ShiStatistics:
     """Statistics of the Shi region labeled by the parking function ``word``,
     read off the word itself.
 
     The ceiling partition is the word's position partition; the degrees of
-    freedom are its diagonal touches, the k with exactly k letters at most k;
-    the region is dominant when the position partition is nonnesting and
-    every block holds the letter equal to its minimum (then the diagram
-    partition is the position partition and pi is the identity).
+    freedom are those of :func:`parking_dof`; the region is dominant when
+    the position partition is nonnesting and every block holds the letter
+    equal to its minimum (then the diagram partition is the position
+    partition and pi is the identity).
 
     >>> shi_word_statistics((3, 2, 3, 7, 1, 2, 7, 2))
     ShiStatistics(ceiling_partition=((1, 3), (2, 6, 8), (4, 7), (5,)), dof=3, dominant=False)
     >>> shi_word_statistics((1, 2, 1))
     ShiStatistics(ceiling_partition=((1, 3), (2,)), dof=1, dominant=True)
     """
-    n = len(word)
-    if not n or min(word) < 1 or max(word) > n:
-        raise ValueError(f"{word!r} is not a parking function")
-    counts = [0] * (n + 1)
-    for letter in word:
-        counts[letter] += 1
-    dof = below = 0
-    for k in range(1, n + 1):
-        below += counts[k]
-        if below < k:
-            raise ValueError(f"{word!r} is not a parking function")
-        dof += below == k
-    partition = position_partition(word)
-    dominant = all(word[block[0] - 1] == block[0] for block in partition) and is_nonnesting(partition)
-    return ShiStatistics(ceiling_partition=partition, dof=dof, dominant=dominant)
+    dof = parking_dof(word)
+    partition, dominant = _region_scan(word, None)
+    return ShiStatistics(partition, dof, dominant)
 
 
 def region_word_statistics(word: Sequence[int], graph: Graph) -> Optional[ShiStatistics]:
     """Statistics of the region of Shi(G) labeled by ``word``, or None when
     the word labels no region: it must have n letters, be a parking
     function, and every arc of its position partition (the ceilings) must be
-    an edge of G.  The parking test is the one in :func:`shi_word_statistics`.
+    an edge of G.  The statistics are those of :func:`shi_word_statistics`,
+    and the arcs are tested in the same scan that builds the partition.
 
     >>> region_word_statistics((1, 2, 1), Graph.complete(3)).dof
     1
@@ -148,10 +154,11 @@ def region_word_statistics(word: Sequence[int], graph: Graph) -> Optional[ShiSta
     if len(word) != graph.n:
         return None
     try:
-        stats = shi_word_statistics(word)
+        dof = parking_dof(word)
     except ValueError:
         return None
-    return stats if set(arcs(stats.ceiling_partition)) <= graph.edges else None
+    scan = _region_scan(word, graph.edges)
+    return None if scan is None else ShiStatistics(scan[0], dof, scan[1])
 
 
 def ceiling_hyperplane_tags(diagram: ShiCeilingDiagram) -> frozenset[tuple[int, int]]:

@@ -105,6 +105,23 @@ def test_count_breakdowns_match_across_arrangements(capsys):
     )
 
 
+@pytest.mark.parametrize("graph", ["complete", "path", "empty"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_count_total_is_the_same_with_and_without_a_breakdown(capsys, n, graph):
+    """Every region is checked and counted once, whether or not --by asks
+    for a histogram, and each histogram sums to that total."""
+    argv = ("count", "--n", str(n), "--graph", graph)
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    totals = {kind: entry["total"] for kind, entry in doc["results"].items()}
+    assert totals == {kind: entry["formula"] for kind, entry in doc["results"].items()}
+    for by in ("dof", "dominance", "ceiling-partition"):
+        code, doc, _ = run_json(capsys, *argv, "--by", by)
+        assert code == 0
+        for kind, entry in doc["results"].items():
+            assert entry["total"] == totals[kind] == sum(entry[f"by_{by.replace('-', '_')}"].values())
+
+
 def test_count_tsv(capsys):
     code, out, _ = run(capsys, "count", "--n", "3", "--format", "tsv")
     assert code == 0

@@ -19,6 +19,7 @@ import shi_ish.bijections as bijections
 import shi_ish.cli as cli
 import shi_ish.ish as ish
 import shi_ish.parking as parking
+import shi_ish.shi as shi
 from shi_ish.bijections import ish_diagram_to_parking, parking_to_ish_diagram
 from shi_ish.core import Graph, all_graphs, is_nonnesting, position_partition
 from shi_ish.ish import (
@@ -291,3 +292,17 @@ def test_bounded_computes_statistics_only_to_filter_and_compare(capsys, monkeypa
     assert json.loads(capsys.readouterr().out)["report"]["graphs"] == 64
     assert (len(regions), bounded) == (125, 27)
     assert calls["ish_statistics"] == len(regions) + bounded
+
+
+def test_bounded_reads_only_the_dof_of_its_targets(capsys, monkeypatch):
+    """``thm-bounded`` keeps the relatively bounded parking words of each
+    graph by their diagonal touches alone: one ``parking_dof`` per word and
+    no ``shi_word_statistics``.  Each bounded region's image is checked once
+    per suite by ``region_word_statistics``, which reads the same count."""
+    words = sum(1 for graph in all_graphs(4) for _ in parking_functions(4, graph))
+    calls = count_calls(monkeypatch, shi.shi_word_statistics, shi.region_word_statistics, shi.parking_dof)
+    assert cli.main(["verify", "--n", "4", "--suite", "thm-bounded"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["graphs"] == 64
+    assert calls["shi_word_statistics"] == 0
+    assert calls["region_word_statistics"] == 27  # the relatively bounded regions of K_4
+    assert calls["parking_dof"] == words + 27

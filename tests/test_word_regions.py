@@ -1,5 +1,6 @@
-"""Shi regions as parking words: the prefix-pruned generators, the
-word-native statistics and the per-word check of the region stream.
+"""Shi regions as parking words and Ish regions as rook words: the
+prefix-pruned generators, the word-native statistics and the per-word check
+of the region stream.
 
 Every generator is compared, as a list and so in order, with the filter of
 its defining predicate over ``itertools.product``; the word statistics with
@@ -29,6 +30,13 @@ from shi_ish.core import (
     set_partitions,
 )
 from shi_ish.geometry import diagram_statistics
+from shi_ish.ish import (
+    ish_diagram_to_rook_word,
+    ish_diagrams,
+    ish_statistics,
+    region_rook_word_statistics,
+    rook_word_to_ish_diagram,
+)
 from shi_ish.parking import (
     is_parking_function,
     is_prime_parking_function,
@@ -101,6 +109,13 @@ def test_parking_functions_match_the_filter_at_six(make):
     assert list(parking_functions(6, graph)) == list(filtered_parking_functions(6, graph))
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_graph_rook_words_match_the_filter_on_every_graph(n):
+    words = [(word, set(arcs(position_partition(word)))) for word in rook_words(n)]
+    for graph in all_graphs(n):
+        assert list(rook_words(n, graph)) == [word for word, pairs in words if pairs <= graph.edges]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize(
     "generate, predicate, alphabet",
@@ -164,8 +179,30 @@ def test_region_words_are_the_filtered_parking_functions(n):
                     assert stats == shi_word_statistics(word)
 
 
+def ish_reference(n, graph):
+    """The regions of Ish(G) the old way: every diagram with the statistics
+    read off its (pi, eps), keyed by the diagram's rook word."""
+    return {ish_diagram_to_rook_word(d): ish_statistics(d) for d in ish_diagrams(n, graph)}
+
+
+@pytest.mark.parametrize("make", [Graph.complete, Graph.path, Graph.empty])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_region_rook_words_are_the_encoded_diagrams(n, make):
+    """A word labels a region of Ish(G) exactly when it is the rook word of
+    one of its diagrams, and then its statistics are that diagram's; words
+    of the wrong length label none."""
+    graph = make(n)
+    regions = set(ish_reference(n, graph))
+    for length in (n - 1, n, n + 1):
+        for word in itertools.product(range(n + 2), repeat=length):
+            stats = region_rook_word_statistics(word, graph)
+            assert (stats is not None) == (word in regions), (graph, word)
+            if stats is not None:
+                assert stats == ish_statistics(rook_word_to_ish_diagram(word)), word
+
+
 # ---------------------------------------------------------------------------
-# the Shi region stream
+# the region streams
 
 
 def test_shi_regions_stream_as_words():
@@ -193,6 +230,60 @@ def test_a_word_that_fails_the_check_raises(monkeypatch, graph, bad):
             pass
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ish_regions_stream_as_rook_words(n):
+    """The stream holds the rook words of the diagrams, once each and in
+    lexicographic order, with the diagrams' statistics: on every graph for
+    n <= 4, on the complete graph for n = 5 and 6."""
+    for graph in all_graphs(n) if n <= 4 else [Graph.complete(n)]:
+        streamed = list(diagram_statistics("ish", n, graph))
+        words = [word for word, _ in streamed]
+        assert words == sorted(words)
+        reference = ish_reference(n, graph)
+        assert len(streamed) == len(reference)
+        assert dict(streamed) == reference
+
+
+ISH_BAD_WORDS = [
+    (Graph.complete(3), (2, 2, 3)),  # not a rook word: the value 1 never occurs
+    (Graph.path(3), (1, 2, 1)),  # arc (1, 3) is not an edge
+]
+
+
+@pytest.mark.parametrize("graph, bad", ISH_BAD_WORDS)
+def test_an_ish_word_that_fails_the_check_raises(monkeypatch, graph, bad):
+    def generator(n, g):
+        yield from rook_words(n, g)
+        yield bad
+
+    monkeypatch.setattr(geometry, "rook_words", generator)
+    with pytest.raises(AssertionError, match=re.escape(repr(bad))):
+        for _ in diagram_statistics("ish", graph.n, graph):
+            pass
+
+
+def run_under_python_O(script):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return out.stdout
+
+
+@pytest.mark.parametrize("graph, bad", ISH_BAD_WORDS)
+def test_the_ish_word_check_survives_python_O(graph, bad):
+    script = (
+        "from shi_ish import geometry\n"
+        "from shi_ish.core import Graph\n"
+        f"geometry.rook_words = lambda n, g: iter([{bad!r}])\n"
+        "try:\n"
+        f"    list(geometry.diagram_statistics('ish', 3, Graph({graph.n}, frozenset({sorted(graph.edges)!r}))))\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    assert run_under_python_O(script) == "raised\n"
+
+
 def test_the_word_check_survives_python_O():
     script = (
         "from shi_ish import geometry\n"
@@ -203,8 +294,4 @@ def test_the_word_check_survives_python_O():
         "except AssertionError:\n"
         "    print('raised')\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout == "raised\n"
+    assert run_under_python_O(script) == "raised\n"
