@@ -14,15 +14,22 @@ All four bijections factor through parking functions and rook words:
 * ``freedom_bijection`` goes through labeled Dyck paths, cutting them into
   prime components.  It preserves ceiling partitions and degrees of freedom.
 
-A Shi region is its parking word, so each bijection is implemented once in
-the word domain: ``{name}_parking`` carries an Ish diagram to the parking word
-of its Shi image and ``{name}_parking_inverse`` carries the word back.  The
-diagram maps ``{name}_bijection`` and ``{name}_bijection_inverse`` are those
-two read through :func:`parking_to_shi_diagram` and
-:func:`shi_diagram_to_parking`.  The laser steps of ``basic``, ``dominance``
-and ``bounded`` run on (pi, eps) through the board-free codec of
-:mod:`shi_ish.ish`; the rook placements there are the documented
-construction and the tests' reference.
+An Ish region is its rook word and a Shi region is its parking word, so each
+bijection is implemented once, as a pair of word maps:
+``{name}_rook_to_parking`` carries the rook word of an Ish region to the
+parking word of its Shi image, and ``{name}_parking_to_rook`` carries it
+back.  ``basic`` reads its rook rows off the word, ``dominance`` and
+``bounded`` are cycle-lemma orbits of the word, and ``freedom`` builds its
+diamond word from the first occurrences of the letters and takes the degrees
+of freedom and the ceiling partition from the word.  Everything else is a
+view through a codec: ``{name}_parking`` and ``{name}_parking_inverse`` put
+the Ish codec of :mod:`shi_ish.ish` (``_encode_rook_word`` and
+``_decode_rook_word``) around the word maps, and the diagram maps
+``{name}_bijection`` and ``{name}_bijection_inverse`` put
+:func:`parking_to_shi_diagram` and :func:`shi_diagram_to_parking` around
+those.  The theorem sweeps of :mod:`shi_ish.cli` run the word maps; the rook
+placements of :mod:`shi_ish.ish` are the documented construction and the
+tests' reference.
 
 The Dyck-path construction works with partially built words whose dotted
 positions are marked by the :data:`DIAMOND` placeholder until the very last
@@ -33,16 +40,15 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence, Union
 
-from .core import SetPartition, Word, arcs, partition_from_pairs, position_partition
+from .core import SetPartition, Word, check_partition_of, position_partition
 from .ish import (
     IshCeilingDiagram,
     _decode_rook_word,
-    _degrees_of_freedom,
     _encode_rook_word,
-    ish_ceiling_pairs,
-    ish_diagram_to_laser_word,
-    ish_statistics,
-    laser_word_to_ish_diagram,
+    _laser_rows,
+    _laser_word,
+    _rook_word_rows,
+    _rows_to_rook_word,
 )
 from .parking import (
     LabeledDyckPath,
@@ -52,7 +58,7 @@ from .parking import (
     prime_components,
     word_to_dyck,
 )
-from .rookwords import OrbitCertificate, orbit_certificate
+from .rookwords import OrbitCertificate, _rook_dof, orbit_certificate
 from .shi import ShiCeilingDiagram, parking_to_shi_diagram, shi_diagram_to_parking
 
 
@@ -79,17 +85,111 @@ DiamondWord = tuple[Union[int, Diamond], ...]
 
 
 # ---------------------------------------------------------------------------
-# the four region bijections: the word maps, then their diagram views
+# the four region bijections: the word maps, then their views
 
 
-def _certified_rook_orbit(word: Word, prime: bool = False) -> OrbitCertificate:
+def _certified_rook_orbit(word: Sequence[int], prime: bool = False) -> OrbitCertificate:
     """The orbit certificate of a region's rook word.  The certificate checks
     its (prime) rook member by substitution; that member must be ``word``
-    itself, which certifies the encoded word with that one check."""
+    itself, which certifies the input with that one check."""
     cert = orbit_certificate(word, prime=prime)
-    if cert.rook != word:
-        raise AssertionError(f"{word} is not a {'prime ' if prime else ''}rook word")
+    if cert.rook != cert.word:
+        raise ValueError(f"{word!r} is not a {'prime ' if prime else ''}rook word")
     return cert
+
+
+def basic_rook_to_parking(word: Sequence[int]) -> Word:
+    """The ``basic`` map on words: the rook word's placement, restricted,
+    read with rightward lasers and parked.
+
+    >>> basic_rook_to_parking((2, 8, 8, 1, 8, 8, 2, 5))
+    (4, 2, 3, 4, 2, 3, 1, 7)
+    """
+    if _rook_dof(word) is None:
+        raise ValueError(f"{word!r} is not a rook word")
+    return _basic_rook_to_parking(word)
+
+
+def _basic_rook_to_parking(word: Word) -> Word:
+    """:func:`basic_rook_to_parking` of a word already known to be a rook
+    word."""
+    return orbit_certificate(_laser_word(_rook_word_rows(word))).parking
+
+
+def basic_parking_to_rook(word: Sequence[int]) -> Word:
+    """Inverse of :func:`basic_rook_to_parking`: the placement the laser
+    word decodes to, read with downward lasers."""
+    if not is_parking_function(word):
+        raise ValueError(f"{word!r} is not a parking function")
+    return _rows_to_rook_word(_laser_rows(word))
+
+
+def dominance_rook_to_parking(word: Sequence[int]) -> Word:
+    """The ``dominance`` map on words: the rook word parked by the cycle
+    lemma.
+
+    >>> dominance_rook_to_parking((2, 8, 8, 1, 8, 8, 2, 5))
+    (4, 1, 1, 3, 1, 1, 4, 7)
+    """
+    return _certified_rook_orbit(word).parking
+
+
+def dominance_parking_to_rook(word: Sequence[int]) -> Word:
+    """Inverse of :func:`dominance_rook_to_parking`.
+
+    The orbit certificate checks its parking member by substitution; that
+    member must be ``word`` itself, which certifies the input with that one
+    check, as :func:`_certified_rook_orbit` does for rook words.
+    """
+    try:
+        cert = orbit_certificate(word)
+    except ValueError:
+        if is_parking_function(word):
+            raise  # parking-shaped, but a letter is no integer: keep that message
+        cert = None
+    if cert is None or cert.parking != cert.word:
+        raise ValueError(f"{word!r} is not a parking function")
+    return cert.rook
+
+
+def bounded_rook_to_parking(word: Sequence[int]) -> Word:
+    """The ``bounded`` map on the rook word of a relatively bounded region
+    (one degree of freedom): the word parked by the prime cycle lemma.
+
+    >>> bounded_rook_to_parking((1, 3, 3, 2))
+    (2, 1, 1, 3)
+    """
+    dof = _rook_dof(word)
+    if dof is None:
+        raise ValueError(f"{word!r} is not a rook word")
+    if dof != 1:
+        raise ValueError("input region is not relatively bounded")
+    return _certified_rook_orbit(word, prime=True).parking
+
+
+def bounded_parking_to_rook(word: Sequence[int]) -> Word:
+    """Inverse of :func:`bounded_rook_to_parking`; the certificate checks the
+    prime rook word it returns."""
+    if not is_prime_parking_function(word):
+        raise ValueError("input region is not relatively bounded")
+    return orbit_certificate(word, prime=True).rook
+
+
+def freedom_rook_to_parking(word: Sequence[int]) -> Word:
+    """The ``freedom`` map on words: the labeled Dyck path of the region,
+    built from its prime components (:func:`ish_diagram_to_parking_stages`).
+
+    >>> freedom_rook_to_parking((2, 8, 8, 1, 8, 8, 2, 5))
+    (2, 4, 4, 1, 4, 4, 2, 7)
+    """
+    return _rook_word_to_parking_stages(word).word
+
+
+def freedom_parking_to_rook(word: Sequence[int]) -> Word:
+    """Inverse of :func:`freedom_rook_to_parking`
+    (:func:`parking_to_ish_diagram_stages`)."""
+    *_, after_global = _diamond_stages(word)
+    return _resolve_rook_word(after_global, position_partition(word))
 
 
 def basic_parking(diagram: IshCeilingDiagram) -> Word:
@@ -100,13 +200,11 @@ def basic_parking(diagram: IshCeilingDiagram) -> Word:
     >>> basic_parking(d)
     (4, 2, 3, 4, 2, 3, 1, 7)
     """
-    return orbit_certificate(ish_diagram_to_laser_word(diagram)).parking
+    return _basic_rook_to_parking(_encode_rook_word(diagram))
 
 
 def basic_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    if not is_parking_function(word):
-        raise ValueError(f"{word!r} is not a parking function")
-    return laser_word_to_ish_diagram(word)
+    return _decode_rook_word(basic_parking_to_rook(word))
 
 
 def dominance_parking(diagram: IshCeilingDiagram) -> Word:
@@ -117,15 +215,11 @@ def dominance_parking(diagram: IshCeilingDiagram) -> Word:
     >>> dominance_parking(d)
     (4, 1, 1, 3, 1, 1, 4, 7)
     """
-    return _certified_rook_orbit(_encode_rook_word(diagram)).parking
+    return dominance_rook_to_parking(_encode_rook_word(diagram))
 
 
 def dominance_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
     """The Ish region whose ``dominance`` image has this parking word.
-
-    The orbit certificate checks its parking member by substitution; that
-    member must be ``word`` itself, which certifies the input with that one
-    check, as :func:`_certified_rook_orbit` does for rook words.
 
     >>> dominance_parking_inverse((4, 1, 1, 3, 1, 1, 4, 7))
     IshCeilingDiagram(pi=(4, 1, 7, 3, 8, 5, 6, 2), eps=(0, 0, 1, 2, 0, 3, 5, 0))
@@ -134,15 +228,7 @@ def dominance_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
     ...
     ValueError: (1, 3, 3) is not a parking function
     """
-    try:
-        cert = orbit_certificate(word)
-    except ValueError:
-        if is_parking_function(word):
-            raise  # parking-shaped, but a letter is no integer: keep that message
-        cert = None
-    if cert is None or cert.parking != cert.word:
-        raise ValueError(f"{word!r} is not a parking function")
-    return _decode_rook_word(cert.rook)
+    return _decode_rook_word(dominance_parking_to_rook(word))
 
 
 def bounded_parking(diagram: IshCeilingDiagram) -> Word:
@@ -156,17 +242,11 @@ def bounded_parking(diagram: IshCeilingDiagram) -> Word:
     ...
     ValueError: input region is not relatively bounded
     """
-    word = _encode_rook_word(diagram)  # ValueError unless the diagram is coherent
-    if _degrees_of_freedom(diagram) != 1:
-        raise ValueError("input region is not relatively bounded")
-    return _certified_rook_orbit(word, prime=True).parking
+    return bounded_rook_to_parking(_encode_rook_word(diagram))
 
 
 def bounded_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    if not is_prime_parking_function(word):
-        raise ValueError("input region is not relatively bounded")
-    # a prime rook word is a rook word, and the certificate has checked it
-    return _decode_rook_word(orbit_certificate(word, prime=True).rook)
+    return _decode_rook_word(bounded_parking_to_rook(word))
 
 
 def freedom_parking(diagram: IshCeilingDiagram) -> Word:
@@ -177,11 +257,11 @@ def freedom_parking(diagram: IshCeilingDiagram) -> Word:
     >>> freedom_parking(d)
     (2, 4, 4, 1, 4, 4, 2, 7)
     """
-    return ish_diagram_to_parking(diagram)
+    return freedom_rook_to_parking(_encode_rook_word(diagram))
 
 
 def freedom_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    return parking_to_ish_diagram(word)
+    return _decode_rook_word(freedom_parking_to_rook(word))
 
 
 def basic_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
@@ -277,26 +357,39 @@ def resolve_diamond_word(
     There is exactly one way to dot the diamond positions so that the
     resulting diagram is valid and has the prescribed ceiling partition: the
     available relations are the arcs of the partition, and sorting them by
-    left endpoint is forced by the increasing-dots condition.
-
-    Checks that the filled diagram is coherent (:func:`ish_ceiling_pairs`).
-    Its ceiling pairs are then the arcs placed in the diamonds, so its
-    ceiling partition is the one those arcs generate, and that must be
-    ``partition``.  ValueError otherwise.
+    left endpoint is forced by the increasing-dots condition.  The filled
+    diagram is the decoded :func:`_resolve_rook_word`; ValueError unless it
+    is a coherent diagram with that ceiling partition.
     """
-    pairs = sorted(arcs(partition))
-    positions = [i for i, s in enumerate(word) if isinstance(s, Diamond)]
-    if len(pairs) != len(positions):
+    check_partition_of(partition, len(word))
+    return _decode_rook_word(_resolve_rook_word(word, partition))
+
+
+def _resolve_rook_word(word: Sequence[Union[int, Diamond]], partition: SetPartition) -> Word:
+    """The rook word of :func:`resolve_diamond_word`, for a partition of
+    [len(word)].
+
+    The letters of ``word`` must be the block minima of ``partition``, one
+    diamond per arc.  A block's minimum sits undotted at some position i,
+    and each later element hangs from its predecessor in the block by a dot,
+    so every element of the block reads i in the rook word.  The dotted
+    positions are the letters the rook word misses, so it is a rook word
+    exactly when every diamond lies right of the letter 1, which is the
+    coherence of the filled diagram.
+    """
+    if sum(isinstance(s, Diamond) for s in word) != len(word) - len(partition):
         raise ValueError("diamond count does not match the partition arcs")
-    pi = list(word)
-    eps = [0] * len(word)
-    for pos, (low, high) in zip(positions, pairs):
-        pi[pos] = high
-        eps[pos] = low
-    diagram = IshCeilingDiagram(pi=tuple(pi), eps=tuple(eps))
-    if partition_from_pairs(diagram.n, ish_ceiling_pairs(diagram)) != partition:
-        raise ValueError("word letters are inconsistent with the partition")
-    return diagram
+    at = {s: i for i, s in enumerate(word, start=1) if not isinstance(s, Diamond)}
+    rook = [0] * len(word)
+    for block in partition:
+        position = at.get(block[0])
+        if position is None:
+            raise ValueError("word letters are inconsistent with the partition")
+        for value in block:
+            rook[value - 1] = position
+    if _rook_dof(rook) is None:
+        raise ValueError(f"{tuple(word)!r} has a diamond left of the letter 1")
+    return tuple(rook)
 
 
 def parking_to_ish_diagram_stages(word: Sequence[int]) -> DyckToIshStages:
@@ -308,8 +401,26 @@ def parking_to_ish_diagram_stages(word: Sequence[int]) -> DyckToIshStages:
     each later component is read left to right and spliced in just after
     position i-1.  The first d letters then rotate left once, the whole word
     rotates left until only labels of components left of 1 precede the 1, and
-    the diamonds resolve against the position partition.
+    the diamonds resolve against the position partition.  The last step is
+    :func:`freedom_parking_to_rook` and the codec's decoding.
     """
+    components, stage_words, after_prefix, after_global = _diamond_stages(word)
+    rook = _resolve_rook_word(after_global, position_partition(word))
+    return DyckToIshStages(
+        components=components,
+        stage_words=stage_words,
+        after_prefix_rotation=after_prefix,
+        after_global_rotation=after_global,
+        diagram=_decode_rook_word(rook),
+    )
+
+
+def _diamond_stages(
+    word: Sequence[int],
+) -> tuple[tuple[LabeledDyckPath, ...], tuple[DiamondWord, ...], DiamondWord, DiamondWord]:
+    """The components, stage words and both rotations of
+    :func:`parking_to_ish_diagram_stages`: everything before the diamonds
+    resolve."""
     dyck = word_to_dyck(word)
     comps = prime_components(dyck)
     d = len(comps)
@@ -343,32 +454,37 @@ def parking_to_ish_diagram_stages(word: Sequence[int]) -> DyckToIshStages:
 
     shift = d - one_in
     working = working[shift:] + working[:shift]
-    after_global = tuple(working)
-
-    diagram = resolve_diamond_word(after_global, position_partition(word))
-    return DyckToIshStages(
-        components=tuple(c.columns for c in ordered),
-        stage_words=tuple(stage_words),
-        after_prefix_rotation=after_prefix,
-        after_global_rotation=after_global,
-        diagram=diagram,
-    )
+    return tuple(c.columns for c in ordered), tuple(stage_words), after_prefix, tuple(working)
 
 
 def parking_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
     """The Ish ceiling diagram attached to a parking function by the prime
-    Dyck component construction.
+    Dyck component construction: :func:`freedom_parking_inverse`.
 
     >>> parking_to_ish_diagram((3, 7, 3, 8, 2, 2, 7, 1, 2)).pi
     (8, 1, 4, 3, 7, 6, 5, 9, 2)
     >>> parking_to_ish_diagram((3, 7, 3, 8, 2, 2, 7, 1, 2)).eps
     (0, 0, 0, 1, 2, 5, 0, 6, 0)
     """
-    return parking_to_ish_diagram_stages(word).diagram
+    return freedom_parking_inverse(word)
 
 
 def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages:
-    """Recover the parking function of an Ish region, keeping every stage.
+    """Recover the parking function of an Ish region, keeping every stage:
+    :func:`_rook_word_to_parking_stages` of its rook word."""
+    return _rook_word_to_parking_stages(_encode_rook_word(diagram))
+
+
+def _rook_word_to_parking_stages(word: Sequence[int]) -> IshToDyckStages:
+    """The stages of :func:`ish_diagram_to_parking_stages`, read off the
+    region's rook word.
+
+    The diamond word is the region's pi with its dotted letters replaced by
+    diamonds: the first occurrence of letter a, at position q, puts q at
+    position a, and the positions of the missing letters are the diamonds.
+    The degrees of freedom are those of the rook word and the ceiling
+    partition is its position partition, whose block minima are the letters
+    of the diamond word.
 
     With d the degrees of freedom, the diamond word cycles right until 1 sits
     in position d (the cycle index counts the steps), the first d entries
@@ -380,14 +496,16 @@ def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages
     cycle index then fixes the left-to-right order: the component of 1 lands
     in linear position d minus the cycle index.
     """
-    stats = ish_statistics(diagram)
-    d = stats.dof
-    n = diagram.n
-    block_of = {block[0]: block for block in stats.ceiling_partition}
+    d = _rook_dof(word)
+    if d is None:
+        raise ValueError(f"{word!r} is not a rook word")
+    n = len(word)
+    partition = position_partition(word)
+    block_of = {block[0]: block for block in partition}
 
-    working: list[Union[int, Diamond]] = [
-        DIAMOND if e > 0 else p for p, e in zip(diagram.pi, diagram.eps)
-    ]
+    working: list[Union[int, Diamond]] = [DIAMOND] * n
+    for first in block_of:
+        working[word[first - 1] - 1] = first
     initial = tuple(working)
 
     cycle_index = (d - 1 - working.index(1)) % n
@@ -445,8 +563,8 @@ def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages
 
     order = tuple((m + cycle_index) % d + 1 for m in range(1, d + 1))
     columns = [col for i in order for col in components[i]]
-    word = dyck_to_word(columns)
-    if position_partition(word) != stats.ceiling_partition:
+    parking = dyck_to_word(columns)
+    if position_partition(parking) != partition:
         raise AssertionError("parking word does not keep the ceiling partition")
     return IshToDyckStages(
         diamond_word=initial,
@@ -455,17 +573,17 @@ def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages
         after_prefix_rotation=after_prefix,
         components=tuple(components[i] for i in range(1, d + 1)),
         linear_order=order,
-        word=word,
+        word=parking,
     )
 
 
 def ish_diagram_to_parking(diagram: IshCeilingDiagram) -> Word:
     """The parking function of an Ish region, by prime Dyck components.
-    Inverse of :func:`parking_to_ish_diagram`.
+    Inverse of :func:`parking_to_ish_diagram`; :func:`freedom_parking`.
 
     >>> d = IshCeilingDiagram(
     ...     (8, 1, 4, 3, 7, 6, 5, 9, 2), (0, 0, 0, 1, 2, 5, 0, 6, 0))
     >>> ish_diagram_to_parking(d)
     (3, 7, 3, 8, 2, 2, 7, 1, 2)
     """
-    return ish_diagram_to_parking_stages(diagram).word
+    return freedom_parking(diagram)

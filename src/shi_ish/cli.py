@@ -30,17 +30,17 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .bijections import (
     basic_bijection,
-    basic_parking,
-    basic_parking_inverse,
+    basic_parking_to_rook,
+    basic_rook_to_parking,
     bounded_bijection,
-    bounded_parking,
-    bounded_parking_inverse,
+    bounded_parking_to_rook,
+    bounded_rook_to_parking,
     dominance_bijection,
-    dominance_parking,
-    dominance_parking_inverse,
+    dominance_parking_to_rook,
+    dominance_rook_to_parking,
     freedom_bijection,
-    freedom_parking,
-    freedom_parking_inverse,
+    freedom_parking_to_rook,
+    freedom_rook_to_parking,
 )
 from .core import (
     Graph,
@@ -48,7 +48,6 @@ from .core import (
     Word,
     all_graphs,
     arcs,
-    inverse_permutation,
     partition_str,
     position_partition,
     set_partitions,
@@ -60,11 +59,11 @@ from .ish import (
     ceiling_partition_count,
     is_valid_ish,
     ish_char_poly,
-    ish_diagrams,
     ish_region_count,
     ish_statistics,
     poly_eval,
     poly_mul,
+    region_rook_word_statistics,
     rook_number,
 )
 from .parking import (
@@ -133,7 +132,7 @@ def load_graph(spec: str, n: int) -> Graph:
     try:
         with open(spec, encoding="utf-8") as handle:
             data = json.load(handle)
-        graph = Graph.from_json(data)
+        graph = Graph.from_json(_known_keys(data, ("n", "edges")))
     except OSError as exc:
         raise UsageError(f"cannot read graph file {spec!r}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
@@ -141,6 +140,15 @@ def load_graph(spec: str, n: int) -> Graph:
     if graph.n != n:
         raise UsageError(f"graph file {spec!r} is on {graph.n} vertices, --n is {n}")
     return graph
+
+
+def _known_keys(data, keys: tuple[str, ...]):
+    """``data`` itself; ValueError if it is an object with a key outside
+    ``keys``, so that a misspelled key is refused rather than dropped."""
+    unknown = sorted(set(data) - set(keys)) if isinstance(data, dict) else []
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}; expected {' and '.join(keys)}")
+    return data
 
 
 def _word_str(word: Sequence[int]) -> str:
@@ -221,11 +229,12 @@ def cmd_count(args: argparse.Namespace) -> int:
     _check_size("count", args.n, 6, 8, args.allow_large)
     graph = _arrangement_graph(args)
     kinds = [args.arrangement] if args.arrangement else ["shi", "ish"]
+    # Shi(G) and Ish(G) have the same number of regions: one formula for both
+    ish_formula = ish_region_count(graph) if kinds != ["cox"] else None
     results: dict[str, dict] = {}
     for kind in kinds:
         _progress(f"counting {kind} regions (n={args.n})")
-        formula = math.factorial(args.n) if kind == "cox" else ish_region_count(graph)
-        entry: dict = {"formula": formula}
+        entry: dict = {"formula": math.factorial(args.n) if kind == "cox" else ish_formula}
         regions = diagram_statistics(kind, args.n, graph)
         if args.by:
             total, hist = _breakdown(regions, args.by)
@@ -293,19 +302,20 @@ _BIJECTIONS: dict[str, Callable[[IshCeilingDiagram], ShiCeilingDiagram]] = {
     "bounded": bounded_bijection,
     "freedom": freedom_bijection,
 }
-#: the same bijections onto the parking word of the Shi image, and back:
-#: ``verify`` checks these, ``map`` prints the diagram views above
-_PARKING_MAPS: dict[str, Callable[[IshCeilingDiagram], Word]] = {
-    "basic": basic_parking,
-    "dominance": dominance_parking,
-    "bounded": bounded_parking,
-    "freedom": freedom_parking,
+#: the same bijections from the rook word of the Ish region to the parking
+#: word of its Shi image, and back: ``verify`` checks these, ``map`` prints
+#: the diagram views above
+_PARKING_MAPS: dict[str, Callable[[Word], Word]] = {
+    "basic": basic_rook_to_parking,
+    "dominance": dominance_rook_to_parking,
+    "bounded": bounded_rook_to_parking,
+    "freedom": freedom_rook_to_parking,
 }
-_INVERSES: dict[str, Callable[[Word], IshCeilingDiagram]] = {
-    "basic": basic_parking_inverse,
-    "dominance": dominance_parking_inverse,
-    "bounded": bounded_parking_inverse,
-    "freedom": freedom_parking_inverse,
+_INVERSES: dict[str, Callable[[Word], Word]] = {
+    "basic": basic_parking_to_rook,
+    "dominance": dominance_parking_to_rook,
+    "bounded": bounded_parking_to_rook,
+    "freedom": freedom_parking_to_rook,
 }
 
 
@@ -358,7 +368,7 @@ def _read_diagram(path: str) -> IshCeilingDiagram:
         else:
             with open(path, encoding="utf-8") as handle:
                 data = json.load(handle)
-        return IshCeilingDiagram.from_json(data)
+        return IshCeilingDiagram.from_json(_known_keys(data, ("pi", "eps")))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read Ish diagram from {path!r}: {exc}") from exc
 
@@ -431,51 +441,55 @@ def _sweep_graphs(n: int, allow_large: bool, suite: str) -> list[Graph]:
     )
 
 
-def _region_facts(name: str, diagram: IshCeilingDiagram, complete: Graph) -> tuple:
-    """The part of a region's check under ``_THEOREMS[name]`` that is the
-    same in every graph holding the region: ``()`` outside the theorem's
-    domain, else ``(word, partition, detail, agrees)``.  ``partition`` is
-    the image's ceiling partition, read against ``complete`` (K_n), or None
-    when the word labels no region of Shi(K_n); ``detail`` is the first
-    failure that no graph changes, and ``agrees`` is None unless a compared
-    map was run."""
+def _region_facts(name: str, word: Word, complete: Graph) -> tuple:
+    """The part of the check under ``_THEOREMS[name]`` of the region with
+    rook word ``word`` that is the same in every graph holding the region:
+    ``()`` outside the theorem's domain, else ``(image, partition, detail,
+    agrees)``.  ``image`` is the parking word of the Shi image and
+    ``partition`` its ceiling partition, read against ``complete`` (K_n), or
+    None when the image labels no region of Shi(K_n); ``detail`` is the
+    first failure that no graph changes, and ``agrees`` is None unless a
+    compared map was run."""
     theorem = _THEOREMS[name]
-    stats = ish_statistics(diagram) if theorem.checks else None
+    stats = region_rook_word_statistics(word, complete) if theorem.checks else None
     if theorem.domain == "bounded" and not stats.relatively_bounded:
         return ()
-    word = _PARKING_MAPS[name](diagram)
-    image_stats = region_word_statistics(word, complete)
+    image = _PARKING_MAPS[name](word)
+    image_stats = region_word_statistics(image, complete)
     if image_stats is None:
-        return word, None, "image invalid for G: {}", None
+        return image, None, "image invalid for G: {}", None
     broken = [s for s in theorem.checks if getattr(image_stats, s) != getattr(stats, s)]
-    # a region with n degrees of freedom maps to pi with every arc dropped,
-    # which is the region labeled by the parking word pi^-1
+    # a region with n degrees of freedom has no dots, so its rook word is
+    # pi^-1; it maps to pi with every arc dropped, labeled by that same word
     free = theorem.free_regions and stats.dof == complete.n
     if broken:
         detail = _BROKEN[broken[0]][0]
-    elif _INVERSES[name](word) != diagram:
+    elif _INVERSES[name](image) != word:
         detail = theorem.roundtrip_detail
-    elif free and word != inverse_permutation(diagram.pi):
+    elif free and image != word:
         detail = "free-region word wrong: {}"
     else:
         detail = None
     agrees = None
     if detail is None and theorem.compare_with is not None:
-        agrees = _PARKING_MAPS[theorem.compare_with](diagram) == word
-    return word, image_stats.ceiling_partition, detail, agrees
+        agrees = _PARKING_MAPS[theorem.compare_with](word) == image
+    return image, image_stats.ceiling_partition, detail, agrees
 
 
 def _theorem_run(name: str, graph: Graph, facts: dict) -> tuple[Optional[str], int, Counter]:
     """Check the bijection theorem ``_THEOREMS[name]`` on one graph.
 
     Returns the failure detail (None if the theorem holds), the number of
-    images seen before the check stopped, and the agreement counts.  A Shi
-    region is its parking word, so the image is that word: its validity for
-    G and its statistics are read off it, and no Shi diagram is built.
+    images seen before the check stopped, and the agreement counts.  An Ish
+    region is its rook word and a Shi region its parking word, so the run
+    walks ``rook_words(n, graph)``, maps each word to the parking word of its
+    image and back, and reads validity and statistics off the words: it
+    builds no diagram but the one that names a failing region.
 
     The maps take no graph, so ``facts`` keeps each region's
-    :func:`_region_facts` for all the graphs of a sweep; per graph, only the
-    image's ceilings are tested against the edges, once per partition.
+    :func:`_region_facts`, keyed by its rook word, for all the graphs of a
+    sweep; per graph, only the image's ceilings are tested against the
+    edges, once per partition.
     """
     theorem = _THEOREMS[name]
     n = graph.n
@@ -487,23 +501,23 @@ def _theorem_run(name: str, graph: Graph, facts: dict) -> tuple[Optional[str], i
     seen = set()
     counts: Counter = Counter()
     admits = {None: False}  # an image's ceiling partition -> whether G has all its arcs
-    for diagram in ish_diagrams(n, graph):
-        fact = facts.get(diagram)
+    for word in rook_words(n, graph):
+        fact = facts.get(word)
         if fact is None:
-            fact = facts[diagram] = _region_facts(name, diagram, complete)
+            fact = facts[word] = _region_facts(name, word, complete)
         if not fact:
             continue
-        word, partition, detail, agrees = fact
+        image, partition, detail, agrees = fact
         valid = admits.get(partition)
         if valid is None:
             valid = admits[partition] = graph.edges.issuperset(arcs(partition))
         if not valid:
             detail = "image invalid for G: {}"
         if detail is not None:
-            return detail.format(diagram), len(seen), counts
+            return detail.format(_decode_rook_word(word)), len(seen), counts
         if agrees is not None:
             counts[theorem.counters[0 if agrees else 1]] += 1
-        seen.add(word)
+        seen.add(image)
     detail = None
     if seen != targets:
         detail = f"image set is not all {'bounded ' if bounded else ''}Shi diagrams"

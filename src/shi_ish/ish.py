@@ -8,19 +8,20 @@ hyperplanes.  Valid diagrams have the positive eps entries strictly
 increasing, occurring only to the right of the position of the letter 1,
 with eps_i < pi_i and (eps_i, pi_i) an edge of G.
 
-Where regions are counted, a region is its rook word, as a Shi region is its
-parking word: :func:`~shi_ish.rookwords.rook_words` with a graph generates
-them, and :func:`region_rook_word_statistics` reads the statistics off the
-word.  The diagram is decoded by :func:`rook_word_to_ish_diagram` only where
-a region is printed or matched against the geometry.
+Where regions are counted or the bijection theorems are checked, a region is
+its rook word, as a Shi region is its parking word:
+:func:`~shi_ish.rookwords.rook_words` with a graph generates them, and
+:func:`region_rook_word_statistics` reads the statistics off the word.  The
+diagram is decoded by :func:`rook_word_to_ish_diagram` only where a region is
+printed, named in a failure or matched against the geometry.
 
 Diagrams correspond to rook placements on a staircase board whose column i
 has n + i - 1 squares; rows above n exist only where G has the matching
 edge.  Two laser constructions translate placements to words: rightward
 lasers give the parking-function side, downward lasers give rook words.
 The placements are the documented construction; the bijections run both
-lasers on (pi, eps) directly, through the board-free codec at the end of
-the laser sections.
+lasers on the rows of the board-free codec at the end of the laser
+sections, read off (pi, eps) or off the rook word.
 """
 
 from __future__ import annotations
@@ -130,7 +131,9 @@ def ish_statistics(diagram: IshCeilingDiagram) -> IshStatistics:
     """
     pairs = ish_ceiling_pairs(diagram)
     n = diagram.n
-    dof = _degrees_of_freedom(diagram)
+    one_at = diagram.pi.index(1) + 1
+    last = max(diagram.dotted_positions(), default=one_at)
+    dof = n - last + one_at
     return IshStatistics(
         ceiling_partition=partition_from_pairs(n, pairs),
         dof=dof,
@@ -158,15 +161,6 @@ def region_rook_word_statistics(word: Sequence[int], graph: Graph) -> Optional[I
     dof = _rook_dof(word)
     scan = None if dof is None else _region_scan(word, graph.edges)
     return None if scan is None else IshStatistics(scan[0], dof, scan[1], dof == 1)
-
-
-def _degrees_of_freedom(diagram: IshCeilingDiagram) -> int:
-    """The ``dof`` of :func:`ish_statistics`, for a diagram whose coherence
-    the caller has checked."""
-    one_at = diagram.pi.index(1) + 1
-    dotted = diagram.dotted_positions()
-    last = dotted[-1] if dotted else one_at
-    return diagram.n - last + one_at
 
 
 def ish_diagrams(n: int, graph: Optional[Graph] = None) -> Iterator[IshCeilingDiagram]:
@@ -562,7 +556,12 @@ def ish_diagram_to_rook_word(diagram: IshCeilingDiagram) -> Word:
 def _encode_rook_word(diagram: IshCeilingDiagram) -> Word:
     """:func:`ish_diagram_to_rook_word` without the closing rook-word check,
     for callers that certify the word themselves."""
-    rows = _rook_rows(diagram)
+    return _rows_to_rook_word(_rook_rows(diagram))
+
+
+def _rows_to_rook_word(rows: Sequence[int]) -> Word:
+    """The downward-laser word of a placement given as rows: a rook at row
+    r <= n reads r, a rook at row n + e reads the letter of column e."""
     n = len(rows)
     word: list[int] = []
     for row in rows:
@@ -590,13 +589,21 @@ def rook_word_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
 def _decode_rook_word(word: Sequence[int]) -> IshCeilingDiagram:
     """:func:`rook_word_to_ish_diagram` of a word already known to be a rook
     word; the decoded diagram's coherence is still checked."""
+    return _diagram_from_rows(_rook_word_rows(word))
+
+
+def _rook_word_rows(word: Sequence[int]) -> list[int]:
+    """The rows of :func:`rook_word_to_placement`: the first occurrence of
+    letter a sits in row a, a repeat in row n plus the position of the
+    letter's previous occurrence."""
     n = len(word)
     rows = []
-    last_at: dict[int, int] = {}
+    last_at = [0] * (n + 1)  # latest position of each letter, 0 if none yet
     for pos, letter in enumerate(word, start=1):
-        rows.append(n + last_at[letter] if letter in last_at else letter)
+        before = last_at[letter]
+        rows.append(n + before if before else letter)
         last_at[letter] = pos
-    return _diagram_from_rows(rows)
+    return rows
 
 
 def ish_diagram_to_laser_word(diagram: IshCeilingDiagram) -> Word:
@@ -607,9 +614,16 @@ def ish_diagram_to_laser_word(diagram: IshCeilingDiagram) -> Word:
     >>> ish_diagram_to_laser_word(d)
     (1, 8, 9, 1, 8, 9, 7, 4)
     """
+    return _laser_word(_rook_rows(diagram))
+
+
+def _laser_word(rows: Sequence[int]) -> Word:
+    """The rightward-laser word of a placement given as rows, once its first
+    column is dropped: each rook reads its row less the rooks below it to
+    its left."""
     word = [1]
     left: list[int] = []  # rows of the rooks left of the column, sorted
-    for h in _rook_rows(diagram)[1:]:
+    for h in rows[1:]:
         word.append(h - bisect.bisect_left(left, h))
         bisect.insort(left, h)
     return tuple(word)
@@ -626,6 +640,12 @@ def laser_word_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
     >>> laser_word_to_ish_diagram((4, 2, 3, 4, 2, 3, 1, 7))
     IshCeilingDiagram(pi=(4, 1, 7, 3, 8, 5, 6, 2), eps=(0, 0, 1, 2, 0, 3, 5, 0))
     """
+    return _diagram_from_rows(_laser_rows(word))
+
+
+def _laser_rows(word: Sequence[int]) -> list[int]:
+    """The rows of the placement that :func:`laser_word_to_ish_diagram`
+    decodes, a valid placement on the complete graph's board."""
     if not word:
         raise ValueError("a laser word has at least one letter")
     n = len(word)
@@ -640,7 +660,7 @@ def laser_word_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
         return row
 
     rows = [free_row(k) for k in v[1:]]
-    return _diagram_from_rows([free_row(1)] + rows)
+    return [free_row(1)] + rows
 
 
 # ---------------------------------------------------------------------------

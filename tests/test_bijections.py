@@ -2,6 +2,7 @@
 
 import pytest
 
+import shi_ish.bijections as bijections
 from shi_ish.bijections import (
     DIAMOND,
     Diamond,
@@ -100,6 +101,19 @@ def test_resolve_diamond_word_is_forced():
         resolve_diamond_word((1, D, 2), ((1,), (2,), (3,)))
     with pytest.raises(ValueError):
         resolve_diamond_word((2, D, 1), ((1, 3), (2,)))
+
+
+def test_resolved_rook_word_is_checked_without_decoding():
+    """``freedom_parking_to_rook`` returns the resolved rook word without
+    decoding it, so the resolution itself refuses a diamond left of the
+    letter 1, the one incoherence its letters and arcs allow."""
+    assert bijections._resolve_rook_word((1, D, 2), ((1, 3), (2,))) == (1, 3, 1)
+    with pytest.raises(ValueError, match="diamond left of the letter 1"):
+        bijections._resolve_rook_word((2, D, 1), ((1, 3), (2,)))
+    with pytest.raises(ValueError, match="diamond count"):
+        bijections._resolve_rook_word((1, D, 2), ((1,), (2,), (3,)))
+    with pytest.raises(ValueError, match="inconsistent"):
+        bijections._resolve_rook_word((1, D, 3), ((1, 3), (2,)))
 
 
 # ---------------------------------------------------------------------------

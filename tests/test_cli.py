@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import shi_ish.cli as cli
 from shi_ish.cli import config_hash, load_graph, main
 from shi_ish.core import Graph
 
@@ -120,6 +121,34 @@ def test_count_total_is_the_same_with_and_without_a_breakdown(capsys, n, graph):
         assert code == 0
         for kind, entry in doc["results"].items():
             assert entry["total"] == totals[kind] == sum(entry[f"by_{by.replace('-', '_')}"].values())
+
+
+@pytest.mark.parametrize(
+    "argv, graphs",
+    [
+        (("--graph", "path"), [Graph.path(4)]),
+        (("--graph", "path", "--by", "dof"), [Graph.path(4)]),
+        (("--arrangement", "shi"), [Graph.complete(4)]),
+        (("--arrangement", "ish", "--by", "ceiling-partition"), [Graph.complete(4)]),
+        (("--arrangement", "cox"), []),
+    ],
+)
+def test_count_computes_the_region_formula_once(argv, graphs, capsys, monkeypatch):
+    """Shi(G) and Ish(G) have the same region count, so one ``count`` walks
+    the set partitions of [n] for it once, whatever it reports."""
+    real = cli.ish_region_count
+    called = []
+
+    def counted(graph):
+        called.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(cli, "ish_region_count", counted)
+    code, doc, _ = run_json(capsys, "count", "--n", "4", *argv)
+    assert code == 0
+    assert called == graphs
+    for entry in doc["results"].values():
+        assert entry["formula"] == entry["total"]
 
 
 def test_count_tsv(capsys):

@@ -15,7 +15,7 @@ import shi_ish.cli as cli
 from shi_ish.bijections import ish_diagram_to_parking, parking_to_ish_diagram
 from shi_ish.cli import main
 from shi_ish.core import Graph, all_graphs, inverse_permutation
-from shi_ish.ish import Board, IshCeilingDiagram, ish_diagrams, ish_statistics
+from shi_ish.ish import Board, IshCeilingDiagram, ish_diagram_to_rook_word, ish_diagrams, ish_statistics
 from shi_ish.parking import parking_functions
 from shi_ish.shi import ShiCeilingDiagram
 
@@ -102,20 +102,23 @@ def test_falsified_statistic_fails_the_sweep(suite, field, change, label, capsys
 
 @pytest.mark.parametrize("suite", ["thm-dominance", "thm-freedom"])
 def test_falsified_inverse_fails_the_sweep(suite, capsys, monkeypatch):
+    """The sweep walks each graph's rook words in lexicographic order, so
+    the first region checked on K_2 is the one of the word (1, 1)."""
     name = suite.removeprefix("thm-")
-    rebind(monkeypatch, getattr(cli, f"{name}_parking_inverse"), lambda word: None)
+    rebind(monkeypatch, getattr(cli, f"{name}_parking_to_rook"), lambda word: None)
     code, out, _ = run(capsys, "verify", "--n", "2", "--suite", suite)
     doc = json.loads(out)
     assert code == 1
     assert doc["report"]["failures"] == [
         {"edges": [], "ok": False, "detail": "roundtrip broken: IshCeilingDiagram(pi=(1, 2), eps=(0, 0))"},
-        {"edges": [[1, 2]], "ok": False, "detail": "roundtrip broken: IshCeilingDiagram(pi=(1, 2), eps=(0, 0))"},
+        {"edges": [[1, 2]], "ok": False, "detail": "roundtrip broken: IshCeilingDiagram(pi=(1, 2), eps=(0, 1))"},
     ]
     assert doc["report"]["regions_checked"] == 0
 
 
 def test_falsified_inverse_fails_thm_basic(capsys, monkeypatch):
-    rebind(monkeypatch, cli.basic_parking_inverse, lambda word: None)
+    """The first region checked is the one of the rook word (1, 1, 1)."""
+    rebind(monkeypatch, cli.basic_parking_to_rook, lambda word: None)
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "thm-basic")
     doc = json.loads(out)
     assert code == 1
@@ -123,7 +126,7 @@ def test_falsified_inverse_fails_thm_basic(capsys, monkeypatch):
     assert doc["report"] == {
         "n": 3,
         "regions": 0,
-        "detail": "roundtrip broken at IshCeilingDiagram(pi=(1, 2, 3), eps=(0, 0, 0))",
+        "detail": "roundtrip broken at IshCeilingDiagram(pi=(1, 2, 3), eps=(0, 1, 2))",
     }
 
 
@@ -172,13 +175,13 @@ def test_broken_freedom_roundtrip_fails_the_suite(target, capsys, monkeypatch):
     statistics keeps the statistics and the image set; the round trip of
     the K_n run must still catch it."""
     n = 3
-    first, second = _same_statistics_pair(n)
+    first, second = map(ish_diagram_to_rook_word, _same_statistics_pair(n))
     if target == "forward":
         forward = cli._PARKING_MAPS["freedom"]
         monkeypatch.setitem(cli._PARKING_MAPS, "freedom", _exchanged(forward, first, second))
     else:
-        inverse = cli.freedom_parking_inverse
-        words = [cli.freedom_parking(d) for d in (first, second)]
+        inverse = cli.freedom_parking_to_rook
+        words = [cli.freedom_rook_to_parking(w) for w in (first, second)]
         broken = _exchanged(inverse, *words)
         if target == "inverse":
             monkeypatch.setitem(cli._INVERSES, "freedom", broken)
@@ -430,6 +433,55 @@ def test_graph_file_refuses_non_integers(data, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "malformed graph file" in err
+
+
+@pytest.mark.parametrize(
+    "data, unknown",
+    [
+        ({"n": 3, "edges": [], "edgse": [[1, 2]]}, "'edgse'"),
+        ({"n": 3, "edges": [[1, 2]], "directed": False}, "'directed'"),
+        ({"n": 3, "edges": [], "N": 3, "Edges": []}, "'Edges', 'N'"),
+    ],
+)
+def test_graph_file_refuses_unknown_keys(data, unknown, tmp_path, capsys):
+    """A misspelled key would otherwise be dropped and the graph read
+    without it: the first case would be counted as the empty graph."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "count", "--n", "3", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: malformed graph file {str(path)!r}: unknown key(s) {unknown}; expected n and edges"
+    ]
+
+
+@pytest.mark.parametrize(
+    "data, unknown",
+    [
+        ({"pi": [1, 3, 2], "eps": [0, 0, 0], "esp": [0, 0, 1]}, "'esp'"),
+        ({"pi": [1, 3, 2], "eps": [0, 0, 1], "partition": [[1], [2], [3]]}, "'partition'"),
+    ],
+)
+def test_diagram_file_refuses_unknown_keys(data, unknown, tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "map", "--n", "3", "--bijection", "freedom", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: cannot read Ish diagram from {str(path)!r}: unknown key(s) {unknown}; expected pi and eps"
+    ]
+
+
+def test_files_with_the_known_keys_are_still_read(tmp_path, capsys):
+    graph, diagram = tmp_path / "g.json", tmp_path / "d.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
+    diagram.write_text(json.dumps({"pi": [1, 3, 2], "eps": [0, 0, 1]}))
+    argv = ("map", "--n", "3", "--bijection", "freedom", "--input", str(diagram), "--graph", str(graph))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["input"] == {"pi": [1, 3, 2], "eps": [0, 0, 1]}
 
 
 def test_diagram_json_readers_take_integers_only():

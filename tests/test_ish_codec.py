@@ -269,29 +269,34 @@ def test_each_rook_word_is_checked_once_per_direction(name, monkeypatch):
 
 def test_freedom_checks_each_region_once(capsys, monkeypatch):
     """``verify --suite thm-freedom`` checks each region once per suite,
-    however many of its graphs hold it: it computes the region's statistics
-    twice (once for the check, once inside the map) and validates one
+    however many of its graphs hold it: it reads the region's statistics off
+    its rook word, never through ``ish_statistics``, and validates one
     labeled Dyck path per direction."""
-    calls = count_calls(monkeypatch, ish.ish_statistics, parking.check_labeled_dyck)
+    calls = count_calls(
+        monkeypatch, ish.ish_statistics, ish.region_rook_word_statistics, parking.check_labeled_dyck
+    )
     assert cli.main(["verify", "--n", "4", "--suite", "thm-freedom"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["regions_checked"] == 4296
     regions = sum(1 for _ in ish_diagrams(4))
     assert regions == 125
-    assert calls == {"ish_statistics": 2 * regions, "check_labeled_dyck": 2 * regions}
+    assert calls == {"region_rook_word_statistics": regions, "check_labeled_dyck": 2 * regions}
+    assert calls["ish_statistics"] == 0
 
 
 def test_bounded_computes_statistics_only_to_filter_and_compare(capsys, monkeypatch):
-    """``thm-bounded`` computes each region's statistics once per suite, to
-    keep the relatively bounded ones, and once more per kept region inside
-    the ``freedom`` map it is compared with; ``bounded_parking`` reads the
-    degrees of freedom alone.  Every graph's regions are regions of K_n."""
+    """``thm-bounded`` reads each region's statistics off its rook word once
+    per suite, to keep the relatively bounded ones; the ``freedom`` map it
+    is compared with and ``bounded_rook_to_parking`` read the degrees of
+    freedom off the word themselves.  Every graph's regions are regions of
+    K_n."""
     regions = list(ish_diagrams(4))
     bounded = sum(1 for d in regions if ish_statistics(d).relatively_bounded)
-    calls = count_calls(monkeypatch, ish.ish_statistics)
+    calls = count_calls(monkeypatch, ish.ish_statistics, ish.region_rook_word_statistics)
     assert cli.main(["verify", "--n", "4", "--suite", "thm-bounded"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["graphs"] == 64
     assert (len(regions), bounded) == (125, 27)
-    assert calls["ish_statistics"] == len(regions) + bounded
+    assert calls["ish_statistics"] == 0
+    assert calls["region_rook_word_statistics"] == len(regions)
 
 
 def test_bounded_reads_only_the_dof_of_its_targets(capsys, monkeypatch):

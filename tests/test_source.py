@@ -28,7 +28,8 @@ def test_no_assert_statements_in_the_package():
 
 @pytest.mark.parametrize(
     "argv",
-    [["oracle", "--n", "3", "--arrangement", "ish"], ["verify", "--n", "3", "--suite", "thm-dominance"]],
+    [["oracle", "--n", "3", "--arrangement", "ish"]]
+    + [["verify", "--n", "3", "--suite", f"thm-{name}"] for name in ("basic", "dominance", "bounded", "freedom")],
 )
 def test_reports_survive_python_O(argv):
     """The same command prints the same report and exits the same way with

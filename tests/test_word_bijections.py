@@ -1,10 +1,13 @@
 """The bijections in the word domain.
 
-Each bijection is implemented once, as ``{name}_parking`` (Ish diagram to the
-parking word of its Shi image) and ``{name}_parking_inverse``; the diagram
-maps ``{name}_bijection`` and ``{name}_bijection_inverse`` are their views
-through Shi diagrams.  The two must agree on every region and every word of
-small size, and the theorem sweeps must never build or decode a Shi diagram.
+Each bijection is implemented once, as ``{name}_rook_to_parking`` (the rook
+word of an Ish region to the parking word of its Shi image) and
+``{name}_parking_to_rook``.  ``{name}_parking`` and ``{name}_parking_inverse``
+are their views through the Ish codec, and the diagram maps
+``{name}_bijection`` and ``{name}_bijection_inverse`` are the views of those
+through Shi diagrams.  The views must agree on every region and every word of
+small size, and the theorem sweeps must never build or decode a Shi diagram,
+nor walk or measure an Ish diagram.
 """
 
 import itertools
@@ -15,9 +18,10 @@ import pytest
 
 import shi_ish.bijections as bijections
 import shi_ish.cli as cli
+import shi_ish.ish as ish
 import shi_ish.parking as parking
 from shi_ish.core import Graph, all_graphs
-from shi_ish.ish import ish_diagrams, ish_statistics
+from shi_ish.ish import ish_diagram_to_rook_word, ish_diagrams, ish_statistics, rook_word_to_ish_diagram
 from shi_ish.parking import is_prime_parking_function, parking_functions
 from shi_ish.shi import parking_to_shi_diagram
 
@@ -63,6 +67,29 @@ def test_word_inverse_is_the_diagram_inverse(name):
         assert parking_inverse(word) == bijection_inverse(parking_to_shi_diagram(word)), word
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_the_codec_views_are_the_word_maps(name):
+    """``{name}_parking`` is the word map after the encoding and
+    ``{name}_parking_inverse`` the decoding after the inverse word map, and
+    the word maps invert each other on every region's rook word."""
+    parking, parking_inverse, _, _ = maps(name)
+    forward, backward = (getattr(bijections, f"{name}_{s}") for s in ("rook_to_parking", "parking_to_rook"))
+    for diagram in regions(name):
+        word = ish_diagram_to_rook_word(diagram)
+        image = forward(word)
+        assert image == parking(diagram), diagram
+        assert backward(image) == word, diagram
+        assert parking_inverse(image) == rook_word_to_ish_diagram(word) == diagram, diagram
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("word", [(2, 2), (3, 1, 1), (2, 3, 3), (4, 1, 2, 2), [2, 2]])
+def test_word_maps_refuse_words_that_are_no_rook_words(name, word):
+    with pytest.raises(ValueError) as refused:
+        getattr(bijections, f"{name}_rook_to_parking")(word)
+    assert str(refused.value) == f"{word!r} is not a rook word"
+
+
 def test_theorem_sweeps_never_touch_a_shi_diagram(capsys, monkeypatch):
     def refuse(_):
         raise RuntimeError("a theorem sweep built or decoded a Shi diagram")
@@ -72,6 +99,23 @@ def test_theorem_sweeps_never_touch_a_shi_diagram(capsys, monkeypatch):
             monkeypatch.setattr(module, attr, refuse)
     for suite in ("thm-basic", "thm-dominance", "thm-bounded", "thm-freedom"):
         code = cli.main(["verify", "--n", "3", "--suite", suite])
+        out = capsys.readouterr().out
+        assert code == 0, suite
+        assert json.loads(out)["passed"] is True, suite
+
+
+def test_theorem_sweeps_stay_in_the_word_domain(capsys, monkeypatch):
+    """An Ish region is its rook word: the sweeps generate no Ish diagram and
+    compute no statistics from one, in either direction of any bijection."""
+
+    def refuse(*_):
+        raise RuntimeError("a theorem sweep walked or measured an Ish diagram")
+
+    for module in (cli, bijections, ish):
+        for attr in ("ish_diagrams", "ish_statistics"):
+            monkeypatch.setattr(module, attr, refuse, raising=False)
+    for suite in ("thm-basic", "thm-dominance", "thm-bounded", "thm-freedom"):
+        code = cli.main(["verify", "--n", "5", "--suite", suite])
         out = capsys.readouterr().out
         assert code == 0, suite
         assert json.loads(out)["passed"] is True, suite

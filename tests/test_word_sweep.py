@@ -1,9 +1,10 @@
 """The theorem sweeps in the word domain, and partitions canonical by
 construction.
 
-``cli._theorem_run`` maps each Ish region straight to the parking word of its
-Shi image and reads validity and statistics off that word; the targets are
-the parking words of G.  The diagram-domain run it replaced, through
+``cli._theorem_run`` maps the rook word of each Ish region straight to the
+parking word of its Shi image and back, and reads validity and statistics
+off the words; the targets are the parking words of G.  The diagram-domain
+run it replaced, through
 ``bijections.{name}_bijection`` and its inverse, is kept here as its
 reference, and both must return the same ``(detail, count, counts)``, with
 the per-region facts shared across a sweep's graphs or computed afresh.  The
@@ -30,7 +31,8 @@ from shi_ish.core import (
     partition_from_pairs,
     position_partition,
 )
-from shi_ish.ish import ish_diagrams, ish_statistics
+from shi_ish.ish import ish_statistics, rook_word_to_ish_diagram
+from shi_ish.rookwords import rook_words
 from shi_ish.shi import (
     ShiCeilingDiagram,
     is_valid_shi,
@@ -46,7 +48,9 @@ def diagram_theorem_run(name, graph):
     """The diagram-domain ``_theorem_run``: targets are Shi diagrams, and each
     image is checked with ``is_valid_shi`` and ``shi_statistics``.  It reads
     the statistics of valid images only; the old run read them first and
-    raised on an incoherent image."""
+    raised on an incoherent image.  It visits the regions in the order of
+    their rook words, as the word run does, so that a failing run names the
+    same first region."""
     theorem = cli._THEOREMS[name]
     bijection = getattr(bijections, f"{name}_bijection")
     inverse = getattr(bijections, f"{name}_bijection_inverse")
@@ -58,7 +62,7 @@ def diagram_theorem_run(name, graph):
     singletons = tuple((v,) for v in range(1, n + 1))
     seen = set()
     counts = Counter()
-    for diagram in ish_diagrams(n, graph):
+    for diagram in map(rook_word_to_ish_diagram, rook_words(n, graph)):
         stats = ish_statistics(diagram) if theorem.checks else None
         if bounded and not stats.relatively_bounded:
             continue
@@ -116,9 +120,11 @@ def test_shared_facts_equal_fresh_ones_under_a_partly_wrong_map(name, monkeypatc
     the word 1...1 fails on some graphs only: where a ceiling of that word is
     missing the image is invalid, elsewhere the ceiling partition breaks.
     ``bounded`` compares its words with that map.  Every graph's run with
-    the dict its sweep shares must equal a run with a fresh dict."""
+    the dict its sweep shares must equal a run with a fresh dict.  The
+    dotted positions are the letters a rook word misses, so those regions
+    are the ones whose rook word misses n."""
     real = cli._PARKING_MAPS["freedom"]
-    monkeypatch.setitem(cli._PARKING_MAPS, "freedom", lambda d: (1,) * d.n if d.eps[-1] else real(d))
+    monkeypatch.setitem(cli._PARKING_MAPS, "freedom", lambda w: (1,) * len(w) if len(w) not in w else real(w))
     details, differs = set(), 0
     for n in range(1, 5):
         shared = {}
