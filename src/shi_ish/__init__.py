@@ -12,26 +12,18 @@ from .bijections import (
     DIAMOND,
     basic_bijection,
     basic_bijection_inverse,
-    basic_parking,
-    basic_parking_inverse,
     basic_parking_to_rook,
     basic_rook_to_parking,
     bounded_bijection,
     bounded_bijection_inverse,
-    bounded_parking,
-    bounded_parking_inverse,
     bounded_parking_to_rook,
     bounded_rook_to_parking,
     dominance_bijection,
     dominance_bijection_inverse,
-    dominance_parking,
-    dominance_parking_inverse,
     dominance_parking_to_rook,
     dominance_rook_to_parking,
     freedom_bijection,
     freedom_bijection_inverse,
-    freedom_parking,
-    freedom_parking_inverse,
     freedom_parking_to_rook,
     freedom_rook_to_parking,
     ish_diagram_to_parking,

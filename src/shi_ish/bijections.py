@@ -21,15 +21,15 @@ parking word of its Shi image, and ``{name}_parking_to_rook`` carries it
 back.  ``basic`` reads its rook rows off the word, ``dominance`` and
 ``bounded`` are cycle-lemma orbits of the word, and ``freedom`` builds its
 diamond word from the first occurrences of the letters and takes the degrees
-of freedom and the ceiling partition from the word.  Everything else is a
-view through a codec: ``{name}_parking`` and ``{name}_parking_inverse`` put
-the Ish codec of :mod:`shi_ish.ish` (``_encode_rook_word`` and
-``_decode_rook_word``) around the word maps, and the diagram maps
-``{name}_bijection`` and ``{name}_bijection_inverse`` put
-:func:`parking_to_shi_diagram` and :func:`shi_diagram_to_parking` around
-those.  The theorem sweeps of :mod:`shi_ish.cli` run the word maps; the rook
-placements of :mod:`shi_ish.ish` are the documented construction and the
-tests' reference.
+of freedom and the ceiling partition from the word.  The only other layer is
+the diagram view: ``{name}_bijection`` encodes the Ish region with
+``_encode_rook_word`` of :mod:`shi_ish.ish`, runs the word map and builds the
+Shi region with :func:`parking_to_shi_diagram`, and
+``{name}_bijection_inverse`` reads the Shi region's word with
+:func:`shi_diagram_to_parking`, runs the inverse word map and decodes with
+``_decode_rook_word``.  The theorem sweeps of :mod:`shi_ish.cli` run the word
+maps and ``map`` runs the diagram views; the rook placements of
+:mod:`shi_ish.ish` are the documented construction and the tests' reference.
 
 The Dyck-path construction works with partially built words whose dotted
 positions are marked by the :data:`DIAMOND` placeholder until the very last
@@ -85,7 +85,7 @@ DiamondWord = tuple[Union[int, Diamond], ...]
 
 
 # ---------------------------------------------------------------------------
-# the four region bijections: the word maps, then their views
+# the four region bijections: the word maps, then their diagram views
 
 
 def _certified_rook_orbit(word: Sequence[int], prime: bool = False) -> OrbitCertificate:
@@ -192,78 +192,6 @@ def freedom_parking_to_rook(word: Sequence[int]) -> Word:
     return _resolve_rook_word(after_global, position_partition(word))
 
 
-def basic_parking(diagram: IshCeilingDiagram) -> Word:
-    """The parking word of the ``basic`` image: restrict the rook placement
-    of an Ish region, read its rightward-laser word and park it.
-
-    >>> d = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
-    >>> basic_parking(d)
-    (4, 2, 3, 4, 2, 3, 1, 7)
-    """
-    return _basic_rook_to_parking(_encode_rook_word(diagram))
-
-
-def basic_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    return _decode_rook_word(basic_parking_to_rook(word))
-
-
-def dominance_parking(diagram: IshCeilingDiagram) -> Word:
-    """The parking word of the ``dominance`` image: the downward-laser rook
-    word of the region, parked by the cycle lemma.
-
-    >>> d = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
-    >>> dominance_parking(d)
-    (4, 1, 1, 3, 1, 1, 4, 7)
-    """
-    return dominance_rook_to_parking(_encode_rook_word(diagram))
-
-
-def dominance_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    """The Ish region whose ``dominance`` image has this parking word.
-
-    >>> dominance_parking_inverse((4, 1, 1, 3, 1, 1, 4, 7))
-    IshCeilingDiagram(pi=(4, 1, 7, 3, 8, 5, 6, 2), eps=(0, 0, 1, 2, 0, 3, 5, 0))
-    >>> dominance_parking_inverse((1, 3, 3))
-    Traceback (most recent call last):
-    ...
-    ValueError: (1, 3, 3) is not a parking function
-    """
-    return _decode_rook_word(dominance_parking_to_rook(word))
-
-
-def bounded_parking(diagram: IshCeilingDiagram) -> Word:
-    """The prime parking word of the ``bounded`` image of a relatively
-    bounded region: its rook word, parked by the prime cycle lemma.
-
-    >>> bounded_parking(IshCeilingDiagram((1, 2, 3), (0, 0, 1)))
-    (1, 2, 1)
-    >>> bounded_parking(IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0)))
-    Traceback (most recent call last):
-    ...
-    ValueError: input region is not relatively bounded
-    """
-    return bounded_rook_to_parking(_encode_rook_word(diagram))
-
-
-def bounded_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    return _decode_rook_word(bounded_parking_to_rook(word))
-
-
-def freedom_parking(diagram: IshCeilingDiagram) -> Word:
-    """The parking word of the ``freedom`` image: the labeled Dyck path of
-    the region, built from its prime components.
-
-    >>> d = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
-    >>> freedom_parking(d)
-    (2, 4, 4, 1, 4, 4, 2, 7)
-    """
-    return freedom_rook_to_parking(_encode_rook_word(diagram))
-
-
-def freedom_parking_inverse(word: Sequence[int]) -> IshCeilingDiagram:
-    return _decode_rook_word(freedom_parking_to_rook(word))
-
-
 def basic_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
     """Map an Ish region to a Shi region through rightward lasers.
 
@@ -274,11 +202,11 @@ def basic_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
     >>> basic_bijection(d).pi
     (7, 2, 3, 1, 5, 6, 8, 4)
     """
-    return parking_to_shi_diagram(basic_parking(diagram))
+    return parking_to_shi_diagram(_basic_rook_to_parking(_encode_rook_word(diagram)))
 
 
 def basic_bijection_inverse(diagram: ShiCeilingDiagram) -> IshCeilingDiagram:
-    return basic_parking_inverse(shi_diagram_to_parking(diagram))
+    return _decode_rook_word(basic_parking_to_rook(shi_diagram_to_parking(diagram)))
 
 
 def dominance_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
@@ -289,12 +217,14 @@ def dominance_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
     >>> d = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
     >>> dominance_bijection(d).pi
     (2, 3, 4, 1, 5, 7, 8, 6)
+    >>> dominance_bijection_inverse(dominance_bijection(d)) == d
+    True
     """
-    return parking_to_shi_diagram(dominance_parking(diagram))
+    return parking_to_shi_diagram(dominance_rook_to_parking(_encode_rook_word(diagram)))
 
 
 def dominance_bijection_inverse(diagram: ShiCeilingDiagram) -> IshCeilingDiagram:
-    return dominance_parking_inverse(shi_diagram_to_parking(diagram))
+    return _decode_rook_word(dominance_parking_to_rook(shi_diagram_to_parking(diagram)))
 
 
 def bounded_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
@@ -303,23 +233,27 @@ def bounded_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
 
     >>> bounded_bijection(IshCeilingDiagram((1, 2, 3), (0, 0, 1))).partition
     ((1, 3), (2,))
+    >>> bounded_bijection(IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0)))
+    Traceback (most recent call last):
+    ...
+    ValueError: input region is not relatively bounded
     """
-    return parking_to_shi_diagram(bounded_parking(diagram))
+    return parking_to_shi_diagram(bounded_rook_to_parking(_encode_rook_word(diagram)))
 
 
 def bounded_bijection_inverse(diagram: ShiCeilingDiagram) -> IshCeilingDiagram:
-    return bounded_parking_inverse(shi_diagram_to_parking(diagram))
+    return _decode_rook_word(bounded_parking_to_rook(shi_diagram_to_parking(diagram)))
 
 
 def freedom_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
     """Map an Ish region to a Shi region through labeled Dyck paths.
     Preserves ceiling partitions and degrees of freedom, hence restricts to
     a bijection for every graph."""
-    return parking_to_shi_diagram(freedom_parking(diagram))
+    return parking_to_shi_diagram(freedom_rook_to_parking(_encode_rook_word(diagram)))
 
 
 def freedom_bijection_inverse(diagram: ShiCeilingDiagram) -> IshCeilingDiagram:
-    return freedom_parking_inverse(shi_diagram_to_parking(diagram))
+    return _decode_rook_word(freedom_parking_to_rook(shi_diagram_to_parking(diagram)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +393,14 @@ def _diamond_stages(
 
 def parking_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
     """The Ish ceiling diagram attached to a parking function by the prime
-    Dyck component construction: :func:`freedom_parking_inverse`.
+    Dyck component construction: :func:`freedom_parking_to_rook`, decoded.
 
     >>> parking_to_ish_diagram((3, 7, 3, 8, 2, 2, 7, 1, 2)).pi
     (8, 1, 4, 3, 7, 6, 5, 9, 2)
     >>> parking_to_ish_diagram((3, 7, 3, 8, 2, 2, 7, 1, 2)).eps
     (0, 0, 0, 1, 2, 5, 0, 6, 0)
     """
-    return freedom_parking_inverse(word)
+    return _decode_rook_word(freedom_parking_to_rook(word))
 
 
 def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages:
@@ -579,11 +513,12 @@ def _rook_word_to_parking_stages(word: Sequence[int]) -> IshToDyckStages:
 
 def ish_diagram_to_parking(diagram: IshCeilingDiagram) -> Word:
     """The parking function of an Ish region, by prime Dyck components.
-    Inverse of :func:`parking_to_ish_diagram`; :func:`freedom_parking`.
+    Inverse of :func:`parking_to_ish_diagram`; :func:`freedom_rook_to_parking`
+    of the encoded region.
 
     >>> d = IshCeilingDiagram(
     ...     (8, 1, 4, 3, 7, 6, 5, 9, 2), (0, 0, 0, 1, 2, 5, 0, 6, 0))
     >>> ish_diagram_to_parking(d)
     (3, 7, 3, 8, 2, 2, 7, 1, 2)
     """
-    return freedom_parking(diagram)
+    return freedom_rook_to_parking(_encode_rook_word(diagram))

@@ -56,8 +56,8 @@ from .geometry import cross_validate, diagram_statistics, oracle_pass  # noqa: F
 from .ish import (
     IshCeilingDiagram,
     _decode_rook_word,
+    _encode_rook_word,
     ceiling_partition_count,
-    is_valid_ish,
     ish_char_poly,
     ish_region_count,
     ish_statistics,
@@ -69,9 +69,7 @@ from .ish import (
 from .parking import (
     is_parking_function,
     parking_functions,
-    prime_components,
     prime_parking_functions,
-    word_to_dyck,
 )
 from .rookwords import (
     is_rook_word,
@@ -380,13 +378,16 @@ def cmd_map(args: argparse.Namespace) -> int:
     if diagram.n != args.n:
         raise UsageError(f"diagram has {diagram.n} letters, --n is {args.n}")
     graph = load_graph(args.graph, args.n)
-    if not is_valid_ish(diagram, graph):
+    try:  # the input is read once, as its rook word
+        stats_in = region_rook_word_statistics(_encode_rook_word(diagram), graph)
+    except ValueError:  # an incoherent diagram has no rook word
+        stats_in = None
+    if stats_in is None:
         raise UsageError("input is not a valid Ish ceiling diagram for the graph")
     theorem = _THEOREMS[args.bijection]
     # Graph holds distinct pairs i < j of [n], so the edge count decides completeness
     if theorem.domain == "complete" and len(graph.edges) != args.n * (args.n - 1) // 2:
         raise UsageError(f"the {args.bijection} bijection is defined on the complete graph only")
-    stats_in = ish_statistics(diagram)
     if theorem.domain == "bounded" and not stats_in.relatively_bounded:
         raise UsageError(f"the {args.bijection} bijection needs a relatively bounded input")
 
@@ -760,7 +761,7 @@ def _suite_factorization_candidates(args: argparse.Namespace) -> tuple[bool, dic
         key = (position_partition(word), dof)
         joint.setdefault(key, [0, 0])[0] += 1
     for word in parking_functions(n):
-        dof = len(prime_components(word_to_dyck(word)))
+        dof = parking_dof(word)
         park_by_dof[dof] = park_by_dof.get(dof, 0) + 1
         key = (position_partition(word), dof)
         joint.setdefault(key, [0, 0])[1] += 1

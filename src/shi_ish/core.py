@@ -14,6 +14,7 @@ All positions and letters are 1-based.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -301,7 +302,9 @@ def nonnesting_from_block_specs(
     if size_at and (min(size_at) < 1 or max(size_at) > n):
         raise ValueError("block minimum out of range")
 
-    open_blocks: list[list[int]] = []  # still-incomplete blocks
+    # still-incomplete blocks, by their last element: a block joins the back
+    # when it is opened or extended, so the front was extended least recently
+    open_blocks: collections.deque[list[int]] = collections.deque()
     done: list[tuple[int, ...]] = []
     for p in range(1, n + 1):
         if p in size_at:
@@ -309,8 +312,7 @@ def nonnesting_from_block_specs(
         else:
             if not open_blocks:
                 raise ValueError(f"unassignable position {p}")
-            block = min(open_blocks, key=lambda b: b[-1])
-            open_blocks.remove(block)
+            block = open_blocks.popleft()
             block.append(p)
         if len(block) == size_at[block[0]]:
             done.append(tuple(block))

@@ -275,14 +275,32 @@ def test_map_bounded_rejects_unbounded_input(tmp_path, capsys):
     assert "bounded" in err
 
 
-def test_map_rejects_invalid_diagram(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bijection, diagram, graph, line",
+    [
+        # incoherent: a dotted position left of the letter 1
+        ("dominance", {"pi": [2, 1, 3], "eps": [1, 0, 0]}, "complete",
+         "input is not a valid Ish ceiling diagram for the graph"),
+        # coherent, but its ceiling x_1 - x_3 = 1 is no hyperplane of the path
+        ("freedom", {"pi": [1, 2, 3], "eps": [0, 0, 1]}, "path",
+         "input is not a valid Ish ceiling diagram for the graph"),
+        ("bounded", {"pi": [2, 1, 3], "eps": [0, 0, 1]}, "complete",
+         "the bounded bijection needs a relatively bounded input"),
+        ("basic", {"pi": [1, 2, 3], "eps": [0, 0, 0]}, "path",
+         "the basic bijection is defined on the complete graph only"),
+    ],
+    ids=["incoherent", "ceiling-off-graph", "unbounded", "basic-off-complete"],
+)
+def test_map_rejects_invalid_diagram(bijection, diagram, graph, line, tmp_path, capsys):
     path = tmp_path / "d.json"
-    path.write_text(json.dumps({"pi": [2, 1, 3], "eps": [1, 0, 0]}))
-    code, _, err = run(
+    path.write_text(json.dumps(diagram))
+    code, out, err = run(
         capsys,
-        "map", "--n", "3", "--bijection", "dominance", "--input", str(path),
+        "map", "--n", "3", "--bijection", bijection, "--input", str(path), "--graph", graph,
     )
     assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {line}"]
 
 
 def test_map_missing_input_file(capsys):

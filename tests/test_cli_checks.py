@@ -538,6 +538,21 @@ def test_map_checks_the_diagram_size_before_building_the_graph(capsys, monkeypat
     assert "error: diagram has 2 letters, --n is 3000" in err
 
 
+@pytest.mark.parametrize("bijection", ["basic", "dominance", "bounded", "freedom"])
+def test_map_scans_the_diagram_twice(bijection, capsys, monkeypatch):
+    """``map`` reads its input once, as a rook word, and the bijection's
+    diagram view encodes it once more: two coherence scans per call."""
+    import shi_ish.ish as ish
+
+    real = ish.ish_ceiling_pairs
+    calls = []
+    monkeypatch.setattr(ish, "ish_ceiling_pairs", lambda diagram: calls.append(diagram) or real(diagram))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"pi": [1, 3, 2], "eps": [0, 0, 1]})))
+    code, out, err = run(capsys, "map", "--n", "3", "--bijection", bijection)
+    assert code == 0, err
+    assert len(calls) == 2
+
+
 def test_map_basic_takes_every_graph_with_all_edges(tmp_path, capsys):
     diagram = tmp_path / "d.json"
     diagram.write_text(json.dumps({"pi": [3, 1, 2], "eps": [0, 0, 1]}))

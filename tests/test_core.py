@@ -186,6 +186,62 @@ def test_nonnesting_welding_fixture():
         nonnesting_from_block_specs([(2, 3)], 3)  # position 1 unassignable
 
 
+def _min_rule_welding(specs, n):
+    """The welding rule as first written: a position joins the open block
+    whose last element is smallest, found by a linear scan."""
+    size_at = dict(specs)
+    open_blocks, done = [], []
+    for p in range(1, n + 1):
+        if p in size_at:
+            block = [p]
+        else:
+            if not open_blocks:
+                raise ValueError(f"unassignable position {p}")
+            block = min(open_blocks, key=lambda b: b[-1])
+            open_blocks.remove(block)
+            block.append(p)
+        if len(block) == size_at[block[0]]:
+            done.append(tuple(block))
+        else:
+            open_blocks.append(block)
+    return partition_from_blocks(done)
+
+
+def _welding_outcome(function, specs, n):
+    try:
+        return function(specs, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_fifo_welding_is_the_min_rule():
+    """On the block specs of every parking function with n <= 6, and on
+    every set of distinct minima in [n] with sizes summing to n <= 5 (the
+    unassignable ones included), the queue picks the block the min-rule
+    picks."""
+    from shi_ish.parking import parking_functions
+
+    checked = 0
+    for n in range(1, 7):
+        for word in parking_functions(n):
+            specs = [(letter, word.count(letter)) for letter in dict.fromkeys(word)]
+            assert nonnesting_from_block_specs(specs, n) == _min_rule_welding(specs, n), word
+            checked += 1
+    assert checked == sum((n + 1) ** (n - 1) for n in range(1, 7))
+    refused = 0
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for minima in itertools.combinations(range(1, n + 1), k):
+                for sizes in itertools.product(range(1, n + 1), repeat=k):
+                    if sum(sizes) != n:
+                        continue
+                    specs = list(zip(minima, sizes))
+                    got = _welding_outcome(nonnesting_from_block_specs, specs, n)
+                    assert got == _welding_outcome(_min_rule_welding, specs, n), specs
+                    refused += isinstance(got, str)
+    assert refused > 0
+
+
 def test_apply_permutation_relabels_blocks():
     got = apply_permutation((2, 3, 1), ((1, 2), (3,)))
     assert got == ((1,), (2, 3))

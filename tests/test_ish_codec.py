@@ -127,10 +127,19 @@ def test_laser_decode_reads_the_whole_orbit():
             assert laser_word_to_ish_diagram(shifted) == diagram
 
 
+def codec_views(name):
+    """The word map after the Ish encoding, and the Ish decoding after the
+    inverse word map: the route of ``{name}_bijection`` and its inverse,
+    without the Shi diagrams."""
+    forward, backward = (getattr(bijections, f"{name}_{s}") for s in ("rook_to_parking", "parking_to_rook"))
+    return (lambda diagram: forward(ish._encode_rook_word(diagram)),
+            lambda word: ish._decode_rook_word(backward(word)))
+
+
 def _pairs(name, graphs):
     """(map, reference) over the regions, then (inverse, reference) over the
     parking words, of every graph given; each region and word once."""
-    parking, inverse = (getattr(bijections, f"{name}_{s}") for s in ("parking", "parking_inverse"))
+    parking, inverse = codec_views(name)
     reference, inverse_reference = REFERENCES[name]
     regions = dict.fromkeys(d for g in graphs for d in ish_diagrams(g.n, g))
     words = dict.fromkeys(w for g in graphs for w in parking_functions(g.n, g))
@@ -170,7 +179,7 @@ def test_incoherent_diagrams_raise_as_before(n):
         assert outcome(ish_diagram_to_rook_word, diagram) == expected
         assert outcome(ish_diagram_to_laser_word, diagram) == expected
         for name in ("basic", "dominance", "bounded"):
-            assert outcome(getattr(bijections, f"{name}_parking"), diagram) == outcome(
+            assert outcome(codec_views(name)[0], diagram) == outcome(
                 REFERENCES[name][0], diagram
             ), (name, diagram)
         checked += 1
@@ -185,7 +194,7 @@ def test_bad_words_raise_as_before(n):
             lambda w: placement_to_ish_diagram(rook_word_to_placement(w)), word
         ), word
         for name in ("basic", "dominance", "bounded"):
-            function = getattr(bijections, f"{name}_parking_inverse")
+            function = codec_views(name)[1]
             assert outcome(function, word) == outcome(REFERENCES[name][1], word), (name, word)
 
 
@@ -258,7 +267,7 @@ def test_each_rook_word_is_checked_once_per_direction(name, monkeypatch):
     """Encoding a region checks its rook word once, by the orbit
     certificate's substitution; decoding checks the certificate's rook
     member once and does not check it again."""
-    parking, inverse = (getattr(bijections, f"{name}_{s}") for s in ("parking", "parking_inverse"))
+    parking, inverse = codec_views(name)
     regions = [d for d in ish_diagrams(4) if name == "dominance" or ish_statistics(d).relatively_bounded]
     calls = count_calls(monkeypatch, is_rook_word, is_prime_rook_word)
     for diagram in regions:

@@ -22,3 +22,49 @@ def test_readme_examples_pass_as_doctests():
     results = runner.summarize(verbose=False)
     assert results.attempted >= 18
     assert results.failed == 0
+
+
+def _shi_ish_modules():
+    import importlib
+    import pkgutil
+
+    import shi_ish
+
+    return [shi_ish] + [importlib.import_module(f"shi_ish.{m.name}") for m in pkgutil.iter_modules(shi_ish.__path__)]
+
+
+def _readme_calls(text):
+    """The names called in the README's backticked spans: ``name(`` or
+    ``module.name(``.  Calls qualified by a module outside ``shi_ish`` (such
+    as ``json.dumps(``) are skipped, and so are math like ``n(n-1)/2`` (one
+    letter) and the optional-infix notation ``is_(prime_)rook_word`` (a name
+    ending in ``_``)."""
+    calls = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for qualifier, name in re.findall(r"(?<![\w.])((?:\w+\.)*)([A-Za-z_]\w*)\(", span):
+            if qualifier and not qualifier.startswith(("shi_ish.", "cli.", "ish.", "shi.", "bijections.")):
+                continue
+            if len(name) == 1 or name.endswith("_"):
+                continue
+            calls.add(name)
+    return calls
+
+
+def test_readme_calls_name_functions_that_exist():
+    """Every function the README calls in backticks is an attribute of
+    ``shi_ish`` or of one of its modules, so an API cannot be removed or
+    renamed without the README following."""
+    import builtins
+
+    modules = _shi_ish_modules()
+    calls = _readme_calls(README.read_text(encoding="utf-8"))
+    assert "dominance_rook_to_parking" in calls
+    missing = sorted(
+        name for name in calls if not hasattr(builtins, name) and not any(hasattr(m, name) for m in modules)
+    )
+    assert missing == []
+
+
+def test_readme_call_check_sees_a_removed_name():
+    text = "the inverse `dominance_parking_inverse(word)`; the size `n(n-1)/2`; `json.dumps(report)`"
+    assert _readme_calls(text) == {"dominance_parking_inverse"}

@@ -13,11 +13,12 @@ from shi_ish.core import (
     identity_permutation,
     partition_from_blocks,
 )
-from shi_ish.parking import parking_functions
+from shi_ish.parking import parking_functions, prime_components, word_to_dyck
 from shi_ish.shi import (
     ShiCeilingDiagram,
     ceiling_hyperplane_tags,
     is_valid_shi,
+    parking_dof,
     parking_to_shi_diagram,
     shi_diagram_to_parking,
     shi_diagrams,
@@ -121,6 +122,14 @@ def test_statistics_match_word_side_definitions(n):
         assert stats.ceiling_partition == apply_permutation(d.pi, d.partition)
         assert 1 <= stats.dof <= n
         assert stats.dominant == (d.pi == identity_permutation(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_diagonal_touches_count_the_prime_components(n):
+    """``parking_dof`` counts diagonal touches; the labeled Dyck path of the
+    word has one prime component per touch."""
+    for word in parking_functions(n):
+        assert parking_dof(word) == len(prime_components(word_to_dyck(word))), word
 
 
 @given(st.sampled_from(sorted(parking_functions(4))))
