@@ -15,12 +15,10 @@ from collections import Counter
 
 import pytest
 
-import shi_ish.bijections as bijections
 import shi_ish.cli as cli
 import shi_ish.ish as ish
 import shi_ish.parking as parking
 import shi_ish.shi as shi
-from shi_ish.bijections import ish_diagram_to_parking, parking_to_ish_diagram
 from shi_ish.core import Graph, all_graphs, is_nonnesting, position_partition
 from shi_ish.ish import (
     IshCeilingDiagram,
@@ -34,22 +32,15 @@ from shi_ish.ish import (
     parking_to_placement,
     placement_laser_word,
     placement_to_ish_diagram,
-    placement_to_parking,
     placement_to_rook_word,
     restrict_placement,
     rook_word_to_ish_diagram,
     rook_word_to_placement,
 )
-from shi_ish.parking import is_prime_parking_function, parking_functions
-from shi_ish.rookwords import (
-    is_prime_rook_word,
-    is_rook_word,
-    parking_to_rook_word,
-    prime_parking_to_rook_word,
-    prime_rook_word_to_parking,
-    rook_word_to_parking,
-    tail_and_dof,
-)
+from shi_ish.parking import parking_functions
+from shi_ish.rookwords import is_prime_rook_word, is_rook_word, tail_and_dof
+
+from codec_routes import REFERENCES, codec_views
 
 
 def outcome(function, *args):
@@ -58,47 +49,6 @@ def outcome(function, *args):
         return function(*args)
     except Exception as exc:  # noqa: BLE001 - the exception itself is compared
         return type(exc), str(exc)
-
-
-# the word maps as they were defined through rook placements
-
-
-def basic_reference(diagram):
-    return placement_to_parking(restrict_placement(ish_diagram_to_placement(diagram)))
-
-
-def basic_inverse_reference(word):
-    return placement_to_ish_diagram(complete_placement(parking_to_placement(word)))
-
-
-def dominance_reference(diagram):
-    return rook_word_to_parking(placement_to_rook_word(ish_diagram_to_placement(diagram)))
-
-
-def dominance_inverse_reference(word):
-    return placement_to_ish_diagram(rook_word_to_placement(parking_to_rook_word(word)))
-
-
-def bounded_reference(diagram):
-    if not ish_statistics(diagram).relatively_bounded:
-        raise ValueError("input region is not relatively bounded")
-    return prime_rook_word_to_parking(placement_to_rook_word(ish_diagram_to_placement(diagram)))
-
-
-def bounded_inverse_reference(word):
-    if not is_prime_parking_function(word):
-        raise ValueError("input region is not relatively bounded")
-    return placement_to_ish_diagram(rook_word_to_placement(prime_parking_to_rook_word(word)))
-
-
-#: name -> (map, inverse) by the placement route; ``freedom`` goes through
-#: labeled Dyck paths and no laser, so its reference is that construction
-REFERENCES = {
-    "basic": (basic_reference, basic_inverse_reference),
-    "dominance": (dominance_reference, dominance_inverse_reference),
-    "bounded": (bounded_reference, bounded_inverse_reference),
-    "freedom": (ish_diagram_to_parking, parking_to_ish_diagram),
-}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -125,15 +75,6 @@ def test_laser_decode_reads_the_whole_orbit():
         for t in range(n + 1):
             shifted = tuple((a - 1 + t) % (n + 1) + 1 for a in word)
             assert laser_word_to_ish_diagram(shifted) == diagram
-
-
-def codec_views(name):
-    """The word map after the Ish encoding, and the Ish decoding after the
-    inverse word map: the route of ``{name}_bijection`` and its inverse,
-    without the Shi diagrams."""
-    forward, backward = (getattr(bijections, f"{name}_{s}") for s in ("rook_to_parking", "parking_to_rook"))
-    return (lambda diagram: forward(ish._encode_rook_word(diagram)),
-            lambda word: ish._decode_rook_word(backward(word)))
 
 
 def _pairs(name, graphs):

@@ -20,33 +20,20 @@ import shi_ish.cli as cli
 import shi_ish.ish as ish
 import shi_ish.parking as parking
 from shi_ish.core import Graph, all_graphs
-from shi_ish.ish import (
-    _decode_rook_word,
-    ish_diagram_to_rook_word,
-    ish_diagrams,
-    ish_statistics,
-    rook_word_to_ish_diagram,
-)
+from shi_ish.ish import ish_diagram_to_rook_word, ish_diagrams, ish_statistics, rook_word_to_ish_diagram
 from shi_ish.parking import is_prime_parking_function, parking_functions
 from shi_ish.shi import parking_to_shi_diagram
+
+from codec_routes import REFERENCES, codec_views
 
 NAMES = ("basic", "dominance", "bounded", "freedom")
 GRAPHS = [g for n in range(1, 5) for g in all_graphs(n)] + [Graph.complete(5)]
 
 
 def maps(name):
-    """The word map after the Ish encoding, the Ish decoding after the
-    inverse word map, ``{name}_bijection`` and its inverse."""
-    forward, backward, bijection, inverse = (
-        getattr(bijections, f"{name}_{suffix}")
-        for suffix in ("rook_to_parking", "parking_to_rook", "bijection", "bijection_inverse")
-    )
-    return [
-        lambda diagram: forward(ish_diagram_to_rook_word(diagram)),
-        lambda word: _decode_rook_word(backward(word)),
-        bijection,
-        inverse,
-    ]
+    """The codec views of the word maps (:func:`codec_routes.codec_views`),
+    ``{name}_bijection`` and its inverse."""
+    return [*codec_views(name), *(getattr(bijections, f"{name}_{s}") for s in ("bijection", "bijection_inverse"))]
 
 
 def regions(name):
@@ -84,14 +71,15 @@ def test_word_inverse_is_the_diagram_inverse(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_the_codec_views_are_the_word_maps(name):
     """The word map after the encoding and the decoding after the inverse
-    word map are the word maps seen through the Ish codec: they invert each
-    other on every region's rook word and give the region back."""
+    word map are the word maps seen through the Ish codec: the image is the
+    one of the placement route, the word maps invert each other on every
+    region's rook word, and the decoding gives the region back."""
     parking, parking_inverse, _, _ = maps(name)
     forward, backward = (getattr(bijections, f"{name}_{s}") for s in ("rook_to_parking", "parking_to_rook"))
     for diagram in regions(name):
         word = ish_diagram_to_rook_word(diagram)
         image = forward(word)
-        assert image == parking(diagram), diagram
+        assert image == parking(diagram) == REFERENCES[name][0](diagram), diagram
         assert backward(image) == word, diagram
         assert parking_inverse(image) == rook_word_to_ish_diagram(word) == diagram, diagram
 
@@ -143,7 +131,7 @@ def test_dominance_inverse_refuses_non_parking_words(word):
     """Letters 0 and n + 2 fail the orbit certificate's alphabet check; the
     inverse still says the input is not a parking function."""
     with pytest.raises(ValueError) as refused:
-        _decode_rook_word(bijections.dominance_parking_to_rook(word))
+        codec_views("dominance")[1](word)
     assert str(refused.value) == f"{word!r} is not a parking function"
 
 
@@ -163,7 +151,7 @@ def test_dominance_round_trip_tests_each_parking_word_once(monkeypatch):
             monkeypatch.setattr(module, "is_parking_function", counted)
     sample = list(itertools.islice(ish_diagrams(6), 0, None, 41))
     assert len(sample) > 400
+    forward, inverse = codec_views("dominance")
     for diagram in sample:
-        word = bijections.dominance_rook_to_parking(ish_diagram_to_rook_word(diagram))
-        assert _decode_rook_word(bijections.dominance_parking_to_rook(word)) == diagram
+        assert inverse(forward(diagram)) == diagram
     assert calls == 2 * len(sample)
