@@ -188,12 +188,20 @@ def _check_size(name: str, n: int, limit: int, large_limit: int, allow_large: bo
 def _region_record(kind: str, region, stats) -> dict:
     """The record of one region: its diagram (built here from a Shi region's
     parking word; an Ish region comes decoded, and a Cox region is its
-    coordinate order) followed by its statistics."""
+    coordinate order) followed by its statistics.
+
+    The record holds the region's own tuples, not list copies: ``pi``,
+    ``partition`` or ``eps``, and ``ceiling_partition``.  The emitter prints
+    a tuple as ``json.dumps`` prints a list, and keeps the text of each
+    distinct one."""
     if kind == "cox":
-        record = {"pi": list(region)}
+        record = {"pi": region}
+    elif kind == "shi":
+        diagram = parking_to_shi_diagram(region)
+        record = {"pi": diagram.pi, "partition": diagram.partition}
     else:
-        record = (parking_to_shi_diagram(region) if kind == "shi" else region).to_json()
-    record["ceiling_partition"] = [list(b) for b in stats.ceiling_partition]
+        record = {"pi": region.pi, "eps": region.eps}
+    record["ceiling_partition"] = stats.ceiling_partition
     record["dof"] = stats.dof
     record["dominant"] = stats.dominant
     if kind == "ish":
@@ -259,6 +267,15 @@ def cmd_count(args: argparse.Namespace) -> int:
 # enumerate
 
 
+def _tsv_cell(value):
+    """A record value as a TSV cell: a partition (a tuple of blocks) as
+    :func:`partition_str`, a permutation or dot counts as a word, anything
+    else as itself."""
+    if type(value) is not tuple:
+        return value
+    return partition_str(value) if value and type(value[0]) is tuple else _word_str(value)
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _check_size("enumerate", args.n, 5, 6, args.allow_large)
     graph = _arrangement_graph(args)
@@ -276,14 +293,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         columns = list(records[0].keys()) if records else ["pi"]
         rows = [tuple(columns)]
         for record in records:
-            rows.append(
-                tuple(
-                    _word_str(v) if isinstance(v, list) and v and isinstance(v[0], int)
-                    else partition_str(v) if isinstance(v, list)
-                    else v
-                    for v in (record[c] for c in columns)
-                )
-            )
+            rows.append(tuple(_tsv_cell(record[c]) for c in columns))
         _emit_tsv(rows)
     else:
         _emit_json(doc)
@@ -859,13 +869,27 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # plumbing
 
 
-def _indented_json(value, indent: str = "") -> str:
+_STRS = frozenset({str})  # the key types of a dict printed here
+#: a list or tuple whose text ``_indented_json`` keeps holds exact ints, or
+#: lists and tuples of exact ints
+_INTS = frozenset({int})
+_SEQUENCES = frozenset({list, tuple})
+
+
+def _indented_json(value, indent: str = "", texts: Optional[dict] = None) -> str:
     """``json.dumps(value, indent=2)`` for dicts with str keys, lists,
     tuples, str, int, bool and None; TypeError for anything else.
 
     ``json.dumps`` drops to its pure-Python encoder whenever it indents.
     This builds the same text with one join per container; a list of ints
     (most of every report) is joined straight from ``map(repr, ...)``.
+
+    ``texts`` keeps, for one report, the text of every list or tuple of
+    exact ints, and of every list or tuple of those, keyed by its indent
+    and its value as tuples, so a sequence that repeats (a permutation or a
+    partition shared by many regions) is built once.  The key holds exact
+    ints only: ``1``, ``True`` and ``1.0`` are equal and hash alike, but
+    print as ``1``, ``true`` and ``1.0``.
 
     >>> print(_indented_json({"a": [1, 2], "b": [], "c": {"d": None}}))
     {
@@ -888,23 +912,36 @@ def _indented_json(value, indent: str = "") -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
+    if texts is None:
+        texts = {}
+    inner = indent + "  "
     if kind is dict:
         if not value:
             return "{}"
-        if any(type(key) is not str for key in value):
+        if set(map(type, value)) != _STRS:
             raise TypeError("a key that is not a str")
-        inner = indent + "  "
-        items = [f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}" for k, v in value.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_indented_json(v, inner, texts)}" for k, v in value.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        inner = indent + "  "
-        if all(type(v) is int for v in value):
-            items = map(repr, value)
+        types = set(map(type, value))
+        if types == _INTS:
+            key = (indent, tuple(value))
+        elif types <= _SEQUENCES and set(map(type, itertools.chain.from_iterable(value))) <= _INTS:
+            key = (indent, tuple(map(tuple, value)))
         else:
-            items = [_indented_json(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+            key = None  # never kept, so texts.get(None) is None
+        text = texts.get(key)
+        if text is None:
+            if types == _INTS:
+                items = map(repr, value)
+            else:
+                items = [_indented_json(v, inner, texts) for v in value]
+            text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+            if key is not None:
+                texts[key] = text
+        return text
     raise TypeError(f"{kind.__name__} is left to json.dumps")
 
 

@@ -285,7 +285,10 @@ def nonnesting_from_block_specs(
     to n.  Scanning positions 1..n left to right, a declared minimum opens a
     new block; any other position joins the open, still-incomplete block whose
     most recently added element is smallest.  That first-in-first-out rule is
-    what keeps the result nonnesting.
+    what keeps the result nonnesting.  Each block is filled by increasing
+    position and every position goes to one block, so the blocks are
+    increasing and disjoint as built, and sorting them by minimum gives the
+    canonical form without another pass of :func:`partition_from_blocks`.
 
     >>> nonnesting_from_block_specs([(1, 4), (3, 1), (4, 2), (7, 1)], 8)
     ((1, 2, 5, 8), (3,), (4, 6), (7,))
@@ -318,7 +321,7 @@ def nonnesting_from_block_specs(
             done.append(tuple(block))
         else:
             open_blocks.append(block)
-    return partition_from_blocks(done)
+    return tuple(sorted(done))
 
 
 def set_partitions(n: int) -> Iterator[SetPartition]:
@@ -356,10 +359,11 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "edges", frozenset(self.edges))  # the same set if already frozen
+        n = self.n
         for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"bad edge ({i}, {j}) on [1, {self.n}]")
+            if not (1 <= i < j <= n):
+                raise ValueError(f"bad edge ({i}, {j}) on [1, {n}]")
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -386,8 +390,20 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
-        edges = frozenset((strict_int(i), strict_int(j)) for i, j in data["edges"])
-        return cls(strict_int(data["n"]), edges)
+        """The graph of ``{"n": int, "edges": [[i, j], ...]}``.
+
+        One pass takes the edges whose endpoints are both exact ints.  When
+        that is not every edge, or an edge is not a pair, the edges go again
+        endpoint by endpoint through :func:`strict_int`, which raises at the
+        first bad endpoint in file order."""
+        edges = data["edges"]
+        try:
+            pairs = [(i, j) for i, j in edges if type(i) is int and type(j) is int]
+        except (TypeError, ValueError):
+            pairs = None
+        if pairs is None or len(pairs) != len(edges):
+            pairs = [(strict_int(i), strict_int(j)) for i, j in edges]
+        return cls(strict_int(data["n"]), frozenset(pairs))
 
 
 @functools.lru_cache(maxsize=16, typed=True)

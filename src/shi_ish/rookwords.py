@@ -150,18 +150,30 @@ def _parking_shifts(counts: Sequence[int], bar: int) -> list[int]:
     sums of ``counts[v] - 1`` over the doubled sequence at s + 1, ...,
     s + m - 1, less their value at s.  That window is the rest of one
     period, so its minimum is the suffix minimum after s or the prefix
-    minimum before s plus the period's total, whichever is smaller.
+    minimum before s plus the period's total, whichever is smaller.  One
+    loop forward takes the levels and tests the prefix minima, one loop
+    backward tests the suffix minima.
     """
     m = len(counts)
-    level = list(itertools.accumulate((c - 1 for c in counts[:-1]), initial=0))
     total = sum(counts) - m
-    before = list(itertools.accumulate(level[:-1], min, initial=math.inf))
-    after = list(itertools.accumulate(reversed(level[1:]), min, initial=math.inf))[::-1]
-    return [
-        -s % m
-        for s, low, head, tail in zip(range(m), level, before, after)
-        if tail - low >= bar and head + total - low >= bar
-    ]
+    levels, heads = [], []
+    level, low = 0, math.inf  # low: the least level before s
+    for c in counts:
+        heads.append(low + total - level >= bar)
+        levels.append(level)
+        if level < low:
+            low = level
+        level += c - 1
+    shifts = []
+    low = math.inf  # the least level after s
+    for s in range(m - 1, -1, -1):
+        level = levels[s]
+        if heads[s] and low - level >= bar:
+            shifts.append(-s % m)
+        if level < low:
+            low = level
+    shifts.reverse()
+    return shifts
 
 
 def _rook_shifts(counts: Sequence[int], first: int) -> list[int]:

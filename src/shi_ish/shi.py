@@ -51,6 +51,15 @@ class ShiCeilingDiagram:
         check_permutation(self.pi)
         check_partition_of(self.partition, len(self.pi))
 
+    @classmethod
+    def _unchecked(cls, pi: Permutation, partition: SetPartition) -> "ShiCeilingDiagram":
+        """The diagram (pi, partition) without the checks of ``__post_init__``,
+        for a caller that has built both from a checked parking word."""
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "pi", pi)
+        object.__setattr__(diagram, "partition", partition)
+        return diagram
+
     @property
     def n(self) -> int:
         return len(self.pi)
@@ -179,6 +188,11 @@ def parking_to_shi_diagram(word: Sequence[int]) -> ShiCeilingDiagram:
     first-in-first-out rule), and within the block with minimum c the
     positions of letter c in the word, taken increasingly, define pi.
 
+    Only the word is checked.  Then pi is a permutation and the partition a
+    canonical partition of [n] by construction, so the diagram is built
+    without the constructor's own checks; ``ShiCeilingDiagram(pi,
+    partition)`` and :meth:`ShiCeilingDiagram.from_json` keep them.
+
     >>> parking_to_shi_diagram((3, 2, 3, 7, 1, 2, 7, 2)).pi
     (5, 2, 1, 6, 3, 8, 4, 7)
     """
@@ -194,7 +208,7 @@ def parking_to_shi_diagram(word: Sequence[int]) -> ShiCeilingDiagram:
     for block in partition:
         for b, pos in zip(block, positions[block[0]]):
             pi[b - 1] = pos
-    return ShiCeilingDiagram(pi=tuple(pi), partition=partition)
+    return ShiCeilingDiagram._unchecked(tuple(pi), partition)
 
 
 def shi_diagram_to_parking(diagram: ShiCeilingDiagram) -> Word:

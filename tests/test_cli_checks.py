@@ -436,6 +436,29 @@ def test_graph_file_refuses_non_integers(data, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "edges, detail",
+    [
+        ([[1, 2], [2, True]], "expected an integer, got True"),
+        ([[1, 2.0]], "expected an integer, got 2.0"),
+        ([["1", 2]], "expected an integer, got '1'"),
+        ([[1, 2, 3]], "too many values to unpack (expected 2)"),
+        ([[1, 4]], "bad edge (1, 4) on [1, 3]"),
+        ([[0, 2]], "bad edge (0, 2) on [1, 3]"),
+        # the first bad edge in file order is the one named
+        ([[1, "x"], [1, 2, 3]], "expected an integer, got 'x'"),
+        ([[1, 2, 3], [1, "x"]], "too many values to unpack (expected 2)"),
+    ],
+)
+def test_graph_file_errors_name_the_bad_edge(edges, detail, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 3, "edges": edges}))
+    code, out, err = run(capsys, "count", "--n", "3", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: malformed graph file {str(path)!r}: {detail}"]
+
+
+@pytest.mark.parametrize(
     "data, unknown",
     [
         ({"n": 3, "edges": [], "edgse": [[1, 2]]}, "'edgse'"),

@@ -55,6 +55,59 @@ def test_json_text_edge_cases():
         assert _json_text(doc) == json.dumps(doc, indent=2), doc
 
 
+#: values that are equal and hash alike but print differently
+ALIKE = [1, True, 1.0, [1], [True], (1,), [1.0], [[1], [True]], [[1], [1]], ((1,), (1,)), [], ()]
+sequences = st.one_of(
+    st.sampled_from(ALIKE),
+    st.lists(st.sampled_from([0, 1, True, False, 1.0, 2]), max_size=3),
+    st.lists(st.sampled_from([0, 1, True, False, 1.0, 2]), max_size=3).map(tuple),
+    st.lists(st.lists(st.sampled_from([1, True, 2]), max_size=2), max_size=3),
+)
+
+
+@st.composite
+def repeating_documents(draw):
+    """Documents whose siblings at each depth are drawn, with repeats, from
+    a few sequences: the emitter's kept texts are read back at once."""
+    pool = draw(st.lists(sequences, min_size=1, max_size=4))
+    return draw(
+        st.recursive(
+            st.sampled_from(pool),
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=4),
+                st.lists(inner, max_size=3).map(tuple),
+                st.dictionaries(st.sampled_from("abcd"), inner, max_size=4),
+            ),
+            max_leaves=16,
+        )
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(repeating_documents())
+def test_repeated_sequences_print_as_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_alike_sequences_keep_their_own_text():
+    for doc in (
+        {"a": [1], "b": [True]},
+        {"a": [True], "b": [1]},
+        {"a": [[1, 2]], "b": [[1, 2.0]]},
+        {"a": [[1, 2]], "b": [[True, 2]]},
+        {"a": (1, 2), "b": [1, 2], "c": [(1,), [1]], "d": [[1], (True,)]},
+        [[1], [1], [[1]], [[1]], [True]],
+    ):
+        assert _json_text(doc) == json.dumps(doc, indent=2), doc
+
+
+def test_the_text_of_a_repeated_sequence_is_kept_once_per_indent():
+    texts = {}
+    doc = {"a": [[1, 2], [1, 2]], "b": [[1, 2], (1, 2)], "c": [True, 1]}
+    assert _indented_json(doc, "", texts) == json.dumps(doc, indent=2)
+    assert set(texts) == {("  ", ((1, 2), (1, 2))), ("    ", (1, 2))}
+
+
 def test_unplain_values_fall_back_to_json_dumps():
     for doc in ({"x": 1.5}, {1: "int key"}, {"x": [1, 2, 3.0]}):
         assert _json_text(doc) == json.dumps(doc, indent=2)

@@ -186,6 +186,18 @@ def test_nonnesting_welding_fixture():
         nonnesting_from_block_specs([(2, 3)], 3)  # position 1 unassignable
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_welded_partitions_are_canonical(n):
+    """The welded blocks are returned as built, sorted by minimum; they
+    must already be what ``partition_from_blocks`` makes of them."""
+    for p in set_partitions(n):
+        if is_nonnesting(p):
+            specs = [(block[0], len(block)) for block in reversed(p)]
+            welded = nonnesting_from_block_specs(specs, n)
+            assert welded == partition_from_blocks(welded) == p
+            assert check_partition_of(welded, n) == welded
+
+
 def _min_rule_welding(specs, n):
     """The welding rule as first written: a position joins the open block
     whose last element is smallest, found by a linear scan."""

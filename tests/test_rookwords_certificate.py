@@ -4,10 +4,13 @@
 cyclic shift of the word and tests each one with both predicates.  The
 counted certificate must name the same shifts on every word of [n+1]^n and
 [n-1]^n for n <= 6 and on seeded words at n = 8, 16 and 64, and it must keep
-refusing an orbit whose counts are not exactly one of each.
+refusing an orbit whose counts are not exactly one of each.  The parking
+shifts are also checked against their first formulation, from prefix minima
+built with ``itertools.accumulate``.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -71,6 +74,40 @@ def test_seeded_words(n):
     for _ in range(300):
         assert_agrees(tuple(rng.randint(1, n + 1) for _ in range(n)), prime=False)
         assert_agrees(tuple(rng.randint(1, n - 1) for _ in range(n)), prime=True)
+
+
+def accumulated_parking_shifts(counts, bar):
+    """``rookwords._parking_shifts`` as first written: the levels, their
+    prefix minima and their suffix minima as accumulated lists."""
+    m = len(counts)
+    level = list(itertools.accumulate((c - 1 for c in counts[:-1]), initial=0))
+    total = sum(counts) - m
+    before = list(itertools.accumulate(level[:-1], min, initial=math.inf))
+    after = list(itertools.accumulate(reversed(level[1:]), min, initial=math.inf))[::-1]
+    return [
+        -s % m
+        for s, low, head, tail in zip(range(m), level, before, after)
+        if tail - low >= bar and head + total - low >= bar
+    ]
+
+
+def count_vectors(total, m):
+    """Every vector of m nonnegative counts summing to ``total``."""
+    for bars in itertools.combinations(range(total + m - 1), m - 1):
+        edges = (-1,) + bars + (total + m - 1,)
+        yield [b - a - 1 for a, b in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_parking_shifts_are_the_accumulated_formulation(m):
+    """Every count vector over [m] of a word of length m - 1 (bar 0, the
+    plain orbit) or m + 1 (bar 1, the prime orbit)."""
+    checked = 0
+    for bar, total in ((0, m - 1), (1, m + 1)):
+        for counts in count_vectors(total, m):
+            assert rookwords._parking_shifts(counts, bar) == accumulated_parking_shifts(counts, bar), (counts, bar)
+            checked += 1
+    assert checked == math.comb(2 * m - 2, m - 1) + math.comb(2 * m, m - 1)
 
 
 @pytest.mark.parametrize("prime", [False, True])

@@ -1,6 +1,7 @@
 """Shi ceiling diagrams and their statistics."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from shi_ish.core import (
     partition_from_blocks,
 )
 from shi_ish.parking import parking_functions, prime_components, word_to_dyck
+from shi_ish.rookwords import orbit_certificate
 from shi_ish.shi import (
     ShiCeilingDiagram,
     ceiling_hyperplane_tags,
@@ -24,6 +26,7 @@ from shi_ish.shi import (
     shi_diagrams,
     shi_statistics,
 )
+from test_word_regions import run_under_python_O
 
 
 def test_diagram_validation():
@@ -32,6 +35,57 @@ def test_diagram_validation():
         ShiCeilingDiagram((1, 1), ((1, 2),))
     with pytest.raises(ValueError):
         ShiCeilingDiagram((1, 2), ((2,), (1,)))  # partition not canonical
+
+
+def assert_view_is_checked_diagram(word):
+    d = parking_to_shi_diagram(word)
+    checked = ShiCeilingDiagram(d.pi, d.partition)
+    assert d == checked and hash(d) == hash(checked), word
+    assert (type(d.pi), type(d.partition)) == (tuple, tuple)
+    assert all(type(block) is tuple for block in d.partition)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_diagram_view_is_the_checked_diagram(n):
+    """``parking_to_shi_diagram`` skips the constructor's checks; the
+    constructor must accept what it builds, as built."""
+    for word in parking_functions(n):
+        assert_view_is_checked_diagram(word)
+
+
+def test_the_diagram_view_is_the_checked_diagram_at_n64():
+    rng = random.Random(64)
+    for _ in range(200):
+        word = tuple(rng.randint(1, 65) for _ in range(64))
+        assert_view_is_checked_diagram(orbit_certificate(word).parking)
+
+
+#: (pi, partition) pairs the public constructor refuses: pi not a
+#: permutation, or the partition not a canonical partition of [n]
+BAD_DIAGRAMS = [
+    ((1, 1), ((1, 2),)),
+    ((0, 1), ((1, 2),)),
+    ((1, 3), ((1, 2),)),
+    ((1, 2), ((2,), (1,))),
+    ((1, 2), ((2, 1),)),
+    ((1, 2), ((1,),)),
+    ((1, 2), ((1, 2), (2,))),
+]
+
+
+def test_the_constructor_still_checks_under_python_O():
+    for pi, partition in BAD_DIAGRAMS:
+        with pytest.raises(ValueError):
+            ShiCeilingDiagram(pi, partition)
+    script = (
+        "from shi_ish.shi import ShiCeilingDiagram\n"
+        f"for pi, partition in {BAD_DIAGRAMS!r}:\n"
+        "    try:\n"
+        "        ShiCeilingDiagram(pi, partition)\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+    )
+    assert run_under_python_O(script) == "raised\n" * len(BAD_DIAGRAMS)
 
 
 def test_json_roundtrip():
