@@ -296,7 +296,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             rows.append(tuple(_tsv_cell(record[c]) for c in columns))
         _emit_tsv(rows)
     else:
-        _emit_json(doc)
+        # regions share their permutations and partitions, so the text of
+        # each distinct one is kept for this report
+        _emit_json(doc, texts={})
     return EXIT_OK
 
 
@@ -884,12 +886,12 @@ def _indented_json(value, indent: str = "", texts: Optional[dict] = None) -> str
     This builds the same text with one join per container; a list of ints
     (most of every report) is joined straight from ``map(repr, ...)``.
 
-    ``texts`` keeps, for one report, the text of every list or tuple of
-    exact ints, and of every list or tuple of those, keyed by its indent
-    and its value as tuples, so a sequence that repeats (a permutation or a
-    partition shared by many regions) is built once.  The key holds exact
-    ints only: ``1``, ``True`` and ``1.0`` are equal and hash alike, but
-    print as ``1``, ``true`` and ``1.0``.
+    ``texts``, when given, keeps for one report the text of every list or
+    tuple of exact ints, and of every list or tuple of those, keyed by its
+    indent and its value as tuples, so a sequence that repeats (a
+    permutation or a partition shared by many regions) is built once.  The
+    key holds exact ints only: ``1``, ``True`` and ``1.0`` are equal and
+    hash alike, but print as ``1``, ``true`` and ``1.0``.
 
     >>> print(_indented_json({"a": [1, 2], "b": [], "c": {"d": None}}))
     {
@@ -912,8 +914,6 @@ def _indented_json(value, indent: str = "", texts: Optional[dict] = None) -> str
         return "true" if value else "false"
     if value is None:
         return "null"
-    if texts is None:
-        texts = {}
     inner = indent + "  "
     if kind is dict:
         if not value:
@@ -926,35 +926,34 @@ def _indented_json(value, indent: str = "", texts: Optional[dict] = None) -> str
         if not value:
             return "[]"
         types = set(map(type, value))
-        if types == _INTS:
-            key = (indent, tuple(value))
-        elif types <= _SEQUENCES and set(map(type, itertools.chain.from_iterable(value))) <= _INTS:
-            key = (indent, tuple(map(tuple, value)))
-        else:
-            key = None  # never kept, so texts.get(None) is None
-        text = texts.get(key)
-        if text is None:
+        key = None
+        if texts is not None:
             if types == _INTS:
-                items = map(repr, value)
-            else:
-                items = [_indented_json(v, inner, texts) for v in value]
-            text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-            if key is not None:
-                texts[key] = text
+                key = (indent, tuple(value))
+            elif types <= _SEQUENCES and set(map(type, itertools.chain.from_iterable(value))) <= _INTS:
+                key = (indent, tuple(map(tuple, value)))
+            text = texts.get(key)  # never kept under None
+            if text is not None:
+                return text
+        items = map(repr, value) if types == _INTS else [_indented_json(v, inner, texts) for v in value]
+        text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        if key is not None:
+            texts[key] = text
         return text
     raise TypeError(f"{kind.__name__} is left to json.dumps")
 
 
-def _json_text(doc) -> str:
-    """The report text: ``json.dumps(doc, indent=2)``, byte for byte."""
+def _json_text(doc, texts: Optional[dict] = None) -> str:
+    """The report text: ``json.dumps(doc, indent=2)``, byte for byte.
+    ``texts`` is as for :func:`_indented_json`."""
     try:
-        return _indented_json(doc)
+        return _indented_json(doc, "", texts)
     except TypeError:
         return json.dumps(doc, indent=2)
 
 
-def _emit_json(doc: dict) -> None:
-    print(_json_text(doc))
+def _emit_json(doc: dict, texts: Optional[dict] = None) -> None:
+    print(_json_text(doc, texts))
 
 
 def _emit_tsv(rows: list[tuple]) -> None:

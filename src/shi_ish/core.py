@@ -359,11 +359,10 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        object.__setattr__(self, "edges", frozenset(self.edges))  # the same set if already frozen
-        n = self.n
+        object.__setattr__(self, "edges", frozenset(self.edges))
         for i, j in self.edges:
-            if not (1 <= i < j <= n):
-                raise ValueError(f"bad edge ({i}, {j}) on [1, {n}]")
+            if not (1 <= i < j <= self.n):
+                raise ValueError(f"bad edge ({i}, {j}) on [1, {self.n}]")
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -390,20 +389,15 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
-        """The graph of ``{"n": int, "edges": [[i, j], ...]}``.
-
-        One pass takes the edges whose endpoints are both exact ints.  When
-        that is not every edge, or an edge is not a pair, the edges go again
-        endpoint by endpoint through :func:`strict_int`, which raises at the
-        first bad endpoint in file order."""
-        edges = data["edges"]
-        try:
-            pairs = [(i, j) for i, j in edges if type(i) is int and type(j) is int]
-        except (TypeError, ValueError):
-            pairs = None
-        if pairs is None or len(pairs) != len(edges):
-            pairs = [(strict_int(i), strict_int(j)) for i, j in edges]
-        return cls(strict_int(data["n"]), frozenset(pairs))
+        """The graph of ``{"n": int, "edges": [[i, j], ...]}``.  A pair of
+        exact ints is taken as it is; any other edge goes endpoint by
+        endpoint through :func:`strict_int`, so the first bad endpoint in
+        file order is the one named."""
+        edges = frozenset(
+            (i, j) if type(i) is int and type(j) is int else (strict_int(i), strict_int(j))
+            for i, j in data["edges"]
+        )
+        return cls(strict_int(data["n"]), edges)
 
 
 @functools.lru_cache(maxsize=16, typed=True)

@@ -42,6 +42,7 @@ documents = st.recursive(
 @given(documents)
 def test_json_text_is_json_dumps_indent_2(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
+    assert _json_text(doc, texts={}) == json.dumps(doc, indent=2)
 
 
 def test_json_text_edge_cases():
@@ -86,6 +87,7 @@ def repeating_documents(draw):
 @settings(max_examples=400, deadline=None)
 @given(repeating_documents())
 def test_repeated_sequences_print_as_json_dumps(doc):
+    assert _json_text(doc, texts={}) == json.dumps(doc, indent=2)
     assert _json_text(doc) == json.dumps(doc, indent=2)
 
 
@@ -98,7 +100,7 @@ def test_alike_sequences_keep_their_own_text():
         {"a": (1, 2), "b": [1, 2], "c": [(1,), [1]], "d": [[1], (True,)]},
         [[1], [1], [[1]], [[1]], [True]],
     ):
-        assert _json_text(doc) == json.dumps(doc, indent=2), doc
+        assert _json_text(doc, texts={}) == json.dumps(doc, indent=2), doc
 
 
 def test_the_text_of_a_repeated_sequence_is_kept_once_per_indent():
