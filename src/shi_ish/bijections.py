@@ -19,10 +19,11 @@ bijection is implemented once, as a pair of word maps:
 ``{name}_rook_to_parking`` carries the rook word of an Ish region to the
 parking word of its Shi image, and ``{name}_parking_to_rook`` carries it
 back.  ``basic`` reads its rook rows off the word, ``dominance`` and
-``bounded`` are cycle-lemma orbits of the word, and ``freedom`` builds its
-diamond word from the first occurrences of the letters and takes the degrees
-of freedom and the ceiling partition from the word.  The only other layer is
-the diagram view: ``{name}_bijection`` encodes the Ish region with
+``bounded`` are cycle-lemma orbits of the word, and ``freedom`` renames the
+letters through a permutation of the n columns of the labeled Dyck path, so
+it keeps the position partition, which is the ceiling partition, by
+construction.  The only other layer is the diagram view:
+``{name}_bijection`` encodes the Ish region with
 ``_encode_rook_word`` of :mod:`shi_ish.ish`, runs the word map and builds the
 Shi region with :func:`parking_to_shi_diagram`, and
 ``{name}_bijection_inverse`` reads the Shi region's word with
@@ -31,16 +32,20 @@ Shi region with :func:`parking_to_shi_diagram`, and
 maps and ``map`` runs the diagram views; the rook placements of
 :mod:`shi_ish.ish` are the documented construction and the tests' reference.
 
-The Dyck-path construction works with partially built words whose dotted
-positions are marked by the :data:`DIAMOND` placeholder until the very last
-step resolves them into dotted letters.
+The ``freedom`` permutation comes from the prime-component construction
+run on column indices (:func:`_freedom_forward`, :func:`_freedom_inverse`).
+The stage views :func:`parking_to_ish_diagram_stages` and
+:func:`ish_diagram_to_parking_stages` render that same construction in the
+paper's terms: a column shows as its least label, or as the :data:`DIAMOND`
+placeholder of a dotted position when it is empty.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple, Sequence, Union
 
-from .core import SetPartition, Word, check_partition_of, position_partition
+from .core import Word
 from .ish import (
     IshCeilingDiagram,
     _decode_rook_word,
@@ -50,15 +55,8 @@ from .ish import (
     _rook_word_rows,
     _rows_to_rook_word,
 )
-from .parking import (
-    LabeledDyckPath,
-    dyck_to_word,
-    is_parking_function,
-    is_prime_parking_function,
-    prime_components,
-    word_to_dyck,
-)
-from .rookwords import OrbitCertificate, _rook_dof, orbit_certificate
+from .parking import LabeledDyckPath, _word_columns, is_parking_function, is_prime_parking_function
+from .rookwords import OrbitCertificate, _parking_shifts, _rook_dof, orbit_certificate
 from .shi import ShiCeilingDiagram, parking_to_shi_diagram, shi_diagram_to_parking
 
 
@@ -177,19 +175,19 @@ def bounded_parking_to_rook(word: Sequence[int]) -> Word:
 
 def freedom_rook_to_parking(word: Sequence[int]) -> Word:
     """The ``freedom`` map on words: the labeled Dyck path of the region,
-    built from its prime components (:func:`ish_diagram_to_parking_stages`).
+    built from its prime components on the columns of the rook word
+    (:func:`_freedom_forward`).
 
     >>> freedom_rook_to_parking((2, 8, 8, 1, 8, 8, 2, 5))
     (2, 4, 4, 1, 4, 4, 2, 7)
     """
-    return _rook_word_to_parking_stages(word).word
+    return _freedom_forward(word).parking
 
 
 def freedom_parking_to_rook(word: Sequence[int]) -> Word:
-    """Inverse of :func:`freedom_rook_to_parking`
-    (:func:`parking_to_ish_diagram_stages`)."""
-    *_, after_global = _diamond_stages(word)
-    return _resolve_rook_word(after_global, position_partition(word))
+    """Inverse of :func:`freedom_rook_to_parking`, on the columns of the
+    parking word's labeled Dyck path (:func:`_freedom_inverse`)."""
+    return _freedom_inverse(word).rook
 
 
 def basic_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
@@ -283,112 +281,183 @@ class IshToDyckStages(NamedTuple):
     word: Word
 
 
-def resolve_diamond_word(
-    word: Sequence[Union[int, Diamond]], partition: SetPartition
-) -> IshCeilingDiagram:
-    """Fill the diamonds of a partial diagram word.
+class _InverseRun(NamedTuple):
+    """One run of :func:`_freedom_inverse`: the rook word and the column
+    arrangements it passed through."""
 
-    There is exactly one way to dot the diamond positions so that the
-    resulting diagram is valid and has the prescribed ceiling partition: the
-    available relations are the arcs of the partition, and sorting them by
-    left endpoint is forced by the increasing-dots condition.  The filled
-    diagram is the decoded :func:`_resolve_rook_word`; ValueError unless it
-    is a coherent diagram with that ceiling partition.
+    rook: Word
+    ranges: list[tuple[int, int]]  # the components, columns lo..hi-1, in splice order
+    spliced: list[int]  # every component spliced in
+    after_prefix: list[int]
+    after_global: list[int]
+
+
+class _ForwardRun(NamedTuple):
+    """One run of :func:`_freedom_forward`: the parking word and the column
+    arrangements it passed through."""
+
+    parking: Word
+    cycle_index: int
+    after_cycling: list[int]
+    after_prefix: tuple[int, ...]
+    components: dict[int, list[int]]  # component i -> its columns, in path order
+    order: tuple[int, ...]  # the components in linear order
+
+
+def _column_sizes(word: Sequence[int]) -> list[int]:
+    """The number of labels in each column 0..n-1 of a word over [n]: the
+    count of each letter.  A float equal to an integer passes the parking and
+    rook tests; it is refused here as :func:`~shi_ish.core.check_word`
+    refuses it."""
+    n = len(word)
+    size = [0] * n
+    for a in word:
+        if not isinstance(a, int):
+            raise ValueError(f"letter {a!r} outside alphabet [1, {n}]")
+        size[a - 1] += 1
+    return size
+
+
+def _freedom_inverse(word: Sequence[int]) -> _InverseRun:
+    """:func:`freedom_parking_to_rook` on the columns 0..n-1 of the parking
+    word's labeled Dyck path, where column c holds the labels v with
+    ``word[v - 1] == c + 1``.
+
+    The prime components are the column ranges between the diagonal
+    touches, listed cyclically from the one holding the label 1.  That one is
+    read cyclically from the column of 1, its last column, which is empty,
+    moved to the end; each later component i = 2..d is spliced in just after
+    position i - 1.  The first d columns rotate left once, and the whole
+    arrangement rotates left until only columns of components left of 1
+    precede the column of 1.  The rook word renames each letter by the
+    position its column reached.
     """
-    check_partition_of(partition, len(word))
-    return _decode_rook_word(_resolve_rook_word(word, partition))
+    if not is_parking_function(word):
+        raise ValueError(f"{word!r} is not a parking function")
+    n = len(word)
+    size = _column_sizes(word)
+    cuts = [0]  # component k is the columns cuts[k - 1] .. cuts[k] - 1
+    total = 0
+    for c in range(n - 1):
+        total += size[c]
+        if total == c + 1:
+            cuts.append(c + 1)
+    cuts.append(n)
+    d = len(cuts) - 1
+    home = word[0] - 1  # the column of the label 1
+    one_in = bisect_right(cuts, home)  # the rank of its component
+    ranges = [(cuts[k - 1], cuts[k]) for k in (*range(one_in, d + 1), *range(1, one_in))]
+    lo, hi = ranges[0]
+    spliced = [*range(home, hi - 1), *range(lo, home), hi - 1]
+    for i, (lo, hi) in enumerate(ranges[1:], start=1):
+        spliced[i:i] = range(lo, hi)
+    after_prefix = spliced[1:d] + spliced[:1] + spliced[d:]
+    shift = d - one_in
+    working = after_prefix[shift:] + after_prefix[:shift]
+    position = [0] * n
+    for p, c in enumerate(working, start=1):
+        position[c] = p
+    if not all(size[c] for c in working[: position[home] - 1]):
+        raise AssertionError(f"an empty column precedes the column of 1 for {word!r}")
+    return _InverseRun(tuple([position[a - 1] for a in word]), ranges, spliced, after_prefix, working)
 
 
-def _resolve_rook_word(word: Sequence[Union[int, Diamond]], partition: SetPartition) -> Word:
-    """The rook word of :func:`resolve_diamond_word`, for a partition of
-    [len(word)].
+def _freedom_forward(word: Sequence[int]) -> _ForwardRun:
+    """:func:`freedom_rook_to_parking` on the columns 0..n-1 of the rook
+    word, where column c holds the positions of the letter c + 1.
 
-    The letters of ``word`` must be the block minima of ``partition``, one
-    diamond per arc.  A block's minimum sits undotted at some position i,
-    and each later element hangs from its predecessor in the block by a dot,
-    so every element of the block reads i in the rook word.  The dotted
-    positions are the letters the rook word misses, so it is a rook word
-    exactly when every diamond lies right of the letter 1, which is the
-    coherence of the filled diagram.
+    With d the degrees of freedom, the columns cycle right until the column
+    of 1 sits in position d (the cycle index counts the steps), and the first
+    d rotate right once.  Components peel off from positions d down to 2,
+    each the shortest run holding as many labels as columns; the component
+    of 1 is the rest, turned to its one rotation (before its final empty
+    column) strictly above the diagonal, which one cycle-lemma pass finds
+    (:func:`~shi_ish.rookwords._parking_shifts`).  The component of 1 lands
+    in linear position d minus the cycle index, and the parking word
+    renames each letter by the position its column reached.
     """
-    if sum(isinstance(s, Diamond) for s in word) != len(word) - len(partition):
-        raise ValueError("diamond count does not match the partition arcs")
-    at = {s: i for i, s in enumerate(word, start=1) if not isinstance(s, Diamond)}
-    rook = [0] * len(word)
-    for block in partition:
-        position = at.get(block[0])
-        if position is None:
-            raise ValueError("word letters are inconsistent with the partition")
-        for value in block:
-            rook[value - 1] = position
-    if _rook_dof(rook) is None:
-        raise ValueError(f"{tuple(word)!r} has a diamond left of the letter 1")
-    return tuple(rook)
+    d = _rook_dof(word)
+    if d is None:
+        raise ValueError(f"{word!r} is not a rook word")
+    n = len(word)
+    size = _column_sizes(word)
+    home = word[0] - 1  # the column of the label 1
+    cycle_index = (d - 1 - home) % n
+    if not 0 <= cycle_index < d:
+        raise AssertionError(f"cycle index {cycle_index} outside [0, {d})")
+    cut = n - cycle_index
+    if not all(size[cut:]):
+        raise AssertionError("cycling moved an empty column past the end")
+    after_cycling = [*range(cut, n), *range(cut)]
+    if after_cycling[d - 1] != home:
+        raise AssertionError("cycling did not bring 1 to position d")
+    working = [home, *after_cycling[: d - 1], *after_cycling[d:]]
+    after_prefix = tuple(working)
+    components: dict[int, list[int]] = {}
+    for i in range(d, 1, -1):
+        end = i - 1
+        surplus = size[working[end]] - 1
+        while surplus:
+            if surplus < 0:
+                raise AssertionError("column surplus went negative")
+            end += 1
+            surplus += size[working[end]] - 1
+        components[i] = working[i - 1 : end + 1]
+        del working[i - 1 : end + 1]
+    if len(working) == 1:
+        if working != [home] or size[home] != 1:
+            raise AssertionError("the last column holds more than the label 1")
+        components[1] = working
+    else:
+        if working[0] != home or size[working[-1]]:
+            raise AssertionError("component of 1 does not start at 1 and end empty")
+        body = working[:-1]
+        shifts = _parking_shifts([size[c] for c in body], 1)
+        if len(shifts) != 1:
+            raise AssertionError(f"{len(shifts)} rotations are Dyck paths, expected 1")
+        s = -shifts[0] % len(body)
+        components[1] = body[s:] + body[:s] + working[-1:]
+    order = tuple((m + cycle_index) % d + 1 for m in range(1, d + 1))
+    position = [0] * n
+    p = total = 0
+    for c in (c for i in order for c in components[i]):
+        p += 1
+        total += size[c]
+        if total < p:
+            raise AssertionError("the path dips below the diagonal")
+        position[c] = p
+    parking = tuple([position[a - 1] for a in word])
+    return _ForwardRun(parking, cycle_index, after_cycling, after_prefix, components, order)
+
+
+def _shown(columns: Sequence[int], labels: LabeledDyckPath) -> DiamondWord:
+    """Columns as a diamond word: each shows as its least label, or as
+    :data:`DIAMOND` when it is empty."""
+    return tuple(labels[c][0] if labels[c] else DIAMOND for c in columns)
 
 
 def parking_to_ish_diagram_stages(word: Sequence[int]) -> DyckToIshStages:
-    """Build the Ish diagram of a parking function, keeping every stage.
-
-    The prime components of the labeled Dyck path are listed cyclically from
-    the one containing the label 1.  That component is read cyclically from
-    the column of 1, skipping its final empty column, with a diamond appended;
-    each later component is read left to right and spliced in just after
-    position i-1.  The first d letters then rotate left once, the whole word
-    rotates left until only labels of components left of 1 precede the 1, and
-    the diamonds resolve against the position partition.  The last step is
-    :func:`freedom_parking_to_rook` and the codec's decoding.
+    """Build the Ish diagram of a parking function, keeping every stage of
+    :func:`_freedom_inverse` as label columns and diamond words.  Splicing
+    only inserts, so the stage word after the k-th component is the spliced
+    arrangement restricted to the first k components.  The diagram is the
+    decoded rook word; the last stage, with its diamonds filled by the dots
+    the position partition forces, is its pi.
     """
-    components, stage_words, after_prefix, after_global = _diamond_stages(word)
-    rook = _resolve_rook_word(after_global, position_partition(word))
+    run = _freedom_inverse(word)
+    labels = _word_columns(word)
+    rank = [0] * len(word)  # column -> the splice rank of its component
+    for k, (lo, hi) in enumerate(run.ranges):
+        rank[lo:hi] = [k] * (hi - lo)
     return DyckToIshStages(
-        components=components,
-        stage_words=stage_words,
-        after_prefix_rotation=after_prefix,
-        after_global_rotation=after_global,
-        diagram=_decode_rook_word(rook),
+        components=tuple(labels[lo:hi] for lo, hi in run.ranges),
+        stage_words=tuple(
+            _shown([c for c in run.spliced if rank[c] <= k], labels) for k in range(len(run.ranges))
+        ),
+        after_prefix_rotation=_shown(run.after_prefix, labels),
+        after_global_rotation=_shown(run.after_global, labels),
+        diagram=_decode_rook_word(run.rook),
     )
-
-
-def _diamond_stages(
-    word: Sequence[int],
-) -> tuple[tuple[LabeledDyckPath, ...], tuple[DiamondWord, ...], DiamondWord, DiamondWord]:
-    """The components, stage words and both rotations of
-    :func:`parking_to_ish_diagram_stages`: everything before the diamonds
-    resolve."""
-    dyck = word_to_dyck(word)
-    comps = prime_components(dyck)
-    d = len(comps)
-    one_in = next(i for i, c in enumerate(comps, start=1) if 1 in c.labels())
-    ordered = comps[one_in - 1 :] + comps[: one_in - 1]
-
-    first = ordered[0].columns
-    if len(first) == 1:
-        working: list[Union[int, Diamond]] = [1]
-    else:
-        size = len(first)
-        start = next(t for t, col in enumerate(first) if col and col[0] == 1)
-        read = [
-            first[(start + t) % size]
-            for t in range(size)
-            if (start + t) % size != size - 1
-        ]
-        working = [col[0] if col else DIAMOND for col in read]
-        working.append(DIAMOND)
-    stage_words = [tuple(working)]
-
-    for i in range(2, d + 1):
-        piece: list[Union[int, Diamond]] = [
-            col[0] if col else DIAMOND for col in ordered[i - 1].columns
-        ]
-        working = working[: i - 1] + piece + working[i - 1 :]
-        stage_words.append(tuple(working))
-
-    working = working[1:d] + [working[0]] + working[d:]
-    after_prefix = tuple(working)
-
-    shift = d - one_in
-    working = working[shift:] + working[:shift]
-    return tuple(c.columns for c in ordered), tuple(stage_words), after_prefix, tuple(working)
 
 
 def parking_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
@@ -404,110 +473,22 @@ def parking_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
 
 
 def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages:
-    """Recover the parking function of an Ish region, keeping every stage:
-    :func:`_rook_word_to_parking_stages` of its rook word."""
-    return _rook_word_to_parking_stages(_encode_rook_word(diagram))
-
-
-def _rook_word_to_parking_stages(word: Sequence[int]) -> IshToDyckStages:
-    """The stages of :func:`ish_diagram_to_parking_stages`, read off the
-    region's rook word.
-
-    The diamond word is the region's pi with its dotted letters replaced by
-    diamonds: the first occurrence of letter a, at position q, puts q at
-    position a, and the positions of the missing letters are the diamonds.
-    The degrees of freedom are those of the rook word and the ceiling
-    partition is its position partition, whose block minima are the letters
-    of the diamond word.
-
-    With d the degrees of freedom, the diamond word cycles right until 1 sits
-    in position d (the cycle index counts the steps), the first d entries
-    rotate right once, and the symbols expand to Dyck-path columns: a letter
-    carries its ceiling-partition block, a diamond is an empty column.
-    Components peel off left to right from positions d down to 2; the
-    component of 1 is the unique cyclic rotation of what remains (after
-    dropping the final diamond) that stays strictly above the diagonal.  The
-    cycle index then fixes the left-to-right order: the component of 1 lands
-    in linear position d minus the cycle index.
+    """Recover the parking function of an Ish region, keeping every stage
+    of :func:`_freedom_forward` on its rook word as label columns and
+    diamond words.  The first, the diamond word, is the region's pi with
+    its dotted letters replaced by diamonds.
     """
-    d = _rook_dof(word)
-    if d is None:
-        raise ValueError(f"{word!r} is not a rook word")
-    n = len(word)
-    partition = position_partition(word)
-    block_of = {block[0]: block for block in partition}
-
-    working: list[Union[int, Diamond]] = [DIAMOND] * n
-    for first in block_of:
-        working[word[first - 1] - 1] = first
-    initial = tuple(working)
-
-    cycle_index = (d - 1 - working.index(1)) % n
-    if not 0 <= cycle_index < d:
-        raise AssertionError(f"cycle index {cycle_index} outside [0, {d})")
-    if cycle_index:
-        moved = working[-cycle_index:]
-        if any(isinstance(s, Diamond) for s in moved):
-            raise AssertionError("cycling moved a diamond past the end")
-        working = moved + working[:-cycle_index]
-    after_cycling = tuple(working)
-    if working[d - 1] != 1:
-        raise AssertionError("cycling did not bring 1 to position d")
-
-    working = [working[d - 1]] + working[: d - 1] + working[d:]
-    after_prefix = tuple(working)
-
-    cols: list[tuple[int, ...]] = [
-        () if isinstance(s, Diamond) else block_of[s] for s in working
-    ]
-
-    components: dict[int, LabeledDyckPath] = {}
-    for i in range(d, 1, -1):
-        start = i - 1
-        end = start
-        surplus = len(cols[end]) - 1
-        while surplus != 0:
-            if surplus < 0:
-                raise AssertionError("column surplus went negative")
-            end += 1
-            surplus += len(cols[end]) - 1
-        components[i] = tuple(cols[start : end + 1])
-        del cols[start : end + 1]
-
-    if len(cols) == 1:
-        if cols[0] != (1,):
-            raise AssertionError(f"last column is {cols[0]}, not (1,)")
-        components[1] = ((1,),)
-    else:
-        if not (cols[0] and cols[0][0] == 1 and cols[-1] == ()):
-            raise AssertionError("component of 1 does not start at 1 and end empty")
-        body = cols[:-1]
-        good = [
-            r
-            for r in range(len(body))
-            if all(
-                sum(len(c) for c in (body[r:] + body[:r])[:s]) > s
-                for s in range(1, len(body) + 1)
-            )
-        ]
-        if len(good) != 1:
-            raise AssertionError(f"{len(good)} rotations are Dyck paths, expected 1")
-        rotated = body[good[0] :] + body[: good[0]]
-        components[1] = tuple(rotated) + ((),)
-
-    order = tuple((m + cycle_index) % d + 1 for m in range(1, d + 1))
-    columns = [col for i in order for col in components[i]]
-    parking = dyck_to_word(columns)
-    if position_partition(parking) != partition:
-        raise AssertionError("parking word does not keep the ceiling partition")
+    word = _encode_rook_word(diagram)
+    run = _freedom_forward(word)
+    labels = _word_columns(word)
     return IshToDyckStages(
-        diamond_word=initial,
-        cycle_index=cycle_index,
-        after_cycling=after_cycling,
-        after_prefix_rotation=after_prefix,
-        components=tuple(components[i] for i in range(1, d + 1)),
-        linear_order=order,
-        word=parking,
+        diamond_word=_shown(range(len(word)), labels),
+        cycle_index=run.cycle_index,
+        after_cycling=_shown(run.after_cycling, labels),
+        after_prefix_rotation=_shown(run.after_prefix, labels),
+        components=tuple(tuple(labels[c] for c in run.components[i]) for i in range(1, len(run.order) + 1)),
+        linear_order=run.order,
+        word=run.parking,
     )
 
 

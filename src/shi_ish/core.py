@@ -105,8 +105,12 @@ def cyclic_shift(word: Sequence[int], t: int, alphabet: int) -> Word:
     >>> cyclic_shift((1, 4, 4, 2, 5), 3, 6)
     (4, 1, 1, 5, 2)
     """
-    w = check_word(word, alphabet)
-    return tuple((a - 1 + t) % alphabet + 1 for a in w)
+    return _cyclic_shift(check_word(word, alphabet), t, alphabet)
+
+
+def _cyclic_shift(word: Word, t: int, alphabet: int) -> Word:
+    """:func:`cyclic_shift` of a word already checked over the alphabet."""
+    return tuple((a - 1 + t) % alphabet + 1 for a in word)
 
 
 def orbit(word: Sequence[int], alphabet: int) -> tuple[Word, ...]:

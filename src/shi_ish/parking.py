@@ -158,11 +158,16 @@ def word_to_dyck(word: Sequence[int]) -> LabeledDyckPath:
     """
     if not is_parking_function(word):
         raise ValueError(f"{word!r} is not a parking function")
-    n = len(word)
-    cols: list[list[int]] = [[] for _ in range(n)]
+    return _word_columns(word)
+
+
+def _word_columns(word: Sequence[int]) -> LabeledDyckPath:
+    """The columns of :func:`word_to_dyck` for any word over [len(word)]:
+    column c holds the positions of the letter c."""
+    cols: list[list[int]] = [[] for _ in word]
     for label, letter in enumerate(word, start=1):
         cols[letter - 1].append(label)
-    return tuple(tuple(col) for col in cols)
+    return tuple(map(tuple, cols))
 
 
 def dyck_to_word(columns: Sequence[Sequence[int]]) -> Word:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import Graph, Word, check_word, cyclic_shift, orbit
+from .core import Graph, Word, _cyclic_shift, check_word, orbit
 from .parking import is_parking_function, is_prime_parking_function
 
 
@@ -221,7 +221,7 @@ def orbit_certificate(word: Sequence[int], prime: bool = False) -> OrbitCertific
             f"orbit of {word!r} over [1, {m}] has {len(park_hits)} parking "
             f"functions and {len(rook_hits)} rook words; expected one of each"
         )
-    parking, rook = cyclic_shift(word, park_hits[0], m), cyclic_shift(word, rook_hits[0], m)
+    parking, rook = _cyclic_shift(word, park_hits[0], m), _cyclic_shift(word, rook_hits[0], m)
     is_park = is_prime_parking_function if prime else is_parking_function
     is_rook = is_prime_rook_word if prime else is_rook_word
     if not (is_park(parking) and is_rook(rook)):

@@ -28,6 +28,8 @@ from shi_ish.rookwords import (
     rook_word_to_parking,
 )
 
+import freedom_reference as freedom
+
 
 def codec_views(name):
     """The word map after ``_encode_rook_word``, and ``_decode_rook_word``
@@ -71,17 +73,17 @@ def bounded_inverse_reference(word):
     return placement_to_ish_diagram(rook_word_to_placement(prime_parking_to_rook_word(word)))
 
 
-# ``freedom`` goes through labeled Dyck paths and no laser, so its only
-# construction is the word map; the reference reads its rook words off the
-# placements instead of the codec
+# ``freedom`` goes through labeled Dyck paths and no laser; the reference
+# runs the label-level construction of ``freedom_reference`` on rook words
+# read off the placements instead of the codec
 
 
 def freedom_reference(diagram):
-    return bijections.freedom_rook_to_parking(placement_to_rook_word(ish_diagram_to_placement(diagram)))
+    return freedom.rook_to_parking(placement_to_rook_word(ish_diagram_to_placement(diagram)))
 
 
 def freedom_inverse_reference(word):
-    return placement_to_ish_diagram(rook_word_to_placement(bijections.freedom_parking_to_rook(word)))
+    return placement_to_ish_diagram(rook_word_to_placement(freedom.parking_to_rook(word)))
 
 
 #: name -> (map, inverse) by the placement route

@@ -2,7 +2,6 @@
 
 import pytest
 
-import shi_ish.bijections as bijections
 from shi_ish.bijections import (
     DIAMOND,
     Diamond,
@@ -18,12 +17,13 @@ from shi_ish.bijections import (
     ish_diagram_to_parking_stages,
     parking_to_ish_diagram,
     parking_to_ish_diagram_stages,
-    resolve_diamond_word,
 )
 from shi_ish.core import Graph, all_graphs
 from shi_ish.ish import IshCeilingDiagram, ish_diagrams, ish_statistics
 from shi_ish.parking import parking_functions
 from shi_ish.shi import ShiCeilingDiagram, shi_diagrams, shi_statistics
+
+from freedom_reference import resolve_diamond_word, resolve_rook_word
 
 EXAMPLE_DIAGRAM = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
 
@@ -104,16 +104,16 @@ def test_resolve_diamond_word_is_forced():
 
 
 def test_resolved_rook_word_is_checked_without_decoding():
-    """``freedom_parking_to_rook`` returns the resolved rook word without
-    decoding it, so the resolution itself refuses a diamond left of the
-    letter 1, the one incoherence its letters and arcs allow."""
-    assert bijections._resolve_rook_word((1, D, 2), ((1, 3), (2,))) == (1, 3, 1)
+    """The resolution checks the rook word it fills in without decoding
+    it, so it refuses a diamond left of the letter 1, the one incoherence
+    its letters and arcs allow."""
+    assert resolve_rook_word((1, D, 2), ((1, 3), (2,))) == (1, 3, 1)
     with pytest.raises(ValueError, match="diamond left of the letter 1"):
-        bijections._resolve_rook_word((2, D, 1), ((1, 3), (2,)))
+        resolve_rook_word((2, D, 1), ((1, 3), (2,)))
     with pytest.raises(ValueError, match="diamond count"):
-        bijections._resolve_rook_word((1, D, 2), ((1,), (2,), (3,)))
+        resolve_rook_word((1, D, 2), ((1,), (2,), (3,)))
     with pytest.raises(ValueError, match="inconsistent"):
-        bijections._resolve_rook_word((1, D, 3), ((1, 3), (2,)))
+        resolve_rook_word((1, D, 3), ((1, 3), (2,)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from collections import Counter
 
 import pytest
 
+import shi_ish.bijections as bijections
 import shi_ish.cli as cli
 import shi_ish.ish as ish
-import shi_ish.parking as parking
 import shi_ish.shi as shi
 from shi_ish.core import Graph, all_graphs, is_nonnesting, position_partition
 from shi_ish.ish import (
@@ -220,16 +220,20 @@ def test_each_rook_word_is_checked_once_per_direction(name, monkeypatch):
 def test_freedom_checks_each_region_once(capsys, monkeypatch):
     """``verify --suite thm-freedom`` checks each region once per suite,
     however many of its graphs hold it: it reads the region's statistics off
-    its rook word, never through ``ish_statistics``, and validates one
-    labeled Dyck path per direction."""
+    its rook word, never through ``ish_statistics``, and runs the column
+    construction once per direction."""
     calls = count_calls(
-        monkeypatch, ish.ish_statistics, ish.region_rook_word_statistics, parking.check_labeled_dyck
+        monkeypatch,
+        ish.ish_statistics,
+        ish.region_rook_word_statistics,
+        bijections._freedom_forward,
+        bijections._freedom_inverse,
     )
     assert cli.main(["verify", "--n", "4", "--suite", "thm-freedom"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["regions_checked"] == 4296
     regions = sum(1 for _ in ish_diagrams(4))
     assert regions == 125
-    assert calls == {"region_rook_word_statistics": regions, "check_labeled_dyck": 2 * regions}
+    assert calls == {"region_rook_word_statistics": regions, "_freedom_forward": regions, "_freedom_inverse": regions}
     assert calls["ish_statistics"] == 0
 
 

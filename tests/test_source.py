@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -26,14 +27,22 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+#: the running n = 9 example of the Dyck-path construction, for ``map --input``
+DIAGRAM_9 = {"pi": [8, 1, 4, 3, 7, 6, 5, 9, 2], "eps": [0, 0, 0, 1, 2, 5, 0, 6, 0]}
+
+
 @pytest.mark.parametrize(
     "argv",
     [["oracle", "--n", "3", "--arrangement", "ish"]]
-    + [["verify", "--n", "3", "--suite", f"thm-{name}"] for name in ("basic", "dominance", "bounded", "freedom")],
+    + [["verify", "--n", "3", "--suite", f"thm-{name}"] for name in ("basic", "dominance", "bounded", "freedom")]
+    + [["map", "--n", "9", "--bijection", "freedom", "--input", "DIAGRAM_9"]],
 )
-def test_reports_survive_python_O(argv):
+def test_reports_survive_python_O(argv, tmp_path):
     """The same command prints the same report and exits the same way with
     and without ``python -O``: no check the report rests on is stripped."""
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(DIAGRAM_9), encoding="utf-8")
+    argv = [str(path) if arg == "DIAGRAM_9" else arg for arg in argv]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")])}
     plain, optimized = (
         subprocess.run(
