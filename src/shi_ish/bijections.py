@@ -45,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple, Sequence, Union
 
-from .core import Word
+from .core import Word, check_word
 from .ish import (
     IshCeilingDiagram,
     _decode_rook_word,
@@ -307,14 +307,14 @@ class _ForwardRun(NamedTuple):
 def _column_sizes(word: Sequence[int]) -> list[int]:
     """The number of labels in each column 0..n-1 of a word over [n]: the
     count of each letter.  A float equal to an integer passes the parking and
-    rook tests; it is refused here as :func:`~shi_ish.core.check_word`
-    refuses it."""
-    n = len(word)
-    size = [0] * n
-    for a in word:
-        if not isinstance(a, int):
-            raise ValueError(f"letter {a!r} outside alphabet [1, {n}]")
-        size[a - 1] += 1
+    rook tests; it is refused here, where it fails as a list index."""
+    size = [0] * len(word)
+    try:
+        for a in word:
+            size[a - 1] += 1
+    except TypeError:
+        check_word(word, len(word))  # names the letter
+        raise
     return size
 
 

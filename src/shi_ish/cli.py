@@ -457,8 +457,10 @@ def _sweep_graphs(n: int, allow_large: bool, suite: str) -> list[Graph]:
 def _region_facts(name: str, word: Word, complete: Graph) -> tuple:
     """The part of the check under ``_THEOREMS[name]`` of the region with
     rook word ``word`` that is the same in every graph holding the region:
-    ``()`` outside the theorem's domain, else ``(image, partition, detail,
-    agrees)``.  ``image`` is the parking word of the Shi image and
+    ``()`` outside the theorem's domain, else ``(region, image, partition,
+    detail, agrees)``.  ``region`` is the region's ceiling partition (its
+    statistics' one, or the word's position partition when the theorem
+    reads none), ``image`` the parking word of the Shi image and
     ``partition`` its ceiling partition, read against ``complete`` (K_n), or
     None when the image labels no region of Shi(K_n); ``detail`` is the
     first failure that no graph changes, and ``agrees`` is None unless a
@@ -467,10 +469,11 @@ def _region_facts(name: str, word: Word, complete: Graph) -> tuple:
     stats = region_rook_word_statistics(word, complete) if theorem.checks else None
     if theorem.domain == "bounded" and not stats.relatively_bounded:
         return ()
+    region = position_partition(word) if stats is None else stats.ceiling_partition
     image = _PARKING_MAPS[name](word)
     image_stats = region_word_statistics(image, complete)
     if image_stats is None:
-        return image, None, "image invalid for G: {}", None
+        return region, image, None, "image invalid for G: {}", None
     broken = [s for s in theorem.checks if getattr(image_stats, s) != getattr(stats, s)]
     # a region with n degrees of freedom has no dots, so its rook word is
     # pi^-1; it maps to pi with every arc dropped, labeled by that same word
@@ -486,60 +489,62 @@ def _region_facts(name: str, word: Word, complete: Graph) -> tuple:
     agrees = None
     if detail is None and theorem.compare_with is not None:
         agrees = _PARKING_MAPS[theorem.compare_with](word) == image
-    return image, image_stats.ceiling_partition, detail, agrees
+    return region, image, image_stats.ceiling_partition, detail, agrees
 
 
-def _theorem_run(name: str, graph: Graph, facts: dict) -> tuple[Optional[str], int, Counter]:
-    """Check the bijection theorem ``_THEOREMS[name]`` on one graph.
+def _theorem_check(name: str, n: int) -> Callable[[Graph], tuple[Optional[str], int, Counter]]:
+    """The check of the bijection theorem ``_THEOREMS[name]`` on a graph of
+    order n: the failure detail (None if the theorem holds), the number of
+    images seen before it stopped, and the agreement counts.
 
-    Returns the failure detail (None if the theorem holds), the number of
-    images seen before the check stopped, and the agreement counts.  An Ish
-    region is its rook word and a Shi region its parking word, so the run
-    walks ``rook_words(n, graph)``, maps each word to the parking word of its
-    image and back, and reads validity and statistics off the words: it
-    builds no diagram but the one that names a failing region.
-
-    The maps take no graph, so ``facts`` keeps each region's
-    :func:`_region_facts`, keyed by its rook word, for all the graphs of a
-    sweep; per graph, only the image's ceilings are tested against the
-    edges, once per partition.
+    The maps take no graph, so one pass over ``rook_words(n)`` runs
+    :func:`_region_facts` once per region of Ish(K_n).  A graph keeps the
+    regions whose ceiling partition has all its arcs among its edges (the
+    regions of Ish(G), in the order of ``rook_words(n, G)``) and calls an
+    image invalid when its partition does not, testing each partition once;
+    the images must be its parking words.  A diagram is built only to name
+    a failing region.
     """
     theorem = _THEOREMS[name]
-    n = graph.n
     complete = Graph.complete(n)
     bounded = theorem.domain == "bounded"
-    targets = set(parking_functions(n, graph))
-    if bounded:
-        targets = {w for w in targets if parking_dof(w) == 1}
-    seen = set()
-    counts: Counter = Counter()
-    admits = {None: False}  # an image's ceiling partition -> whether G has all its arcs
-    for word in rook_words(n, graph):
-        fact = facts.get(word)
-        if fact is None:
-            fact = facts[word] = _region_facts(name, word, complete)
-        if not fact:
-            continue
-        image, partition, detail, agrees = fact
-        valid = admits.get(partition)
-        if valid is None:
-            valid = admits[partition] = graph.edges.issuperset(arcs(partition))
-        if not valid:
-            detail = "image invalid for G: {}"
-        if detail is not None:
-            return detail.format(_decode_rook_word(word)), len(seen), counts
-        if agrees is not None:
-            counts[theorem.counters[0 if agrees else 1]] += 1
-        seen.add(image)
-    detail = None
-    if seen != targets:
-        detail = f"image set is not all {'bounded ' if bounded else ''}Shi diagrams"
-    return detail, len(seen), counts
+    places = {None: 0}  # each ceiling partition met -> its place in ``admits``
+    regions = []
+    for word in rook_words(n):
+        fact = _region_facts(name, word, complete)
+        if fact:
+            region, image, partition, detail, agrees = fact
+            region, partition = places.setdefault(region, len(places)), places.setdefault(partition, len(places))
+            regions.append((word, region, image, partition, detail, agrees))
+
+    def check(graph: Graph) -> tuple[Optional[str], int, Counter]:
+        targets = set(parking_functions(n, graph))
+        if bounded:
+            targets = {w for w in targets if parking_dof(w) == 1}
+        seen = set()
+        counts: Counter = Counter()
+        admits = [p is not None and graph.edges.issuperset(arcs(p)) for p in places]  # G has all its arcs
+        for word, region, image, partition, detail, agrees in regions:
+            if not admits[region]:
+                continue
+            if not admits[partition]:
+                detail = "image invalid for G: {}"
+            if detail is not None:
+                return detail.format(_decode_rook_word(word)), len(seen), counts
+            if agrees is not None:
+                counts[theorem.counters[0 if agrees else 1]] += 1
+            seen.add(image)
+        detail = None
+        if seen != targets:
+            detail = f"image set is not all {'bounded ' if bounded else ''}Shi diagrams"
+        return detail, len(seen), counts
+
+    return check
 
 
-def _check_theorem_graph(name: str, graph: Graph, facts: dict) -> dict:
+def _check_theorem_graph(check: Callable[[Graph], tuple], graph: Graph) -> dict:
     edges = graph.sorted_edges()
-    detail, count, counts = _theorem_run(name, graph, facts)
+    detail, count, counts = check(graph)
     if detail is not None:
         return {"edges": edges, "ok": False, "detail": detail}
     return {"edges": edges, "ok": True, "count": count, **counts}
@@ -629,14 +634,13 @@ def _suite_cycle_lemma(args: argparse.Namespace) -> tuple[bool, dict]:
 def _suite_thm_basic(args: argparse.Namespace) -> tuple[bool, dict]:
     n = args.n
     _check_size("thm-basic", n, 5, 6, args.allow_large)
-    detail, count, _ = _theorem_run("basic", Graph.complete(n), {})
+    detail, count, _ = _theorem_check("basic", n)(Graph.complete(n))
     return detail is None, {"n": n, "regions": count, "detail": detail}
 
 
 def _graph_sweep_suite(
-    args: argparse.Namespace, worker: Callable[[Graph], dict], suite: str, counters: Sequence[str] = ()
+    args: argparse.Namespace, graphs: list[Graph], worker: Callable[[Graph], dict], suite: str, counters=()
 ) -> tuple[bool, dict]:
-    graphs = _sweep_graphs(args.n, args.allow_large, suite)
     _progress(f"{suite}: sweeping {len(graphs)} graph(s) at n={args.n}")
     results = []
     for k, graph in enumerate(graphs, 1):
@@ -656,9 +660,11 @@ def _graph_sweep_suite(
 
 
 def _suite_theorem(args: argparse.Namespace, name: str) -> tuple[bool, dict]:
-    facts: dict = {}  # each region's graph-free check, shared by this sweep's graphs only
+    suite = f"thm-{name}"
+    graphs = _sweep_graphs(args.n, args.allow_large, suite)  # refuses a size before any region is built
+    check = _theorem_check(name, args.n)
     return _graph_sweep_suite(
-        args, lambda graph: _check_theorem_graph(name, graph, facts), f"thm-{name}", _THEOREMS[name].counters
+        args, graphs, lambda graph: _check_theorem_graph(check, graph), suite, _THEOREMS[name].counters
     )
 
 
@@ -676,7 +682,8 @@ def _suite_thm_freedom(args: argparse.Namespace) -> tuple[bool, dict]:
 
 
 def _suite_formulas(args: argparse.Namespace) -> tuple[bool, dict]:
-    passed, report = _graph_sweep_suite(args, _check_formulas_graph, "formulas")
+    graphs = _sweep_graphs(args.n, args.allow_large, "formulas")
+    passed, report = _graph_sweep_suite(args, graphs, _check_formulas_graph, "formulas")
     # the complete-graph characteristic polynomial in closed form
     n = args.n
     expected = (0, 1)

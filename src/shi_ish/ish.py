@@ -40,6 +40,7 @@ from .core import (
     _region_scan,
     arcs,
     check_permutation,
+    check_word,
     cyclic_shift,
     identity_permutation,
     partition_from_pairs,
@@ -224,16 +225,6 @@ class Board:
                 if self.contains(col, row):
                     yield (col, row)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "hatted": self.hatted, "graph": self.graph.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Board":
-        hatted = data["hatted"]
-        if not isinstance(hatted, bool):
-            raise ValueError(f"expected a boolean for hatted, got {hatted!r}")
-        return cls(n=strict_int(data["n"]), hatted=hatted, graph=Graph.from_json(data["graph"]))
-
 
 @dataclass(frozen=True)
 class RookPlacement:
@@ -261,19 +252,6 @@ class RookPlacement:
 
     def sorted_rooks(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.rooks))
-
-    def to_json(self) -> dict:
-        return {
-            "board": self.board.to_json(),
-            "rooks": [list(r) for r in self.sorted_rooks()],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RookPlacement":
-        return cls(
-            board=Board.from_json(data["board"]),
-            rooks=frozenset((strict_int(c), strict_int(r)) for c, r in data["rooks"]),
-        )
 
 
 def is_maximal_placement(placement: RookPlacement) -> bool:
@@ -595,14 +573,19 @@ def _decode_rook_word(word: Sequence[int]) -> IshCeilingDiagram:
 def _rook_word_rows(word: Sequence[int]) -> list[int]:
     """The rows of :func:`rook_word_to_placement`: the first occurrence of
     letter a sits in row a, a repeat in row n plus the position of the
-    letter's previous occurrence."""
+    letter's previous occurrence.  A float equal to an integer passes the
+    rook test; it is refused here, where it fails as a list index."""
     n = len(word)
     rows = []
     last_at = [0] * (n + 1)  # latest position of each letter, 0 if none yet
-    for pos, letter in enumerate(word, start=1):
-        before = last_at[letter]
-        rows.append(n + before if before else letter)
-        last_at[letter] = pos
+    try:
+        for pos, letter in enumerate(word, start=1):
+            before = last_at[letter]
+            rows.append(n + before if before else letter)
+            last_at[letter] = pos
+    except TypeError:
+        check_word(word, n)  # names the letter
+        raise
     return rows
 
 

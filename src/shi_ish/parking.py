@@ -20,13 +20,15 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import Block, Graph, Word
+from .core import Block, Graph, Word, check_word
 
 LabeledDyckPath = tuple[tuple[int, ...], ...]
 
 
 def is_parking_function(word: Sequence[int]) -> bool:
-    """
+    """A letter no integer compares with, such as a string or None, raises
+    the ValueError of :func:`~shi_ish.core.check_word`.
+
     >>> is_parking_function((3, 1, 1))
     True
     >>> is_parking_function((1, 3, 3))
@@ -34,8 +36,12 @@ def is_parking_function(word: Sequence[int]) -> bool:
     """
     if not word:
         return False
-    letters = sorted(word)
-    return letters[0] >= 1 and all(map(operator.le, letters, range(1, len(word) + 1)))
+    try:
+        letters = sorted(word)
+        return letters[0] >= 1 and all(map(operator.le, letters, range(1, len(word) + 1)))
+    except TypeError:
+        check_word(word, len(word))  # names the letter
+        raise
 
 
 def is_prime_parking_function(word: Sequence[int]) -> bool:
@@ -44,7 +50,7 @@ def is_prime_parking_function(word: Sequence[int]) -> bool:
     a_i <= i - 1 afterwards.
 
     For n >= 2 this forces every letter into [n-1]; the size-1 word (1,) is
-    prime by convention.
+    prime by convention.  Letters are refused as in :func:`is_parking_function`.
 
     >>> is_prime_parking_function((2, 1, 1))
     True
@@ -53,9 +59,13 @@ def is_prime_parking_function(word: Sequence[int]) -> bool:
     """
     if not word:
         return False
-    letters = sorted(word)
-    # the bounds max(1, i - 1) for i = 1..n are 1, 1, 2, ..., n - 1
-    return letters[0] >= 1 and all(map(operator.le, letters, itertools.chain((1,), range(1, len(word)))))
+    try:
+        letters = sorted(word)
+        # the bounds max(1, i - 1) for i = 1..n are 1, 1, 2, ..., n - 1
+        return letters[0] >= 1 and all(map(operator.le, letters, itertools.chain((1,), range(1, len(word)))))
+    except TypeError:
+        check_word(word, len(word))  # names the letter
+        raise
 
 
 def parking_functions(n: int, graph: Optional[Graph] = None) -> Iterator[Word]:
@@ -179,14 +189,6 @@ def dyck_to_word(columns: Sequence[Sequence[int]]) -> Word:
         for label in col:
             word[label - 1] = c
     return tuple(word)
-
-
-def dyck_to_json(columns: Sequence[Sequence[int]]) -> dict:
-    return {"columns": [list(col) for col in columns]}
-
-
-def dyck_from_json(data: dict) -> LabeledDyckPath:
-    return check_labeled_dyck(data["columns"])
 
 
 @dataclass(frozen=True)

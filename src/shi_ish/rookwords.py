@@ -19,7 +19,8 @@ from .parking import is_parking_function, is_prime_parking_function
 
 
 def is_rook_word(word: Sequence[int]) -> bool:
-    """
+    """Letters are refused as in :func:`_rook_dof`.
+
     >>> is_rook_word((3, 1, 5, 5, 2))
     True
     >>> is_rook_word((2, 4, 4, 5, 3))
@@ -30,14 +31,19 @@ def is_rook_word(word: Sequence[int]) -> bool:
 
 def _rook_dof(word: Sequence[int]) -> Optional[int]:
     """The degrees of freedom of :func:`tail_and_dof`, or None unless
-    ``word`` is a rook word."""
+    ``word`` is a rook word.  A letter no integer compares with, such as a
+    string or None, raises the ValueError of :func:`~shi_ish.core.check_word`."""
     n = len(word)
     if n == 0:
         return None
-    present = set(word)
-    first = word[0]
-    if min(present) < 1 or max(present) > n or not present.issuperset(range(1, first + 1)):
-        return None
+    try:
+        present = set(word)
+        first = word[0]
+        if min(present) < 1 or max(present) > n or not present.issuperset(range(1, first + 1)):
+            return None
+    except TypeError:
+        check_word(word, n)  # names the letter
+        raise
     j = n + 1  # the tail is [j, n]
     while j - 1 > first and j - 1 in present:
         j -= 1

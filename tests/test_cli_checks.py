@@ -15,7 +15,7 @@ import shi_ish.cli as cli
 from shi_ish.bijections import ish_diagram_to_parking, parking_to_ish_diagram
 from shi_ish.cli import main
 from shi_ish.core import Graph, all_graphs, inverse_permutation
-from shi_ish.ish import Board, IshCeilingDiagram, ish_diagram_to_rook_word, ish_diagrams, ish_statistics
+from shi_ish.ish import IshCeilingDiagram, ish_diagram_to_rook_word, ish_diagrams, ish_statistics
 from shi_ish.parking import parking_functions
 from shi_ish.shi import ShiCeilingDiagram
 
@@ -514,15 +514,6 @@ def test_diagram_json_readers_take_integers_only():
         ShiCeilingDiagram.from_json({"pi": [1, 2.0], "partition": [[1], [2]]})
     with pytest.raises(ValueError):
         ShiCeilingDiagram.from_json({"pi": [1, 2], "partition": [[1], [2.0]]})
-
-
-def test_board_json_reader_takes_a_boolean_hatted_only():
-    graph = {"n": 2, "edges": []}
-    assert Board.from_json({"n": 2, "hatted": False, "graph": graph}).hatted is False
-    assert Board.from_json({"n": 2, "hatted": True, "graph": graph}).hatted is True
-    for hatted in ("false", 0):
-        with pytest.raises(ValueError):
-            Board.from_json({"n": 2, "hatted": hatted, "graph": graph})
 
 
 # ---------------------------------------------------------------------------

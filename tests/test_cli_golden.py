@@ -11,6 +11,9 @@ re-record the digests and say so.
 
 The ``cycle-lemma`` report is pinned for every n from 1 to 5 as well,
 recorded before its plain and prime orbit census loops became one loop.
+The four theorem suites are pinned at n = 4, where they sweep all 64
+graphs, and at n = 5, where they cover K_5, recorded before each suite read
+its graphs off one pass over the regions of Ish(K_n).
 Apart from that suite, n = 1 is left out: its ``thm-bounded`` report changed
 when relative boundedness became ``dof == 1``.  The ``map`` input is the worked example of
 the README, written to a fresh directory that becomes the working directory,
@@ -65,6 +68,38 @@ GOLDEN = {
     "verify --n 3 --suite thm-freedom --format json":
         "6acfd1d78971820d5fece2ecd90bc55f8c791b83fc6605b7736cf2c8ae94dc54",
     "verify --n 3 --suite thm-freedom --format tsv":
+        "152f10e94d289ab427e9dc61b97785bf1b3d7789f92f490ca4bc521c90d2a20d",
+    "verify --n 4 --suite thm-basic --format json":
+        "8a5f07fb85707f546c5061964b5f06355fb026f5b9bd84dabc122b6084880605",
+    "verify --n 4 --suite thm-basic --format tsv":
+        "444bd214b74199010f0513a87143f4aa1aa652d9d7caa1791697355e79398718",
+    "verify --n 4 --suite thm-dominance --format json":
+        "15f65cb8f1de0a1af2963190c0023ee238945337f254918ba2ea7f8d6d0550fa",
+    "verify --n 4 --suite thm-dominance --format tsv":
+        "f906f5ed6d47e6101b1ac2c9fdd276740ed33f6069ccd934608b8442f3a29696",
+    "verify --n 4 --suite thm-bounded --format json":
+        "9c147b3b86c15522eee9b49b0adf62a645d66950c72a10ce9adb7ccec997b8a2",
+    "verify --n 4 --suite thm-bounded --format tsv":
+        "a3215f4708dfd02ed3a95c02a2ba911383a4b312e254decd64877de9b76d78e9",
+    "verify --n 4 --suite thm-freedom --format json":
+        "9123aa9bf713fbe5c7da558039a29f84a35869e3aa1a51dbee0b582b94d469fe",
+    "verify --n 4 --suite thm-freedom --format tsv":
+        "152f10e94d289ab427e9dc61b97785bf1b3d7789f92f490ca4bc521c90d2a20d",
+    "verify --n 5 --suite thm-basic --format json":
+        "e69f8c6ac5b56206f4464177df1f72864bbabb3f9c2241f3a6e3cb361d4380ad",
+    "verify --n 5 --suite thm-basic --format tsv":
+        "444bd214b74199010f0513a87143f4aa1aa652d9d7caa1791697355e79398718",
+    "verify --n 5 --suite thm-dominance --format json":
+        "4e81c384e1722eb85a906df74dcb9aaf60d8700c804540bb2c4a86c3e1f88531",
+    "verify --n 5 --suite thm-dominance --format tsv":
+        "f906f5ed6d47e6101b1ac2c9fdd276740ed33f6069ccd934608b8442f3a29696",
+    "verify --n 5 --suite thm-bounded --format json":
+        "41feef8c0672e6812d2f813767b1628841de89f85ba88ab098d1e7b758313d9a",
+    "verify --n 5 --suite thm-bounded --format tsv":
+        "a3215f4708dfd02ed3a95c02a2ba911383a4b312e254decd64877de9b76d78e9",
+    "verify --n 5 --suite thm-freedom --format json":
+        "2789b1a4f16d1ca187ddd3d0fccfccd452bdd2a3046266ba970ee95332db28f0",
+    "verify --n 5 --suite thm-freedom --format tsv":
         "152f10e94d289ab427e9dc61b97785bf1b3d7789f92f490ca4bc521c90d2a20d",
     "verify --n 3 --suite formulas --format json":
         "9ea7649ddb4461e6d2be802332a69ee618e80cc83fbbc89851bdb1edc119bb48",

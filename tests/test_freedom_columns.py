@@ -102,8 +102,8 @@ FLOAT_WORDS = [
     ((1, 2.0, 2), (freedom_parking_to_rook, freedom_rook_to_parking)),
     ((1, 1.0), (freedom_parking_to_rook, freedom_rook_to_parking)),
     ((2, 1.0), (freedom_parking_to_rook, freedom_rook_to_parking)),
-    # the rook test itself fails on (1.0,), with the reference's TypeError
-    ((1.0,), (freedom_parking_to_rook,)),
+    # the rook test itself refuses (1.0,): range(1, 2.0) is no range
+    ((1.0,), (freedom_parking_to_rook, freedom_rook_to_parking)),
 ]
 
 

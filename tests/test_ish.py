@@ -156,7 +156,6 @@ def test_placement_validation():
     assert p.row_of(2) == 4
     with pytest.raises(KeyError):
         p.row_of(1)
-    assert RookPlacement.from_json(p.to_json()) == p
 
 
 def test_placement_fixture():

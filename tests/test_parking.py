@@ -10,8 +10,6 @@ from shi_ish.core import Graph, position_partition
 from shi_ish.parking import (
     check_labeled_dyck,
     compose_factors,
-    dyck_from_json,
-    dyck_to_json,
     dyck_to_word,
     factorize_parking,
     is_parking_function,
@@ -101,7 +99,6 @@ def test_dyck_roundtrip(word):
     path = word_to_dyck(word)
     check_labeled_dyck(path)
     assert dyck_to_word(path) == word
-    assert dyck_from_json(dyck_to_json(path)) == path
 
 
 def test_word_to_dyck_rejects_non_parking():

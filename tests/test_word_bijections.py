@@ -11,6 +11,7 @@ a Shi diagram, nor walk or measure an Ish diagram.
 
 import itertools
 import json
+import re
 import sys
 
 import pytest
@@ -90,6 +91,29 @@ def test_word_maps_refuse_words_that_are_no_rook_words(name, word):
     with pytest.raises(ValueError) as refused:
         getattr(bijections, f"{name}_rook_to_parking")(word)
     assert str(refused.value) == f"{word!r} is not a rook word"
+
+
+#: the one case where the word's shape is refused first: (1, 2, 2) is no
+#: prime parking function, whatever its letters are
+SHAPE_REFUSALS = {((1, 2.0, 2), "bounded_parking_to_rook"): "input region is not relatively bounded"}
+
+
+@pytest.mark.parametrize("direction", ["rook_to_parking", "parking_to_rook"])
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("word", [(1, 2.0, 2), (1, 1.0), (1, "a"), (1, None)], ids=repr)
+def test_word_maps_refuse_a_letter_that_is_no_integer(name, direction, word):
+    """Each of the eight word maps refuses a letter that is no integer with
+    a ValueError: the one of ``core.check_word``, naming that letter,
+    wherever the letter is at fault."""
+    function = f"{name}_{direction}"
+    bad = next(a for a in word if type(a) is not int)
+    with pytest.raises(ValueError) as refused:
+        getattr(bijections, function)(word)
+    expected = SHAPE_REFUSALS.get((word, function))
+    if expected is not None:
+        assert str(refused.value) == expected
+    else:
+        assert re.fullmatch(rf"letter {re.escape(repr(bad))} outside alphabet \[1, \d+\]", str(refused.value))
 
 
 def test_theorem_sweeps_never_touch_a_shi_diagram(capsys, monkeypatch):

@@ -1,19 +1,25 @@
 """The theorem sweeps in the word domain, and partitions canonical by
 construction.
 
-``cli._theorem_run`` maps the rook word of each Ish region straight to the
-parking word of its Shi image and back, and reads validity and statistics
-off the words; the targets are the parking words of G.  The diagram-domain
-run it replaced, through
-``bijections.{name}_bijection`` and its inverse, is kept here as its
-reference, and both must return the same ``(detail, count, counts)``, with
-the per-region facts shared across a sweep's graphs or computed afresh.  The
-two partition functions of ``core`` skip ``partition_from_blocks``, so each
-is compared with the canonicalized result on every input of small size.
+``cli._theorem_check(name, n)`` maps the rook word of each region of
+Ish(K_n) straight to the parking word of its Shi image and back, once, and
+reads each graph's regions off that pass by their ceilings; the targets are
+the parking words of G.  Two runs are kept here as its references, and the
+check of every graph must return the same ``(detail, count, counts)``:
+
+- the diagram-domain run, through ``bijections.{name}_bijection`` and its
+  inverse, on the Ish and Shi diagrams of G;
+- the per-graph word run that the read-off replaced, which walks
+  ``rook_words(n, G)`` and computes each region's facts afresh.
+
+The two partition functions of ``core`` skip ``partition_from_blocks``, so
+each is compared with the canonicalized result on every input of small
+size.
 """
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -26,16 +32,19 @@ import shi_ish.cli as cli
 from shi_ish.core import (
     Graph,
     all_graphs,
+    arcs,
     inverse_permutation,
     partition_from_blocks,
     partition_from_pairs,
     position_partition,
 )
-from shi_ish.ish import ish_statistics, rook_word_to_ish_diagram
+from shi_ish.ish import _decode_rook_word, ish_statistics, rook_word_to_ish_diagram
+from shi_ish.parking import parking_functions
 from shi_ish.rookwords import rook_words
 from shi_ish.shi import (
     ShiCeilingDiagram,
     is_valid_shi,
+    parking_dof,
     shi_diagram_to_parking,
     shi_diagrams,
     shi_statistics,
@@ -45,7 +54,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def diagram_theorem_run(name, graph):
-    """The diagram-domain ``_theorem_run``: targets are Shi diagrams, and each
+    """The theorem run in the diagram domain: targets are Shi diagrams, and each
     image is checked with ``is_valid_shi`` and ``shi_statistics``.  It reads
     the statistics of valid images only; the old run read them first and
     raised on an incoherent image.  It visits the regions in the order of
@@ -95,48 +104,110 @@ def diagram_theorem_run(name, graph):
     return detail, len(seen), counts
 
 
+def graph_theorem_run(name, graph):
+    """The per-graph word run: it walks ``rook_words(n, graph)``, computes
+    each region's :func:`cli._region_facts` afresh, and tests each image's
+    ceilings against the edges."""
+    theorem = cli._THEOREMS[name]
+    n = graph.n
+    complete = Graph.complete(n)
+    bounded = theorem.domain == "bounded"
+    targets = set(parking_functions(n, graph))
+    if bounded:
+        targets = {w for w in targets if parking_dof(w) == 1}
+    seen = set()
+    counts = Counter()
+    for word in rook_words(n, graph):
+        fact = cli._region_facts(name, word, complete)
+        if not fact:
+            continue
+        _, image, partition, detail, agrees = fact
+        if partition is None or not graph.edges.issuperset(arcs(partition)):
+            detail = "image invalid for G: {}"
+        if detail is not None:
+            return detail.format(_decode_rook_word(word)), len(seen), counts
+        if agrees is not None:
+            counts[theorem.counters[0 if agrees else 1]] += 1
+        seen.add(image)
+    detail = None
+    if seen != targets:
+        detail = f"image set is not all {'bounded ' if bounded else ''}Shi diagrams"
+    return detail, len(seen), counts
+
+
 GRAPHS = [g for n in range(1, 5) for g in all_graphs(n)] + [Graph.complete(5)]
+
+#: 40 graphs of order 5, seeded: no sweep covers a graph of order 5 but K_5
+SEEDED_GRAPHS = random.Random("word-sweep:5").sample(list(all_graphs(5)), 40)
 
 
 @pytest.mark.parametrize("name", sorted(cli._THEOREMS))
 def test_word_run_equals_the_diagram_run(name):
-    """Every graph at n <= 4 and K_5, each run twice: with one ``facts`` dict
-    shared by all graphs of its size in sweep order, as a sweep shares it,
-    and with a fresh dict.  The theorems hold on all of them, but ``basic``
-    holds on the complete graph only: off it the runs must give the same
-    failure detail."""
-    shared = {}
+    """Every graph at n <= 4 and K_5, each read off the one check built per
+    size.  The theorems hold on all of them, but ``basic`` holds on the
+    complete graph only: off it the runs must give the same failure
+    detail."""
+    checks = {}
     for graph in GRAPHS:
+        check = checks.get(graph.n) or checks.setdefault(graph.n, cli._theorem_check(name, graph.n))
         expected = diagram_theorem_run(name, graph)
-        assert cli._theorem_run(name, graph, shared.setdefault(graph.n, {})) == expected, (name, graph)
-        assert cli._theorem_run(name, graph, {}) == expected, (name, graph)
+        assert check(graph) == expected, (name, graph)
         if name != "basic" or graph == Graph.complete(graph.n):
             assert expected[0] is None, (name, graph, expected)
 
 
+@pytest.mark.parametrize("name", sorted(cli._THEOREMS))
+def test_the_read_off_equals_the_graph_run_at_n5(name):
+    """40 seeded graphs of order 5, none of which a sweep covers: the read-off
+    of one K_5 pass equals the per-graph run on each.  ``basic`` holds on the
+    complete graph only, and on each of these it meets an invalid image."""
+    check = cli._theorem_check(name, 5)
+    details = set()
+    for graph in SEEDED_GRAPHS:
+        run = check(graph)
+        assert run == graph_theorem_run(name, graph), (name, graph)
+        details.add(run[0] and run[0].split(":")[0])
+    assert details == ({"image invalid for G"} if name == "basic" else {None})
+
+
 @pytest.mark.parametrize("name", ["freedom", "bounded"])
-def test_shared_facts_equal_fresh_ones_under_a_partly_wrong_map(name, monkeypatch):
+def test_the_read_off_equals_the_graph_run_under_a_partly_wrong_map(name, monkeypatch):
     """A freedom map that sends the regions with a dot in the last column to
     the word 1...1 fails on some graphs only: where a ceiling of that word is
     missing the image is invalid, elsewhere the ceiling partition breaks.
-    ``bounded`` compares its words with that map.  Every graph's run with
-    the dict its sweep shares must equal a run with a fresh dict.  The
-    dotted positions are the letters a rook word misses, so those regions
-    are the ones whose rook word misses n."""
+    ``bounded`` compares its words with that map.  Every graph's read-off
+    must equal its per-graph run.  The dotted positions are the letters a
+    rook word misses, so those regions are the ones whose rook word misses
+    n."""
     real = cli._PARKING_MAPS["freedom"]
     monkeypatch.setitem(cli._PARKING_MAPS, "freedom", lambda w: (1,) * len(w) if len(w) not in w else real(w))
     details, differs = set(), 0
     for n in range(1, 5):
-        shared = {}
+        check = cli._theorem_check(name, n)
         for graph in all_graphs(n):
-            run = cli._theorem_run(name, graph, shared)
-            assert run == cli._theorem_run(name, graph, {}), (name, graph)
+            run = check(graph)
+            assert run == graph_theorem_run(name, graph), (name, graph)
             details.add(run[0] and run[0].split(":")[0])
             differs += run[2]["freedom_differs_from_bounded"]
     if name == "freedom":
         assert details == {None, "image invalid for G", "ceiling partition broken"}
     else:
         assert details == {None} and differs > 0
+
+
+@pytest.mark.parametrize("suite", ["thm-basic", "thm-dominance", "thm-bounded", "thm-freedom"])
+def test_a_theorem_suite_walks_the_rook_words_once(suite, monkeypatch, capsys):
+    """A theorem suite walks ``rook_words(n)`` once, with no graph, over all
+    64 graphs at n = 4; a size it refuses (exit 3) walks none."""
+    calls = []
+    real = cli.rook_words
+    monkeypatch.setattr(cli, "rook_words", lambda *args: calls.append(args) or real(*args))
+    assert cli.main(["verify", "--n", "4", "--suite", suite]) == 0
+    assert calls == [(4,)]
+    calls.clear()
+    assert cli.main(["verify", "--n", "7", "--suite", suite]) == 3
+    assert calls == []
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
