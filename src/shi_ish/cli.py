@@ -26,7 +26,7 @@ import os
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .bijections import (
     basic_bijection,
@@ -129,8 +129,7 @@ def load_graph(spec: str, n: int) -> Graph:
         return presets[spec](n)
     try:
         with open(spec, encoding="utf-8") as handle:
-            data = json.load(handle)
-        graph = Graph.from_json(_known_keys(data, ("n", "edges")))
+            graph = Graph.from_json(_read_json_object(handle, ("n", "edges")))
     except OSError as exc:
         raise UsageError(f"cannot read graph file {spec!r}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
@@ -140,12 +139,29 @@ def load_graph(spec: str, n: int) -> Graph:
     return graph
 
 
-def _known_keys(data, keys: tuple[str, ...]):
-    """``data`` itself; ValueError if it is an object with a key outside
-    ``keys``, so that a misspelled key is refused rather than dropped."""
-    unknown = sorted(set(data) - set(keys)) if isinstance(data, dict) else []
+def _read_json_object(handle: TextIO, keys: tuple[str, ...]) -> dict:
+    """The JSON object read from ``handle``.  ValueError for anything else,
+    so that no input is silently misread: text that is not JSON or is
+    nested too deeply for the decoder, a repeated key, a top-level value
+    that is not an object, or a key outside ``keys``."""
+    try:
+        data = json.load(handle, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object at the top level")
+    unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}; expected {' and '.join(keys)}")
+    return data
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``dict(pairs)``; ValueError if a key repeats, rather than keep its last value."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        repeated = sorted(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ValueError(f"duplicate key(s) {', '.join(map(repr, repeated))}")
     return data
 
 
@@ -374,11 +390,11 @@ _BROKEN: dict[str, tuple[str, str]] = {
 def _read_diagram(path: str) -> IshCeilingDiagram:
     try:
         if path == "-":
-            data = json.load(sys.stdin)
+            data = _read_json_object(sys.stdin, ("pi", "eps"))
         else:
             with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        return IshCeilingDiagram.from_json(_known_keys(data, ("pi", "eps")))
+                data = _read_json_object(handle, ("pi", "eps"))
+        return IshCeilingDiagram.from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read Ish diagram from {path!r}: {exc}") from exc
 

@@ -13,10 +13,12 @@ most violated row makes the starting basis feasible).  Bland's rule
 guarantees termination and picks the same bases in any exact arithmetic.
 The tableau is exact and integer: each row is kept up to its own positive
 scale, reduced by its gcd, so a row whose entry in the entering column is 0
-is left as it is and no division is needed.  With x = u - v, the column of
-v_k is minus the column of u_k in every tableau, so only s, u and the row
-slacks are stored and v_k is read off u_k.  The optimizer is checked by
-substitution in integers before it is returned.
+is left as it is and no division is needed.  With a pivot entry of 1 (most
+pivots here) a row changes only at the pivot row's nonzero columns, and
+only those are updated.  With x = u - v, the column of v_k is minus the
+column of u_k in every tableau, so only s, u and the row slacks are stored
+and v_k is read off u_k.  The optimizer is checked by substitution in
+integers before it is returned.
 
 Rows are triples ``(coeffs, rhs, strict)``.  Strict rows participate in the
 slack objective; weak rows (``strict=False``) only require a.x >= rhs and
@@ -164,16 +166,23 @@ def max_slack(
             raise AssertionError("capped slack program cannot be unbounded")
         pivot = table[leave]
         pivot_entry = sign * pivot[col]
+        # with a unit pivot a row changes only where the pivot row is nonzero
+        nonzero = [j for j, y in enumerate(pivot) if y] if pivot_entry == 1 else None
+
+        def eliminate(row: list[int], factor: int) -> list[int]:
+            if nonzero is None:
+                row = [pivot_entry * x - factor * y for x, y in zip(row, pivot)]
+            else:
+                for j in nonzero:
+                    row[j] -= factor * pivot[j]
+            g = math.gcd(*row)
+            return [x // g for x in row] if g > 1 else row
+
         for i in range(m):
             factor = sign * table[i][col]
             if i != leave and factor:
-                new = [pivot_entry * x - factor * y for x, y in zip(table[i], pivot)]
-                g = math.gcd(*new)
-                table[i] = [x // g for x in new] if g > 1 else new
-        factor = sign * obj[col]
-        new = [pivot_entry * x - factor * y for x, y in zip(obj, pivot)]
-        g = math.gcd(*new)
-        obj = [x // g for x in new] if g > 1 else new
+                table[i] = eliminate(table[i], factor)
+        obj = eliminate(obj, sign * obj[col])
         basis[leave] = enter
 
     values = {}

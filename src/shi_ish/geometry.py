@@ -11,16 +11,19 @@ region by region.
 All arithmetic is exact.  Every hyperplane is a difference x_a - x_b = c,
 so every feasibility question here is a difference-constraint system, and
 the certifying negative-cycle solver of :mod:`shi_ish.exactlp` decides each
-one: every split probe during enumeration and every ceiling test, on arcs
-built once per (hyperplane, sign) or once per region, and every vanishing
-probe of the slow path :func:`recession_dimension_lp`, through
+one: every split probe during enumeration, on arcs built once per
+(hyperplane, sign), every facet test of :func:`region_ceilings`, and every
+vanishing probe of the slow path :func:`recession_dimension_lp`, through
 :func:`shi_ish.exactlp.difference_feasible`.  The exact simplex
 (:func:`shi_ish.exactlp.strict_feasible`) only supplies the rational
 interior witness of each newly found region and decides the brute-force
 reference :func:`enumerate_regions_sweep`.  During enumeration witnesses
 are integer vectors over a denominator; they become ``Fraction``s in the
-finished regions.  :func:`oracle_pass` measures every region once and
-builds both the cross-validation and the report from that pass.
+finished regions.  :func:`oracle_pass` enumerates once and measures every
+region off that pass with no further solver call: ceilings from the
+neighbouring regions' sign vectors, degrees of freedom from intervals of
+the region's order.  It builds both the cross-validation and the report
+from those measurements.
 """
 
 from __future__ import annotations
@@ -316,7 +319,13 @@ def region_ceilings(arrangement: Arrangement, region: GeomRegion) -> tuple[Hyper
     Every affine member has positive offset, so the origin is strictly on
     the minus side and the separation test is just ``sign == -1``; the facet
     test asks the difference-constraint solver for a point on the hyperplane
-    satisfying every other region inequality strictly.
+    satisfying every other region inequality strictly.  This is the
+    single-region entry and the reference for the oracle's read-off, which
+    needs no solver: the hyperplanes are pairwise distinct, so such a point
+    lies on no other hyperplane and the region across it differs from this
+    one in that sign alone, while the segment joining witnesses of two
+    regions whose signs differ in one hyperplane crosses only that one, so
+    its crossing point lies on a facet of both.
 
     >>> arr = build_arrangement("shi", 3)
     >>> sorted({len(region_ceilings(arr, r)) for r in enumerate_regions(arr)})
@@ -343,54 +352,36 @@ def region_ceiling_partition(arrangement: Arrangement, region: GeomRegion) -> Se
     return partition_from_pairs(arrangement.n, pairs)
 
 
-def _forced_equal_pairs(arrangement: Arrangement, region: GeomRegion) -> list[list[bool]]:
-    """Mutual-reachability table of the recession cone's difference order.
-
-    The cone is {v : sign_k (normal_k . v) >= 0}; every constraint says
-    v_j <= v_i for some pair, so v_i = v_j is forced exactly when i and j
-    are reachable from each other in the digraph of those comparisons.
-    """
-    n = arrangement.n
-    reach = [[False] * (n + 1) for _ in range(n + 1)]
-    for v in range(1, n + 1):
-        reach[v][v] = True
-    for sign, hyp in zip(region.signs, arrangement.hyperplanes):
-        i = hyp.normal.index(1) + 1
-        j = hyp.normal.index(-1) + 1
-        if sign == 1:
-            reach[j][i] = True
-        else:
-            reach[i][j] = True
-    for mid in range(1, n + 1):
-        row_mid = reach[mid]
-        for a in range(1, n + 1):
-            if reach[a][mid]:
-                row_a = reach[a]
-                for b in range(1, n + 1):
-                    if row_mid[b]:
-                        row_a[b] = True
-    return reach
-
-
-def recession_dimension(arrangement: Arrangement, region: GeomRegion) -> int:
+def recession_dimension(arrangement: Arrangement, region: GeomRegion, order: Optional[Permutation] = None) -> int:
     """Dimension of the recession cone of the region (degrees of freedom).
 
-    A hyperplane's linear form vanishes identically on the cone exactly when
-    its two coordinates are forced equal.  Every arrangement here contains
-    all Coxeter hyperplanes, so the vanishing normals are all e_i - e_j with
-    i, j forced equal; they span rank n minus the number of forced-equality
-    classes, and the cone's dimension is that number of classes.
+    The cone is {v : sign_k (normal_k . v) >= 0}.  Every arrangement here
+    contains all Coxeter hyperplanes, so the cone's comparisons chain the
+    coordinates along the region's order ``order`` (read off the signs
+    when not given).  A comparison running against the order forces every
+    coordinate between its two ends equal, so each merges an interval of
+    positions; the cone's dimension is the number of maximal runs of
+    positions left unmerged, in O(m + n).
 
     >>> arr = build_arrangement("cox", 3)
     >>> {recession_dimension(arr, r) for r in enumerate_regions(arr)}
     {3}
     """
-    reach = _forced_equal_pairs(arrangement, region)
-    return sum(
-        1
-        for v in range(1, arrangement.n + 1)
-        if not any(reach[u][v] and reach[v][u] for u in range(1, v))
-    )
+    if order is None:
+        order = region_order(arrangement, region)
+    position = [0] * arrangement.n
+    for p, v in enumerate(order):
+        position[v - 1] = p
+    reach = list(range(arrangement.n))  # the last position merged with each
+    for sign, hyp in zip(region.signs, arrangement.hyperplanes):
+        a, b = position[hyp.normal.index(1)], position[hyp.normal.index(-1)]
+        if (a > b) == (sign == 1):  # the comparison runs against the order
+            reach[min(a, b)] = max(reach[min(a, b)], a, b)
+    dof, end = 0, -1
+    for p, last in enumerate(reach):
+        dof += p > end
+        end = max(end, last)
+    return dof
 
 
 def recession_dimension_lp(arrangement: Arrangement, region: GeomRegion) -> int:
@@ -491,18 +482,30 @@ class _MeasuredRegion:
 
 
 def _measure_regions(arrangement: Arrangement) -> list[_MeasuredRegion]:
+    """Every region with its statistics, read off the enumerated sign
+    vectors without a further solver call: a hyperplane is a ceiling
+    exactly when flipping the region's -1 on it gives another region's
+    signs (see :func:`region_ceilings`)."""
     n = arrangement.n
+    regions = enumerate_regions(arrangement)
+    present = {region.signs for region in regions}
+    affine = [k for k, hyp in enumerate(arrangement.hyperplanes) if hyp.offset]
     measured = []
-    for region in enumerate_regions(arrangement):
+    for region in regions:
+        signs = region.signs
         order = region_order(arrangement, region)
-        ceilings = region_ceilings(arrangement, region)
+        ceilings = tuple(
+            arrangement.hyperplanes[k]
+            for k in affine
+            if signs[k] == -1 and signs[:k] + (1,) + signs[k + 1 :] in present
+        )
         measured.append(
             _MeasuredRegion(
                 region,
                 order,
                 ceilings,
                 partition_from_pairs(n, [(h.tag[1], h.tag[2]) for h in ceilings]),
-                recession_dimension(arrangement, region),
+                recession_dimension(arrangement, region, order),
                 order == identity_permutation(n),
             )
         )

@@ -26,8 +26,8 @@ LabeledDyckPath = tuple[tuple[int, ...], ...]
 
 
 def is_parking_function(word: Sequence[int]) -> bool:
-    """A letter no integer compares with, such as a string or None, raises
-    the ValueError of :func:`~shi_ish.core.check_word`.
+    """A letter that is not an int, such as a float, a string or None,
+    raises the ValueError of :func:`~shi_ish.core.check_word`.
 
     >>> is_parking_function((3, 1, 1))
     True
@@ -36,9 +36,15 @@ def is_parking_function(word: Sequence[int]) -> bool:
     """
     if not word:
         return False
+    n = len(word)
     try:
+        total = sum(word)
+        if type(total) is not int:  # a float letter makes the sum a float
+            raise TypeError
+        if total > n * (n + 1) // 2:  # more than the letters of any parking function sum to
+            return False
         letters = sorted(word)
-        return letters[0] >= 1 and all(map(operator.le, letters, range(1, len(word) + 1)))
+        return letters[0] >= 1 and all(map(operator.le, letters, range(1, n + 1)))
     except TypeError:
         check_word(word, len(word))  # names the letter
         raise
@@ -60,6 +66,8 @@ def is_prime_parking_function(word: Sequence[int]) -> bool:
     if not word:
         return False
     try:
+        if type(sum(word)) is not int:  # a float letter makes the sum a float
+            raise TypeError
         letters = sorted(word)
         # the bounds max(1, i - 1) for i = 1..n are 1, 1, 2, ..., n - 1
         return letters[0] >= 1 and all(map(operator.le, letters, itertools.chain((1,), range(1, len(word)))))

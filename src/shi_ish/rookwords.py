@@ -19,20 +19,26 @@ from .parking import is_parking_function, is_prime_parking_function
 
 
 def is_rook_word(word: Sequence[int]) -> bool:
-    """Letters are refused as in :func:`_rook_dof`.
+    """A letter that is not an int, such as a float, a string or None,
+    raises the ValueError of :func:`~shi_ish.core.check_word`.
 
     >>> is_rook_word((3, 1, 5, 5, 2))
     True
     >>> is_rook_word((2, 4, 4, 5, 3))
     False
     """
-    return _rook_dof(word) is not None
+    dof = _rook_dof(word)
+    if type(sum(word)) is not int:  # a float letter makes the sum a float
+        check_word(word, len(word))  # names the letter
+    return dof is not None
 
 
 def _rook_dof(word: Sequence[int]) -> Optional[int]:
     """The degrees of freedom of :func:`tail_and_dof`, or None unless
     ``word`` is a rook word.  A letter no integer compares with, such as a
-    string or None, raises the ValueError of :func:`~shi_ish.core.check_word`."""
+    string or None, raises the ValueError of :func:`~shi_ish.core.check_word`;
+    a float is left to :func:`is_rook_word`, so that the statistics of the
+    words the package generates pay no float test."""
     n = len(word)
     if n == 0:
         return None

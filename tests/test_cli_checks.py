@@ -10,6 +10,8 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import shi_ish.cli as cli
 from shi_ish.bijections import ish_diagram_to_parking, parking_to_ish_diagram
@@ -495,6 +497,106 @@ def test_diagram_file_refuses_unknown_keys(data, unknown, tmp_path, capsys):
     assert err.splitlines() == [
         f"error: cannot read Ish diagram from {str(path)!r}: unknown key(s) {unknown}; expected pi and eps"
     ]
+
+
+def reader_runs(path):
+    """``count --graph``, ``oracle --graph`` and ``map --input`` reading the
+    file at ``path``, and ``map --input -`` reading stdin."""
+    return [
+        ("count", "--n", "3", "--graph", str(path)),
+        ("oracle", "--n", "3", "--graph", str(path)),
+        ("map", "--n", "3", "--bijection", "freedom", "--input", str(path)),
+        ("map", "--n", "3", "--bijection", "freedom", "--input", "-"),
+    ]
+
+
+def refusals(tmp_path, capsys, monkeypatch, text):
+    """The stderr lines of :func:`reader_runs` reading ``text``; each must
+    exit 2 and print nothing on stdout."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    lines = []
+    for argv in reader_runs(path):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        lines += err.splitlines()
+    return lines, str(path)
+
+
+def expected_refusals(path, detail):
+    return [
+        f"error: malformed graph file {path!r}: {detail}",
+        f"error: malformed graph file {path!r}: {detail}",
+        f"error: cannot read Ish diagram from {path!r}: {detail}",
+        f"error: cannot read Ish diagram from '-': {detail}",
+    ]
+
+
+def test_deeply_nested_json_is_refused_without_a_traceback(tmp_path, capsys, monkeypatch):
+    """The decoder's RecursionError becomes one error line and exit 2."""
+    lines, path = refusals(tmp_path, capsys, monkeypatch, "[" * 1001 + "]" * 1001)
+    assert lines == expected_refusals(path, "JSON nested too deeply")
+
+
+@pytest.mark.parametrize(
+    "text, repeated",
+    [
+        ('{"n": 3, "n": 4, "edges": []}', "'n'"),
+        ('{"pi": [1, 2, 3], "eps": [0, 0, 0], "eps": [0, 0, 1], "pi": [3, 2, 1]}', "'eps', 'pi'"),
+    ],
+)
+def test_duplicate_keys_are_refused(text, repeated, tmp_path, capsys, monkeypatch):
+    """A repeated key would otherwise be read as its last value: the first
+    case would be counted as a graph on 4 vertices."""
+    lines, path = refusals(tmp_path, capsys, monkeypatch, text)
+    assert lines == expected_refusals(path, f"duplicate key(s) {repeated}")
+
+
+@pytest.mark.parametrize("text", ["null", "[]", "[[1, 2]]", "3", '"n"'])
+def test_a_top_level_value_that_is_not_an_object_is_refused(text, tmp_path, capsys, monkeypatch):
+    lines, path = refusals(tmp_path, capsys, monkeypatch, text)
+    assert lines == expected_refusals(path, "expected a JSON object at the top level")
+
+
+#: JSON-like values with the keys the readers know, and some they do not
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 5), st.floats(), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["n", "edges", "pi", "eps", "x"]), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+#: input texts: any value, near-valid graphs and diagrams, deep nesting,
+#: and a repeated key
+input_texts = st.one_of(
+    json_values.map(json.dumps),
+    st.fixed_dictionaries({"n": st.integers(2, 4), "edges": st.lists(st.lists(st.integers(0, 4), max_size=3))}).map(
+        json.dumps
+    ),
+    st.fixed_dictionaries(
+        {"pi": st.permutations([1, 2, 3]), "eps": st.lists(st.integers(-1, 3), min_size=2, max_size=4)}
+    ).map(json.dumps),
+    st.tuples(st.integers(0, 1200), json_values).map(lambda t: "[" * t[0] + json.dumps(t[1]) + "]" * t[0]),
+    json_values.map(lambda value: '{"n": 3, "edges": [], "n": %s}' % json.dumps(value)),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(input_texts.map(str.encode), st.binary(max_size=24)))
+def test_every_input_exits_0_or_2_with_one_error_line(data, tmp_path, capsys, monkeypatch):
+    """Whatever a graph file or an Ish diagram holds, ``count`` and
+    ``oracle`` with ``--graph`` and ``map --input`` (a file and stdin)
+    exit 0 or 2, and exit 2 prints exactly one ``error:`` line."""
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    for argv in reader_runs(path):
+        monkeypatch.setattr("sys.stdin", io.StringIO(data.decode("utf-8", errors="replace")))
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2), argv
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
 
 
 def test_files_with_the_known_keys_are_still_read(tmp_path, capsys):

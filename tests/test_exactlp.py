@@ -1,6 +1,8 @@
 """Exact rational feasibility solver."""
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -539,6 +541,52 @@ def test_max_slack_equals_the_fraction_free_reference(system):
     tau, witness = max_slack(rows, n)
     assert (tau, witness) == fraction_free_max_slack(rows, n)
     assert all(type(x) is Fraction for x in (tau, *witness))
+
+
+def max_slack_eliminations(rows, n_vars):
+    """``max_slack(rows, n_vars)`` and how many row updates took each branch
+    of its nested ``eliminate``: ``"unit"`` (pivot entry 1, only the pivot
+    row's nonzero columns updated) and ``"scaled"`` (the whole row
+    recomputed).  Counted by tracing the lines ``eliminate`` runs."""
+    source, first = inspect.getsourcelines(max_slack)
+    text = {first + k: line.strip() for k, line in enumerate(source)}
+    ran = []
+
+    def line_tracer(frame, event, arg):
+        if event == "line":
+            ran.append(text[frame.f_lineno])
+        return line_tracer
+
+    def call_tracer(frame, event, arg):
+        return line_tracer if frame.f_code.co_name == "eliminate" else None
+
+    previous = sys.gettrace()
+    sys.settrace(call_tracer)
+    try:
+        result = max_slack(rows, n_vars)
+    finally:
+        sys.settrace(previous)
+    updates = ran.count("if nonzero is None:")
+    scaled = sum(line.startswith("row = [pivot_entry * x") for line in ran)
+    return result, {"unit": updates - scaled, "scaled": scaled}
+
+
+@pytest.mark.parametrize(
+    "rows, n, branches",
+    [
+        # a difference system: every pivot entry is 1
+        ([((1, -1), 0, True), ((-1, 1), -3, True)], 2, {"unit"}),
+        # -2 x0 - x1 > 0 and x0 > 0: pivots with entry 1 and with entry 2
+        ([((-2, -1), 0, True), ((1, 0), 0, True)], 2, {"unit", "scaled"}),
+        ([((3, -2, 0), 1, True), ((0, 2, -3), 1, True), ((-1, 0, 1), 0, True)], 3, {"scaled"}),
+    ],
+)
+def test_both_elimination_branches_equal_the_reference(rows, n, branches):
+    """The sparse update for a unit pivot and the full update otherwise
+    give the reference's (tau, witness) exactly."""
+    result, counts = max_slack_eliminations(rows, n)
+    assert {branch for branch, count in counts.items() if count} == branches
+    assert result == fraction_free_max_slack(rows, n)
 
 
 def tight_rows(rows, tau, witness):

@@ -1,5 +1,6 @@
 """Geometric region enumeration and the combinatorial cross-check."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shi_ish import exactlp, geometry
 from shi_ish.core import Graph, all_graphs
 from shi_ish.geometry import (
+    _measure_regions,
     build_arrangement,
     check_region,
     cross_validate,
@@ -153,23 +156,99 @@ def test_ish_region_with_two_ceilings():
         assert recession_dimension(arr, r) == 1
 
 
+def graphs_for(kind):
+    """Every graph at n <= 4, or the empty graph for Cox(n), n <= 4."""
+    if kind == "cox":
+        return [Graph.empty(n) for n in (1, 2, 3, 4)]
+    return [g for n in (1, 2, 3, 4) for g in all_graphs(n)]
+
+
+def seeded_graph_n5(seed):
+    """A graph on [5] with 5 edges drawn by ``random.Random(seed)``."""
+    return Graph(5, frozenset(random.Random(seed).sample(list(itertools.combinations(range(1, 6), 2)), 5)))
+
+
+@functools.lru_cache(maxsize=None)
+def lp_dofs(kind, graph):
+    """:func:`recession_dimension_lp` of every region, in enumeration order."""
+    arr = build_arrangement(kind, graph.n, graph)
+    return tuple(recession_dimension_lp(arr, r) for r in enumerate_regions(arr))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_recession_dimension_against_lp_probe(kind):
-    """The reachability-based recession dimension matches the slow
-    one-probe-per-hyperplane version on every region: of every graph at
-    n <= 3, and of the complete, path and empty graphs at n = 4 (Cox(n)
-    has no graph)."""
-    if kind == "cox":
-        graphs = [Graph.empty(n) for n in (1, 2, 3, 4)]
-    else:
-        graphs = [g for n in (1, 2, 3) for g in all_graphs(n)]
-        graphs += [Graph.complete(4), Graph.path(4), Graph.empty(4)]
+    """The interval rule matches the slow one-probe-per-hyperplane version
+    on every region of every graph at n <= 4 (Cox(n) has no graph)."""
+    for graph in graphs_for(kind):
+        arr = build_arrangement(kind, graph.n, graph)
+        for r, slow in zip(enumerate_regions(arr), lp_dofs(kind, graph)):
+            fast = recession_dimension(arr, r)
+            assert fast == slow, (graph, r)
+            assert 1 <= fast <= graph.n
+
+
+@pytest.mark.parametrize(
+    "kind, graphs",
+    [(kind, graphs_for(kind)) for kind in KINDS]
+    + [(kind, [seeded_graph_n5(0), seeded_graph_n5(1)]) for kind in ("shi", "ish")],
+    ids=[*KINDS, "shi-n5", "ish-n5"],
+)
+def test_read_off_equals_the_solver_references(kind, graphs):
+    """The oracle reads each region's ceilings off its neighbours' sign
+    vectors and its dof off intervals of its order; on every region both
+    equal the solver-backed references :func:`region_ceilings` and
+    :func:`recession_dimension_lp`."""
     for graph in graphs:
         arr = build_arrangement(kind, graph.n, graph)
-        for r in enumerate_regions(arr):
-            fast = recession_dimension(arr, r)
-            assert fast == recession_dimension_lp(arr, r), (graph, r)
-            assert 1 <= fast <= graph.n
+        measured = _measure_regions(arr)
+        assert [entry.dof for entry in measured] == list(lp_dofs(kind, graph)), graph
+        for entry in measured:
+            assert entry.ceilings == region_ceilings(arr, entry.region), (graph, entry.region)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hyperplanes_are_pairwise_distinct(n):
+    """The ceiling read-off flips one sign at a time, which is exact only
+    when no two hyperplanes of an arrangement coincide."""
+    for kind in KINDS:
+        for graph in [Graph.empty(n)] if kind == "cox" else all_graphs(n):
+            hyperplanes = build_arrangement(kind, n, graph).hyperplanes
+            # a hyperplane is its (normal, offset) up to sign: fix the sign
+            # of the normal's first nonzero entry
+            planes = set()
+            for h in hyperplanes:
+                flip = 1 if next(a for a in h.normal if a) > 0 else -1
+                planes.add((tuple(flip * a for a in h.normal), flip * h.offset))
+            assert len(planes) == len(hyperplanes), (kind, graph)
+
+
+def test_oracle_pass_solves_only_inside_the_enumeration(monkeypatch):
+    """Once the regions are enumerated, the oracle measures them without a
+    solver call: a pass makes exactly the solver calls of a bare
+    ``enumerate_regions``."""
+    calls = {}
+
+    def counting(module, name):
+        solve = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return solve(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("_arcs_feasible", "difference_feasible", "strict_feasible"):
+        counting(geometry, name)
+    counting(exactlp, "_arcs_feasible")
+    for kind in KINDS:
+        graph = Graph.empty(4) if kind == "cox" else Graph(4, frozenset({(1, 3), (2, 4), (3, 4)}))
+        calls.clear()
+        enumerate_regions(build_arrangement(kind, 4, graph))
+        bare = dict(calls)
+        calls.clear()
+        oracle_pass(kind, 4, graph)
+        assert calls == bare, kind
+        assert bare["_arcs_feasible"] > 0
 
 
 def test_coxeter_regions_are_full_dimensional_cones():

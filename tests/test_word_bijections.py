@@ -20,9 +20,10 @@ import shi_ish.bijections as bijections
 import shi_ish.cli as cli
 import shi_ish.ish as ish
 import shi_ish.parking as parking
-from shi_ish.core import Graph, all_graphs
+from shi_ish.core import Graph, all_graphs, check_word
 from shi_ish.ish import ish_diagram_to_rook_word, ish_diagrams, ish_statistics, rook_word_to_ish_diagram
-from shi_ish.parking import is_prime_parking_function, parking_functions
+from shi_ish.parking import is_parking_function, is_prime_parking_function, parking_functions
+from shi_ish.rookwords import is_rook_word
 from shi_ish.shi import parking_to_shi_diagram
 
 from codec_routes import REFERENCES, codec_views
@@ -93,27 +94,33 @@ def test_word_maps_refuse_words_that_are_no_rook_words(name, word):
     assert str(refused.value) == f"{word!r} is not a rook word"
 
 
-#: the one case where the word's shape is refused first: (1, 2, 2) is no
-#: prime parking function, whatever its letters are
-SHAPE_REFUSALS = {((1, 2.0, 2), "bounded_parking_to_rook"): "input region is not relatively bounded"}
-
-
 @pytest.mark.parametrize("direction", ["rook_to_parking", "parking_to_rook"])
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("word", [(1, 2.0, 2), (1, 1.0), (1, "a"), (1, None)], ids=repr)
 def test_word_maps_refuse_a_letter_that_is_no_integer(name, direction, word):
     """Each of the eight word maps refuses a letter that is no integer with
-    a ValueError: the one of ``core.check_word``, naming that letter,
-    wherever the letter is at fault."""
-    function = f"{name}_{direction}"
+    a ValueError: the one of ``core.check_word``, naming that letter, before
+    the word's shape is judged (``(1, 2, 2)`` is no prime parking function,
+    yet ``bounded_parking_to_rook`` names the float in ``(1, 2.0, 2)``)."""
     bad = next(a for a in word if type(a) is not int)
     with pytest.raises(ValueError) as refused:
-        getattr(bijections, function)(word)
-    expected = SHAPE_REFUSALS.get((word, function))
-    if expected is not None:
-        assert str(refused.value) == expected
-    else:
-        assert re.fullmatch(rf"letter {re.escape(repr(bad))} outside alphabet \[1, \d+\]", str(refused.value))
+        getattr(bijections, f"{name}_{direction}")(word)
+    assert re.fullmatch(rf"letter {re.escape(repr(bad))} outside alphabet \[1, \d+\]", str(refused.value))
+
+
+@pytest.mark.parametrize("predicate", [is_parking_function, is_prime_parking_function, is_rook_word])
+@pytest.mark.parametrize(
+    "word", [(1, 1.0), (1.5, 1), (1, 2.0, 2), (2, 1, 3.0), (1, "a"), (None,), (0, 1.0)], ids=repr
+)
+def test_word_predicates_refuse_a_letter_that_is_no_integer(predicate, word):
+    """Whether a word is a parking function or a rook word is never decided
+    for a word that ``check_word`` refuses: the predicates raise its
+    ValueError, a float equal to an integer included."""
+    with pytest.raises(ValueError) as expected:
+        check_word(word, len(word))
+    with pytest.raises(ValueError) as refused:
+        predicate(word)
+    assert str(refused.value) == str(expected.value)
 
 
 def test_theorem_sweeps_never_touch_a_shi_diagram(capsys, monkeypatch):
