@@ -17,8 +17,8 @@ is left as it is and no division is needed.  With a pivot entry of 1 (most
 pivots here) a row changes only at the pivot row's nonzero columns, and
 only those are updated.  With x = u - v, the column of v_k is minus the
 column of u_k in every tableau, so only s, u and the row slacks are stored
-and v_k is read off u_k.  The optimizer is checked by substitution in
-integers before it is returned.
+and v_k is read off u_k.  The optimizer is read off in integers over one
+denominator and checked by substitution before it is returned.
 
 Rows are triples ``(coeffs, rhs, strict)``.  Strict rows participate in the
 slack objective; weak rows (``strict=False``) only require a.x >= rhs and
@@ -32,9 +32,9 @@ either way: a witness checked by substitution, or a cycle whose summed
 weight is checked to be negative.  It also takes difference equalities
 x_i - x_j = c.  It parses its rows into weighted arcs and runs the
 arc-level Bellman-Ford :func:`_arcs_feasible`, which
-:mod:`shi_ish.geometry` calls directly on arcs it caches.  The simplex has
-no equality mode: the package calls it for the interior witness of each new
-region and in the brute-force reference
+:func:`shi_ish.geometry.region_ceilings` calls directly on arcs.  The
+simplex has no equality mode: the package calls it for the interior
+witness of each new region and in the brute-force reference
 :func:`shi_ish.geometry.enumerate_regions_sweep`.
 """
 
@@ -49,19 +49,16 @@ Row = tuple[Sequence[int], int, bool]
 Arc = tuple[int, int, int, int]
 
 
-def _check_slack(rows: Sequence[Row], tau: Fraction, witness: Sequence[Fraction]) -> None:
+def _check_slack(rows: Sequence[Row], tau: int, witness: Sequence[int], den: int) -> None:
     """Raise ArithmeticError unless every strict row has slack at least
-    ``tau`` and every weak row slack at least 0 at ``witness``.
+    ``tau / den`` and every weak row slack at least 0 at ``witness / den``.
 
-    The check runs in integers: the witness and ``tau`` are scaled to a
-    common denominator first.
+    The solver passes integers over their common denominator ``den``, so
+    its check runs in integers.
     """
-    den = math.lcm(tau.denominator, *(x.denominator for x in witness))
-    scaled = [x.numerator * (den // x.denominator) for x in witness]
-    floor = tau.numerator * (den // tau.denominator)
     for coeffs, rhs, strict in rows:
-        slack = sum(a * x for a, x in zip(coeffs, scaled)) - rhs * den
-        if slack < (floor if strict else 0):
+        slack = sum(a * x for a, x in zip(coeffs, witness)) - rhs * den
+        if slack < (tau if strict else 0):
             raise ArithmeticError("simplex witness violates a row")
 
 
@@ -81,6 +78,13 @@ def max_slack(
     >>> x[0] - x[1]
     Fraction(1, 1)
     """
+    tau, witness, den = _optimum(rows, n_vars)
+    return Fraction(tau, den), tuple(Fraction(x, den) for x in witness)
+
+
+def _optimum(rows: Sequence[Row], n_vars: int) -> tuple[int, tuple[int, ...], int]:
+    """The optimum of :func:`max_slack` as integers over one denominator,
+    checked: ``(T, X, den)`` for tau = T / den and the witness X / den."""
     for coeffs, rhs, strict in rows:
         if len(coeffs) != n_vars:
             raise ValueError("row length does not match the variable count")
@@ -92,7 +96,7 @@ def max_slack(
     bounds = [rhs + 1 if strict else rhs for _, rhs, strict in rows]
     if not strict_idx or max(bounds[i] for i in strict_idx) <= 0:
         # x = 0 already has slack >= 1 on every strict row
-        return Fraction(1), tuple(Fraction(0) for _ in range(n_vars))
+        return 1, (0,) * n_vars, 1
     start = max(strict_idx, key=lambda i: bounds[i])
 
     # The program's columns are s | u_1..u_n | v_1..v_n | w_1..w_m with
@@ -185,30 +189,43 @@ def max_slack(
         obj = eliminate(obj, sign * obj[col])
         basis[leave] = enter
 
-    values = {}
+    # the value of the basic variable of row i is its right-hand side over
+    # its basic entry; only s, u and v (columns up to 2 * n_vars) are read
+    basic = {}
     for i, j in enumerate(basis):
-        col, sign = column(j)
-        values[j] = Fraction(table[i][rhs_col], sign * table[i][col])
-    zero = Fraction(0)
-    tau = Fraction(1) - values.get(0, zero)
+        if j <= 2 * n_vars:
+            col, sign = column(j)
+            basic[j] = (table[i][rhs_col], sign * table[i][col])
+    den = math.lcm(*(entry for _, entry in basic.values()))
+    values = {j: rhs * (den // entry) for j, (rhs, entry) in basic.items()}
     # at most one of u_k and v_k is basic: their columns are opposite
     witness = tuple(
-        values[1 + k] if 1 + k in values else -values.get(1 + n_vars + k, zero)
+        values[1 + k] if 1 + k in values else -values.get(1 + n_vars + k, 0)
         for k in range(n_vars)
     )
-    _check_slack(rows, tau, witness)
-    return tau, witness
+    tau = den - values.get(0, 0)
+    _check_slack(rows, tau, witness, den)
+    return tau, witness, den
 
 
-def strict_feasible(rows: Sequence[Row], n_vars: int) -> Optional[tuple[Fraction, ...]]:
+def strict_feasible(rows: Sequence[Row], n_vars: int) -> Optional[tuple[tuple[int, ...], int]]:
     """Witness for a system of strict and weak inequalities, or None: the
     optimizer of :func:`max_slack` when its slack ``tau`` is positive.
 
+    The witness comes back in the shape of :func:`difference_feasible`:
+    ``(X, den)`` for the point ``X / den`` in lowest terms, checked by
+    substitution in integers; no ``Fraction`` is built.
+
+    >>> strict_feasible([((1, -1), 0, True), ((-1, 1), -3, True)], 2)
+    ((1, 0), 1)
     >>> strict_feasible([((1, -1), 0, True), ((-1, 1), 0, True)], 2) is None
     True
     """
-    tau, witness = max_slack(rows, n_vars)
-    return witness if tau > 0 else None
+    tau, witness, den = _optimum(rows, n_vars)
+    if tau <= 0:
+        return None
+    g = math.gcd(den, *witness)
+    return tuple(x // g for x in witness), den // g
 
 
 def _difference_arc(coeffs: Sequence[int], n_vars: int) -> tuple[int, int]:

@@ -9,21 +9,23 @@ recession cone -- so that the combinatorial labellings can be validated
 region by region.
 
 All arithmetic is exact.  Every hyperplane is a difference x_a - x_b = c,
-so every feasibility question here is a difference-constraint system, and
-the certifying negative-cycle solver of :mod:`shi_ish.exactlp` decides each
-one: every split probe during enumeration, on arcs built once per
-(hyperplane, sign), every facet test of :func:`region_ceilings`, and every
-vanishing probe of the slow path :func:`recession_dimension_lp`, through
-:func:`shi_ish.exactlp.difference_feasible`.  The exact simplex
-(:func:`shi_ish.exactlp.strict_feasible`) only supplies the rational
-interior witness of each newly found region and decides the brute-force
-reference :func:`enumerate_regions_sweep`.  During enumeration witnesses
-are integer vectors over a denominator; they become ``Fraction``s in the
-finished regions.  :func:`oracle_pass` enumerates once and measures every
-region off that pass with no further solver call: ceilings from the
-neighbouring regions' sign vectors, degrees of freedom from intervals of
-the region's order.  It builds both the cross-validation and the report
-from those measurements.
+so every feasibility question here is a difference-constraint system and
+a negative cycle refutes it.  During enumeration each region carries the
+shortest-path matrix of its arcs, and a split probe reads one entry of it;
+a refutation is certified by walking the recorded arcs and summing the
+cycle they close.  Every facet test of :func:`region_ceilings` and every
+vanishing probe of the slow path :func:`recession_dimension_lp` goes to
+the certifying Bellman-Ford solver of :mod:`shi_ish.exactlp`, through
+:func:`shi_ish.exactlp.difference_feasible`, which is also the probes'
+reference.  The exact simplex (:func:`shi_ish.exactlp.strict_feasible`)
+only supplies the interior witness of each newly found region and decides
+the brute-force reference :func:`enumerate_regions_sweep`.  During
+enumeration witnesses are integer vectors over a denominator; they become
+``Fraction``s in the finished regions.  :func:`oracle_pass` enumerates once
+and measures every region off that pass with no further solver call:
+ceilings from the neighbouring regions' sign vectors, degrees of freedom
+from intervals of the region's order.  It builds both the cross-validation
+and the report from those measurements.
 """
 
 from __future__ import annotations
@@ -151,45 +153,95 @@ def _signed_arc(hyp: Hyperplane, sign: int) -> Arc:
     return (a, b, -hyp.offset, -1) if sign == 1 else (b, a, hyp.offset, -1)
 
 
-def _dot(normal: Sequence[int], point: Sequence[int]) -> int:
-    return sum(a * x for a, x in zip(normal, point))
-
-
 def _nudged_witness(
-    hyperplanes: Sequence[Hyperplane],
+    pairs: Sequence[tuple[int, int, int]],
     signs: dict[int, int],
     witness: tuple[int, ...],
     den: int,
-    hyp: Hyperplane,
+    idx: int,
     side: int,
 ) -> tuple[tuple[int, ...], int]:
-    """Move a witness ``witness / den`` lying on ``hyp`` strictly to the
-    given side; returns the new witness as integers over a denominator.
+    """Move a witness ``witness / den`` lying on hyperplane ``idx`` strictly
+    to the given side; returns the new witness as integers over a
+    denominator.  ``pairs[k]`` is ``(a, b, c)`` for hyperplane k, x_a - x_b = c.
 
-    Walking along ``side * hyp.normal`` increases the new signed value while
-    every previously strict inequality stays strict for a small enough step:
-    half the least bound ``slack / (den * drift)``.
+    Walking along ``side * (e_a - e_b)`` increases the new signed value
+    while every previously strict inequality stays strict for a small
+    enough step: half the least bound ``slack / (den * drift)``.
     """
-    direction = hyp.normal
+    a, b, _ = pairs[idx]
     best_slack = best_drift = 0
     for k, sign in signs.items():
-        other = hyperplanes[k]
-        drift = -side * sign * _dot(other.normal, direction)
+        p, q, c = pairs[k]
+        drift = -side * sign * ((p == a) - (q == a) - (p == b) + (q == b))
         if drift <= 0:
             continue
-        slack = sign * (_dot(other.normal, witness) - other.offset * den)
+        slack = sign * (witness[p] - witness[q] - c * den)
         if not best_drift or slack * best_drift < best_slack * drift:
             best_slack, best_drift = slack, drift
-    if not best_drift:
-        return tuple(x + side * den * d for x, d in zip(witness, direction)), den
-    scaled = [2 * best_drift * x + side * best_slack * d for x, d in zip(witness, direction)]
-    scale = 2 * best_drift * den
-    g = math.gcd(scale, *scaled)
-    return tuple(x // g for x in scaled), scale // g
+    step, scale = (den, 1) if not best_drift else (best_slack, 2 * best_drift)
+    moved = [scale * x for x in witness]
+    moved[a] += side * step
+    moved[b] -= side * step
+    g = math.gcd(scale * den, *moved)
+    return tuple(x // g for x in moved), scale * den // g
 
 
-#: a region under construction: its signs so far and its witness X / den
-_Partial = tuple[dict[int, int], tuple[int, ...], int]
+#: the arcs of :func:`_signed_arc`, keyed by (hyperplane, sign), with the
+#: weight ``value * (n + 1) + eps``: a simple path has fewer than n arcs, so
+#: these integers compare as the (value, eps) sums do
+_Arcs = dict[tuple[int, int], tuple[int, int, int]]
+#: a region under construction: its signs so far, its witness X / den, and
+#: the shortest-path matrix of its arcs with each entry's last arc
+_Partial = tuple[dict[int, int], tuple[int, ...], int, list, list]
+
+
+def _with_arc(dist: list, pred: list, arcs: _Arcs, key: tuple[int, int]) -> tuple[list, list]:
+    """The matrix ``dist`` of shortest-path weights (None: no path) and
+    ``pred`` of their last arcs, with the arc ``arcs[key]`` added, in
+    O(n^2) (Ausiello, Italiano, Marchetti-Spaccamela and Nanni 1991): a
+    shorter path from x to y runs to s, over the new arc s -> t, then on
+    to y.  Rows that do not change are shared with the input."""
+    s, t, weight = arcs[key]
+    onward = [(y, d, pred[t][y] if y != t else key) for y, d in enumerate(dist[t]) if d is not None]
+    dist, pred = list(dist), list(pred)
+    for x, row in enumerate(dist):
+        if row[s] is None:
+            continue
+        base = row[s] + weight
+        new_row = new_pred = None
+        for y, d, last in onward:
+            if row[y] is None or base + d < row[y]:
+                if new_row is None:
+                    new_row, new_pred = list(row), list(pred[x])
+                new_row[y], new_pred[y] = base + d, last
+        if new_row is not None:
+            dist[x], pred[x] = new_row, new_pred
+    return dist, pred
+
+
+def _refuted(signs: dict[int, int], dist: list, pred: list, arcs: _Arcs, key: tuple[int, int]) -> bool:
+    """True when the side ``key`` of the region ``signs`` is empty: its arc
+    u -> v of weight w closes a negative cycle exactly when dist[v][u] + w
+    < 0.  The recorded arcs from u back to v certify it first: each must be
+    a signed arc of the region ending where the walk stands, and their
+    weights plus w must sum below 0, or ArithmeticError is raised."""
+    u, v, weight = arcs[key]
+    bound = dist[v][u]
+    if bound is None or bound + weight >= 0:
+        return False
+    total, y = weight, u
+    for _ in range(len(dist)):
+        if y == v:
+            break
+        last = pred[v][y]
+        if last is None or signs.get(last[0]) != last[1] or arcs[last][1] != y:
+            raise ArithmeticError(f"refutation walk leaves the region's arcs at {last!r}")
+        y, _, step = arcs[last]
+        total += step
+    if y != v or total >= 0:
+        raise ArithmeticError("refuting cycle is not negative")
+    return True
 
 
 def enumerate_regions(
@@ -200,14 +252,14 @@ def enumerate_regions(
 
     Hyperplanes are inserted one at a time starting from all of R^n (witness:
     the origin).  Each region keeps the side its witness is on for free and
-    runs one exact feasibility probe for the opposite side; a region splits
-    exactly when both sides are nonempty.  The difference-constraint solver
-    decides the probe on the region's arcs, built once per signed
-    hyperplane; only a nonempty side goes on to the simplex, whose optimizer
-    becomes the new region's witness.  Witnesses are carried as integers
-    over a common denominator and become ``Fraction``s at the end.
-    ``insertion_order`` permutes the insertion sequence (the resulting
-    region set must not depend on it).
+    probes the opposite side on the shortest-path matrix of its arcs
+    (:func:`_refuted`).  A refuted side implies the other, so the region
+    keeps its matrix; otherwise it splits, each child gets its arc in
+    O(n^2) (:func:`_with_arc`) and the side across gets its witness from
+    the simplex.  A witness on the new hyperplane is nudged off it to both
+    sides instead.  Witnesses are carried as integers over a denominator
+    and become ``Fraction``s at the end.  ``insertion_order`` permutes the
+    insertion sequence (the resulting region set must not depend on it).
 
     >>> len(enumerate_regions(build_arrangement("shi", 3)))
     16
@@ -226,41 +278,41 @@ def enumerate_regions(
         if sorted(order) != list(range(m)):
             raise ValueError("insertion_order must be a permutation of range(#hyperplanes)")
 
-    partial: list[_Partial] = [({}, (0,) * n, 1)]
-    signed = {
-        (k, sign): (_signed_row(hyp, sign), _signed_arc(hyp, sign))
-        for k, hyp in enumerate(hyperplanes)
-        for sign in (1, -1)
-    }
+    pairs = [(hyp.normal.index(1), hyp.normal.index(-1), hyp.offset) for hyp in hyperplanes]
+    rows, arcs = {}, {}
+    for k, hyp in enumerate(hyperplanes):
+        for sign in (1, -1):
+            rows[k, sign] = _signed_row(hyp, sign)
+            u, v, bound, eps = _signed_arc(hyp, sign)
+            arcs[k, sign] = (u, v, bound * (n + 1) + eps)
+    dist = [[0 if x == y else None for y in range(n)] for x in range(n)]
+    partial: list[_Partial] = [({}, (0,) * n, 1, dist, [[None] * n] * n)]
 
     for idx in order:
-        hyp = hyperplanes[idx]
+        a, b, c = pairs[idx]
         grown: list[_Partial] = []
-        for signs, witness, den in partial:
-            value = _dot(hyp.normal, witness) - hyp.offset * den
+        for signs, witness, den, dist, pred in partial:
+            value = witness[a] - witness[b] - c * den
             if value == 0:
                 # witness sits on the new hyperplane: the region is cut in
                 # two and a short walk along the normal lands in either half
                 for side in (1, -1):
-                    moved = _nudged_witness(hyperplanes, signs, witness, den, hyp, side)
-                    grown.append(({**signs, idx: side}, *moved))
+                    moved = _nudged_witness(pairs, signs, witness, den, idx, side)
+                    grown.append(({**signs, idx: side}, *moved, *_with_arc(dist, pred, arcs, (idx, side))))
                 continue
             known = 1 if value > 0 else -1
-            grown.append(({**signs, idx: known}, witness, den))
-            entries = [signed[k, sign] for k, sign in signs.items()]
-            entries.append(signed[idx, -known])
-            if _arcs_feasible([arc for _, arc in entries], n) is None:
+            if _refuted(signs, dist, pred, arcs, (idx, -known)):
+                grown.append(({**signs, idx: known}, witness, den, dist, pred))
                 continue
-            probe = strict_feasible([row for row, _ in entries], n)
+            grown.append(({**signs, idx: known}, witness, den, *_with_arc(dist, pred, arcs, (idx, known))))
+            probe = strict_feasible([rows[k, sign] for k, sign in signs.items()] + [rows[idx, -known]], n)
             if probe is None:
-                raise AssertionError("simplex refutes a side the difference solver found")
-            probe_den = math.lcm(*(x.denominator for x in probe))
-            scaled = tuple(x.numerator * (probe_den // x.denominator) for x in probe)
-            grown.append(({**signs, idx: -known}, scaled, probe_den))
+                raise AssertionError("simplex refutes a side the shortest paths found")
+            grown.append(({**signs, idx: -known}, *probe, *_with_arc(dist, pred, arcs, (idx, -known))))
         partial = grown
     return tuple(
         GeomRegion(tuple(signs[k] for k in range(m)), tuple(Fraction(x, den) for x in witness))
-        for signs, witness, den in partial
+        for signs, witness, den, _, _ in partial
     )
 
 
@@ -278,9 +330,10 @@ def enumerate_regions_sweep(arrangement: Arrangement) -> tuple[GeomRegion, ...]:
     regions = []
     for signs in itertools.product((1, -1), repeat=len(hyperplanes)):
         rows = [_signed_row(h, s) for h, s in zip(hyperplanes, signs)]
-        witness = strict_feasible(rows, n)
-        if witness is not None:
-            regions.append(GeomRegion(signs, witness))
+        probe = strict_feasible(rows, n)
+        if probe is not None:
+            witness, den = probe
+            regions.append(GeomRegion(signs, tuple(Fraction(x, den) for x in witness)))
     return tuple(regions)
 
 

@@ -41,13 +41,18 @@ def is_parking_function(word: Sequence[int]) -> bool:
         total = sum(word)
         if type(total) is not int:  # a float letter makes the sum a float
             raise TypeError
-        if total > n * (n + 1) // 2:  # more than the letters of any parking function sum to
-            return False
-        letters = sorted(word)
-        return letters[0] >= 1 and all(map(operator.le, letters, range(1, n + 1)))
+        # no parking function's letters sum to more than n(n+1)/2
+        return total <= n * (n + 1) // 2 and _is_parking(word)
     except TypeError:
         check_word(word, len(word))  # names the letter
         raise
+
+
+def _is_parking(word: Sequence[int]) -> bool:
+    """:func:`is_parking_function` for a nonempty word of int letters,
+    without the float test."""
+    letters = sorted(word)
+    return letters[0] >= 1 and all(map(operator.le, letters, range(1, len(word) + 1)))
 
 
 def is_prime_parking_function(word: Sequence[int]) -> bool:
@@ -68,12 +73,18 @@ def is_prime_parking_function(word: Sequence[int]) -> bool:
     try:
         if type(sum(word)) is not int:  # a float letter makes the sum a float
             raise TypeError
-        letters = sorted(word)
-        # the bounds max(1, i - 1) for i = 1..n are 1, 1, 2, ..., n - 1
-        return letters[0] >= 1 and all(map(operator.le, letters, itertools.chain((1,), range(1, len(word)))))
+        return _is_prime_parking(word)
     except TypeError:
         check_word(word, len(word))  # names the letter
         raise
+
+
+def _is_prime_parking(word: Sequence[int]) -> bool:
+    """:func:`is_prime_parking_function` for a nonempty word of int
+    letters, without the float test."""
+    letters = sorted(word)
+    # the bounds max(1, i - 1) for i = 1..n are 1, 1, 2, ..., n - 1
+    return letters[0] >= 1 and all(map(operator.le, letters, itertools.chain((1,), range(1, len(word)))))
 
 
 def parking_functions(n: int, graph: Optional[Graph] = None) -> Iterator[Word]:

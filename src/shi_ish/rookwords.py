@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .core import Graph, Word, _cyclic_shift, check_word, orbit
-from .parking import is_parking_function, is_prime_parking_function
+from .parking import _is_parking, _is_prime_parking, is_parking_function, is_prime_parking_function
 
 
 def is_rook_word(word: Sequence[int]) -> bool:
@@ -60,18 +60,30 @@ def is_prime_rook_word(word: Sequence[int]) -> bool:
     """Rook words with first letter 1 and letters in [n-1].
 
     The size-1 word (1,) is prime by convention, mirroring
-    :func:`~shi_ish.parking.is_prime_parking_function`.
+    :func:`~shi_ish.parking.is_prime_parking_function`.  Letters are
+    refused as in :func:`is_rook_word`.
 
     >>> is_prime_rook_word((1, 2, 2))
     True
     >>> is_prime_rook_word((2, 1, 1))
     False
     """
-    n = len(word)
-    if n == 0 or word[0] != 1:
+    if not word:
         return False
-    top = max(1, n - 1)
-    return all(1 <= a <= top for a in word)
+    try:
+        if type(sum(word)) is not int:  # a float letter makes the sum a float
+            raise TypeError
+        return _is_prime_rook(word)
+    except TypeError:
+        check_word(word, len(word))  # names the letter
+        raise
+
+
+def _is_prime_rook(word: Sequence[int]) -> bool:
+    """:func:`is_prime_rook_word` for a nonempty word of int letters,
+    without the float test."""
+    top = max(1, len(word) - 1)
+    return word[0] == 1 and all(1 <= a <= top for a in word)
 
 
 def rook_words(n: int, graph: Optional[Graph] = None) -> Iterator[Word]:
@@ -211,7 +223,8 @@ def orbit_certificate(word: Sequence[int], prime: bool = False) -> OrbitCertific
     pass of cycle-lemma prefix sums, the rook shifts by one walk over the
     unused values (the prime rook shift sends the first letter to 1).
     Raises ``ValueError`` unless the orbit holds exactly one of each, and
-    checks both members by substitution into the predicates.
+    checks both members by substitution into the predicates' float-free
+    cores.
 
     >>> cert = orbit_certificate((1, 4, 4, 2, 5))
     >>> cert.parking, cert.rook
@@ -234,9 +247,12 @@ def orbit_certificate(word: Sequence[int], prime: bool = False) -> OrbitCertific
             f"functions and {len(rook_hits)} rook words; expected one of each"
         )
     parking, rook = _cyclic_shift(word, park_hits[0], m), _cyclic_shift(word, rook_hits[0], m)
-    is_park = is_prime_parking_function if prime else is_parking_function
-    is_rook = is_prime_rook_word if prime else is_rook_word
-    if not (is_park(parking) and is_rook(rook)):
+    # both members are shifts of the checked word: no float test
+    if prime:
+        members = _is_prime_parking(parking) and _is_prime_rook(rook)
+    else:
+        members = _is_parking(parking) and _rook_dof(rook) is not None
+    if not members:
         raise AssertionError(f"orbit certificate of {word!r} names a wrong member")
     return OrbitCertificate(word, m, prime, park_hits[0], rook_hits[0], parking, rook)
 

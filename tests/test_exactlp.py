@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shi_ish.exactlp import _check_slack, difference_feasible, max_slack, strict_feasible
+from shi_ish.exactlp import _check_slack, _optimum, difference_feasible, max_slack, strict_feasible
 
 
 def slack_of(row, point):
@@ -63,6 +63,17 @@ class OffsetUnionFind:
         return True
 
 
+def strict_witness(rows, n):
+    """The simplex witness ``X / den`` as rationals, or None; ``(X, den)``
+    is in lowest terms."""
+    result = strict_feasible(rows, n)
+    if result is None:
+        return None
+    scaled, den = result
+    assert den > 0 and math.gcd(den, *scaled) == 1
+    return tuple(Fraction(x, den) for x in scaled)
+
+
 def simplex_with_equalities(rows, n_vars, equalities):
     """Simplex reference for strict/weak rows plus difference equalities
     ``(i, j, c)`` pinning x_i - x_j = c: the equalities are eliminated by
@@ -91,7 +102,7 @@ def simplex_with_equalities(rows, n_vars, equalities):
             reduced.append((tuple(acc), bound, strict))
         elif (strict and bound >= 0) or (not strict and bound > 0):
             return None
-    reduced_witness = strict_feasible(reduced, len(roots))
+    reduced_witness = strict_witness(reduced, len(roots))
     if reduced_witness is None:
         return None
     witness = []
@@ -219,7 +230,7 @@ def test_dominant_shi_chamber_is_feasible():
         ((0, -1, 1), -1, True),
         ((1, 0, -1), 0, True),
     ]
-    witness = strict_feasible(rows, 3)
+    witness = strict_witness(rows, 3)
     assert witness is not None
     assert satisfies(rows, witness)
 
@@ -250,7 +261,7 @@ def test_weak_rows_must_have_nonpositive_bounds():
 
 def test_weak_rows_constrain_the_witness():
     rows = [((1, -1), -2, True), ((-1, 0), 0, False), ((0, 1), 0, False)]
-    witness = strict_feasible(rows, 2)
+    witness = strict_witness(rows, 2)
     assert witness is not None
     assert witness[0] <= 0 <= witness[1]
     assert witness[0] - witness[1] > -2
@@ -329,7 +340,7 @@ coeff = st.integers(-4, 4)
 def test_soundness_witness_satisfies_all_rows(raw):
     rows = [(tuple(c), rhs, True) for c, rhs in raw]
     n = len(rows[0][0])
-    witness = strict_feasible(rows, n)
+    witness = strict_witness(rows, n)
     if witness is not None:
         assert satisfies(rows, witness)
 
@@ -354,7 +365,7 @@ def test_completeness_planted_point_is_found(planted_and_coeffs):
         bound = math.floor(value) - 1
         rows.append((tuple(coeffs), bound, True))
     n = len(planted)
-    witness = strict_feasible(rows, n)
+    witness = strict_witness(rows, n)
     assert witness is not None
     assert satisfies(rows, witness)
 
@@ -543,12 +554,29 @@ def test_max_slack_equals_the_fraction_free_reference(system):
     assert all(type(x) is Fraction for x in (tau, *witness))
 
 
+@given(st.one_of(general_systems(), difference_systems().map(lambda system: system[:2])))
+@settings(max_examples=300, deadline=None)
+def test_strict_feasible_is_the_max_slack_witness_in_integers(system):
+    """None exactly when tau <= 0; otherwise the integer witness over its
+    least denominator is ``max_slack``'s witness."""
+    n, rows = system
+    tau, witness = max_slack(rows, n)
+    result = strict_feasible(rows, n)
+    assert (result is None) == (tau <= 0)
+    if result is not None:
+        scaled, den = result
+        assert all(type(x) is int for x in (*scaled, den))
+        # Fraction(x, den) for each x, with (X, den) in lowest terms
+        assert strict_witness(rows, n) == witness
+
+
 def max_slack_eliminations(rows, n_vars):
     """``max_slack(rows, n_vars)`` and how many row updates took each branch
-    of its nested ``eliminate``: ``"unit"`` (pivot entry 1, only the pivot
-    row's nonzero columns updated) and ``"scaled"`` (the whole row
-    recomputed).  Counted by tracing the lines ``eliminate`` runs."""
-    source, first = inspect.getsourcelines(max_slack)
+    of the nested ``eliminate`` of its pivot loop, :func:`_optimum`:
+    ``"unit"`` (pivot entry 1, only the pivot row's nonzero columns updated)
+    and ``"scaled"`` (the whole row recomputed).  Counted by tracing the
+    lines ``eliminate`` runs."""
+    source, first = inspect.getsourcelines(_optimum)
     text = {first + k: line.strip() for k, line in enumerate(source)}
     ran = []
 
@@ -589,6 +617,13 @@ def test_both_elimination_branches_equal_the_reference(rows, n, branches):
     assert result == fraction_free_max_slack(rows, n)
 
 
+def check_slack(rows, tau, witness):
+    """:func:`_check_slack` on rationals, scaled to integers over their
+    least common denominator."""
+    den = math.lcm(tau.denominator, *(x.denominator for x in witness))
+    _check_slack(rows, int(tau * den), [int(x * den) for x in witness], den)
+
+
 def tight_rows(rows, tau, witness):
     """Rows whose slack at the witness is exactly the bound the check asks
     for (tau for strict rows, 0 for weak rows), with a nonzero coefficient."""
@@ -603,7 +638,7 @@ def assert_check_refuses_tight_rows_moved_off(rows, n):
     """The optimum passes the check; moving one coordinate of the witness by
     1/den against any tight row fails it.  Returns the number of rows moved."""
     tau, witness = max_slack(rows, n)
-    _check_slack(rows, tau, witness)
+    check_slack(rows, tau, witness)
     den = math.lcm(tau.denominator, *(x.denominator for x in witness))
     tight = tight_rows(rows, tau, witness)
     for coeffs, _, _ in tight:
@@ -611,7 +646,7 @@ def assert_check_refuses_tight_rows_moved_off(rows, n):
         moved = list(witness)
         moved[k] -= Fraction(1 if coeffs[k] > 0 else -1, den)
         with pytest.raises(ArithmeticError):
-            _check_slack(rows, tau, moved)
+            check_slack(rows, tau, moved)
     return len(tight)
 
 
@@ -622,7 +657,7 @@ def test_check_slack_refuses_a_witness_moved_off_by_one_over_den():
     assert assert_check_refuses_tight_rows_moved_off(rows, 2) == 2
     tau, witness = max_slack(rows, 2)
     with pytest.raises(ArithmeticError):
-        _check_slack(rows, tau + 1, witness)
+        check_slack(rows, tau + 1, witness)
     # a capped optimum below 1: x0 > x1 and x1 - x0 > -1 leave a gap of 1/2
     rows = [((1, -1), 0, True), ((-1, 1), -1, True)]
     tau, witness = max_slack(rows, 2)

@@ -248,7 +248,188 @@ def test_oracle_pass_solves_only_inside_the_enumeration(monkeypatch):
         calls.clear()
         oracle_pass(kind, 4, graph)
         assert calls == bare, kind
-        assert bare["_arcs_feasible"] > 0
+        assert bare["strict_feasible"] > 0
+        # the split probes read the shortest-path matrices, not Bellman-Ford
+        assert "_arcs_feasible" not in bare
+
+
+def test_the_enumeration_builds_fractions_only_for_finished_witnesses(monkeypatch):
+    """Witnesses stay integers over a denominator, from the simplex on, until
+    the finished regions: one ``Fraction`` per witness coordinate."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(geometry, "Fraction", counted)
+    monkeypatch.setattr(exactlp, "Fraction", counted)
+    for kind in KINDS:
+        graph = Graph.empty(4) if kind == "cox" else Graph(4, frozenset({(1, 3), (2, 4), (3, 4)}))
+        built.clear()
+        regions = enumerate_regions(build_arrangement(kind, 4, graph))
+        assert len(built) == 4 * len(regions), kind
+
+
+def recorded_probes(monkeypatch, arr):
+    """``(signs, key, refuted)`` for every split probe of one enumeration."""
+    probes = []
+    probe = geometry._refuted
+
+    def recording(signs, dist, pred, arcs, key):
+        refuted = probe(signs, dist, pred, arcs, key)
+        probes.append((dict(signs), key, refuted))
+        return refuted
+
+    monkeypatch.setattr(geometry, "_refuted", recording)
+    enumerate_regions(arr)
+    monkeypatch.undo()
+    return probes
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_split_probe_decides_as_the_difference_solver(monkeypatch, kind):
+    """Each probe read off a region's shortest-path matrix refutes a side
+    exactly when :func:`shi_ish.exactlp.difference_feasible` finds no point
+    in it, on the same rows, for every arrangement at n <= 4."""
+    refutations = 0
+    for graph in graphs_for(kind):
+        arr = build_arrangement(kind, graph.n, graph)
+        for signs, (idx, side), refuted in recorded_probes(monkeypatch, arr):
+            rows = [geometry._signed_row(arr.hyperplanes[k], sign) for k, sign in signs.items()]
+            rows.append(geometry._signed_row(arr.hyperplanes[idx], side))
+            assert refuted == (exactlp.difference_feasible(rows, graph.n) is None), (graph, signs, idx, side)
+            refutations += refuted
+    assert refutations > 0
+
+
+#: arcs u -> v of weight value * 4 + epsilon-count on three coordinates:
+#: x_1 - x_2 = 2 (0), x_1 - x_2 = 3 (1), x_0 - x_2 = 0 (2), x_0 - x_1 = 1 (3)
+WALK_ARCS = {
+    (0, 1): (1, 2, -9), (0, -1): (2, 1, 7),
+    (1, 1): (1, 2, -13), (1, -1): (2, 1, 11),
+    (2, 1): (0, 2, -1), (2, -1): (2, 0, -1),
+    (3, 1): (0, 1, -5), (3, -1): (1, 0, 3),
+}
+#: 2 < x_1 - x_2 < 3 and x_0 - x_1 > 1, so x_0 > x_2 + 3
+WALK_SIGNS = {0: 1, 1: -1, 3: 1}
+
+
+@pytest.mark.parametrize(
+    "last_arcs",
+    [
+        {2: (1, 1)},  # an arc the region does not have: x_1 - x_2 > 3
+        {2: (3, 1)},  # a region arc that ends elsewhere
+        {1: (1, -1)},  # region arcs that chain but never reach the source
+    ],
+    ids=["foreign", "unchained", "open"],
+)
+def test_the_refutation_walk_checks_every_arc(last_arcs):
+    """The side x_0 < x_2 is empty, and the recorded path 0 -> 1 -> 2 of
+    weight -14 closes a negative cycle with its arc; a path record that
+    names a foreign arc, breaks the chain or never closes raises."""
+    n = 3
+    dist = [[0 if x == y else None for y in range(n)] for x in range(n)]
+    pred = [[None] * n] * n
+    for key in WALK_SIGNS.items():
+        dist, pred = geometry._with_arc(dist, pred, WALK_ARCS, key)
+    assert (dist[0][2], pred[0][2], pred[0][1]) == (-14, (0, 1), (3, 1))
+    assert geometry._refuted(WALK_SIGNS, dist, pred, WALK_ARCS, (2, -1))
+    assert not geometry._refuted(WALK_SIGNS, dist, pred, WALK_ARCS, (2, 1))
+    pred = [list(row) for row in pred]
+    for y, last in last_arcs.items():
+        pred[0][y] = last
+    with pytest.raises(ArithmeticError):
+        geometry._refuted(WALK_SIGNS, dist, pred, WALK_ARCS, (2, -1))
+
+
+def tampered_enumeration(monkeypatch, arr, call, tamper):
+    """``enumerate_regions(arr)`` with ``tamper(dist, pred, arcs)`` applied
+    to the matrices of the ``call``-th arc insertion, or the exception it
+    raised."""
+    insert = geometry._with_arc
+    count = itertools.count()
+
+    def tampering(dist, pred, arcs, key):
+        dist, pred = insert(dist, pred, arcs, key)
+        if next(count) == call:
+            dist, pred = [list(row) for row in dist], [list(row) for row in pred]
+            tamper(dist, pred, arcs)
+        return dist, pred
+
+    monkeypatch.setattr(geometry, "_with_arc", tampering)
+    try:
+        return enumerate_regions(arr)
+    except (ArithmeticError, AssertionError) as error:
+        return error
+    finally:
+        monkeypatch.undo()
+
+
+def lower_distance(dist, pred, arcs):
+    """Claim a path far shorter than any, on every finite entry."""
+    for row in dist:
+        for y, d in enumerate(row):
+            if d:
+                row[y] = d - 10**6
+
+
+def drop_distance(dist, pred, arcs):
+    """Claim that no path exists where one does."""
+    for row in dist:
+        for y, d in enumerate(row):
+            if d:
+                row[y] = None
+
+
+def flip_predecessor(dist, pred, arcs):
+    """Name the opposite side of each recorded last arc."""
+    for row in pred:
+        for y, last in enumerate(row):
+            if last is not None:
+                row[y] = (last[0], -last[1])
+
+
+def lightest_predecessor(dist, pred, arcs, ends_at_target):
+    """Name the lightest arc of the whole arrangement as the last arc of
+    every path, among the arcs that end at the path's target or among those
+    that do not, and claim the path is far shorter."""
+    for row, lasts in zip(dist, pred):
+        for y, last in enumerate(lasts):
+            if last is not None:
+                keys = [key for key, (_, t, _) in arcs.items() if (t == y) == ends_at_target]
+                lasts[y] = min(keys, key=lambda key: arcs[key][2])
+                row[y] -= 10**6
+
+
+def foreign_predecessor(dist, pred, arcs):
+    lightest_predecessor(dist, pred, arcs, True)
+
+
+def unchained_predecessor(dist, pred, arcs):
+    lightest_predecessor(dist, pred, arcs, False)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [lower_distance, drop_distance, flip_predecessor, foreign_predecessor, unchained_predecessor],
+    ids=lambda tamper: tamper.__name__,
+)
+def test_a_tampered_matrix_raises_and_never_drops_or_keeps_a_side(monkeypatch, tamper):
+    """Corrupting the matrices of one arc insertion either raises or leaves
+    the enumeration exactly as it was; on these arrangements it raises at
+    least once."""
+    raised = 0
+    for kind, graph in [("shi", Graph.complete(3)), ("ish", Graph.complete(3)), ("shi", Graph.path(4))]:
+        arr = build_arrangement(kind, graph.n, graph)
+        reference = enumerate_regions(arr)
+        for call in range(0, 60, 3):
+            result = tampered_enumeration(monkeypatch, arr, call, tamper)
+            if isinstance(result, Exception):
+                raised += 1
+            else:
+                assert result == reference, (kind, graph, call)
+    assert raised > 0
 
 
 def test_coxeter_regions_are_full_dimensional_cones():

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from shi_ish import rookwords
+from shi_ish import parking, rookwords
 from shi_ish.core import orbit
 from shi_ish.parking import is_parking_function, is_prime_parking_function
 from shi_ish.rookwords import is_prime_rook_word, is_rook_word, orbit_certificate
@@ -130,6 +130,35 @@ def test_a_wrong_member_fails_the_substitution_check(counter, monkeypatch):
     monkeypatch.setattr(rookwords, counter, lambda *args: [(real(*args)[0] + 1) % 6])
     with pytest.raises(AssertionError, match="names a wrong member"):
         orbit_certificate(word)
+
+
+def test_a_wrong_prime_member_fails_the_substitution_check(monkeypatch):
+    word = (1, 2, 2)  # its prime parking function is its shift by 1, (2, 1, 1)
+    monkeypatch.setattr(rookwords, "_parking_shifts", lambda counts, bar: [0])
+    with pytest.raises(AssertionError, match="names a wrong member"):
+        orbit_certificate(word, prime=True)
+
+
+def test_the_certificate_calls_no_public_predicate(monkeypatch):
+    """The members are shifts of a word ``check_word`` has validated, so
+    they are checked through the float-free cores, not the predicates."""
+    calls = []
+    for module in (rookwords, parking):
+        for name in ("is_parking_function", "is_prime_parking_function", "is_rook_word", "is_prime_rook_word"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda word, name=name: calls.append(name))
+    certified = 0
+    for n in range(1, 6):
+        for prime in (False, True):
+            m = max(1, n - 1) if prime else n + 1
+            for word in itertools.product(range(1, m + 1), repeat=n):
+                try:
+                    orbit_certificate(word, prime=prime)
+                except ValueError:
+                    continue
+                certified += 1
+    assert certified > 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("word", [(), (0, 1), (1, 5, 1), (1, 2.0)])

@@ -23,7 +23,7 @@ import shi_ish.parking as parking
 from shi_ish.core import Graph, all_graphs, check_word
 from shi_ish.ish import ish_diagram_to_rook_word, ish_diagrams, ish_statistics, rook_word_to_ish_diagram
 from shi_ish.parking import is_parking_function, is_prime_parking_function, parking_functions
-from shi_ish.rookwords import is_rook_word
+from shi_ish.rookwords import is_prime_rook_word, is_rook_word, prime_rook_word_to_parking
 from shi_ish.shi import parking_to_shi_diagram
 
 from codec_routes import REFERENCES, codec_views
@@ -108,7 +108,9 @@ def test_word_maps_refuse_a_letter_that_is_no_integer(name, direction, word):
     assert re.fullmatch(rf"letter {re.escape(repr(bad))} outside alphabet \[1, \d+\]", str(refused.value))
 
 
-@pytest.mark.parametrize("predicate", [is_parking_function, is_prime_parking_function, is_rook_word])
+@pytest.mark.parametrize(
+    "predicate", [is_parking_function, is_prime_parking_function, is_rook_word, is_prime_rook_word]
+)
 @pytest.mark.parametrize(
     "word", [(1, 1.0), (1.5, 1), (1, 2.0, 2), (2, 1, 3.0), (1, "a"), (None,), (0, 1.0)], ids=repr
 )
@@ -121,6 +123,16 @@ def test_word_predicates_refuse_a_letter_that_is_no_integer(predicate, word):
     with pytest.raises(ValueError) as refused:
         predicate(word)
     assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("word", [(1, 1.0, 2), (1, 2.0, 2), (1, "a", 2)], ids=repr)
+def test_prime_rook_word_refuses_a_letter_that_is_no_integer(word):
+    """A float equal to a letter is no prime rook letter, and a string
+    raises ``check_word``'s ValueError rather than a TypeError, from the
+    predicate and from the map it guards."""
+    for refuse in (is_prime_rook_word, prime_rook_word_to_parking):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            refuse(word)
 
 
 def test_theorem_sweeps_never_touch_a_shi_diagram(capsys, monkeypatch):
@@ -167,22 +179,27 @@ def test_dominance_inverse_refuses_non_parking_words(word):
 
 
 def test_dominance_round_trip_tests_each_parking_word_once(monkeypatch):
-    """One ``is_parking_function`` call in the forward certificate, one in
-    the inverse's certificate of its input."""
-    original = parking.is_parking_function
-    calls = 0
+    """One parking test in the forward certificate, one in the inverse's
+    certificate of its input, both through the float-free core
+    ``_is_parking``: no ``is_parking_function`` call."""
+    calls = {}
 
-    def counted(word):
-        nonlocal calls
-        calls += 1
-        return original(word)
+    def counting(name):
+        original = getattr(parking, name)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("shi_ish") and getattr(module, "is_parking_function", None) is original:
-            monkeypatch.setattr(module, "is_parking_function", counted)
+        def counted(word):
+            calls[name] = calls.get(name, 0) + 1
+            return original(word)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("shi_ish") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    counting("is_parking_function")
+    counting("_is_parking")
     sample = list(itertools.islice(ish_diagrams(6), 0, None, 41))
     assert len(sample) > 400
     forward, inverse = codec_views("dominance")
     for diagram in sample:
         assert inverse(forward(diagram)) == diagram
-    assert calls == 2 * len(sample)
+    assert calls == {"_is_parking": 2 * len(sample)}
