@@ -193,7 +193,7 @@ def _arrangement_graph(args: argparse.Namespace) -> Graph:
 def _check_size(name: str, n: int, limit: int, large_limit: int, allow_large: bool) -> None:
     cap = large_limit if allow_large else limit
     if n > cap:
-        hint = "" if allow_large else " (pass --allow-large to raise the limit)"
+        hint = " (pass --allow-large to raise the limit)" if cap < large_limit else ""
         raise SkippedError(f"{name} is limited to n <= {cap}, got n = {n}{hint}")
 
 
@@ -725,13 +725,15 @@ def _relatively_bounded_counts(n: int, dominant_only: bool) -> list[int]:
 
 
 def _suite_negative_controls(args: argparse.Namespace) -> tuple[bool, dict]:
-    """Fixed counterexamples at n = 3, 4 and 8, whatever ``--n`` says (it is
-    only echoed in ``config``); there is no size limit to raise."""
+    """Fixed counterexamples at n = 3, 4 and 8.  ``--n`` is only echoed in
+    ``config``, but it is held to the other suites' limit n <= 5, which
+    there is no --allow-large to raise."""
     if args.allow_large:
         raise UsageError(
             "negative-controls checks fixed sizes (n = 3, 4 and one diagram at n = 8) "
-            "and has no size limit: it takes no --allow-large"
+            "and no larger size limit: it takes no --allow-large"
         )
+    _check_size("negative-controls", args.n, 5, 5, False)
     checks = []
 
     diagram = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
@@ -851,7 +853,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    _check_size("oracle", args.n, 4, 5, args.allow_large)
+    _check_size("oracle", args.n, 5, 6, args.allow_large)
     graph = _arrangement_graph(args)
     kind = args.arrangement
     _progress(f"enumerating {kind} arrangement geometrically (n={args.n})")
@@ -886,7 +888,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             )
         _emit_tsv(rows)
     else:
-        _emit_json(doc)
+        # regions share their orders and ceiling partitions, so the text of
+        # each distinct one is kept for this report
+        _emit_json(doc, texts={})
     return EXIT_OK if validation["ok"] else EXIT_FAIL
 
 

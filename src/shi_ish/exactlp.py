@@ -11,14 +11,17 @@ turns it into minimizing s subject to a_i.x + s >= b_i + 1, which a primal
 simplex solves without a separate feasibility phase (pivoting s into the
 most violated row makes the starting basis feasible).  Bland's rule
 guarantees termination and picks the same bases in any exact arithmetic.
-The tableau is exact and integer: each row is kept up to its own positive
-scale, reduced by its gcd, so a row whose entry in the entering column is 0
-is left as it is and no division is needed.  With a pivot entry of 1 (most
-pivots here) a row changes only at the pivot row's nonzero columns, and
-only those are updated.  With x = u - v, the column of v_k is minus the
-column of u_k in every tableau, so only s, u and the row slacks are stored
-and v_k is read off u_k.  The optimizer is read off in integers over one
-denominator and checked by substitution before it is returned.
+The simplex runs in dictionary form (Chvatal, Linear Programming, 1983,
+ch. 2): a row holds only its nonbasic columns, its right-hand side and its
+basic entry, because a basic column is zero outside its own row.  With
+x = u - v the column of v_k is minus the column of u_k, so only s, u and
+the row slacks are stored, v_k is read off u_k, and n + 1 of them are
+nonbasic.  Each row is exact and integer, kept up to its own positive scale
+and reduced by its gcd, so a row whose entry in the entering column is 0 is
+left as it is and no division is needed; with a pivot entry of 1 (most
+pivots here) only the pivot row's nonzero entries are updated.  The
+optimizer is read off in integers over one denominator and checked by
+substitution before it is returned.
 
 Rows are triples ``(coeffs, rhs, strict)``.  Strict rows participate in the
 slack objective; weak rows (``strict=False``) only require a.x >= rhs and
@@ -41,6 +44,7 @@ witness of each new region and in the brute-force reference
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -57,7 +61,7 @@ def _check_slack(rows: Sequence[Row], tau: int, witness: Sequence[int], den: int
     its check runs in integers.
     """
     for coeffs, rhs, strict in rows:
-        slack = sum(a * x for a, x in zip(coeffs, witness)) - rhs * den
+        slack = sum(map(operator.mul, coeffs, witness)) - rhs * den
         if slack < (tau if strict else 0):
             raise ArithmeticError("simplex witness violates a row")
 
@@ -84,7 +88,12 @@ def max_slack(
 
 def _optimum(rows: Sequence[Row], n_vars: int) -> tuple[int, tuple[int, ...], int]:
     """The optimum of :func:`max_slack` as integers over one denominator,
-    checked: ``(T, X, den)`` for tau = T / den and the witness X / den."""
+    checked: ``(T, X, den)`` for tau = T / den and the witness X / den.
+
+    The dictionary drops only columns that are zero in every row but one,
+    and zeros change no product, sum or gcd there, so every entry is the
+    entry of the full tableau with s | u | w columns: the same reduced
+    costs, the same ratios, the same Bland pivots and the same optimum."""
     for coeffs, rhs, strict in rows:
         if len(coeffs) != n_vars:
             raise ValueError("row length does not match the variable count")
@@ -102,100 +111,87 @@ def _optimum(rows: Sequence[Row], n_vars: int) -> tuple[int, tuple[int, ...], in
     # The program's columns are s | u_1..u_n | v_1..v_n | w_1..w_m with
     # x = u - v, numbered 0, 1.., 1+n.., 1+2n.. in that order; Bland's rule
     # and the ratio test's tie-break use those numbers.  The column of v_k
-    # is minus the column of u_k in every tableau, so only s | u | w are
-    # stored (w_i at 1 + n + i) and v_k is read off u_k.  Each row is kept
-    # up to its own positive scale, reduced by its gcd: the value of the
-    # basic variable of a row is its right-hand side over its basic entry.
-    w0 = 1 + n_vars
-    rhs_col = w0 + m
-    # tableau rows in <=-with-slack form:  -sigma*s - a.u (+ a.v) + w_i = -beta_i
+    # is minus the column of u_k, so at most one of them is basic and n + 1
+    # of the stored columns s | u | w are nonbasic: a row holds those n + 1
+    # slots, its right-hand side and its basic entry (the objective's is 0),
+    # in <=-with-slack form  -sigma*s - a.u (+ a.v) + w_i = -beta_i.  Each
+    # row is kept up to its own positive scale, reduced by its gcd: the value
+    # of the basic variable of a row is its right-hand side over its basic
+    # entry.  Pivoting s into the most violated row by hand leaves w_start in
+    # slot 0 and every right-hand side nonnegative.
+    w0 = 1 + 2 * n_vars
+    rhs_at = n_vars + 1
+    first = rows[start][0]
     table: list[list[int]] = []
     for i, (coeffs, _, strict) in enumerate(rows):
-        row = [0] * (rhs_col + 1)
-        row[0] = -1 if strict else 0
-        for k, a in enumerate(coeffs):
-            row[1 + k] = -a
-        row[w0 + i] = 1
-        row[rhs_col] = -bounds[i]
-        table.append(row)
-    basis = [1 + 2 * n_vars + i for i in range(m)]
-
-    # replace the most violated row by its >=-orientation and pivot s in by
-    # hand; afterwards every right-hand side is nonnegative
-    pivot_row = [-x for x in table[start]]
-    table[start] = pivot_row
-    for i in strict_idx:
-        if i != start:
-            table[i] = [x + y for x, y in zip(table[i], pivot_row)]
-    obj = [-x for x in pivot_row]
-    obj[0] += 1
+        if i == start:
+            table.append([-1, *coeffs, bounds[start], 1])
+        elif strict:
+            table.append([-1, *map(operator.sub, first, coeffs), bounds[start] - bounds[i], 1])
+        else:
+            table.append([0, *(-a for a in coeffs), -bounds[i], 1])
+    table.append([1, *(-a for a in first), -bounds[start], 0])
+    # the program column of each slot; a u_k slot stands for v_k too
+    slots = [w0 + start, *range(1, 1 + n_vars)]
+    basis = [w0 + i for i in range(m)]
     basis[start] = 0
 
-    def column(j: int) -> tuple[int, int]:
-        """Stored column and sign of program column ``j``."""
-        if j <= n_vars:
-            return j, 1
-        if j <= 2 * n_vars:
-            return j - n_vars, -1
-        return j - n_vars, 1
-
     while True:
+        obj = table[m]
         # Bland's rule: the lowest program column with a negative reduced
         # cost; v_k's reduced cost is minus u_k's
-        if obj[0] < 0:
-            enter = 0
-        else:
-            enter = next((j for j in range(1, w0) if obj[j] < 0), None)
-            if enter is None:
-                enter = next((n_vars + j for j in range(1, w0) if obj[j] > 0), None)
-            if enter is None:
-                enter = next((n_vars + j for j in range(w0, rhs_col) if obj[j] < 0), None)
-            if enter is None:
-                break
-        col, sign = column(enter)
+        enter = None
+        for q, j in enumerate(slots):
+            if obj[q] > 0 and 0 < j <= n_vars:
+                j += n_vars
+            elif obj[q] >= 0:
+                continue
+            if enter is None or j < enter:
+                enter, slot = j, q
+        if enter is None:
+            break
+        sign = -1 if n_vars < enter < w0 else 1
         # ratio test; a row's scale cancels from its ratio
         leave = None
         leave_entry = 0
         for i in range(m):
-            entry = sign * table[i][col]
+            entry = sign * table[i][slot]
             if entry <= 0:
                 continue
             if leave is not None:
-                lhs = table[i][rhs_col] * leave_entry
-                rhs = table[leave][rhs_col] * entry
+                lhs = table[i][rhs_at] * leave_entry
+                rhs = table[leave][rhs_at] * entry
                 if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
                     continue
             leave, leave_entry = i, entry
         if leave is None:
             raise AssertionError("capped slack program cannot be unbounded")
+        # the leaving variable takes the entering slot: its column is its
+        # row's basic entry (negated for v_k) there and 0 in every other row
         pivot = table[leave]
-        pivot_entry = sign * pivot[col]
+        out = basis[leave]
+        pivot[slot] = -pivot[-1] if n_vars < out < w0 else pivot[-1]
+        pivot[-1] = 0
+        slots[slot] = out - n_vars if n_vars < out < w0 else out
         # with a unit pivot a row changes only where the pivot row is nonzero
-        nonzero = [j for j, y in enumerate(pivot) if y] if pivot_entry == 1 else None
-
-        def eliminate(row: list[int], factor: int) -> list[int]:
+        nonzero = [j for j, y in enumerate(pivot) if y] if leave_entry == 1 else None
+        for i, row in enumerate(table):
+            factor = sign * row[slot]
+            if i == leave or not factor:
+                continue
+            row[slot] = 0
             if nonzero is None:
-                row = [pivot_entry * x - factor * y for x, y in zip(row, pivot)]
+                row = [leave_entry * x - factor * y for x, y in zip(row, pivot)]
             else:
                 for j in nonzero:
                     row[j] -= factor * pivot[j]
             g = math.gcd(*row)
-            return [x // g for x in row] if g > 1 else row
-
-        for i in range(m):
-            factor = sign * table[i][col]
-            if i != leave and factor:
-                table[i] = eliminate(table[i], factor)
-        obj = eliminate(obj, sign * obj[col])
+            table[i] = [x // g for x in row] if g > 1 else row
+        pivot[-1] = leave_entry
         basis[leave] = enter
 
-    # the value of the basic variable of row i is its right-hand side over
-    # its basic entry; only s, u and v (columns up to 2 * n_vars) are read
-    basic = {}
-    for i, j in enumerate(basis):
-        if j <= 2 * n_vars:
-            col, sign = column(j)
-            basic[j] = (table[i][rhs_col], sign * table[i][col])
+    # only s, u and v (columns up to 2 * n_vars) are read
+    basic = {j: (table[i][rhs_at], table[i][-1]) for i, j in enumerate(basis) if j < w0}
     den = math.lcm(*(entry for _, entry in basic.values()))
     values = {j: rhs * (den // entry) for j, (rhs, entry) in basic.items()}
     # at most one of u_k and v_k is basic: their columns are opposite

@@ -192,8 +192,9 @@ def _nudged_witness(
 #: these integers compare as the (value, eps) sums do
 _Arcs = dict[tuple[int, int], tuple[int, int, int]]
 #: a region under construction: its signs so far, its witness X / den, and
-#: the shortest-path matrix of its arcs with each entry's last arc
-_Partial = tuple[dict[int, int], tuple[int, ...], int, list, list]
+#: the shortest-path matrix of its arcs with each entry's last arc (None
+#: once every hyperplane is in)
+_Partial = tuple[dict[int, int], tuple[int, ...], int, Optional[list], Optional[list]]
 
 
 def _with_arc(dist: list, pred: list, arcs: _Arcs, key: tuple[int, int]) -> tuple[list, list]:
@@ -255,10 +256,11 @@ def enumerate_regions(
     probes the opposite side on the shortest-path matrix of its arcs
     (:func:`_refuted`).  A refuted side implies the other, so the region
     keeps its matrix; otherwise it splits, each child gets its arc in
-    O(n^2) (:func:`_with_arc`) and the side across gets its witness from
-    the simplex.  A witness on the new hyperplane is nudged off it to both
-    sides instead.  Witnesses are carried as integers over a denominator
-    and become ``Fraction``s at the end.  ``insertion_order`` permutes the
+    O(n^2) (:func:`_with_arc`; not after the last hyperplane, when no probe
+    is left) and the side across gets its witness from the simplex.  A
+    witness on the new hyperplane is nudged off it to both sides instead.
+    Witnesses are carried as integers over a denominator and become
+    ``Fraction``s at the end.  ``insertion_order`` permutes the
     insertion sequence (the resulting region set must not depend on it).
 
     >>> len(enumerate_regions(build_arrangement("shi", 3)))
@@ -288,8 +290,10 @@ def enumerate_regions(
     dist = [[0 if x == y else None for y in range(n)] for x in range(n)]
     partial: list[_Partial] = [({}, (0,) * n, 1, dist, [[None] * n] * n)]
 
-    for idx in order:
+    for step, idx in enumerate(order, 1):
         a, b, c = pairs[idx]
+        # no probe reads the matrices of the last insertion's children
+        grow = _with_arc if step < m else lambda *_: (None, None)
         grown: list[_Partial] = []
         for signs, witness, den, dist, pred in partial:
             value = witness[a] - witness[b] - c * den
@@ -298,17 +302,17 @@ def enumerate_regions(
                 # two and a short walk along the normal lands in either half
                 for side in (1, -1):
                     moved = _nudged_witness(pairs, signs, witness, den, idx, side)
-                    grown.append(({**signs, idx: side}, *moved, *_with_arc(dist, pred, arcs, (idx, side))))
+                    grown.append(({**signs, idx: side}, *moved, *grow(dist, pred, arcs, (idx, side))))
                 continue
             known = 1 if value > 0 else -1
             if _refuted(signs, dist, pred, arcs, (idx, -known)):
                 grown.append(({**signs, idx: known}, witness, den, dist, pred))
                 continue
-            grown.append(({**signs, idx: known}, witness, den, *_with_arc(dist, pred, arcs, (idx, known))))
+            grown.append(({**signs, idx: known}, witness, den, *grow(dist, pred, arcs, (idx, known))))
             probe = strict_feasible([rows[k, sign] for k, sign in signs.items()] + [rows[idx, -known]], n)
             if probe is None:
                 raise AssertionError("simplex refutes a side the shortest paths found")
-            grown.append(({**signs, idx: -known}, *probe, *_with_arc(dist, pred, arcs, (idx, -known))))
+            grown.append(({**signs, idx: -known}, *probe, *grow(dist, pred, arcs, (idx, -known))))
         partial = grown
     return tuple(
         GeomRegion(tuple(signs[k] for k in range(m)), tuple(Fraction(x, den) for x in witness))

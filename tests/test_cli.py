@@ -404,9 +404,17 @@ def test_oracle_tsv(capsys):
 
 
 def test_oracle_size_limit_without_allow_large(capsys):
-    code, _, err = run(capsys, "oracle", "--n", "5", "--arrangement", "shi")
+    code, _, err = run(capsys, "oracle", "--n", "6", "--arrangement", "shi")
     assert code == 3
     assert "allow-large" in err
+
+
+def test_oracle_runs_n5_by_default_and_refuses_n7(capsys):
+    code, doc, _ = run_json(capsys, "oracle", "--n", "5", "--graph", "path", "--arrangement", "ish")
+    assert code == 0 and doc["ok"] is True
+    code, _, err = run(capsys, "oracle", "--n", "7", "--allow-large")
+    assert code == 3
+    assert "oracle is limited to n <= 6, got n = 7" in err
 
 
 # ---------------------------------------------------------------------------

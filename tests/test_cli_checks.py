@@ -761,3 +761,14 @@ def test_negative_controls_echoes_n_and_checks_the_same_sizes(capsys):
         assert doc["config"]["n"] == int(n)
         reports[n] = doc["report"]
     assert reports["3"] == reports["5"]
+
+
+@pytest.mark.parametrize("n", ["6", "500"])
+def test_negative_controls_holds_n_to_the_suites_limit(n, capsys):
+    """Above n = 5 the suite refuses with exit code 3, and names no
+    --allow-large, which it refuses too."""
+    code, out, err = run(capsys, "verify", "--n", n, "--suite", "negative-controls")
+    assert code == 3
+    assert out == ""
+    assert f"negative-controls is limited to n <= 5, got n = {n}" in err
+    assert "--allow-large" not in err

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shi_ish import cli
 from shi_ish.cli import _indented_json, _json_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -134,3 +135,21 @@ def test_a_closed_pipe_ends_without_a_traceback():
     assert child.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert err.splitlines()[-1] == "error: stdout was closed before the report was written"
+
+
+@pytest.mark.parametrize("kind", ["shi", "ish"])
+def test_the_oracle_report_keeps_texts_and_prints_as_json_dumps(kind, monkeypatch, capsys):
+    """``oracle --format json`` hands its report a texts memo, and prints
+    exactly ``json.dumps(doc, indent=2)``."""
+    emitted = []
+    emit = cli._emit_json
+
+    def recording(doc, texts=None):
+        emitted.append((doc, texts))
+        emit(doc, texts)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    assert cli.main(["oracle", "--n", "4", "--arrangement", kind, "--format", "json"]) == 0
+    [(doc, texts)] = emitted
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+    assert texts, "no texts were kept"

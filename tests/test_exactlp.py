@@ -571,11 +571,11 @@ def test_strict_feasible_is_the_max_slack_witness_in_integers(system):
 
 
 def max_slack_eliminations(rows, n_vars):
-    """``max_slack(rows, n_vars)`` and how many row updates took each branch
-    of the nested ``eliminate`` of its pivot loop, :func:`_optimum`:
-    ``"unit"`` (pivot entry 1, only the pivot row's nonzero columns updated)
-    and ``"scaled"`` (the whole row recomputed).  Counted by tracing the
-    lines ``eliminate`` runs."""
+    """``max_slack(rows, n_vars)`` and how many row updates of the pivot loop
+    of :func:`_optimum` took each branch: ``"unit"`` (pivot entry 1, only
+    the pivot row's nonzero entries updated) and ``"scaled"`` (the whole row
+    recomputed).  Counted by tracing the lines ``_optimum`` runs: every
+    update first clears the row's entering slot."""
     source, first = inspect.getsourcelines(_optimum)
     text = {first + k: line.strip() for k, line in enumerate(source)}
     ran = []
@@ -586,7 +586,7 @@ def max_slack_eliminations(rows, n_vars):
         return line_tracer
 
     def call_tracer(frame, event, arg):
-        return line_tracer if frame.f_code.co_name == "eliminate" else None
+        return line_tracer if frame.f_code is _optimum.__code__ else None
 
     previous = sys.gettrace()
     sys.settrace(call_tracer)
@@ -594,8 +594,8 @@ def max_slack_eliminations(rows, n_vars):
         result = max_slack(rows, n_vars)
     finally:
         sys.settrace(previous)
-    updates = ran.count("if nonzero is None:")
-    scaled = sum(line.startswith("row = [pivot_entry * x") for line in ran)
+    updates = ran.count("row[slot] = 0")
+    scaled = sum(line.startswith("row = [leave_entry * x") for line in ran)
     return result, {"unit": updates - scaled, "scaled": scaled}
 
 

@@ -1,5 +1,6 @@
 """Geometric region enumeration and the combinatorial cross-check."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -430,6 +431,40 @@ def test_a_tampered_matrix_raises_and_never_drops_or_keeps_a_side(monkeypatch, t
             else:
                 assert result == reference, (kind, graph, call)
     assert raised > 0
+
+
+@pytest.mark.parametrize(
+    "kind, graph, order",
+    [
+        ("shi", Graph.complete(4), None),
+        ("ish", Graph.complete(4), None),
+        ("ish", Graph(5, frozenset({(1, 3), (2, 5)})), None),
+        ("shi", Graph.complete(3), (5, 2, 0, 4, 1, 3)),
+    ],
+)
+def test_only_the_insertions_before_the_last_build_matrices(monkeypatch, kind, graph, order):
+    """No probe follows the last hyperplane, so no child of its insertion
+    gets a matrix.  Each earlier split gives two children, each with its
+    arc: 2 * (r - 1) calls of ``_with_arc``, where r counts the regions of
+    the arrangement without the last hyperplane.  The regions are the sign
+    sweep's, each with a witness that checks."""
+    arr = build_arrangement(kind, graph.n, graph)
+    last = len(arr.hyperplanes) - 1 if order is None else order[-1]
+    insert = geometry._with_arc
+    keys = []
+
+    def counted(dist, pred, arcs, key):
+        keys.append(key)
+        return insert(dist, pred, arcs, key)
+
+    monkeypatch.setattr(geometry, "_with_arc", counted)
+    regions = enumerate_regions(arr, order)
+    monkeypatch.undo()
+    earlier = dataclasses.replace(arr, hyperplanes=arr.hyperplanes[:last] + arr.hyperplanes[last + 1 :])
+    assert len(keys) == 2 * (len(enumerate_regions(earlier)) - 1)
+    assert all(idx != last for idx, _ in keys)
+    assert sorted(r.signs for r in regions) == sorted(r.signs for r in enumerate_regions_sweep(arr))
+    assert all(check_region(arr, r) for r in regions)
 
 
 def test_coxeter_regions_are_full_dimensional_cones():
