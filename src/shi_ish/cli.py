@@ -46,6 +46,7 @@ from .core import (
     Graph,
     SetPartition,
     Word,
+    _region_scan,
     all_graphs,
     arcs,
     partition_str,
@@ -57,6 +58,7 @@ from .ish import (
     IshCeilingDiagram,
     _decode_rook_word,
     _encode_rook_word,
+    _rook_word_statistics,
     ceiling_partition_count,
     ish_char_poly,
     ish_region_count,
@@ -67,12 +69,12 @@ from .ish import (
     rook_number,
 )
 from .parking import (
-    is_parking_function,
+    _is_parking,
     parking_functions,
     prime_parking_functions,
 )
 from .rookwords import (
-    is_rook_word,
+    _rook_dof,
     orbit_certificate,
     prime_rook_words,
     rook_words,
@@ -80,8 +82,9 @@ from .rookwords import (
 )
 from .shi import (
     ShiCeilingDiagram,
+    _shi_diagram,
+    _word_statistics,
     parking_dof,
-    parking_to_shi_diagram,
     region_word_statistics,
     shi_diagram_to_parking,
     shi_statistics,
@@ -203,8 +206,8 @@ def _check_size(name: str, n: int, limit: int, large_limit: int, allow_large: bo
 
 def _region_record(kind: str, region, stats) -> dict:
     """The record of one region: its diagram (built here from a Shi region's
-    parking word; an Ish region comes decoded, and a Cox region is its
-    coordinate order) followed by its statistics.
+    checked parking word; an Ish region comes decoded, and a Cox region is
+    its coordinate order) followed by its statistics.
 
     The record holds the region's own tuples, not list copies: ``pi``,
     ``partition`` or ``eps``, and ``ceiling_partition``.  The emitter prints
@@ -213,7 +216,7 @@ def _region_record(kind: str, region, stats) -> dict:
     if kind == "cox":
         record = {"pi": region}
     elif kind == "shi":
-        diagram = parking_to_shi_diagram(region)
+        diagram = _shi_diagram(region, stats.ceiling_partition)
         record = {"pi": diagram.pi, "partition": diagram.partition}
     else:
         record = {"pi": region.pi, "eps": region.eps}
@@ -474,20 +477,20 @@ def _region_facts(name: str, word: Word, complete: Graph) -> tuple:
     """The part of the check under ``_THEOREMS[name]`` of the region with
     rook word ``word`` that is the same in every graph holding the region:
     ``()`` outside the theorem's domain, else ``(region, image, partition,
-    detail, agrees)``.  ``region`` is the region's ceiling partition (its
-    statistics' one, or the word's position partition when the theorem
-    reads none), ``image`` the parking word of the Shi image and
+    detail, agrees)``.  ``region`` is the region's ceiling partition, or
+    None when the theorem reads no statistics (``basic``, whose suite runs
+    on K_n alone), ``image`` the parking word of the Shi image and
     ``partition`` its ceiling partition, read against ``complete`` (K_n), or
     None when the image labels no region of Shi(K_n); ``detail`` is the
     first failure that no graph changes, and ``agrees`` is None unless a
     compared map was run."""
     theorem = _THEOREMS[name]
-    stats = region_rook_word_statistics(word, complete) if theorem.checks else None
+    stats = _rook_word_statistics(word, complete.edges) if theorem.checks else None
     if theorem.domain == "bounded" and not stats.relatively_bounded:
         return ()
-    region = position_partition(word) if stats is None else stats.ceiling_partition
+    region = None if stats is None else stats.ceiling_partition
     image = _PARKING_MAPS[name](word)
-    image_stats = region_word_statistics(image, complete)
+    image_stats = _word_statistics(image, complete.edges) if len(image) == complete.n else None
     if image_stats is None:
         return region, image, None, "image invalid for G: {}", None
     broken = [s for s in theorem.checks if getattr(image_stats, s) != getattr(stats, s)]
@@ -518,8 +521,9 @@ def _theorem_check(name: str, n: int) -> Callable[[Graph], tuple[Optional[str], 
     regions whose ceiling partition has all its arcs among its edges (the
     regions of Ish(G), in the order of ``rook_words(n, G)``) and calls an
     image invalid when its partition does not, testing each partition once;
-    the images must be its parking words.  A diagram is built only to name
-    a failing region.
+    the images must be its parking words (K_n keeps every region, and a
+    region without a partition is tested on its word).  A diagram is built
+    only to name a failing region.
     """
     theorem = _THEOREMS[name]
     complete = Graph.complete(n)
@@ -530,8 +534,9 @@ def _theorem_check(name: str, n: int) -> Callable[[Graph], tuple[Optional[str], 
         fact = _region_facts(name, word, complete)
         if fact:
             region, image, partition, detail, agrees = fact
-            region, partition = places.setdefault(region, len(places)), places.setdefault(partition, len(places))
-            regions.append((word, region, image, partition, detail, agrees))
+            if region is not None:
+                region = places.setdefault(region, len(places))
+            regions.append((word, region, image, places.setdefault(partition, len(places)), detail, agrees))
 
     def check(graph: Graph) -> tuple[Optional[str], int, Counter]:
         targets = set(parking_functions(n, graph))
@@ -540,8 +545,10 @@ def _theorem_check(name: str, n: int) -> Callable[[Graph], tuple[Optional[str], 
         seen = set()
         counts: Counter = Counter()
         admits = [p is not None and graph.edges.issuperset(arcs(p)) for p in places]  # G has all its arcs
+        every = graph.edges == complete.edges
         for word, region, image, partition, detail, agrees in regions:
-            if not admits[region]:
+            kept = admits[region] if region is not None else every or _region_scan(word, graph.edges)
+            if not kept:
                 continue
             if not admits[partition]:
                 detail = "image invalid for G: {}"
@@ -612,8 +619,8 @@ def _suite_cycle_lemma(args: argparse.Namespace) -> tuple[bool, dict]:
         failure = None
         for word in itertools.product(range(1, alphabet + 1), repeat=n):
             words += 1
-            if not prime:
-                park, rk = is_parking_function(word), is_rook_word(word)
+            if not prime:  # the package's own words: the float-free cores
+                park, rk = _is_parking(word), _rook_dof(word) is not None
                 parking += park
                 rook += rk
                 both += park and rk

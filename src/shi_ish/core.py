@@ -50,6 +50,18 @@ def check_word(letters: Sequence[int], alphabet: int) -> Word:
     return word
 
 
+def _check_int_letters(word: Sequence[int]) -> None:
+    """The ValueError of :func:`check_word` naming a letter that is not an
+    int, if there is one: a float letter makes the sum a float, and a
+    string or None makes the sum raise."""
+    try:
+        if type(sum(word)) is int:
+            return
+    except TypeError:
+        pass
+    check_word(word, len(word))  # names the letter
+
+
 def position_partition(word: Sequence[int]) -> SetPartition:
     """Group the positions of a word by letter value.
 
@@ -68,10 +80,13 @@ def position_partition(word: Sequence[int]) -> SetPartition:
 
 def _region_scan(
     word: Sequence[int], edges: Optional[frozenset[tuple[int, int]]]
-) -> Optional[tuple[SetPartition, bool]]:
-    """The position partition of a word and its dominance rule, in one
-    left-to-right pass; None when ``edges`` is given and misses an arc.
+) -> Optional[tuple[dict[int, list[int]], bool]]:
+    """The letter -> positions blocks of a word and its dominance rule, in
+    one left-to-right pass; None when ``edges`` is given and misses an arc.
 
+    Each block is filled by increasing position and enters the dict at its
+    minimum, so the values are the position partition in canonical form;
+    the parking and rook tests read the blocks' sizes and keys.
     Position p closes the arc (previous position of its letter, p), so the
     arcs arrive by increasing right endpoint, and the partition is
     nonnesting exactly when their left endpoints increase too (see
@@ -79,24 +94,27 @@ def _region_scan(
     nonnesting and each letter first occurs at its own position.
 
     >>> _region_scan((1, 2, 1), None)
-    (((1, 3), (2,)), True)
+    ({1: [1, 3], 2: [2]}, True)
     """
     blocks: dict[int, list[int]] = {}
     dominant = True
-    left = 0  # left endpoint of the latest arc
-    for pos, letter in enumerate(word, start=1):
+    left = pos = 0  # left endpoint of the latest arc; position of the letter
+    for letter in word:
+        pos += 1
         block = blocks.get(letter)
         if block is None:
             blocks[letter] = [pos]
-            dominant = dominant and letter == pos
-            continue
-        before = block[-1]
-        if edges is not None and (before, pos) not in edges:
-            return None
-        dominant = dominant and before > left
-        left = before
-        block.append(pos)
-    return tuple(map(tuple, blocks.values())), dominant
+            if letter != pos:
+                dominant = False
+        else:
+            before = block[-1]
+            if edges is not None and (before, pos) not in edges:
+                return None
+            if before < left:  # the arc (before, pos) nests over the latest one
+                dominant = False
+            left = before
+            block.append(pos)
+    return blocks, dominant
 
 
 def cyclic_shift(word: Sequence[int], t: int, alphabet: int) -> Word:

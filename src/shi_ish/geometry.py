@@ -45,10 +45,10 @@ from .core import (
     partition_str,
 )
 from .exactlp import Arc, Row, _arcs_feasible, difference_feasible, strict_feasible
-from .ish import _decode_rook_word, ish_ceiling_pairs, ish_region_count, region_rook_word_statistics
+from .ish import _decode_rook_word, _rook_word_statistics, ish_ceiling_pairs, ish_region_count
 from .parking import parking_functions
 from .rookwords import rook_words
-from .shi import ShiStatistics, ceiling_hyperplane_tags, parking_to_shi_diagram, region_word_statistics
+from .shi import ShiStatistics, _shi_diagram, _word_statistics, ceiling_hyperplane_tags
 
 #: ("cox", i, j) is x_i - x_j = 0; ("shi", i, j) is x_i - x_j = 1;
 #: ("ish", i, j) is x_1 - x_j = i.  Indices are 1-based with i < j.
@@ -474,10 +474,11 @@ def diagram_statistics(kind: str, n: int, graph: Graph) -> Iterator[tuple]:
     ceilings, so its ceiling partition is all singletons, and it has n
     degrees of freedom.
 
-    Every Shi word is checked by :func:`shi_ish.shi.region_word_statistics`
-    and every Ish word by :func:`shi_ish.ish.region_rook_word_statistics`
-    before it is yielded.  A word that labels no region raises
-    AssertionError, with or without ``python -O``.
+    Every word is checked, in the one scan that gives its statistics, by
+    the float-free core of :func:`shi_ish.shi.region_word_statistics` or
+    :func:`shi_ish.ish.region_rook_word_statistics` before it is yielded.
+    A word that labels no region raises AssertionError, with or without
+    ``python -O``.
 
     >>> [stats.dof for _, stats in diagram_statistics("ish", 2, Graph.complete(2))]
     [1, 2, 2]
@@ -486,9 +487,9 @@ def diagram_statistics(kind: str, n: int, graph: Graph) -> Iterator[tuple]:
     """
     if kind in ("shi", "ish"):
         words = parking_functions if kind == "shi" else rook_words
-        check = region_word_statistics if kind == "shi" else region_rook_word_statistics
+        check = _word_statistics if kind == "shi" else _rook_word_statistics
         for word in words(n, graph):
-            stats = check(word, graph)
+            stats = check(word, graph.edges)
             if stats is None:
                 raise AssertionError(f"{word!r} does not label a region of {kind.capitalize()}({graph!r})")
             yield word, stats
@@ -515,7 +516,7 @@ def _combinatorial_catalog(
     catalog = {}
     for region, stats in diagram_statistics(kind, n, graph):
         if kind == "shi":
-            diagram = parking_to_shi_diagram(region)
+            diagram = _shi_diagram(region, stats.ceiling_partition)  # checked by the stream
             key = (diagram.pi, ceiling_hyperplane_tags(diagram))
         elif kind == "ish":
             diagram = _decode_rook_word(region)  # a rook word, checked by the stream

@@ -30,13 +30,14 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Graph,
     Permutation,
     SetPartition,
     Word,
+    _check_int_letters,
     _region_scan,
     arcs,
     check_permutation,
@@ -48,7 +49,7 @@ from .core import (
     strict_int,
 )
 from .parking import is_parking_function
-from .rookwords import _rook_dof, is_rook_word, orbit_certificate
+from .rookwords import _rook_tail_dof, is_rook_word, orbit_certificate
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,15 @@ class IshCeilingDiagram:
             raise ValueError("eps must have one entry per position")
         if any(e < 0 for e in self.eps):
             raise ValueError("eps entries must be nonnegative")
+
+    @classmethod
+    def _unchecked(cls, pi: Permutation, eps: tuple[int, ...]) -> "IshCeilingDiagram":
+        """(pi, eps) without the checks of ``__post_init__``, for a diagram
+        decoded from a checked rook word."""
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "pi", pi)
+        object.__setattr__(diagram, "eps", eps)
+        return diagram
 
     @property
     def n(self) -> int:
@@ -146,22 +156,28 @@ def ish_statistics(diagram: IshCeilingDiagram) -> IshStatistics:
 def region_rook_word_statistics(word: Sequence[int], graph: Graph) -> Optional[IshStatistics]:
     """Statistics of the region of Ish(G) labeled by ``word``, or None when
     the word labels no region: it must have n letters, be a rook word, and
-    every arc of its position partition must be an edge of G.
+    every arc of its position partition must be an edge of G.  A letter
+    that is not an int raises as in :func:`~shi_ish.rookwords.is_rook_word`.
 
     The word is the region's :func:`ish_diagram_to_rook_word`.  Its position
     partition is the ceiling partition, the degrees of freedom are those of
     :func:`~shi_ish.rookwords.tail_and_dof`, and the region is dominant by
-    the rule of :func:`~shi_ish.shi.shi_word_statistics`; the arcs are
-    tested in the same scan that builds the partition.
+    the rule of :func:`~shi_ish.shi.shi_word_statistics`.
 
     >>> region_rook_word_statistics((2, 8, 8, 1, 8, 8, 2, 5), Graph.complete(8)).dof
     3
     """
-    if len(word) != graph.n:
-        return None
-    dof = _rook_dof(word)
-    scan = None if dof is None else _region_scan(word, graph.edges)
-    return None if scan is None else IshStatistics(scan[0], dof, scan[1], dof == 1)
+    _check_int_letters(word)
+    return _rook_word_statistics(word, graph.edges) if len(word) == graph.n else None
+
+
+def _rook_word_statistics(word: Sequence[int], edges: frozenset[tuple[int, int]]) -> Optional[IshStatistics]:
+    """:func:`region_rook_word_statistics` of a word of n int letters,
+    without the float test: the keys of the blocks of one
+    :func:`~shi_ish.core._region_scan` give the rook test and the tail."""
+    scan = _region_scan(word, edges)
+    dof = None if scan is None else _rook_tail_dof(scan[0], word[0], len(word))
+    return None if dof is None else IshStatistics(tuple(map(tuple, scan[0].values())), dof, scan[1], dof == 1)
 
 
 def ish_diagrams(n: int, graph: Optional[Graph] = None) -> Iterator[IshCeilingDiagram]:
@@ -492,10 +508,11 @@ def _rook_rows(diagram: IshCeilingDiagram) -> list[int]:
     return rows
 
 
-def _diagram_from_rows(rows: Sequence[int]) -> IshCeilingDiagram:
+def _diagram_from_rows(rows: Sequence[int], build: Callable = IshCeilingDiagram) -> IshCeilingDiagram:
     """The diagram of :func:`placement_to_ish_diagram`: rows up to n pin their
     column's letter to that position; the rows above the bar, by increasing
-    height, fill the remaining positions left to right."""
+    height, fill the remaining positions left to right.  ``build`` makes it
+    from (pi, eps); its coherence is checked."""
     n = len(rows)
     pi = [0] * n
     eps = [0] * n
@@ -509,7 +526,7 @@ def _diagram_from_rows(rows: Sequence[int]) -> IshCeilingDiagram:
     for i, (e, value) in zip(free, sorted(above)):
         pi[i] = value
         eps[i] = e
-    diagram = IshCeilingDiagram(pi=tuple(pi), eps=tuple(eps))
+    diagram = build(tuple(pi), tuple(eps))
     ish_ceiling_pairs(diagram)
     return diagram
 
@@ -566,8 +583,10 @@ def rook_word_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
 
 def _decode_rook_word(word: Sequence[int]) -> IshCeilingDiagram:
     """:func:`rook_word_to_ish_diagram` of a word already known to be a rook
-    word; the decoded diagram's coherence is still checked."""
-    return _diagram_from_rows(_rook_word_rows(word))
+    word.  Its rows are distinct, so pi is a permutation and eps is
+    nonnegative by construction: the diagram is built without the
+    constructor's checks, and its coherence is still checked."""
+    return _diagram_from_rows(_rook_word_rows(word), IshCeilingDiagram._unchecked)
 
 
 def _rook_word_rows(word: Sequence[int]) -> list[int]:

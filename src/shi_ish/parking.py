@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import Block, Graph, Word, check_word
+from .core import Block, Graph, Word, _check_int_letters, _region_scan
 
 LabeledDyckPath = tuple[tuple[int, ...], ...]
 
@@ -36,23 +36,34 @@ def is_parking_function(word: Sequence[int]) -> bool:
     """
     if not word:
         return False
-    n = len(word)
-    try:
-        total = sum(word)
-        if type(total) is not int:  # a float letter makes the sum a float
-            raise TypeError
-        # no parking function's letters sum to more than n(n+1)/2
-        return total <= n * (n + 1) // 2 and _is_parking(word)
-    except TypeError:
-        check_word(word, len(word))  # names the letter
-        raise
+    _check_int_letters(word)
+    return _is_parking(word)
 
 
 def _is_parking(word: Sequence[int]) -> bool:
     """:func:`is_parking_function` for a nonempty word of int letters,
     without the float test."""
-    letters = sorted(word)
-    return letters[0] >= 1 and all(map(operator.le, letters, range(1, len(word) + 1)))
+    n = len(word)
+    # no parking function's letters sum to more than n(n+1)/2: most other
+    # words end here, before the scan
+    return sum(word) <= n * (n + 1) // 2 and _diagonal_touches(_region_scan(word, None)[0], n) is not None
+
+
+def _diagonal_touches(blocks: dict[int, list[int]], n: int) -> Optional[int]:
+    """The diagonal touches of a word of size n, counted over its letter ->
+    positions blocks (:func:`~shi_ish.core._region_scan`): the k in [1, n]
+    with exactly k letters at most k.  None unless every k has at least k,
+    that is, unless the word is a parking function."""
+    seen = touches = 0  # seen: the letters at most k
+    for k in range(1, n + 1):
+        block = blocks.get(k)
+        if block is not None:
+            seen += len(block)
+        if seen <= k:
+            if seen < k:
+                return None
+            touches += 1
+    return touches or None  # the empty word is no parking function
 
 
 def is_prime_parking_function(word: Sequence[int]) -> bool:
@@ -70,13 +81,8 @@ def is_prime_parking_function(word: Sequence[int]) -> bool:
     """
     if not word:
         return False
-    try:
-        if type(sum(word)) is not int:  # a float letter makes the sum a float
-            raise TypeError
-        return _is_prime_parking(word)
-    except TypeError:
-        check_word(word, len(word))  # names the letter
-        raise
+    _check_int_letters(word)
+    return _is_prime_parking(word)
 
 
 def _is_prime_parking(word: Sequence[int]) -> bool:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
-from .core import Graph, Word, _cyclic_shift, check_word, orbit
+from .core import Graph, Word, _check_int_letters, _cyclic_shift, check_word, orbit
 from .parking import _is_parking, _is_prime_parking, is_parking_function, is_prime_parking_function
 
 
@@ -27,33 +27,40 @@ def is_rook_word(word: Sequence[int]) -> bool:
     >>> is_rook_word((2, 4, 4, 5, 3))
     False
     """
-    dof = _rook_dof(word)
-    if type(sum(word)) is not int:  # a float letter makes the sum a float
-        check_word(word, len(word))  # names the letter
-    return dof is not None
+    _check_int_letters(word)
+    return _rook_dof(word) is not None
 
 
 def _rook_dof(word: Sequence[int]) -> Optional[int]:
     """The degrees of freedom of :func:`tail_and_dof`, or None unless
     ``word`` is a rook word.  A letter no integer compares with, such as a
     string or None, raises the ValueError of :func:`~shi_ish.core.check_word`;
-    a float is left to :func:`is_rook_word`, so that the statistics of the
-    words the package generates pay no float test."""
-    n = len(word)
-    if n == 0:
+    a float is left to :func:`is_rook_word`, so that the word maps and the
+    orbit certificate pay no float test."""
+    if not word:
         return None
     try:
-        present = set(word)
-        first = word[0]
-        if min(present) < 1 or max(present) > n or not present.issuperset(range(1, first + 1)):
-            return None
+        return _rook_tail_dof(set(word), word[0], len(word))
     except TypeError:
-        check_word(word, n)  # names the letter
+        check_word(word, len(word))  # names the letter
         raise
-    j = n + 1  # the tail is [j, n]
-    while j - 1 > first and j - 1 in present:
+
+
+def _rook_tail_dof(letters: Collection[int], first: int, n: int) -> Optional[int]:
+    """The rook test with its tail on the letters of a word of size n and
+    first letter ``first`` (a set, or the keys of its blocks): None unless
+    they lie in [1, n] and hold all of [1, first]; else first plus the size
+    of the tail [j + 1, n], the longest run of letters down from n above
+    first."""
+    if min(letters) < 1 or max(letters) > n:
+        return None
+    for a in range(1, first):  # first itself is a letter
+        if a not in letters:
+            return None
+    j = n
+    while j > first and j in letters:
         j -= 1
-    return first + n + 1 - j
+    return first + n - j
 
 
 def is_prime_rook_word(word: Sequence[int]) -> bool:
@@ -70,13 +77,8 @@ def is_prime_rook_word(word: Sequence[int]) -> bool:
     """
     if not word:
         return False
-    try:
-        if type(sum(word)) is not int:  # a float letter makes the sum a float
-            raise TypeError
-        return _is_prime_rook(word)
-    except TypeError:
-        check_word(word, len(word))  # names the letter
-        raise
+    _check_int_letters(word)
+    return _is_prime_rook(word)
 
 
 def _is_prime_rook(word: Sequence[int]) -> bool:

@@ -19,15 +19,15 @@ between the two.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Graph,
     Permutation,
     SetPartition,
     Word,
+    _check_int_letters,
     _region_scan,
     check_partition_of,
     check_permutation,
@@ -36,7 +36,7 @@ from .core import (
     partition_from_blocks,
     strict_int,
 )
-from .parking import is_parking_function, parking_functions
+from .parking import _diagonal_touches, parking_functions
 
 
 @dataclass(frozen=True)
@@ -113,24 +113,22 @@ def shi_statistics(diagram: ShiCeilingDiagram) -> ShiStatistics:
 
 def parking_dof(word: Sequence[int]) -> int:
     """Degrees of freedom of the Shi region labeled by the parking function
-    ``word``: its diagonal touches, the k with exactly k letters at most k.
-    With the letters sorted as a_1 <= ... <= a_n (a parking function has
-    a_i <= i), those are the i with a_i = i.  ValueError unless ``word`` is
-    a parking function.
+    ``word``: its diagonal touches, the k with exactly k letters at most k
+    (:func:`~shi_ish.parking._diagonal_touches`).  ValueError unless
+    ``word`` is a parking function.
 
     >>> parking_dof((3, 2, 3, 7, 1, 2, 7, 2))
     3
     """
-    letters = sorted(word)
-    bounds = range(1, len(letters) + 1)
-    if not letters or letters[0] < 1 or any(map(operator.gt, letters, bounds)):
+    dof = _diagonal_touches(_region_scan(word, None)[0], len(word))
+    if dof is None:
         raise ValueError(f"{word!r} is not a parking function")
-    return sum(map(operator.eq, letters, bounds))
+    return dof
 
 
 def shi_word_statistics(word: Sequence[int]) -> ShiStatistics:
     """Statistics of the Shi region labeled by the parking function ``word``,
-    read off the word itself.
+    read off the word itself by :func:`_word_statistics`.
 
     The ceiling partition is the word's position partition; the degrees of
     freedom are those of :func:`parking_dof`; the region is dominant when
@@ -143,31 +141,37 @@ def shi_word_statistics(word: Sequence[int]) -> ShiStatistics:
     >>> shi_word_statistics((1, 2, 1))
     ShiStatistics(ceiling_partition=((1, 3), (2,)), dof=1, dominant=True)
     """
-    dof = parking_dof(word)
-    partition, dominant = _region_scan(word, None)
-    return ShiStatistics(partition, dof, dominant)
+    stats = _word_statistics(word, None)
+    if stats is None:
+        raise ValueError(f"{word!r} is not a parking function")
+    return stats
 
 
 def region_word_statistics(word: Sequence[int], graph: Graph) -> Optional[ShiStatistics]:
     """Statistics of the region of Shi(G) labeled by ``word``, or None when
     the word labels no region: it must have n letters, be a parking
     function, and every arc of its position partition (the ceilings) must be
-    an edge of G.  The statistics are those of :func:`shi_word_statistics`,
-    and the arcs are tested in the same scan that builds the partition.
+    an edge of G.  The statistics are those of :func:`shi_word_statistics`.
+    A letter that is not an int raises as in
+    :func:`~shi_ish.parking.is_parking_function`.
 
     >>> region_word_statistics((1, 2, 1), Graph.complete(3)).dof
     1
     >>> region_word_statistics((1, 2, 1), Graph.path(3)) is None
     True
     """
-    if len(word) != graph.n:
-        return None
-    try:
-        dof = parking_dof(word)
-    except ValueError:
-        return None
-    scan = _region_scan(word, graph.edges)
-    return None if scan is None else ShiStatistics(scan[0], dof, scan[1])
+    _check_int_letters(word)
+    return _word_statistics(word, graph.edges) if len(word) == graph.n else None
+
+
+def _word_statistics(word: Sequence[int], edges: Optional[frozenset[tuple[int, int]]]) -> Optional[ShiStatistics]:
+    """The statistics of a parking word of int letters with every arc in
+    ``edges`` (None: any arc), else None, without the float test: the
+    blocks of one :func:`~shi_ish.core._region_scan` give the parking test
+    and the diagonal touches."""
+    scan = _region_scan(word, edges)
+    dof = None if scan is None else _diagonal_touches(scan[0], len(word))
+    return None if dof is None else ShiStatistics(tuple(map(tuple, scan[0].values())), dof, scan[1])
 
 
 def ceiling_hyperplane_tags(diagram: ShiCeilingDiagram) -> frozenset[tuple[int, int]]:
@@ -188,27 +192,35 @@ def parking_to_shi_diagram(word: Sequence[int]) -> ShiCeilingDiagram:
     first-in-first-out rule), and within the block with minimum c the
     positions of letter c in the word, taken increasingly, define pi.
 
-    Only the word is checked.  Then pi is a permutation and the partition a
-    canonical partition of [n] by construction, so the diagram is built
-    without the constructor's own checks; ``ShiCeilingDiagram(pi,
-    partition)`` and :meth:`ShiCeilingDiagram.from_json` keep them.
+    Only the word is checked, here; a caller holding a word that its
+    region stream has checked calls :func:`_shi_diagram` itself.
+    ``ShiCeilingDiagram(pi, partition)`` and
+    :meth:`ShiCeilingDiagram.from_json` keep the constructor's checks.
 
     >>> parking_to_shi_diagram((3, 2, 3, 7, 1, 2, 7, 2)).pi
     (5, 2, 1, 6, 3, 8, 4, 7)
     """
-    if not is_parking_function(word):
+    _check_int_letters(word)
+    blocks = _region_scan(word, None)[0]
+    if _diagonal_touches(blocks, len(word)) is None:
         raise ValueError(f"{word!r} is not a parking function")
+    return _shi_diagram(word, blocks.values())
+
+
+def _shi_diagram(word: Sequence[int], partition: Iterable[Sequence[int]]) -> ShiCeilingDiagram:
+    """:func:`parking_to_shi_diagram` of a checked parking word and its
+    position partition (its ceiling partition).  Then pi is a permutation
+    and the partition a canonical partition of [n] by construction, so the
+    diagram is built without the constructor's checks."""
     n = len(word)
-    positions: dict[int, list[int]] = {}
-    for pos, letter in enumerate(word, start=1):
-        positions.setdefault(letter, []).append(pos)
+    positions = {word[block[0] - 1]: block for block in partition}
     specs = [(letter, len(hits)) for letter, hits in positions.items()]
-    partition = nonnesting_from_block_specs(specs, n)
+    diagram_partition = nonnesting_from_block_specs(specs, n)
     pi = [0] * n
-    for block in partition:
+    for block in diagram_partition:
         for b, pos in zip(block, positions[block[0]]):
             pi[b - 1] = pos
-    return ShiCeilingDiagram._unchecked(tuple(pi), partition)
+    return ShiCeilingDiagram._unchecked(tuple(pi), diagram_partition)
 
 
 def shi_diagram_to_parking(diagram: ShiCeilingDiagram) -> Word:

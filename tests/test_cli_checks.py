@@ -51,14 +51,16 @@ def rebind(monkeypatch, original, fake):
 
 def falsify_shi_statistic(monkeypatch, field, change):
     """The CLI reads a Shi image's statistics off its parking word, through
-    the check that the word labels a region of Shi(G)."""
-    real = cli.region_word_statistics
+    the check that the word labels a region of Shi(G): ``map`` through
+    ``region_word_statistics``, the theorem sweeps through its float-free
+    core ``_word_statistics``."""
+    for real in (cli.region_word_statistics, cli._word_statistics):
 
-    def fake(word, graph):
-        stats = real(word, graph)
-        return stats and stats._replace(**{field: change(getattr(stats, field))})
+        def fake(word, graph_or_edges, real=real):
+            stats = real(word, graph_or_edges)
+            return stats and stats._replace(**{field: change(getattr(stats, field))})
 
-    rebind(monkeypatch, real, fake)
+        rebind(monkeypatch, real, fake)
 
 
 def bump(value):

@@ -18,6 +18,7 @@ import pytest
 import shi_ish.bijections as bijections
 import shi_ish.cli as cli
 import shi_ish.ish as ish
+import shi_ish.parking as parking
 import shi_ish.rookwords as rookwords
 import shi_ish.shi as shi
 from shi_ish.core import Graph, all_graphs, is_nonnesting, position_partition
@@ -229,7 +230,7 @@ def test_freedom_checks_each_region_once(capsys, monkeypatch):
     calls = count_calls(
         monkeypatch,
         ish.ish_statistics,
-        ish.region_rook_word_statistics,
+        ish._rook_word_statistics,
         bijections._freedom_forward,
         bijections._freedom_inverse,
     )
@@ -237,7 +238,7 @@ def test_freedom_checks_each_region_once(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["report"]["regions_checked"] == 4296
     regions = sum(1 for _ in ish_diagrams(4))
     assert regions == 125
-    assert calls == {"region_rook_word_statistics": regions, "_freedom_forward": regions, "_freedom_inverse": regions}
+    assert calls == {"_rook_word_statistics": regions, "_freedom_forward": regions, "_freedom_inverse": regions}
     assert calls["ish_statistics"] == 0
 
 
@@ -249,23 +250,32 @@ def test_bounded_computes_statistics_only_to_filter_and_compare(capsys, monkeypa
     K_n."""
     regions = list(ish_diagrams(4))
     bounded = sum(1 for d in regions if ish_statistics(d).relatively_bounded)
-    calls = count_calls(monkeypatch, ish.ish_statistics, ish.region_rook_word_statistics)
+    calls = count_calls(monkeypatch, ish.ish_statistics, ish._rook_word_statistics)
     assert cli.main(["verify", "--n", "4", "--suite", "thm-bounded"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["graphs"] == 64
     assert (len(regions), bounded) == (125, 27)
     assert calls["ish_statistics"] == 0
-    assert calls["region_rook_word_statistics"] == len(regions)
+    assert calls["_rook_word_statistics"] == len(regions)
 
 
 def test_bounded_reads_only_the_dof_of_its_targets(capsys, monkeypatch):
     """``thm-bounded`` keeps the relatively bounded parking words of each
     graph by their diagonal touches alone: one ``parking_dof`` per word and
     no ``shi_word_statistics``.  Each bounded region's image is checked once
-    per suite by ``region_word_statistics``, which reads the same count."""
+    per suite by ``_word_statistics``, the float-free core of
+    ``region_word_statistics``, which reads the same count off its scan:
+    ``_diagonal_touches`` runs once per word and once per image."""
     words = sum(1 for graph in all_graphs(4) for _ in parking_functions(4, graph))
-    calls = count_calls(monkeypatch, shi.shi_word_statistics, shi.region_word_statistics, shi.parking_dof)
+    calls = count_calls(
+        monkeypatch,
+        shi.shi_word_statistics,
+        shi._word_statistics,
+        shi.parking_dof,
+        parking._diagonal_touches,
+    )
     assert cli.main(["verify", "--n", "4", "--suite", "thm-bounded"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["graphs"] == 64
     assert calls["shi_word_statistics"] == 0
-    assert calls["region_word_statistics"] == 27  # the relatively bounded regions of K_4
-    assert calls["parking_dof"] == words + 27
+    assert calls["_word_statistics"] == 27  # the relatively bounded regions of K_4
+    assert calls["parking_dof"] == words
+    assert calls["_diagonal_touches"] == words + 27

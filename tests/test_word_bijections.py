@@ -20,6 +20,7 @@ import shi_ish.bijections as bijections
 import shi_ish.cli as cli
 import shi_ish.ish as ish
 import shi_ish.parking as parking
+import shi_ish.shi as shi
 from shi_ish.core import Graph, all_graphs, check_word
 from shi_ish.ish import ish_diagram_to_rook_word, ish_diagrams, ish_statistics, rook_word_to_ish_diagram
 from shi_ish.parking import is_parking_function, is_prime_parking_function, parking_functions
@@ -136,12 +137,14 @@ def test_prime_rook_word_refuses_a_letter_that_is_no_integer(word):
 
 
 def test_theorem_sweeps_never_touch_a_shi_diagram(capsys, monkeypatch):
-    def refuse(_):
+    def refuse(*_):
         raise RuntimeError("a theorem sweep built or decoded a Shi diagram")
 
-    for module in (cli, bijections):
-        for attr in ("parking_to_shi_diagram", "shi_diagram_to_parking"):
-            monkeypatch.setattr(module, attr, refuse)
+    builders = ("parking_to_shi_diagram", "_shi_diagram", "shi_diagram_to_parking")
+    for module in (cli, bijections, shi):
+        for attr in builders:
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
     for suite in ("thm-basic", "thm-dominance", "thm-bounded", "thm-freedom"):
         code = cli.main(["verify", "--n", "3", "--suite", suite])
         out = capsys.readouterr().out

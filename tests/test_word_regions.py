@@ -4,10 +4,13 @@ of the region stream.
 
 Every generator is compared, as a list and so in order, with the filter of
 its defining predicate over ``itertools.product``; the word statistics with
-the statistics read off the diagram the old way.
+the statistics read off the diagram the old way.  The one scan that checks
+a word and gives its statistics is compared with the definitions it
+replaced, written out here.
 """
 
 import itertools
+import operator
 import os
 import random
 import re
@@ -31,6 +34,8 @@ from shi_ish.core import (
 )
 from shi_ish.geometry import diagram_statistics
 from shi_ish.ish import (
+    IshStatistics,
+    _decode_rook_word,
     ish_diagram_to_rook_word,
     ish_diagrams,
     ish_statistics,
@@ -43,9 +48,10 @@ from shi_ish.parking import (
     parking_functions,
     prime_parking_functions,
 )
-from shi_ish.rookwords import is_prime_rook_word, is_rook_word, prime_rook_words, rook_words
+from shi_ish.rookwords import is_prime_rook_word, is_rook_word, prime_rook_words, rook_words, tail_and_dof
 from shi_ish.shi import (
     ShiStatistics,
+    parking_dof,
     parking_to_shi_diagram,
     region_word_statistics,
     shi_statistics,
@@ -202,6 +208,122 @@ def test_region_rook_words_are_the_encoded_diagrams(n, make):
 
 
 # ---------------------------------------------------------------------------
+# the one scan against the definitions it replaced
+
+
+def reference_scan(word, edges):
+    """The position partition and dominance rule of a word, None on an arc
+    outside ``edges``: the scan as it was, returning the partition."""
+    blocks = {}
+    dominant = True
+    left = 0
+    for pos, letter in enumerate(word, start=1):
+        block = blocks.get(letter)
+        if block is None:
+            blocks[letter] = [pos]
+            dominant = dominant and letter == pos
+            continue
+        before = block[-1]
+        if edges is not None and (before, pos) not in edges:
+            return None
+        dominant = dominant and before > left
+        left = before
+        block.append(pos)
+    return tuple(map(tuple, blocks.values())), dominant
+
+
+def reference_parking_dof(word):
+    """The sorted-letters parking test, a_i <= i, and its touches a_i = i;
+    None unless a parking function."""
+    letters = sorted(word)
+    bounds = range(1, len(letters) + 1)
+    if not letters or letters[0] < 1 or any(map(operator.gt, letters, bounds)):
+        return None
+    return sum(map(operator.eq, letters, bounds))
+
+
+def reference_rook_dof(word):
+    """The set-based rook test with its tail; None unless a rook word."""
+    n = len(word)
+    if n == 0:
+        return None
+    present = set(word)
+    first = word[0]
+    if min(present) < 1 or max(present) > n or not present.issuperset(range(1, first + 1)):
+        return None
+    j = n + 1  # the tail is [j, n]
+    while j - 1 > first and j - 1 in present:
+        j -= 1
+    return first + n + 1 - j
+
+
+def reference_statistics(word, graph, dof_of, make):
+    if len(word) != graph.n:
+        return None
+    dof = dof_of(word)
+    scan = None if dof is None else reference_scan(word, graph.edges)
+    return None if scan is None else make(scan[0], dof, scan[1])
+
+
+def reference_shi(word, graph):
+    return reference_statistics(word, graph, reference_parking_dof, ShiStatistics)
+
+
+def reference_ish(word, graph):
+    return reference_statistics(
+        word, graph, reference_rook_dof, lambda partition, dof, dominant: IshStatistics(partition, dof, dominant, dof == 1)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_one_scan_matches_the_definitions_it_replaced(n):
+    """Every word of [0, n+1]^n, on K_n, the path and the empty graph (and
+    on every graph for n <= 3): the same Nones and the same statistics as
+    the sorted parking test, the set-based rook test and the old scan.  The
+    parking and rook predicates and dofs agree with them on every word."""
+    graphs = list(all_graphs(n)) if n <= 3 else [Graph.complete(n), Graph.path(n), Graph.empty(n)]
+    kept = {"shi": 0, "ish": 0}
+    for word in itertools.product(range(n + 2), repeat=n):
+        park, rook = reference_parking_dof(word), reference_rook_dof(word)
+        assert is_parking_function(word) == (park is not None), word
+        assert is_rook_word(word) == (rook is not None), word
+        if park is not None:
+            assert parking_dof(word) == park, word
+        if rook is not None:
+            assert tail_and_dof(word)[1] == rook, word
+        for graph in graphs:
+            shi_stats = region_word_statistics(word, graph)
+            assert shi_stats == reference_shi(word, graph), (word, graph)
+            ish_stats = region_rook_word_statistics(word, graph)
+            assert ish_stats == reference_ish(word, graph), (word, graph)
+            kept["shi"] += shi_stats is not None
+            kept["ish"] += ish_stats is not None
+    # both arrangements of each graph have the same number of regions
+    assert kept["shi"] == kept["ish"] == sum(sum(1 for _ in parking_functions(n, g)) for g in graphs)
+
+
+REFUSED_LETTERS = [(1, 2, 1.5), (1.0, 2, 1), (1, 2, 1.0), (1, "a", 1), (1, None, 1), (1.5,), (2, 1.0, 1, 1)]
+
+
+@pytest.mark.parametrize("word", REFUSED_LETTERS)
+@pytest.mark.parametrize(
+    "statistics, predicate",
+    [(region_word_statistics, is_parking_function), (region_rook_word_statistics, is_rook_word)],
+    ids=["shi", "ish"],
+)
+def test_the_region_statistics_refuse_what_the_predicates_refuse(word, statistics, predicate):
+    """A letter that is not an int, whatever the length of the word, raises
+    the ValueError of ``check_word`` that the word's predicate raises, and
+    is never read as a letter."""
+    with pytest.raises(ValueError) as refused:
+        predicate(word)
+    with pytest.raises(ValueError) as also:
+        statistics(word, Graph.complete(3))
+    assert str(also.value) == str(refused.value)
+    assert "outside alphabet" in str(also.value)
+
+
+# ---------------------------------------------------------------------------
 # the region streams
 
 
@@ -292,6 +414,22 @@ def test_the_word_check_survives_python_O():
         "try:\n"
         "    list(geometry.diagram_statistics('shi', 3, Graph.path(3)))\n"
         "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    assert run_under_python_O(script) == "raised\n"
+
+
+def test_the_ish_decode_survives_python_O():
+    """A word that decodes to an incoherent diagram raises ValueError in
+    ``_decode_rook_word``, which builds the diagram without the
+    constructor's checks, with or without ``python -O``."""
+    with pytest.raises(ValueError, match="is not an Ish ceiling diagram"):
+        _decode_rook_word((2, 2, 2))
+    script = (
+        "from shi_ish.ish import _decode_rook_word\n"
+        "try:\n"
+        "    _decode_rook_word((2, 2, 2))\n"
+        "except ValueError:\n"
         "    print('raised')\n"
     )
     assert run_under_python_O(script) == "raised\n"

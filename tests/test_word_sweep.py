@@ -17,6 +17,7 @@ each is compared with the canonicalized result on every input of small
 size.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -49,6 +50,8 @@ from shi_ish.shi import (
     shi_diagrams,
     shi_statistics,
 )
+
+from test_cli_golden import GOLDEN, cli_stdout
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -208,6 +211,25 @@ def test_a_theorem_suite_walks_the_rook_words_once(suite, monkeypatch, capsys):
     assert cli.main(["verify", "--n", "7", "--suite", suite]) == 3
     assert calls == []
     capsys.readouterr()
+
+
+def test_thm_basic_builds_no_position_partition(monkeypatch):
+    """``thm-basic`` runs on K_5 alone, where every region is kept, so it
+    keys no region by its position partition; its report keeps the bytes
+    pinned in ``test_cli_golden.py``.  A graph other than K_n still tests
+    the arcs of each ``basic`` region, on its word
+    (``test_word_run_equals_the_diagram_run``)."""
+    calls = []
+    real = position_partition
+    for module in [m for name, m in sys.modules.items() if name.startswith("shi_ish")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, lambda word: calls.append(word) or real(word))
+    command = "verify --n 5 --suite thm-basic --format json"
+    code, stdout = cli_stdout(command)
+    assert code == 0
+    assert calls == []
+    assert hashlib.sha256(stdout).hexdigest() == GOLDEN[command]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
