@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import Block, Graph, Word, _check_int_letters, _region_scan
+from .core import Block, Graph, Word, _check_int_letters
 
 LabeledDyckPath = tuple[tuple[int, ...], ...]
 
@@ -42,11 +42,16 @@ def is_parking_function(word: Sequence[int]) -> bool:
 
 def _is_parking(word: Sequence[int]) -> bool:
     """:func:`is_parking_function` for a nonempty word of int letters,
-    without the float test."""
+    without the float test: the increasing rearrangement a has a_1 >= 1 and
+    a_i <= i.  A caller holding the word's blocks reads the same test off
+    :func:`_diagonal_touches`."""
     n = len(word)
     # no parking function's letters sum to more than n(n+1)/2: most other
-    # words end here, before the scan
-    return sum(word) <= n * (n + 1) // 2 and _diagonal_touches(_region_scan(word, None)[0], n) is not None
+    # words end here, before the sort
+    if sum(word) > n * (n + 1) // 2:
+        return False
+    letters = sorted(word)
+    return letters[0] >= 1 and all(map(operator.le, letters, range(1, n + 1)))
 
 
 def _diagonal_touches(blocks: dict[int, list[int]], n: int) -> Optional[int]:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Collection, Iterator, Optional, Sequence
+from typing import Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .core import Graph, Word, _check_int_letters, _cyclic_shift, check_word, orbit
 from .parking import _is_parking, _is_prime_parking, is_parking_function, is_prime_parking_function
@@ -142,13 +141,15 @@ def prime_rook_words(n: int) -> Iterator[Word]:
         yield (1,) + rest
 
 
-@dataclass(frozen=True)
-class OrbitCertificate:
+class OrbitCertificate(NamedTuple):
     """A cyclic-shift orbit together with its two distinguished members.
 
     ``parking_index`` and ``rook_index`` are the shifts that carry ``word``
     to its orbit's unique parking function and rook word (prime versions
     when ``prime`` is set), and ``parking`` and ``rook`` are those members.
+
+    >>> orbit_certificate((1, 2, 2), prime=True)
+    OrbitCertificate(word=(1, 2, 2), alphabet=2, prime=True, parking_index=1, rook_index=0, parking=(2, 1, 1), rook=(1, 2, 2))
     """
 
     word: Word
@@ -302,13 +303,15 @@ def pollak_empty_spot(word: Sequence[int]) -> int:
     Car i starts at its preferred spot w_i and rolls forward (wrapping) to
     the first free spot.  A word is a parking function exactly when the spot
     left empty is n + 1; this simulation is an independent witness for the
-    orbit-scan predicates.
+    orbit-scan predicates.  A letter that is not an int raises as in
+    :func:`is_rook_word`.
 
     >>> pollak_empty_spot((1, 1, 1))
     4
     >>> pollak_empty_spot((1, 4, 4, 2, 5))
     3
     """
+    _check_int_letters(word)
     n = len(word)
     lot = n + 1
     if any(not 1 <= a <= lot for a in word):
@@ -328,11 +331,13 @@ def tail_and_dof(word: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
     The tail is the largest interval [j, n] with j >= w_1 + 1 all of whose
     values occur among the letters (possibly empty); the region encoded by
-    the word has w_1 + len(tail) degrees of freedom.
+    the word has w_1 + len(tail) degrees of freedom.  ValueError unless
+    ``word`` is a rook word; letters are refused as in :func:`is_rook_word`.
 
     >>> tail_and_dof((2, 1, 1, 6, 3, 4))
     ((6,), 3)
     """
+    _check_int_letters(word)
     dof = _rook_dof(word)
     if dof is None:
         raise ValueError(f"{word!r} is not a rook word")

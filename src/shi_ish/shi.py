@@ -115,11 +115,13 @@ def parking_dof(word: Sequence[int]) -> int:
     """Degrees of freedom of the Shi region labeled by the parking function
     ``word``: its diagonal touches, the k with exactly k letters at most k
     (:func:`~shi_ish.parking._diagonal_touches`).  ValueError unless
-    ``word`` is a parking function.
+    ``word`` is a parking function; a letter that is not an int raises as
+    in :func:`~shi_ish.parking.is_parking_function`.
 
     >>> parking_dof((3, 2, 3, 7, 1, 2, 7, 2))
     3
     """
+    _check_int_letters(word)
     dof = _diagonal_touches(_region_scan(word, None)[0], len(word))
     if dof is None:
         raise ValueError(f"{word!r} is not a parking function")
@@ -134,13 +136,15 @@ def shi_word_statistics(word: Sequence[int]) -> ShiStatistics:
     freedom are those of :func:`parking_dof`; the region is dominant when
     the position partition is nonnesting and every block holds the letter
     equal to its minimum (then the diagram partition is the position
-    partition and pi is the identity).
+    partition and pi is the identity).  Letters are refused as in
+    :func:`parking_dof`.
 
     >>> shi_word_statistics((3, 2, 3, 7, 1, 2, 7, 2))
     ShiStatistics(ceiling_partition=((1, 3), (2, 6, 8), (4, 7), (5,)), dof=3, dominant=False)
     >>> shi_word_statistics((1, 2, 1))
     ShiStatistics(ceiling_partition=((1, 3), (2,)), dof=1, dominant=True)
     """
+    _check_int_letters(word)
     stats = _word_statistics(word, None)
     if stats is None:
         raise ValueError(f"{word!r} is not a parking function")

@@ -1,12 +1,14 @@
 """Parking functions, labeled Dyck paths, prime factorization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shi_ish.core import Graph, position_partition
+from shi_ish import parking
+from shi_ish.core import Graph, _region_scan, orbit, position_partition
 from shi_ish.parking import (
     check_labeled_dyck,
     compose_factors,
@@ -21,6 +23,7 @@ from shi_ish.parking import (
     shuffle_compose,
     word_to_dyck,
 )
+from shi_ish.rookwords import pollak_empty_spot
 
 
 def parks_by_simulation(word):
@@ -160,3 +163,51 @@ def test_prime_words_are_the_one_component_words(n):
     for word in parking_functions(n):
         one_piece = len(prime_components(word_to_dyck(word))) == 1
         assert one_piece == is_prime_parking_function(word)
+
+
+# ---------------------------------------------------------------------------
+# the float-free parking test
+
+
+def diagonal_parking_test(word):
+    """``_is_parking`` as counted over the word's blocks, the rule the
+    region statistics read."""
+    return parking._diagonal_touches(_region_scan(word, None)[0], len(word)) is not None
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_is_parking_is_the_circular_lot_on_every_word(n):
+    """On [n+1]^n a word parks exactly when Pollak's circular lot leaves
+    spot n + 1 empty."""
+    parks = 0
+    for word in itertools.product(range(1, n + 2), repeat=n):
+        park = parking._is_parking(word)
+        assert park == (pollak_empty_spot(word) == n + 1), word
+        parks += park
+    assert parks == (n + 1) ** (n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_is_parking_refuses_letters_off_the_alphabet(n):
+    """A letter 0, negative, n + 1 or huge in place of any letter of any
+    parking function of size n gives a word that is no parking function,
+    also where the rest of its sorted letters keep a_i <= i."""
+    for word in parking_functions(n):
+        for bad in (0, -1, -(n * n), n + 1, 10**20):
+            for at in range(n):
+                changed = word[:at] + (bad,) + word[at + 1 :]
+                assert not parking._is_parking(changed), changed
+                assert not diagonal_parking_test(changed), changed
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_is_parking_on_seeded_orbits(n):
+    """Every shift of seeded words over [n+1]: one in each orbit parks."""
+    rng = random.Random(n)
+    for _ in range(40):
+        word = tuple(rng.randint(1, n + 1) for _ in range(n))
+        shifts = orbit(word, n + 1)
+        parks = [parking._is_parking(w) for w in shifts]
+        assert parks == [pollak_empty_spot(w) == n + 1 for w in shifts], word
+        assert parks == [diagonal_parking_test(w) for w in shifts], word
+        assert sum(parks) == 1, word

@@ -18,7 +18,7 @@ import pytest
 from shi_ish import parking, rookwords
 from shi_ish.core import orbit
 from shi_ish.parking import is_parking_function, is_prime_parking_function
-from shi_ish.rookwords import is_prime_rook_word, is_rook_word, orbit_certificate
+from shi_ish.rookwords import OrbitCertificate, is_prime_rook_word, is_rook_word, orbit_certificate
 
 
 def scan_certificate(word, prime=False):
@@ -165,3 +165,32 @@ def test_the_certificate_calls_no_public_predicate(monkeypatch):
 def test_words_off_the_alphabet_are_refused(word):
     with pytest.raises(ValueError):
         orbit_certificate(word)
+
+
+# ---------------------------------------------------------------------------
+# the record
+
+
+def test_the_record_keeps_its_fields_and_its_order():
+    cert = orbit_certificate((1, 4, 4, 2, 5))
+    fields = ("word", "alphabet", "prime", "parking_index", "rook_index", "parking", "rook")
+    assert OrbitCertificate._fields == fields
+    assert tuple(cert) == ((1, 4, 4, 2, 5), 6, False, 3, 0, (4, 1, 1, 5, 2), (1, 4, 4, 2, 5))
+    assert tuple(getattr(cert, name) for name in fields) == tuple(cert)
+    assert repr(cert) == (
+        "OrbitCertificate(word=(1, 4, 4, 2, 5), alphabet=6, prime=False, parking_index=3,"
+        " rook_index=0, parking=(4, 1, 1, 5, 2), rook=(1, 4, 4, 2, 5))"
+    )
+
+
+@pytest.mark.parametrize("word, prime", [((1, 4, 4, 2, 5), False), ((2, 1, 3, 3), True)])
+def test_the_record_lists_its_orbit_and_is_immutable(word, prime):
+    cert = orbit_certificate(word, prime=prime)
+    assert cert.shifts == orbit(word, cert.alphabet)
+    assert (cert.shifts[cert.parking_index], cert.shifts[cert.rook_index]) == (cert.parking, cert.rook)
+    for name in ("word", "parking", "shifts", "elsewhere"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, ())
+    again = orbit_certificate(list(word), prime=prime)
+    assert again == cert and hash(again) == hash(cert)
+    assert again == tuple(cert)  # a certificate is a tuple of its fields

@@ -35,6 +35,7 @@ DIAGRAM_9 = {"pi": [8, 1, 4, 3, 7, 6, 5, 9, 2], "eps": [0, 0, 0, 1, 2, 5, 0, 6, 
     "argv",
     [["oracle", "--n", "3", "--arrangement", "ish"]]
     + [["verify", "--n", "3", "--suite", f"thm-{name}"] for name in ("basic", "dominance", "bounded", "freedom")]
+    + [["verify", "--n", "4", "--suite", "cycle-lemma"]]
     + [["map", "--n", "9", "--bijection", "freedom", "--input", "DIAGRAM_9"]],
 )
 def test_reports_survive_python_O(argv, tmp_path):
