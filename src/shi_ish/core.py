@@ -70,6 +70,7 @@ def position_partition(word: Sequence[int]) -> SetPartition:
     """
     if len(word) == 0:
         raise ValueError("position partition of the empty word is undefined")
+    _check_int_letters(word)
     # filled by increasing position: each block is increasing, and a letter's
     # block enters the dict at its first position, that is, at its minimum
     by_letter: dict[int, list[int]] = {}

@@ -12,10 +12,20 @@ these functions on every word, exceptions included.
 from typing import Sequence, Union
 
 from shi_ish.bijections import DIAMOND, Diamond, DiamondWord, DyckToIshStages, IshToDyckStages
-from shi_ish.core import SetPartition, check_partition_of, position_partition
+from shi_ish.core import SetPartition, check_partition_of
 from shi_ish.ish import IshCeilingDiagram, _decode_rook_word
 from shi_ish.parking import LabeledDyckPath, dyck_to_word, prime_components, word_to_dyck
 from shi_ish.rookwords import _rook_dof
+
+
+def position_partition(word: Sequence[int]) -> SetPartition:
+    """The positions of ``word`` grouped by letter, each block increasing and
+    the blocks ordered by their first position.  The reference groups its
+    letters itself, so that it stays apart from the code it checks."""
+    blocks: dict = {}
+    for pos, letter in enumerate(word, start=1):
+        blocks.setdefault(letter, []).append(pos)
+    return tuple(map(tuple, blocks.values()))
 
 
 def resolve_diamond_word(

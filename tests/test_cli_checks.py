@@ -1,9 +1,9 @@
 """The verify and map checks fail when they should, and bad input is refused.
 
 Each failure-path test falsifies one statistic or one inverse inside the CLI
-module and checks the report the run gives.  The fake is swapped in wherever
-the module holds the original: as a module global or as a value of a
-module-level dict such as the bijection table.
+or verify module and checks the report the run gives.  The fake is swapped
+in wherever either module holds the original: as a module global or as a
+value of a module-level dict such as the bijection table.
 """
 
 import io
@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import shi_ish.cli as cli
+import shi_ish.verify as verify
 from shi_ish.bijections import ish_diagram_to_parking, parking_to_ish_diagram
 from shi_ish.cli import main
 from shi_ish.core import Graph, all_graphs, inverse_permutation
@@ -40,13 +41,14 @@ def run(capsys, *argv):
 
 
 def rebind(monkeypatch, original, fake):
-    for attr, value in list(vars(cli).items()):
-        if value is original:
-            monkeypatch.setattr(cli, attr, fake)
-        elif isinstance(value, dict):
-            for key, entry in list(value.items()):
-                if entry is original:
-                    monkeypatch.setitem(value, key, fake)
+    for module in (cli, verify):
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, fake)
+            elif isinstance(value, dict):
+                for key, entry in list(value.items()):
+                    if entry is original:
+                        monkeypatch.setitem(value, key, fake)
 
 
 def falsify_shi_statistic(monkeypatch, field, change):
@@ -54,7 +56,7 @@ def falsify_shi_statistic(monkeypatch, field, change):
     the check that the word labels a region of Shi(G): ``map`` through
     ``region_word_statistics``, the theorem sweeps through its float-free
     core ``_word_statistics``."""
-    for real in (cli.region_word_statistics, cli._word_statistics):
+    for real in (cli.region_word_statistics, verify._word_statistics):
 
         def fake(word, graph_or_edges, real=real):
             stats = real(word, graph_or_edges)
@@ -109,7 +111,7 @@ def test_falsified_inverse_fails_the_sweep(suite, capsys, monkeypatch):
     """The sweep walks each graph's rook words in lexicographic order, so
     the first region checked on K_2 is the one of the word (1, 1)."""
     name = suite.removeprefix("thm-")
-    rebind(monkeypatch, getattr(cli, f"{name}_parking_to_rook"), lambda word: None)
+    rebind(monkeypatch, getattr(verify, f"{name}_parking_to_rook"), lambda word: None)
     code, out, _ = run(capsys, "verify", "--n", "2", "--suite", suite)
     doc = json.loads(out)
     assert code == 1
@@ -122,7 +124,7 @@ def test_falsified_inverse_fails_the_sweep(suite, capsys, monkeypatch):
 
 def test_falsified_inverse_fails_thm_basic(capsys, monkeypatch):
     """The first region checked is the one of the rook word (1, 1, 1)."""
-    rebind(monkeypatch, cli.basic_parking_to_rook, lambda word: None)
+    rebind(monkeypatch, verify.basic_parking_to_rook, lambda word: None)
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "thm-basic")
     doc = json.loads(out)
     assert code == 1
@@ -146,7 +148,7 @@ def parking_roundtrip_reference(n):
 def test_parking_roundtrip_is_the_reference_loop(n, capsys):
     """The K_n run of the sweep certifies the round trip: the suite reports
     what the loop it replaced would have reported."""
-    assert Graph.complete(n) in cli._sweep_graphs(n, False, "thm-freedom")
+    assert Graph.complete(n) in verify._sweep_graphs(n, False, "thm-freedom")
     code, out, _ = run(capsys, "verify", "--n", str(n), "--suite", "thm-freedom")
     doc = json.loads(out)
     reference = parking_roundtrip_reference(n)
@@ -181,17 +183,17 @@ def test_broken_freedom_roundtrip_fails_the_suite(target, capsys, monkeypatch):
     n = 3
     first, second = map(ish_diagram_to_rook_word, _same_statistics_pair(n))
     if target == "forward":
-        forward = cli._PARKING_MAPS["freedom"]
-        monkeypatch.setitem(cli._PARKING_MAPS, "freedom", _exchanged(forward, first, second))
+        forward = verify._PARKING_MAPS["freedom"]
+        monkeypatch.setitem(verify._PARKING_MAPS, "freedom", _exchanged(forward, first, second))
     else:
-        inverse = cli.freedom_parking_to_rook
-        words = [cli.freedom_rook_to_parking(w) for w in (first, second)]
+        inverse = verify.freedom_parking_to_rook
+        words = [verify.freedom_rook_to_parking(w) for w in (first, second)]
         broken = _exchanged(inverse, *words)
         if target == "inverse":
-            monkeypatch.setitem(cli._INVERSES, "freedom", broken)
+            monkeypatch.setitem(verify._INVERSES, "freedom", broken)
         else:
             rebind(monkeypatch, inverse, broken)
-            assert cli._INVERSES["freedom"] is broken
+            assert verify._INVERSES["freedom"] is broken
     code, out, _ = run(capsys, "verify", "--n", str(n), "--suite", "thm-freedom")
     doc = json.loads(out)
     assert code == 1
@@ -218,7 +220,7 @@ def test_sweep_lists_every_failing_graph(capsys, monkeypatch):
     [((1, 1, 2), False, "orbit uniqueness"), ((1, 2, 2), True, "prime orbit uniqueness")],
 )
 def test_failed_orbit_certificate_is_a_failed_check(word, prime, failing, capsys, monkeypatch):
-    real = cli.orbit_certificate
+    real = verify.orbit_certificate
     refused = (word, prime)
     message = f"orbit of {word!r} refused"
 
@@ -239,7 +241,7 @@ def test_failed_orbit_certificate_is_a_failed_check(word, prime, failing, capsys
 
 
 def test_falsified_position_partition_fails_both_beta_checks(capsys, monkeypatch):
-    rebind(monkeypatch, cli.position_partition, lambda word: tuple(word))
+    rebind(monkeypatch, verify.position_partition, lambda word: tuple(word))
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "cycle-lemma")
     assert code == 1
     assert [(c["name"], c["ok"]) for c in json.loads(out)["report"]["checks"]] == [
@@ -289,7 +291,7 @@ NOT_PARKING = (3, 3, 3)  # no letter at most 1: labels no Shi region
     ],
 )
 def test_incoherent_image_is_a_failed_check(suite, label, capsys, monkeypatch):
-    monkeypatch.setitem(cli._PARKING_MAPS, suite.removeprefix("thm-"), lambda diagram: NOT_PARKING)
+    monkeypatch.setitem(verify._PARKING_MAPS, suite.removeprefix("thm-"), lambda diagram: NOT_PARKING)
     code, out, err = run(capsys, "verify", "--n", "3", "--suite", suite)
     assert code == 1
     assert "FAIL" in err
@@ -302,7 +304,7 @@ def test_incoherent_image_is_a_failed_check(suite, label, capsys, monkeypatch):
 
 def test_image_with_a_ceiling_outside_the_graph_fails_the_sweep(capsys, monkeypatch):
     image = (1, 1, 3)  # one ceiling, x_1 - x_2 = 1
-    monkeypatch.setitem(cli._PARKING_MAPS, "freedom", lambda diagram: image)
+    monkeypatch.setitem(verify._PARKING_MAPS, "freedom", lambda diagram: image)
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "thm-freedom")
     assert code == 1
     failures = json.loads(out)["report"]["failures"]
@@ -317,13 +319,13 @@ def test_wrong_free_region_word_fails_the_sweep(capsys, monkeypatch):
     inverse, with an inverse map that undoes it, keeps every statistic, the
     set of words and the round trip; only the word check sees it.  The free
     regions are the ones whose word is a permutation."""
-    forward, backward = cli._PARKING_MAPS["dominance"], cli._INVERSES["dominance"]
+    forward, backward = verify._PARKING_MAPS["dominance"], verify._INVERSES["dominance"]
 
     def relabel(word):
         return inverse_permutation(word) if sorted(word) == list(range(1, len(word) + 1)) else word
 
-    monkeypatch.setitem(cli._PARKING_MAPS, "dominance", lambda diagram: relabel(forward(diagram)))
-    monkeypatch.setitem(cli._INVERSES, "dominance", lambda word: backward(relabel(word)))
+    monkeypatch.setitem(verify._PARKING_MAPS, "dominance", lambda diagram: relabel(forward(diagram)))
+    monkeypatch.setitem(verify._INVERSES, "dominance", lambda word: backward(relabel(word)))
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "thm-dominance")
     assert code == 1
     failures = json.loads(out)["report"]["failures"]
@@ -333,8 +335,8 @@ def test_wrong_free_region_word_fails_the_sweep(capsys, monkeypatch):
 
 @pytest.mark.parametrize("suite", ["thm-dominance", "thm-bounded", "thm-freedom", "thm-basic"])
 def test_uncovered_target_fails_the_sweep(suite, capsys, monkeypatch):
-    real = cli.parking_functions
-    monkeypatch.setattr(cli, "parking_functions", lambda n, graph: [(1,) * (n + 1), *real(n, graph)])
+    real = verify.parking_functions
+    monkeypatch.setattr(verify, "parking_functions", lambda n, graph: [(1,) * (n + 1), *real(n, graph)])
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", suite)
     assert code == 1
     report = json.loads(out)["report"]
@@ -702,7 +704,7 @@ def test_map_basic_takes_every_graph_with_all_edges(tmp_path, capsys):
         (("oracle", "--n", "2", "--jobs", "2"), "oracle"),
     ]
     + [
-        (("verify", "--n", "2", "--suite", suite, "--jobs", "2"), suite) for suite in cli._SUITES
+        (("verify", "--n", "2", "--suite", suite, "--jobs", "2"), suite) for suite in verify.SUITES
     ],
 )
 def test_jobs_is_refused_where_nothing_reads_it(argv, name, capsys):

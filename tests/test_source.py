@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import shi_ish
+from shi_ish import cli
+from shi_ish.verify import SUITES
 
 SOURCE = Path(shi_ish.__file__).parent
 
@@ -36,6 +38,10 @@ DIAGRAM_9 = {"pi": [8, 1, 4, 3, 7, 6, 5, 9, 2], "eps": [0, 0, 0, 1, 2, 5, 0, 6, 
     [["oracle", "--n", "3", "--arrangement", "ish"]]
     + [["verify", "--n", "3", "--suite", f"thm-{name}"] for name in ("basic", "dominance", "bounded", "freedom")]
     + [["verify", "--n", "4", "--suite", "cycle-lemma"]]
+    + [
+        ["verify", "--n", "3", "--suite", suite]
+        for suite in ("formulas", "negative-controls", "factorization-candidates")
+    ]
     + [["map", "--n", "9", "--bijection", "freedom", "--input", "DIAGRAM_9"]],
 )
 def test_reports_survive_python_O(argv, tmp_path):
@@ -75,3 +81,45 @@ def test_no_unused_module_level_imports():
             names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert not found, found
+
+
+def _module_tree(name):
+    return ast.parse((SOURCE / name).read_text(encoding="utf-8"), filename=name)
+
+
+def _imports(tree):
+    """Every module the tree imports, and every name it imports from one,
+    dotted: ``from . import cli`` gives ``.`` and ``.cli``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            found.add(base)
+            found.update(base + ("" if base.endswith(".") else ".") + alias.name for alias in node.names)
+    return found
+
+
+def test_the_verify_engine_stands_apart_from_the_command_shell():
+    """``verify.py`` imports neither ``argparse`` nor the CLI, and ``cli.py``
+    defines none of the engine: no suite, no region facts, no theorem check."""
+    imported = _imports(_module_tree("verify.py"))
+    assert ".core" in imported
+    assert imported & {"argparse", ".cli", "shi_ish.cli"} == set()
+    defined = {node.name for node in _module_tree("cli.py").body if isinstance(node, ast.FunctionDef)}
+    engine = {name for name in defined if name.startswith("_suite_")} | defined & {"_region_facts", "_theorem_check"}
+    assert engine == set()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_a_suite_called_directly_gives_the_printed_report(name, n, capsys):
+    """A suite is a plain function of ``(n, allow_large)``: its report, made
+    JSON-ready, is the ``report`` that ``verify`` prints for the same
+    suite and size."""
+    passed, report = SUITES[name](n, False)
+    code = cli.main(["verify", "--n", str(n), "--suite", name])
+    printed = json.loads(capsys.readouterr().out)
+    assert cli._jsonify(report) == printed["report"]
+    assert (passed, code) == (printed["passed"], 0 if passed else 1)

@@ -30,6 +30,7 @@ WORD_FUNCTIONS = {
     "region_rook_word_statistics": (Graph.complete(2),),
     "parking_dof": (),
     "tail_and_dof": (),
+    "position_partition": (),
     # the eight word maps of the four bijections
     "basic_rook_to_parking": (),
     "basic_parking_to_rook": (),
@@ -61,11 +62,7 @@ WORD_FUNCTIONS = {
 }
 
 #: public word functions outside the contract, with the reason
-NOT_IN_THE_CONTRACT = {
-    # groups positions by any hashable letter: the reference construction
-    # of the freedom bijection reads (1, 1.0) through it as (1, 1)
-    "position_partition",
-}
+NOT_IN_THE_CONTRACT: set[str] = set()
 
 REFUSED = [(1, 1.0), (1.0, 1), (1, "a"), (1, None)]
 

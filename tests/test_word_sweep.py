@@ -1,7 +1,7 @@
 """The theorem sweeps in the word domain, and partitions canonical by
 construction.
 
-``cli._theorem_check(name, n)`` maps the rook word of each region of
+``verify._theorem_check(name, n)`` maps the rook word of each region of
 Ish(K_n) straight to the parking word of its Shi image and back, once, and
 reads each graph's regions off that pass by their ceilings; the targets are
 the parking words of G.  Two runs are kept here as its references, and the
@@ -30,6 +30,7 @@ import pytest
 
 import shi_ish.bijections as bijections
 import shi_ish.cli as cli
+import shi_ish.verify as verify
 from shi_ish.core import (
     Graph,
     all_graphs,
@@ -63,7 +64,7 @@ def diagram_theorem_run(name, graph):
     raised on an incoherent image.  It visits the regions in the order of
     their rook words, as the word run does, so that a failing run names the
     same first region."""
-    theorem = cli._THEOREMS[name]
+    theorem = verify._THEOREMS[name]
     bijection = getattr(bijections, f"{name}_bijection")
     inverse = getattr(bijections, f"{name}_bijection_inverse")
     n = graph.n
@@ -86,7 +87,7 @@ def diagram_theorem_run(name, graph):
         if not valid:
             detail = "image invalid for G: {}"
         elif broken:
-            detail = cli._BROKEN[broken[0]][0]
+            detail = verify._BROKEN[broken[0]][0]
         elif inverse(image) != diagram:
             detail = theorem.roundtrip_detail
         elif free and image != ShiCeilingDiagram(diagram.pi, singletons):
@@ -109,9 +110,9 @@ def diagram_theorem_run(name, graph):
 
 def graph_theorem_run(name, graph):
     """The per-graph word run: it walks ``rook_words(n, graph)``, computes
-    each region's :func:`cli._region_facts` afresh, and tests each image's
+    each region's :func:`verify._region_facts` afresh, and tests each image's
     ceilings against the edges."""
-    theorem = cli._THEOREMS[name]
+    theorem = verify._THEOREMS[name]
     n = graph.n
     complete = Graph.complete(n)
     bounded = theorem.domain == "bounded"
@@ -121,7 +122,7 @@ def graph_theorem_run(name, graph):
     seen = set()
     counts = Counter()
     for word in rook_words(n, graph):
-        fact = cli._region_facts(name, word, complete)
+        fact = verify._region_facts(name, word, complete)
         if not fact:
             continue
         _, image, partition, detail, agrees = fact
@@ -144,7 +145,7 @@ GRAPHS = [g for n in range(1, 5) for g in all_graphs(n)] + [Graph.complete(5)]
 SEEDED_GRAPHS = random.Random("word-sweep:5").sample(list(all_graphs(5)), 40)
 
 
-@pytest.mark.parametrize("name", sorted(cli._THEOREMS))
+@pytest.mark.parametrize("name", sorted(verify._THEOREMS))
 def test_word_run_equals_the_diagram_run(name):
     """Every graph at n <= 4 and K_5, each read off the one check built per
     size.  The theorems hold on all of them, but ``basic`` holds on the
@@ -152,19 +153,19 @@ def test_word_run_equals_the_diagram_run(name):
     detail."""
     checks = {}
     for graph in GRAPHS:
-        check = checks.get(graph.n) or checks.setdefault(graph.n, cli._theorem_check(name, graph.n))
+        check = checks.get(graph.n) or checks.setdefault(graph.n, verify._theorem_check(name, graph.n))
         expected = diagram_theorem_run(name, graph)
         assert check(graph) == expected, (name, graph)
         if name != "basic" or graph == Graph.complete(graph.n):
             assert expected[0] is None, (name, graph, expected)
 
 
-@pytest.mark.parametrize("name", sorted(cli._THEOREMS))
+@pytest.mark.parametrize("name", sorted(verify._THEOREMS))
 def test_the_read_off_equals_the_graph_run_at_n5(name):
     """40 seeded graphs of order 5, none of which a sweep covers: the read-off
     of one K_5 pass equals the per-graph run on each.  ``basic`` holds on the
     complete graph only, and on each of these it meets an invalid image."""
-    check = cli._theorem_check(name, 5)
+    check = verify._theorem_check(name, 5)
     details = set()
     for graph in SEEDED_GRAPHS:
         run = check(graph)
@@ -182,11 +183,11 @@ def test_the_read_off_equals_the_graph_run_under_a_partly_wrong_map(name, monkey
     must equal its per-graph run.  The dotted positions are the letters a
     rook word misses, so those regions are the ones whose rook word misses
     n."""
-    real = cli._PARKING_MAPS["freedom"]
-    monkeypatch.setitem(cli._PARKING_MAPS, "freedom", lambda w: (1,) * len(w) if len(w) not in w else real(w))
+    real = verify._PARKING_MAPS["freedom"]
+    monkeypatch.setitem(verify._PARKING_MAPS, "freedom", lambda w: (1,) * len(w) if len(w) not in w else real(w))
     details, differs = set(), 0
     for n in range(1, 5):
-        check = cli._theorem_check(name, n)
+        check = verify._theorem_check(name, n)
         for graph in all_graphs(n):
             run = check(graph)
             assert run == graph_theorem_run(name, graph), (name, graph)
@@ -203,8 +204,8 @@ def test_a_theorem_suite_walks_the_rook_words_once(suite, monkeypatch, capsys):
     """A theorem suite walks ``rook_words(n)`` once, with no graph, over all
     64 graphs at n = 4; a size it refuses (exit 3) walks none."""
     calls = []
-    real = cli.rook_words
-    monkeypatch.setattr(cli, "rook_words", lambda *args: calls.append(args) or real(*args))
+    real = verify.rook_words
+    monkeypatch.setattr(verify, "rook_words", lambda *args: calls.append(args) or real(*args))
     assert cli.main(["verify", "--n", "4", "--suite", suite]) == 0
     assert calls == [(4,)]
     calls.clear()
