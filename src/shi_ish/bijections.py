@@ -28,22 +28,23 @@ construction.  The only other layer is the diagram view:
 Shi region with :func:`parking_to_shi_diagram`, and
 ``{name}_bijection_inverse`` reads the Shi region's word with
 :func:`shi_diagram_to_parking`, runs the inverse word map and decodes with
-``_decode_rook_word``.  The theorem sweeps of :mod:`shi_ish.cli` run the word
-maps and ``map`` runs the diagram views; the rook placements of
-:mod:`shi_ish.ish` are the documented construction and the tests' reference.
+``_decode_rook_word``.  The theorem sweeps of :mod:`shi_ish.verify` run the
+word maps and ``map`` runs the diagram views.  The rook placements and the
+labeled Dyck paths, as the paper states the constructions, are the tests'
+reference and live with the tests.
 
 The ``freedom`` permutation comes from the prime-component construction
 run on column indices (:func:`_freedom_forward`, :func:`_freedom_inverse`).
-The stage views :func:`parking_to_ish_diagram_stages` and
-:func:`ish_diagram_to_parking_stages` render that same construction in the
-paper's terms: a column shows as its least label, or as the :data:`DIAMOND`
-placeholder of a dotted position when it is empty.
+Each run returns the column arrangements it passed through, which the
+tests' stage views render in the paper's terms: a column shows as its least
+label, or as a diamond, the placeholder of a dotted position, when it is
+empty.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .core import Word, check_word
 from .ish import (
@@ -55,31 +56,9 @@ from .ish import (
     _rook_word_rows,
     _rows_to_rook_word,
 )
-from .parking import LabeledDyckPath, _word_columns, is_parking_function, is_prime_parking_function
+from .parking import is_parking_function, is_prime_parking_function
 from .rookwords import OrbitCertificate, _parking_shifts, _rook_dof, orbit_certificate
 from .shi import ShiCeilingDiagram, parking_to_shi_diagram, shi_diagram_to_parking
-
-
-class Diamond:
-    """Placeholder symbol for a dotted position in a partially built word.
-
-    The class is a singleton; use the :data:`DIAMOND` constant.
-    """
-
-    _instance = None
-
-    def __new__(cls) -> "Diamond":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "<>"
-
-
-DIAMOND = Diamond()
-
-DiamondWord = tuple[Union[int, Diamond], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -255,30 +234,7 @@ def freedom_bijection_inverse(diagram: ShiCeilingDiagram) -> IshCeilingDiagram:
 
 
 # ---------------------------------------------------------------------------
-# parking functions <-> Ish diagrams through prime Dyck components
-
-
-class DyckToIshStages(NamedTuple):
-    """Intermediate words of the Dyck-path-to-diagram construction, kept for
-    inspection and regression tests."""
-
-    components: tuple[LabeledDyckPath, ...]
-    stage_words: tuple[DiamondWord, ...]
-    after_prefix_rotation: DiamondWord
-    after_global_rotation: DiamondWord
-    diagram: IshCeilingDiagram
-
-
-class IshToDyckStages(NamedTuple):
-    """Intermediate state of the diagram-to-Dyck-path construction."""
-
-    diamond_word: DiamondWord
-    cycle_index: int
-    after_cycling: DiamondWord
-    after_prefix_rotation: DiamondWord
-    components: tuple[LabeledDyckPath, ...]
-    linear_order: tuple[int, ...]
-    word: Word
+# the freedom construction on column indices
 
 
 class _InverseRun(NamedTuple):
@@ -428,78 +384,3 @@ def _freedom_forward(word: Sequence[int]) -> _ForwardRun:
         position[c] = p
     parking = tuple([position[a - 1] for a in word])
     return _ForwardRun(parking, cycle_index, after_cycling, after_prefix, components, order)
-
-
-def _shown(columns: Sequence[int], labels: LabeledDyckPath) -> DiamondWord:
-    """Columns as a diamond word: each shows as its least label, or as
-    :data:`DIAMOND` when it is empty."""
-    return tuple(labels[c][0] if labels[c] else DIAMOND for c in columns)
-
-
-def parking_to_ish_diagram_stages(word: Sequence[int]) -> DyckToIshStages:
-    """Build the Ish diagram of a parking function, keeping every stage of
-    :func:`_freedom_inverse` as label columns and diamond words.  Splicing
-    only inserts, so the stage word after the k-th component is the spliced
-    arrangement restricted to the first k components.  The diagram is the
-    decoded rook word; the last stage, with its diamonds filled by the dots
-    the position partition forces, is its pi.
-    """
-    run = _freedom_inverse(word)
-    labels = _word_columns(word)
-    rank = [0] * len(word)  # column -> the splice rank of its component
-    for k, (lo, hi) in enumerate(run.ranges):
-        rank[lo:hi] = [k] * (hi - lo)
-    return DyckToIshStages(
-        components=tuple(labels[lo:hi] for lo, hi in run.ranges),
-        stage_words=tuple(
-            _shown([c for c in run.spliced if rank[c] <= k], labels) for k in range(len(run.ranges))
-        ),
-        after_prefix_rotation=_shown(run.after_prefix, labels),
-        after_global_rotation=_shown(run.after_global, labels),
-        diagram=_decode_rook_word(run.rook),
-    )
-
-
-def parking_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
-    """The Ish ceiling diagram attached to a parking function by the prime
-    Dyck component construction: :func:`freedom_parking_to_rook`, decoded.
-
-    >>> parking_to_ish_diagram((3, 7, 3, 8, 2, 2, 7, 1, 2)).pi
-    (8, 1, 4, 3, 7, 6, 5, 9, 2)
-    >>> parking_to_ish_diagram((3, 7, 3, 8, 2, 2, 7, 1, 2)).eps
-    (0, 0, 0, 1, 2, 5, 0, 6, 0)
-    """
-    return _decode_rook_word(freedom_parking_to_rook(word))
-
-
-def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages:
-    """Recover the parking function of an Ish region, keeping every stage
-    of :func:`_freedom_forward` on its rook word as label columns and
-    diamond words.  The first, the diamond word, is the region's pi with
-    its dotted letters replaced by diamonds.
-    """
-    word = _encode_rook_word(diagram)
-    run = _freedom_forward(word)
-    labels = _word_columns(word)
-    return IshToDyckStages(
-        diamond_word=_shown(range(len(word)), labels),
-        cycle_index=run.cycle_index,
-        after_cycling=_shown(run.after_cycling, labels),
-        after_prefix_rotation=_shown(run.after_prefix, labels),
-        components=tuple(tuple(labels[c] for c in run.components[i]) for i in range(1, len(run.order) + 1)),
-        linear_order=run.order,
-        word=run.parking,
-    )
-
-
-def ish_diagram_to_parking(diagram: IshCeilingDiagram) -> Word:
-    """The parking function of an Ish region, by prime Dyck components.
-    Inverse of :func:`parking_to_ish_diagram`; :func:`freedom_rook_to_parking`
-    of the encoded region.
-
-    >>> d = IshCeilingDiagram(
-    ...     (8, 1, 4, 3, 7, 6, 5, 9, 2), (0, 0, 0, 1, 2, 5, 0, 6, 0))
-    >>> ish_diagram_to_parking(d)
-    (3, 7, 3, 8, 2, 2, 7, 1, 2)
-    """
-    return freedom_rook_to_parking(_encode_rook_word(diagram))

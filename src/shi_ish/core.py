@@ -71,6 +71,12 @@ def position_partition(word: Sequence[int]) -> SetPartition:
     if len(word) == 0:
         raise ValueError("position partition of the empty word is undefined")
     _check_int_letters(word)
+    return _position_partition(word)
+
+
+def _position_partition(word: Sequence[int]) -> SetPartition:
+    """:func:`position_partition` of a nonempty word of int letters, without
+    the float test, for the package's own words."""
     # filled by increasing position: each block is increasing, and a letter's
     # block enters the dict at its first position, that is, at its minimum
     by_letter: dict[int, list[int]] = {}
@@ -154,19 +160,6 @@ def check_permutation(seq: Sequence[int]) -> Permutation:
 
 def identity_permutation(n: int) -> Permutation:
     return tuple(range(1, n + 1))
-
-
-def inverse_permutation(perm: Sequence[int]) -> Permutation:
-    """One-line notation of the inverse.
-
-    >>> inverse_permutation((2, 3, 1))
-    (3, 1, 2)
-    """
-    perm = check_permutation(perm)
-    inv = [0] * len(perm)
-    for pos, value in enumerate(perm, start=1):
-        inv[value - 1] = pos
-    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -261,44 +254,6 @@ def is_nonnesting(partition: SetPartition) -> bool:
     return all(c < d for c, d in zip(rights, rights[1:]))
 
 
-def connected_components(partition: SetPartition) -> tuple[SetPartition, ...]:
-    """Split a partition at the gaps no block spans.
-
-    Returns the restrictions of the partition to the maximal intervals of its
-    ground set that are unions of blocks, left to right, labels kept.
-
-    >>> connected_components(((1, 3), (2,), (4, 5, 6), (7,)))
-    (((1, 3), (2,)), ((4, 5, 6),), ((7,),))
-    """
-    if not partition:
-        return ()
-    spans = sorted((block[0], block[-1]) for block in partition)
-    intervals: list[list[int]] = [list(spans[0])]
-    for lo, hi in spans[1:]:
-        if lo <= intervals[-1][1]:
-            intervals[-1][1] = max(intervals[-1][1], hi)
-        else:
-            intervals.append([lo, hi])
-    out = []
-    for lo, hi in intervals:
-        out.append(tuple(sorted(b for b in partition if lo <= b[0] <= hi)))
-    return tuple(out)
-
-
-def apply_permutation(perm: Sequence[int], partition: SetPartition) -> SetPartition:
-    """Push a partition of [n] forward along a permutation of [n].
-
-    >>> apply_permutation((5, 2, 1, 6, 3, 8, 4, 7),
-    ...                   ((1,), (2, 4, 6), (3, 5), (7, 8)))
-    ((1, 3), (2, 6, 8), (4, 7), (5,))
-    """
-    perm = check_permutation(perm)
-    check_partition_of(tuple(partition), len(perm))
-    return partition_from_blocks(
-        tuple(perm[x - 1] for x in block) for block in partition
-    )
-
-
 def nonnesting_from_block_specs(
     specs: Iterable[tuple[int, int]], n: int
 ) -> SetPartition:
@@ -383,9 +338,10 @@ class Graph:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         object.__setattr__(self, "edges", frozenset(self.edges))
+        n = self.n  # a local, not an attribute read per edge
         for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"bad edge ({i}, {j}) on [1, {self.n}]")
+            if not (1 <= i < j <= n):
+                raise ValueError(f"bad edge ({i}, {j}) on [1, {n}]")
 
     @classmethod
     def complete(cls, n: int) -> "Graph":

@@ -34,18 +34,19 @@ decides the same question as a negative-cycle test and certifies its answer
 either way: a witness checked by substitution, or a cycle whose summed
 weight is checked to be negative.  It also takes difference equalities
 x_i - x_j = c.  It parses its rows into weighted arcs and runs the
-arc-level Bellman-Ford :func:`_arcs_feasible`, which
-:func:`shi_ish.geometry.region_ceilings` calls directly on arcs.  The
-simplex has no equality mode: the package calls it for the interior
-witness of each new region and in the brute-force reference
-:func:`shi_ish.geometry.enumerate_regions_sweep`.
+arc-level Bellman-Ford :func:`_arcs_feasible`.  No command calls it yet:
+it is the tests' reference for the oracle's split probes and for its
+ceilings and degrees of freedom, and the solver that is to supply the
+witnesses in place of the simplex.  The simplex has no equality mode: the
+package calls it for the interior witness of each new region, and the
+tests call it in their brute-force region sweep and read its optimum as
+fractions.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import Optional, Sequence
 
 Row = tuple[Sequence[int], int, bool]
@@ -66,29 +67,13 @@ def _check_slack(rows: Sequence[Row], tau: int, witness: Sequence[int], den: int
             raise ArithmeticError("simplex witness violates a row")
 
 
-def max_slack(
-    rows: Sequence[Row], n_vars: int
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Maximize the minimum slack of the strict rows, capped at 1.
-
-    Returns ``(tau, witness)`` where every strict row has slack at least
-    ``tau`` at the witness and every weak row is satisfied; both are checked
-    by substitution before they are returned.  The system of strict
-    inequalities is solvable iff ``tau > 0``.
-
-    >>> tau, x = max_slack([((1, -1), 0, True), ((-1, 1), -3, True)], 2)
-    >>> tau
-    Fraction(1, 1)
-    >>> x[0] - x[1]
-    Fraction(1, 1)
-    """
-    tau, witness, den = _optimum(rows, n_vars)
-    return Fraction(tau, den), tuple(Fraction(x, den) for x in witness)
-
-
 def _optimum(rows: Sequence[Row], n_vars: int) -> tuple[int, tuple[int, ...], int]:
-    """The optimum of :func:`max_slack` as integers over one denominator,
-    checked: ``(T, X, den)`` for tau = T / den and the witness X / den.
+    """Maximize the minimum slack of the strict rows, capped at 1, as
+    integers over one denominator: ``(T, X, den)`` for tau = T / den and
+    the witness X / den.  Every strict row has slack at least tau at the
+    witness and every weak row is satisfied; both are checked by
+    substitution before they are returned.  The system of strict
+    inequalities is solvable iff tau > 0.
 
     The dictionary drops only columns that are zero in every row but one,
     and zeros change no product, sum or gcd there, so every entry is the
@@ -206,7 +191,7 @@ def _optimum(rows: Sequence[Row], n_vars: int) -> tuple[int, tuple[int, ...], in
 
 def strict_feasible(rows: Sequence[Row], n_vars: int) -> Optional[tuple[tuple[int, ...], int]]:
     """Witness for a system of strict and weak inequalities, or None: the
-    optimizer of :func:`max_slack` when its slack ``tau`` is positive.
+    optimizer of :func:`_optimum` when its slack ``tau`` is positive.
 
     The witness comes back in the shape of :func:`difference_feasible`:
     ``(X, den)`` for the point ``X / den`` in lowest terms, checked by

@@ -13,13 +13,13 @@ so every feasibility question here is a difference-constraint system and
 a negative cycle refutes it.  During enumeration each region carries the
 shortest-path matrix of its arcs, and a split probe reads one entry of it;
 a refutation is certified by walking the recorded arcs and summing the
-cycle they close.  Every facet test of :func:`region_ceilings` and every
-vanishing probe of the slow path :func:`recession_dimension_lp` goes to
-the certifying Bellman-Ford solver of :mod:`shi_ish.exactlp`, through
-:func:`shi_ish.exactlp.difference_feasible`, which is also the probes'
-reference.  The exact simplex (:func:`shi_ish.exactlp.strict_feasible`)
-only supplies the interior witness of each newly found region and decides
-the brute-force reference :func:`enumerate_regions_sweep`.  During
+cycle they close.  The certifying Bellman-Ford solver
+:func:`shi_ish.exactlp.difference_feasible` is the probes' reference in the
+tests, and it decides the tests' single-region facet test and the
+vanishing probes of their slow recession-cone dimension.  The exact simplex
+(:func:`shi_ish.exactlp.strict_feasible`) only supplies the interior
+witness of each newly found region, and decides the tests' brute-force
+sweep over all sign vectors.  During
 enumeration witnesses are integer vectors over a denominator; they become
 ``Fraction``s in the finished regions.  :func:`oracle_pass` enumerates once
 and measures every region off that pass with no further solver call:
@@ -44,7 +44,7 @@ from .core import (
     partition_from_pairs,
     partition_str,
 )
-from .exactlp import Arc, Row, _arcs_feasible, difference_feasible, strict_feasible
+from .exactlp import Arc, Row, strict_feasible
 from .ish import _decode_rook_word, _rook_word_statistics, ish_ceiling_pairs, ish_region_count
 from .parking import parking_functions
 from .rookwords import rook_words
@@ -320,27 +320,6 @@ def enumerate_regions(
     )
 
 
-def enumerate_regions_sweep(arrangement: Arrangement) -> tuple[GeomRegion, ...]:
-    """Regions by brute force over all 2^m sign vectors.
-
-    Exponentially slower than :func:`enumerate_regions`; kept as an
-    independent slow path for differential testing on small arrangements.
-
-    >>> len(enumerate_regions_sweep(build_arrangement("cox", 2)))
-    2
-    """
-    hyperplanes = arrangement.hyperplanes
-    n = arrangement.n
-    regions = []
-    for signs in itertools.product((1, -1), repeat=len(hyperplanes)):
-        rows = [_signed_row(h, s) for h, s in zip(hyperplanes, signs)]
-        probe = strict_feasible(rows, n)
-        if probe is not None:
-            witness, den = probe
-            regions.append(GeomRegion(signs, tuple(Fraction(x, den) for x in witness)))
-    return tuple(regions)
-
-
 def region_order(arrangement: Arrangement, region: GeomRegion) -> Permutation:
     """The permutation with x_{pi_1} > x_{pi_2} > ... > x_{pi_n} on the region.
 
@@ -362,51 +341,6 @@ def region_order(arrangement: Arrangement, region: GeomRegion) -> Permutation:
     if [wins[i] for i in order] != list(range(n - 1, -1, -1)):
         raise ValueError("Coxeter signs do not define a linear order")
     return order
-
-
-def region_dominant(arrangement: Arrangement, region: GeomRegion) -> bool:
-    """True when x_1 > x_2 > ... > x_n holds on the region."""
-    return region_order(arrangement, region) == identity_permutation(arrangement.n)
-
-
-def region_ceilings(arrangement: Arrangement, region: GeomRegion) -> tuple[Hyperplane, ...]:
-    """The ceilings of a region: affine hyperplanes spanning a facet of the
-    region that do not separate it from the origin.
-
-    Every affine member has positive offset, so the origin is strictly on
-    the minus side and the separation test is just ``sign == -1``; the facet
-    test asks the difference-constraint solver for a point on the hyperplane
-    satisfying every other region inequality strictly.  This is the
-    single-region entry and the reference for the oracle's read-off, which
-    needs no solver: the hyperplanes are pairwise distinct, so such a point
-    lies on no other hyperplane and the region across it differs from this
-    one in that sign alone, while the segment joining witnesses of two
-    regions whose signs differ in one hyperplane crosses only that one, so
-    its crossing point lies on a facet of both.
-
-    >>> arr = build_arrangement("shi", 3)
-    >>> sorted({len(region_ceilings(arr, r)) for r in enumerate_regions(arr)})
-    [0, 1, 2]
-    """
-    hyperplanes = arrangement.hyperplanes
-    n = arrangement.n
-    arcs = [_signed_arc(hyp, sign) for hyp, sign in zip(hyperplanes, region.signs)]
-    ceilings = []
-    for idx, hyp in enumerate(hyperplanes):
-        if hyp.offset == 0 or region.signs[idx] != -1:
-            continue
-        # pin the facet: x_a - x_b = offset as two epsilon-free arcs
-        a, b = hyp.normal.index(1), hyp.normal.index(-1)
-        pinned = [(b, a, hyp.offset, 0), (a, b, -hyp.offset, 0)]
-        if _arcs_feasible(arcs[:idx] + arcs[idx + 1 :] + pinned, n) is not None:
-            ceilings.append(hyp)
-    return tuple(ceilings)
-
-
-def region_ceiling_partition(arrangement: Arrangement, region: GeomRegion) -> SetPartition:
-    """Partition of [n] generated by i ~ j over the ceiling tags (i, j)."""
-    pairs = [(h.tag[1], h.tag[2]) for h in region_ceilings(arrangement, region)]
-    return partition_from_pairs(arrangement.n, pairs)
 
 
 def recession_dimension(arrangement: Arrangement, region: GeomRegion, order: Optional[Permutation] = None) -> int:
@@ -439,30 +373,6 @@ def recession_dimension(arrangement: Arrangement, region: GeomRegion, order: Opt
         dof += p > end
         end = max(end, last)
     return dof
-
-
-def recession_dimension_lp(arrangement: Arrangement, region: GeomRegion) -> int:
-    """Recession-cone dimension with the vanishing test done by probes.
-
-    For each hyperplane, ask the difference solver for a point of the cone
-    where its signed form is strictly positive: there is none exactly when
-    the form vanishes identically, i.e. its two coordinates are forced
-    equal.  The dimension is the number of classes those pairs generate.
-    Slow path kept for differential testing against
-    :func:`recession_dimension`.
-    """
-    n = arrangement.n
-    cone_rows: list[Row] = [
-        (tuple(sign * a for a in hyp.normal), 0, False)
-        for sign, hyp in zip(region.signs, arrangement.hyperplanes)
-    ]
-    vanishing = []
-    for sign, hyp in zip(region.signs, arrangement.hyperplanes):
-        probe: list[Row] = [(tuple(sign * a for a in hyp.normal), 0, True)]
-        probe.extend(cone_rows)
-        if difference_feasible(probe, n) is None:
-            vanishing.append((hyp.normal.index(1) + 1, hyp.normal.index(-1) + 1))
-    return len(partition_from_pairs(n, vanishing))
 
 
 def diagram_statistics(kind: str, n: int, graph: Graph) -> Iterator[tuple]:
@@ -541,9 +451,14 @@ class _MeasuredRegion:
 
 def _measure_regions(arrangement: Arrangement) -> list[_MeasuredRegion]:
     """Every region with its statistics, read off the enumerated sign
-    vectors without a further solver call: a hyperplane is a ceiling
-    exactly when flipping the region's -1 on it gives another region's
-    signs (see :func:`region_ceilings`)."""
+    vectors without a further solver call: a hyperplane H is a ceiling
+    exactly when the region's sign on it is -1 and flipping that sign gives
+    another region's signs.  The hyperplanes are pairwise distinct, so a
+    point inside a facet on H lies on no other hyperplane and the region
+    across it differs in H alone; conversely the segment joining the
+    witnesses of two regions whose signs differ in H alone crosses only H,
+    so its crossing point lies on a facet of both.  The tests' facet test
+    by the difference solver is the reference."""
     n = arrangement.n
     regions = enumerate_regions(arrangement)
     present = {region.signs for region in regions}
@@ -698,17 +613,6 @@ def cross_validate(kind: str, n: int, graph: Optional[Graph] = None) -> dict:
     """
     arrangement = build_arrangement(kind, n, graph)
     return _validation(arrangement, _measure_regions(arrangement))
-
-
-def oracle_report(kind: str, n: int, graph: Optional[Graph] = None) -> dict:
-    """JSON-ready geometric report for one arrangement.
-
-    Lists every region with its signs, exact witness, coordinate order,
-    ceiling tags, degrees of freedom and dominance flag, plus summary
-    histograms by dof, dominance and ceiling partition.
-    """
-    arrangement = build_arrangement(kind, n, graph)
-    return _report(arrangement, _measure_regions(arrangement))
 
 
 def oracle_pass(kind: str, n: int, graph: Optional[Graph] = None) -> tuple[dict, dict]:

@@ -1,10 +1,13 @@
-"""Parking functions, labeled Dyck paths, and the shuffle factorization.
+"""Parking functions: the tests, the diagonal touches, and the generators.
 
 A parking function of size n is a word w in [n]^n whose increasing
 rearrangement a satisfies a_i <= i.  Drawn as a labeled Dyck path, label i
 sits in column w_i (column c covers x-coordinate c - 1), and the path stays
-weakly above the diagonal.  Paths are stored column-first: a tuple of n
-label tuples, each increasing, empty columns included.
+weakly above the diagonal; its diagonal touches are the k with exactly k
+letters at most k.  The ``freedom`` bijection of :mod:`shi_ish.bijections`
+runs the prime-component construction on the path's column sizes alone, so
+the labeled paths themselves, their prime components and the shuffle
+factorization are kept in the tests' reference module.
 
 Parking functions, with or without a graph, and prime parking functions are
 generated in lexicographic order by a depth-first search that only extends
@@ -17,12 +20,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import Block, Graph, Word, _check_int_letters
-
-LabeledDyckPath = tuple[tuple[int, ...], ...]
+from .core import Graph, Word, _check_int_letters
 
 
 def is_parking_function(word: Sequence[int]) -> bool:
@@ -166,193 +166,3 @@ def _ballot_words(
                 room[k] += 1
 
     return extend(1)
-
-
-# ---------------------------------------------------------------------------
-# labeled Dyck paths
-
-
-def check_labeled_dyck(columns: Sequence[Sequence[int]]) -> LabeledDyckPath:
-    """Validate the column-list form of a labeled Dyck path of size n."""
-    path = tuple(tuple(col) for col in columns)
-    n = len(path)
-    labels = [x for col in path for x in col]
-    if sorted(labels) != list(range(1, n + 1)):
-        raise ValueError("labels must be exactly 1..n")
-    for col in path:
-        if list(col) != sorted(col):
-            raise ValueError("labels must increase up each column")
-    total = 0
-    for c, col in enumerate(path, start=1):
-        total += len(col)
-        if total < c:
-            raise ValueError("path dips below the diagonal")
-    return path
-
-
-def word_to_dyck(word: Sequence[int]) -> LabeledDyckPath:
-    """Labeled Dyck path of a parking function: label i in column w_i.
-
-    >>> word_to_dyck((3, 7, 3, 8, 2, 2, 7, 1, 2))[:3]
-    ((8,), (5, 6, 9), (1, 3))
-    """
-    if not is_parking_function(word):
-        raise ValueError(f"{word!r} is not a parking function")
-    return _word_columns(word)
-
-
-def _word_columns(word: Sequence[int]) -> LabeledDyckPath:
-    """The columns of :func:`word_to_dyck` for any word over [len(word)]:
-    column c holds the positions of the letter c."""
-    cols: list[list[int]] = [[] for _ in word]
-    for label, letter in enumerate(word, start=1):
-        cols[letter - 1].append(label)
-    return tuple(map(tuple, cols))
-
-
-def dyck_to_word(columns: Sequence[Sequence[int]]) -> Word:
-    """Inverse of :func:`word_to_dyck`: w_i = column of label i."""
-    path = check_labeled_dyck(columns)
-    n = len(path)
-    word = [0] * n
-    for c, col in enumerate(path, start=1):
-        for label in col:
-            word[label - 1] = c
-    return tuple(word)
-
-
-@dataclass(frozen=True)
-class PrimeComponent:
-    """A maximal stretch of a labeled Dyck path strictly above the diagonal.
-
-    ``columns`` keeps the original labels; ``start`` is the 1-based index of
-    the component's first column in the parent path.
-    """
-
-    columns: LabeledDyckPath
-    start: int
-
-    @property
-    def size(self) -> int:
-        return len(self.columns)
-
-    @property
-    def end(self) -> int:
-        return self.start + self.size - 1
-
-    def labels(self) -> tuple[int, ...]:
-        return tuple(sorted(x for col in self.columns for x in col))
-
-
-def _returns(path: LabeledDyckPath) -> tuple[int, ...]:
-    """:func:`path_returns` of a path already validated."""
-    total = 0
-    touches = []
-    for c, col in enumerate(path[:-1], start=1):
-        total += len(col)
-        if total == c:
-            touches.append(c)
-    return tuple(touches)
-
-
-def path_returns(columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Columns after which the path touches the diagonal, final column
-    excluded.  ValueError unless ``columns`` is a labeled Dyck path."""
-    return _returns(check_labeled_dyck(columns))
-
-
-def prime_components(columns: Sequence[Sequence[int]]) -> tuple[PrimeComponent, ...]:
-    """Split a labeled Dyck path at its diagonal touches.
-
-    The path is validated once, by :func:`check_labeled_dyck` (ValueError
-    unless it is a labeled Dyck path), and the touches are read off it.
-
-    >>> [c.size for c in prime_components(word_to_dyck((3, 7, 3, 8, 2, 2, 7, 1, 2)))]
-    [1, 5, 3]
-    """
-    path = check_labeled_dyck(columns)
-    cuts = (0,) + _returns(path) + (len(path),)
-    return tuple(
-        PrimeComponent(columns=path[lo:hi], start=lo + 1)
-        for lo, hi in zip(cuts, cuts[1:])
-    )
-
-
-# ---------------------------------------------------------------------------
-# shuffles and the prime factorization
-
-
-def shuffle_compose(
-    u: Sequence[int],
-    v: Sequence[int],
-    positions_u: Sequence[int],
-    positions_v: Sequence[int],
-) -> Word:
-    """Interleave u and a shifted copy of v on the given position sets.
-
-    The result w has w restricted to ``positions_u`` equal to u, and w
-    restricted to ``positions_v`` equal to v with every letter increased by
-    len(u).  The two position sets must partition [len(u) + len(v)].
-
-    >>> shuffle_compose((1,), (1,), (1,), (2,))
-    (1, 2)
-    """
-    n, m = len(u), len(v)
-    pos_u, pos_v = tuple(positions_u), tuple(positions_v)
-    if len(pos_u) != n or len(pos_v) != m:
-        raise ValueError("position sets must match the word lengths")
-    if sorted(pos_u + pos_v) != list(range(1, n + m + 1)):
-        raise ValueError("position sets must partition [1, n + m]")
-    word = [0] * (n + m)
-    for p, letter in zip(sorted(pos_u), u):
-        word[p - 1] = letter
-    for p, letter in zip(sorted(pos_v), v):
-        word[p - 1] = letter + n
-    return tuple(word)
-
-
-def compose_factors(
-    blocks: Sequence[Sequence[int]], factors: Sequence[Sequence[int]]
-) -> Word:
-    """Reassemble a word from an ordered set partition and per-block words.
-
-    Block i receives factor i with its letters shifted up by the total size
-    of the earlier blocks.  Inverse of :func:`factorize_parking`.
-    """
-    if len(blocks) != len(factors):
-        raise ValueError("need one factor per block")
-    n = sum(len(b) for b in blocks)
-    if sorted(x for b in blocks for x in b) != list(range(1, n + 1)):
-        raise ValueError("blocks must partition [1, n]")
-    word = [0] * n
-    offset = 0
-    for block, factor in zip(blocks, factors):
-        if len(block) != len(factor):
-            raise ValueError("factor length must match its block size")
-        for p, letter in zip(sorted(block), factor):
-            word[p - 1] = letter + offset
-        offset += len(block)
-    return tuple(word)
-
-
-def factorize_parking(word: Sequence[int]) -> tuple[tuple[Block, ...], tuple[Word, ...]]:
-    """Factor a parking function along the prime components of its path.
-
-    Returns (ordered blocks, prime factors): block i holds the labels of the
-    i-th prime component, and factor i is the restriction of the word to that
-    block, renormalized to a prime parking function.
-
-    >>> factorize_parking((3, 7, 3, 8, 2, 2, 7, 1, 2))
-    (((8,), (1, 3, 5, 6, 9), (2, 4, 7)), ((1,), (2, 2, 1, 1, 1), (1, 2, 1)))
-    """
-    components = prime_components(word_to_dyck(word))
-    blocks = []
-    factors = []
-    for comp in components:
-        block = comp.labels()
-        factor = tuple(word[i - 1] - (comp.start - 1) for i in block)
-        if not is_prime_parking_function(factor):
-            raise AssertionError(f"component factor {factor!r} is not prime")
-        blocks.append(block)
-        factors.append(factor)
-    return tuple(blocks), tuple(factors)

@@ -14,7 +14,7 @@ import math
 from typing import Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .core import Graph, Word, _check_int_letters, _cyclic_shift, check_word, orbit
-from .parking import _is_parking, _is_prime_parking, is_parking_function, is_prime_parking_function
+from .parking import _is_parking, _is_prime_parking
 
 
 def is_rook_word(word: Sequence[int]) -> bool:
@@ -258,72 +258,6 @@ def orbit_certificate(word: Sequence[int], prime: bool = False) -> OrbitCertific
     if not members:
         raise AssertionError(f"orbit certificate of {word!r} names a wrong member")
     return OrbitCertificate(word, m, prime, park_hits[0], rook_hits[0], parking, rook)
-
-
-def rook_word_to_parking(word: Sequence[int]) -> Word:
-    """The unique parking function in the Z_{n+1}-orbit of a rook word.
-
-    >>> rook_word_to_parking((1, 4, 4, 2, 5))
-    (4, 1, 1, 5, 2)
-    """
-    if not is_rook_word(word):
-        raise ValueError(f"{word!r} is not a rook word")
-    return orbit_certificate(word).parking
-
-
-def parking_to_rook_word(word: Sequence[int]) -> Word:
-    """The unique rook word in the Z_{n+1}-orbit of a parking function."""
-    if not is_parking_function(word):
-        raise ValueError(f"{word!r} is not a parking function")
-    return orbit_certificate(word).rook
-
-
-def prime_rook_word_to_parking(word: Sequence[int]) -> Word:
-    """The unique prime parking function in the Z_{n-1}-orbit.
-
-    >>> prime_rook_word_to_parking((1, 2, 2))
-    (2, 1, 1)
-    """
-    if not is_prime_rook_word(word):
-        raise ValueError(f"{word!r} is not a prime rook word")
-    return orbit_certificate(word, prime=True).parking
-
-
-def prime_parking_to_rook_word(word: Sequence[int]) -> Word:
-    """The unique prime rook word in the Z_{n-1}-orbit."""
-    if not is_prime_parking_function(word):
-        raise ValueError(f"{word!r} is not a prime parking function")
-    return orbit_certificate(word, prime=True).rook
-
-
-def pollak_empty_spot(word: Sequence[int]) -> int:
-    """Simulate parking on a circular lot with n+1 spots and return the spot
-    left empty.
-
-    Car i starts at its preferred spot w_i and rolls forward (wrapping) to
-    the first free spot.  A word is a parking function exactly when the spot
-    left empty is n + 1; this simulation is an independent witness for the
-    orbit-scan predicates.  A letter that is not an int raises as in
-    :func:`is_rook_word`.
-
-    >>> pollak_empty_spot((1, 1, 1))
-    4
-    >>> pollak_empty_spot((1, 4, 4, 2, 5))
-    3
-    """
-    _check_int_letters(word)
-    n = len(word)
-    lot = n + 1
-    if any(not 1 <= a <= lot for a in word):
-        raise ValueError(f"letters must lie in [1, {lot}]")
-    taken = [False] * lot
-    for pref in word:
-        spot = pref - 1
-        while taken[spot]:
-            spot = (spot + 1) % lot
-        taken[spot] = True
-    (empty,) = (s + 1 for s in range(lot) if not taken[s])
-    return empty
 
 
 def tail_and_dof(word: Sequence[int]) -> tuple[tuple[int, ...], int]:

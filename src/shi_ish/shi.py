@@ -20,7 +20,7 @@ between the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     Graph,
@@ -36,7 +36,7 @@ from .core import (
     partition_from_blocks,
     strict_int,
 )
-from .parking import _diagonal_touches, parking_functions
+from .parking import _diagonal_touches
 
 
 @dataclass(frozen=True)
@@ -241,12 +241,3 @@ def shi_diagram_to_parking(diagram: ShiCeilingDiagram) -> Word:
         for b in block:
             word[diagram.pi[b - 1] - 1] = block[0]
     return tuple(word)
-
-
-def shi_diagrams(n: int, graph: Optional[Graph] = None) -> Iterator[ShiCeilingDiagram]:
-    """All regions of the Shi arrangement of ``graph`` (default complete),
-    one diagram each, in the lexicographic order of their parking functions.
-    """
-    graph = Graph.complete(n) if graph is None else graph
-    for word in parking_functions(n, graph):
-        yield parking_to_shi_diagram(word)

@@ -7,27 +7,23 @@ documented construction, so the two routes check each other.
 """
 
 import shi_ish.bijections as bijections
-from shi_ish.ish import (
-    _decode_rook_word,
-    _encode_rook_word,
+from shi_ish.ish import _decode_rook_word, _encode_rook_word, ish_statistics
+from shi_ish.parking import is_prime_parking_function
+
+from reference import (
     complete_placement,
     ish_diagram_to_placement,
-    ish_statistics,
     parking_to_placement,
+    parking_to_rook_word,
     placement_to_ish_diagram,
     placement_to_parking,
     placement_to_rook_word,
-    restrict_placement,
-    rook_word_to_placement,
-)
-from shi_ish.parking import is_prime_parking_function
-from shi_ish.rookwords import (
-    parking_to_rook_word,
     prime_parking_to_rook_word,
     prime_rook_word_to_parking,
+    restrict_placement,
     rook_word_to_parking,
+    rook_word_to_placement,
 )
-
 import freedom_reference as freedom
 
 

@@ -11,11 +11,21 @@ these functions on every word, exceptions included.
 
 from typing import Sequence, Union
 
-from shi_ish.bijections import DIAMOND, Diamond, DiamondWord, DyckToIshStages, IshToDyckStages
 from shi_ish.core import SetPartition, check_partition_of
 from shi_ish.ish import IshCeilingDiagram, _decode_rook_word
-from shi_ish.parking import LabeledDyckPath, dyck_to_word, prime_components, word_to_dyck
 from shi_ish.rookwords import _rook_dof
+
+from reference import (
+    DIAMOND,
+    Diamond,
+    DiamondWord,
+    DyckToIshStages,
+    IshToDyckStages,
+    LabeledDyckPath,
+    dyck_to_word,
+    prime_components,
+    word_to_dyck,
+)
 
 
 def position_partition(word: Sequence[int]) -> SetPartition:

@@ -14,51 +14,42 @@ from contextlib import contextmanager
 import pytest
 
 from shi_ish.bijections import (
-    DIAMOND,
     basic_bijection,
     dominance_bijection,
     dominance_bijection_inverse,
     freedom_bijection,
     freedom_bijection_inverse,
-    ish_diagram_to_parking,
-    parking_to_ish_diagram,
-    parking_to_ish_diagram_stages,
 )
 from shi_ish.core import Graph, all_graphs, position_partition, set_partitions, arcs
 from shi_ish.geometry import cross_validate
 from shi_ish.ish import (
     IshCeilingDiagram,
     ish_char_poly,
-    ish_diagram_to_placement,
-    ish_diagrams,
     ish_region_count,
     ish_statistics,
+    poly_eval,
+    poly_mul,
+    rook_number,
+)
+from shi_ish.parking import is_prime_parking_function, parking_functions
+from shi_ish.rookwords import orbit_certificate, prime_rook_words, rook_words, tail_and_dof
+from shi_ish.shi import parking_to_shi_diagram, shi_diagram_to_parking, shi_statistics
+
+from reference import (
+    DIAMOND,
+    factorize_parking,
+    ish_diagram_to_parking,
+    ish_diagram_to_placement,
+    ish_diagrams,
+    parking_to_ish_diagram,
+    parking_to_ish_diagram_stages,
     placement_laser_word,
     placement_to_parking,
     placement_to_rook_word,
-    poly_eval,
-    poly_mul,
-    restrict_placement,
-    rook_number,
-)
-from shi_ish.parking import (
-    factorize_parking,
-    is_prime_parking_function,
-    parking_functions,
-)
-from shi_ish.rookwords import (
-    orbit_certificate,
     prime_rook_word_to_parking,
-    prime_rook_words,
+    restrict_placement,
     rook_word_to_parking,
-    rook_words,
-    tail_and_dof,
-)
-from shi_ish.shi import (
-    parking_to_shi_diagram,
-    shi_diagram_to_parking,
     shi_diagrams,
-    shi_statistics,
 )
 
 EXAMPLE_DIAGRAM = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))

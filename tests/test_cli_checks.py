@@ -15,12 +15,19 @@ from hypothesis import strategies as st
 
 import shi_ish.cli as cli
 import shi_ish.verify as verify
-from shi_ish.bijections import ish_diagram_to_parking, parking_to_ish_diagram
 from shi_ish.cli import main
-from shi_ish.core import Graph, all_graphs, inverse_permutation
-from shi_ish.ish import IshCeilingDiagram, ish_diagram_to_rook_word, ish_diagrams, ish_statistics
+from shi_ish.core import Graph, all_graphs
+from shi_ish.ish import IshCeilingDiagram, ish_statistics
 from shi_ish.parking import parking_functions
 from shi_ish.shi import ShiCeilingDiagram
+
+from reference import (
+    inverse_permutation,
+    ish_diagram_to_parking,
+    ish_diagram_to_rook_word,
+    ish_diagrams,
+    parking_to_ish_diagram,
+)
 
 SUITES = [
     "cycle-lemma",
@@ -241,7 +248,7 @@ def test_failed_orbit_certificate_is_a_failed_check(word, prime, failing, capsys
 
 
 def test_falsified_position_partition_fails_both_beta_checks(capsys, monkeypatch):
-    rebind(monkeypatch, verify.position_partition, lambda word: tuple(word))
+    rebind(monkeypatch, verify._position_partition, lambda word: tuple(word))
     code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "cycle-lemma")
     assert code == 1
     assert [(c["name"], c["ok"]) for c in json.loads(out)["report"]["checks"]] == [

@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from shi_ish.core import (
     Graph,
     all_graphs,
-    apply_permutation,
     arcs,
     check_partition_of,
     check_permutation,
     check_word,
-    connected_components,
     cyclic_shift,
     identity_permutation,
-    inverse_permutation,
     is_nonnesting,
     is_permutation,
     nonnesting_from_block_specs,
@@ -28,6 +25,8 @@ from shi_ish.core import (
     position_partition,
     set_partitions,
 )
+
+from reference import apply_permutation, connected_components, inverse_permutation
 
 words = st.integers(1, 6).flatmap(
     lambda m: st.tuples(
@@ -312,3 +311,54 @@ def test_all_graphs_are_ordered_by_edge_count():
         for k in range(7)
         for c in itertools.combinations(range(6), k)
     ]
+
+
+def _edges_one_by_one(n, edges):
+    """The edge check as a loop over the edges, as ``Graph`` made it before
+    its bound became a local: the first bad edge is named, and an edge that
+    is no pair raises as unpacking it does."""
+    for i, j in frozenset(edges):
+        if not (1 <= i < j <= n):
+            raise ValueError(f"bad edge ({i}, {j}) on [1, {n}]")
+
+
+def _outcome(function, *args):
+    try:
+        function(*args)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "edges, raised",
+    [
+        ({(1, 2), (0, 3)}, (ValueError, "bad edge (0, 3) on [1, 4]")),  # a vertex 0
+        ({(1, 2), (3, 3)}, (ValueError, "bad edge (3, 3) on [1, 4]")),  # i == j
+        ({(1, 2), (4, 2)}, (ValueError, "bad edge (4, 2) on [1, 4]")),  # i > j
+        ({(1, 2), (2, 5)}, (ValueError, "bad edge (2, 5) on [1, 4]")),  # j > n
+        ({(1, 2), (1, 2, 3)}, (ValueError, "too many values to unpack (expected 2)")),
+        ({(1, 2), (3,)}, (ValueError, "not enough values to unpack (expected 2, got 1)")),
+        ({(1, 2, 3)}, (ValueError, "too many values to unpack (expected 2)")),
+        ({(1, 2), 7}, (TypeError, "cannot unpack non-iterable int object")),
+        ({(1, 2), (1, "3")}, (TypeError, "'<' not supported between instances of 'int' and 'str'")),
+    ],
+)
+def test_a_bad_edge_raises_as_the_edge_loop_does(edges, raised):
+    assert _outcome(Graph, 4, frozenset(edges)) == raised
+    assert _outcome(_edges_one_by_one, 4, edges) == raised
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_every_edge_set_of_a_graph_passes_as_the_edge_loop_does(n):
+    pairs = list(itertools.combinations(range(0, n + 2), 2)) + [(2, 1), (3, 3)]
+    for k in range(40):
+        edges = frozenset(pairs[k * 7919 % len(pairs) :: k + 1][: k % 9])
+        assert _outcome(Graph, n, edges) == _outcome(_edges_one_by_one, n, edges), edges
+
+
+def test_a_large_n_with_few_edges_builds_no_complete_graph():
+    graph = Graph(10**9, frozenset({(1, 2), (5, 10**9)}))
+    assert graph.sorted_edges() == ((1, 2), (5, 10**9))
+    with pytest.raises(ValueError, match=r"bad edge \(5, 1000000001\)"):
+        Graph(10**9, frozenset({(1, 2), (5, 10**9 + 1)}))

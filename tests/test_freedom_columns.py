@@ -11,16 +11,11 @@ import random
 import pytest
 
 import shi_ish.bijections as bijections
-from shi_ish.bijections import (
-    freedom_parking_to_rook,
-    freedom_rook_to_parking,
-    ish_diagram_to_parking_stages,
-    parking_to_ish_diagram_stages,
-)
-from shi_ish.ish import rook_word_to_ish_diagram
+from shi_ish.bijections import freedom_parking_to_rook, freedom_rook_to_parking
 from shi_ish.parking import parking_functions
 from shi_ish.rookwords import orbit_certificate, rook_words
 
+from reference import ish_diagram_to_parking_stages, parking_to_ish_diagram_stages, rook_word_to_ish_diagram
 import freedom_reference as reference
 from test_word_regions import run_under_python_O
 

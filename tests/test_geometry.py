@@ -18,15 +18,18 @@ from shi_ish.geometry import (
     check_region,
     cross_validate,
     enumerate_regions,
-    enumerate_regions_sweep,
     oracle_pass,
-    oracle_report,
     recession_dimension,
+    region_order,
+)
+
+from reference import (
+    enumerate_regions_sweep,
+    oracle_report,
     recession_dimension_lp,
     region_ceiling_partition,
     region_ceilings,
     region_dominant,
-    region_order,
 )
 
 KINDS = ("cox", "shi", "ish")
@@ -238,9 +241,9 @@ def test_oracle_pass_solves_only_inside_the_enumeration(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("_arcs_feasible", "difference_feasible", "strict_feasible"):
-        counting(geometry, name)
-    counting(exactlp, "_arcs_feasible")
+    counting(geometry, "strict_feasible")
+    for name in ("_arcs_feasible", "difference_feasible"):
+        counting(exactlp, name)
     for kind in KINDS:
         graph = Graph.empty(4) if kind == "cox" else Graph(4, frozenset({(1, 3), (2, 4), (3, 4)}))
         calls.clear()
@@ -264,7 +267,7 @@ def test_the_enumeration_builds_fractions_only_for_finished_witnesses(monkeypatc
         return Fraction(*args)
 
     monkeypatch.setattr(geometry, "Fraction", counted)
-    monkeypatch.setattr(exactlp, "Fraction", counted)
+    monkeypatch.setattr(exactlp, "Fraction", counted, raising=False)
     for kind in KINDS:
         graph = Graph.empty(4) if kind == "cox" else Graph(4, frozenset({(1, 3), (2, 4), (3, 4)}))
         built.clear()

@@ -8,35 +8,38 @@ import pytest
 
 from shi_ish.core import Graph, all_graphs, arcs, identity_permutation, set_partitions
 from shi_ish.ish import (
-    Board,
     IshCeilingDiagram,
-    RookPlacement,
     ceiling_partition_count,
-    complete_placement,
     ish_ceiling_pairs,
     ish_char_poly,
-    ish_diagram_to_placement,
-    ish_diagrams,
     ish_region_count,
     ish_statistics,
+    is_valid_ish,
+    poly_add,
+    poly_eval,
+    poly_mul,
+    rook_number,
+)
+from shi_ish.parking import parking_functions
+from shi_ish.rookwords import rook_words
+
+from reference import (
+    Board,
+    RookPlacement,
+    complete_placement,
     is_maximal_placement,
     is_valid_hatted_placement,
-    is_valid_ish,
+    ish_diagram_to_placement,
+    ish_diagrams,
     parking_to_placement,
     placement_laser_word,
     placement_to_ish_diagram,
     placement_to_parking,
     placement_to_rook_word,
-    poly_add,
-    poly_eval,
-    poly_mul,
     restrict_placement,
-    rook_number,
     rook_word_to_placement,
     stir,
 )
-from shi_ish.parking import parking_functions
-from shi_ish.rookwords import rook_words
 
 EXAMPLE_DIAGRAM = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
 

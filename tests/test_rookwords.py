@@ -12,14 +12,17 @@ from shi_ish.rookwords import (
     is_prime_rook_word,
     is_rook_word,
     orbit_certificate,
+    prime_rook_words,
+    rook_words,
+    tail_and_dof,
+)
+
+from reference import (
     parking_to_rook_word,
     pollak_empty_spot,
     prime_parking_to_rook_word,
     prime_rook_word_to_parking,
-    prime_rook_words,
     rook_word_to_parking,
-    rook_words,
-    tail_and_dof,
 )
 
 

@@ -12,10 +12,11 @@ built with ``itertools.accumulate``.
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
-from shi_ish import parking, rookwords
+from shi_ish import core, parking, rookwords, verify
 from shi_ish.core import orbit
 from shi_ish.parking import is_parking_function, is_prime_parking_function
 from shi_ish.rookwords import OrbitCertificate, is_prime_rook_word, is_rook_word, orbit_certificate
@@ -194,3 +195,30 @@ def test_the_record_lists_its_orbit_and_is_immutable(word, prime):
     again = orbit_certificate(list(word), prime=prime)
     assert again == cert and hash(again) == hash(cert)
     assert again == tuple(cert)  # a certificate is a tuple of its fields
+
+
+# ---------------------------------------------------------------------------
+# the cycle-lemma suite
+
+
+def test_the_cycle_lemma_suite_pays_no_float_test(monkeypatch):
+    """The suite's certificate members are shifts of a word the certificate
+    has checked with ``check_word``, so ``beta`` compares their position
+    partitions through the float-free core: the letter test
+    ``_check_int_letters`` runs not once, wherever a module binds it."""
+    calls = []
+    check = core._check_int_letters
+
+    def counting(word):
+        calls.append(word)
+        return check(word)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "shi_ish" or name.startswith("shi_ish.")) and getattr(module, "_check_int_letters", None) is check:
+            monkeypatch.setattr(module, "_check_int_letters", counting)
+    passed, report = verify._suite_cycle_lemma(4, False)
+    assert passed and [c["name"] for c in report["checks"]][1] == "beta preserves position partitions"
+    assert calls == []
+    # the counter is live: the public partition still tests its letters
+    core.position_partition((1, 2))
+    assert calls == [(1, 2)]

@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shi_ish.core import (
-    Graph,
-    all_graphs,
-    apply_permutation,
-    identity_permutation,
-    partition_from_blocks,
-)
-from shi_ish.parking import parking_functions, prime_components, word_to_dyck
+from shi_ish.core import Graph, all_graphs, identity_permutation, partition_from_blocks
+from shi_ish.parking import parking_functions
 from shi_ish.rookwords import orbit_certificate
 from shi_ish.shi import (
     ShiCeilingDiagram,
@@ -23,9 +17,9 @@ from shi_ish.shi import (
     parking_dof,
     parking_to_shi_diagram,
     shi_diagram_to_parking,
-    shi_diagrams,
     shi_statistics,
 )
+from reference import apply_permutation, prime_components, shi_diagrams, word_to_dyck
 from test_word_regions import run_under_python_O
 
 

@@ -123,3 +123,87 @@ def test_a_suite_called_directly_gives_the_printed_report(name, n, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert cli._jsonify(report) == printed["report"]
     assert (passed, code) == (printed["passed"], 0 if passed else 1)
+
+
+#: module-level functions of ``src/shi_ish`` that no command runs, each with
+#: the reason it stays in the package rather than in ``tests/reference.py``
+KEEP = {
+    "ish.is_valid_ish": "perfbench's tests import it from shi_ish",
+    "shi.is_valid_shi": "the Shi twin of is_valid_ish, and perfbench names it in a per-layer metric",
+    "bijections.basic_bijection_inverse": "perfbench's map check runs every {name}_bijection_inverse",
+    "bijections.dominance_bijection_inverse": "perfbench's map check runs every {name}_bijection_inverse",
+    "bijections.bounded_bijection_inverse": "perfbench's map check runs every {name}_bijection_inverse",
+    "bijections.freedom_bijection_inverse": "perfbench's map check runs every {name}_bijection_inverse",
+    "geometry.cross_validate": "perfbench's tests patch it on shi_ish.cli",
+    "geometry.check_region": "tests/test_oracle_golden.py, which keeps its bytes, imports it from shi_ish.geometry",
+    "core.orbit": "it backs OrbitCertificate.shifts",
+    "core.check_partition_of": "it checks the public ShiCeilingDiagram(pi, partition) constructor",
+    "rookwords.is_rook_word": "the public rook test, twin of is_parking_function, which commands run",
+    "rookwords.is_prime_rook_word": "the public prime rook test, twin of is_prime_parking_function",
+    "exactlp.difference_feasible": "the witness solver that is to replace the simplex (ROADMAP item 3)",
+    "exactlp._difference_arc": "difference_feasible reads its rows with it",
+    "exactlp._arcs_feasible": "difference_feasible runs it",
+}
+
+#: ``map`` inputs at n = 3; the last is relatively bounded, for ``bounded``
+REACH_DIAGRAM = {"pi": [1, 2, 3], "eps": [0, 0, 1]}
+
+REACH_COMMANDS = (
+    [
+        [command, "--n", "3", "--arrangement", kind, "--format", fmt, "--graph", graph, *extra]
+        for kind in ("cox", "shi", "ish")
+        for fmt in ("json", "tsv")
+        for graph in (("complete",) if kind == "cox" else ("complete", "empty", "path"))
+        for command, extra in (
+            ("count", ["--by", {"json": "dof", "tsv": "ceiling-partition"}[fmt]]),
+            ("count", []),
+            ("enumerate", []),
+            ("oracle", []),
+        )
+    ]
+    + [["map", "--n", "3", "--bijection", name, "--input", "-"] for name in ("basic", "dominance", "bounded", "freedom")]
+    + [["verify", "--n", "4", "--suite", suite] for suite in sorted(SUITES)]
+    + [["verify", "--n", "1", "--suite", "cycle-lemma"]]
+)
+
+#: run in a fresh interpreter, so that the functions the import runs count
+REACH_SCRIPT = """
+import ast, contextlib, importlib, inspect, io, json, pathlib, sys
+seen = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and seen.add(frame.f_code))
+import shi_ish.cli as cli
+exits = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdin = io.StringIO(sys.argv[2])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exits.append(cli.main(argv))
+sys.setprofile(None)
+unreached = []
+for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+    module = importlib.import_module("shi_ish" if path.stem == "__init__" else "shi_ish." + path.stem)
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            if inspect.unwrap(getattr(module, node.name)).__code__ not in seen:
+                unreached.append(path.stem + "." + node.name)
+print(json.dumps({"exits": exits, "unreached": unreached}))
+"""
+
+
+def test_every_package_function_runs_in_a_command_or_is_kept_for_a_reason():
+    """Trace every function call, from the import of ``shi_ish.cli`` on,
+    over small ``count``, ``enumerate`` and ``oracle`` runs of each
+    arrangement in each format on the presets, ``map`` through each
+    bijection and every ``verify`` suite.  Every module-level function of
+    the package must run, or be in :data:`KEEP` with its reason: reference
+    code that no command runs belongs in ``tests/reference.py``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", REACH_SCRIPT, json.dumps(REACH_COMMANDS), json.dumps(REACH_DIAGRAM)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["exits"] == [0] * len(REACH_COMMANDS)
+    assert sorted(result["unreached"]) == sorted(KEEP)

@@ -22,11 +22,17 @@ import shi_ish.ish as ish
 import shi_ish.parking as parking
 import shi_ish.shi as shi
 from shi_ish.core import Graph, all_graphs, check_word
-from shi_ish.ish import ish_diagram_to_rook_word, ish_diagrams, ish_statistics, rook_word_to_ish_diagram
+from shi_ish.ish import ish_statistics
 from shi_ish.parking import is_parking_function, is_prime_parking_function, parking_functions
-from shi_ish.rookwords import is_prime_rook_word, is_rook_word, prime_rook_word_to_parking
+from shi_ish.rookwords import is_prime_rook_word, is_rook_word
 from shi_ish.shi import parking_to_shi_diagram
 
+from reference import (
+    ish_diagram_to_rook_word,
+    ish_diagrams,
+    prime_rook_word_to_parking,
+    rook_word_to_ish_diagram,
+)
 from codec_routes import REFERENCES, codec_views
 
 NAMES = ("basic", "dominance", "bounded", "freedom")

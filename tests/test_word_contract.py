@@ -15,7 +15,9 @@ import pytest
 from shi_ish import bijections, core, ish, parking, rookwords, shi
 from shi_ish.core import Graph
 
-MODULES = (core, parking, rookwords, shi, ish, bijections)
+import reference
+
+MODULES = (core, parking, rookwords, shi, ish, bijections, reference)
 
 #: name -> the arguments after the word
 WORD_FUNCTIONS = {

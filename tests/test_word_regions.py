@@ -25,7 +25,6 @@ from shi_ish.core import (
     Graph,
     all_graphs,
     arcs,
-    connected_components,
     identity_permutation,
     is_nonnesting,
     partition_from_blocks,
@@ -33,15 +32,7 @@ from shi_ish.core import (
     set_partitions,
 )
 from shi_ish.geometry import diagram_statistics
-from shi_ish.ish import (
-    IshStatistics,
-    _decode_rook_word,
-    ish_diagram_to_rook_word,
-    ish_diagrams,
-    ish_statistics,
-    region_rook_word_statistics,
-    rook_word_to_ish_diagram,
-)
+from shi_ish.ish import IshStatistics, _decode_rook_word, ish_statistics, region_rook_word_statistics
 from shi_ish.parking import (
     is_parking_function,
     is_prime_parking_function,
@@ -57,6 +48,8 @@ from shi_ish.shi import (
     shi_statistics,
     shi_word_statistics,
 )
+
+from reference import connected_components, ish_diagram_to_rook_word, ish_diagrams, rook_word_to_ish_diagram
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -35,23 +35,16 @@ from shi_ish.core import (
     Graph,
     all_graphs,
     arcs,
-    inverse_permutation,
     partition_from_blocks,
     partition_from_pairs,
     position_partition,
 )
-from shi_ish.ish import _decode_rook_word, ish_statistics, rook_word_to_ish_diagram
+from shi_ish.ish import _decode_rook_word, ish_statistics
 from shi_ish.parking import parking_functions
 from shi_ish.rookwords import rook_words
-from shi_ish.shi import (
-    ShiCeilingDiagram,
-    is_valid_shi,
-    parking_dof,
-    shi_diagram_to_parking,
-    shi_diagrams,
-    shi_statistics,
-)
+from shi_ish.shi import ShiCeilingDiagram, is_valid_shi, parking_dof, shi_diagram_to_parking, shi_statistics
 
+from reference import inverse_permutation, rook_word_to_ish_diagram, shi_diagrams
 from test_cli_golden import GOLDEN, cli_stdout
 
 SRC = Path(__file__).resolve().parents[1] / "src"
