@@ -28,6 +28,7 @@ from .bijections import (
 )
 from .core import (
     Graph,
+    RegionStatistics,
     all_graphs,
     cyclic_shift,
     is_nonnesting,

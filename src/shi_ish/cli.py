@@ -34,14 +34,8 @@ from typing import Callable, Iterator, Optional, Sequence, TextIO
 from .bijections import basic_bijection, bounded_bijection, dominance_bijection, freedom_bijection
 from .core import Graph, partition_str
 from .geometry import cross_validate, diagram_statistics, oracle_pass  # noqa: F401 - re-export
-from .ish import (
-    IshCeilingDiagram,
-    _decode_rook_word,
-    _encode_rook_word,
-    ish_region_count,
-    region_rook_word_statistics,
-)
-from .shi import ShiCeilingDiagram, _shi_diagram, region_word_statistics, shi_diagram_to_parking
+from .ish import IshCeilingDiagram, _decode_rook_word, _encode_rook_word, _rook_word_statistics, ish_region_count
+from .shi import ShiCeilingDiagram, _shi_diagram, _word_statistics, shi_diagram_to_parking
 from .verify import SUITES, _BROKEN, _THEOREMS, SkippedError, UsageError, _check_size, _progress
 
 EXIT_OK = 0
@@ -88,7 +82,7 @@ def _read_json_object(handle: TextIO, keys: tuple[str, ...]) -> dict:
     """The JSON object read from ``handle``.  ValueError for anything else,
     so that no input is silently misread: text that is not JSON or is
     nested too deeply for the decoder, a repeated key, a top-level value
-    that is not an object, or a key outside ``keys``."""
+    that is not an object, a key outside ``keys``, or a missing one."""
     try:
         data = json.load(handle, object_pairs_hook=_unique_keys)
     except RecursionError:
@@ -98,6 +92,9 @@ def _read_json_object(handle: TextIO, keys: tuple[str, ...]) -> dict:
     unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}; expected {' and '.join(keys)}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"missing key {key!r}; expected {' and '.join(keys)}")
     return data
 
 
@@ -112,18 +109,6 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _word_str(word: Sequence[int]) -> str:
     return ",".join(str(v) for v in word)
-
-
-def _jsonify(value):
-    """Best-effort conversion of report values to JSON-compatible types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
-        return [_jsonify(v) for v in items]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
 
 
 def _arrangement_graph(args: argparse.Namespace) -> Graph:
@@ -286,16 +271,18 @@ def cmd_map(args: argparse.Namespace) -> int:
     diagram = _read_diagram(args.input)
     if diagram.n != args.n:
         raise UsageError(f"diagram has {diagram.n} letters, --n is {args.n}")
-    graph = load_graph(args.graph, args.n)
+    # K_n holds every arc, so its words are read against no edge set at all
+    # (None: any arc) instead of its n(n - 1)/2 edges
+    edges = None if args.graph == "complete" else load_graph(args.graph, args.n).edges
     try:  # the input is read once, as its rook word
-        stats_in = region_rook_word_statistics(_encode_rook_word(diagram), graph)
+        stats_in = _rook_word_statistics(_encode_rook_word(diagram), edges)
     except ValueError:  # an incoherent diagram has no rook word
         stats_in = None
     if stats_in is None:
         raise UsageError("input is not a valid Ish ceiling diagram for the graph")
     theorem = _THEOREMS[args.bijection]
     # Graph holds distinct pairs i < j of [n], so the edge count decides completeness
-    if theorem.domain == "complete" and len(graph.edges) != args.n * (args.n - 1) // 2:
+    if theorem.domain == "complete" and edges is not None and len(edges) != args.n * (args.n - 1) // 2:
         raise UsageError(f"the {args.bijection} bijection is defined on the complete graph only")
     if theorem.domain == "bounded" and not stats_in.relatively_bounded:
         raise UsageError(f"the {args.bijection} bijection needs a relatively bounded input")
@@ -306,7 +293,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     except ValueError:  # an incoherent diagram has no word
         stats_out = None
     else:
-        stats_out = region_word_statistics(word, graph)
+        stats_out = _word_statistics(word, edges) if len(word) == args.n else None
     if stats_out is None:
         certificates, failures = {}, ["image invalid for G"]
     else:
@@ -342,7 +329,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.graph != "complete":
         raise UsageError(f"verify does not take --graph (got {args.graph!r}): each suite sets its own graphs")
     passed, report = SUITES[args.suite](args.n, args.allow_large)
-    doc = _wrap(args, "verify", {"suite": args.suite, "passed": passed, "report": _jsonify(report)})
+    doc = _wrap(args, "verify", {"suite": args.suite, "passed": passed, "report": report})
     if args.format == "tsv":
         rows = [("suite", "passed"), (args.suite, str(passed))]
         for check in report.get("checks", []):
@@ -376,7 +363,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "region_count": validation["region_count"],
             "formula_count": validation["formula_count"],
             "ok": validation["ok"],
-            "mismatches": _jsonify(validation["mismatches"]),
+            "mismatches": validation["mismatches"],
             "report": report,
         },
     )
@@ -405,10 +392,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 _STRS = frozenset({str})  # the key types of a dict printed here
-#: a list or tuple whose text ``_indented_json`` keeps holds exact ints, or
-#: lists and tuples of exact ints
+#: a tuple whose text ``_indented_json`` keeps holds exact ints, or tuples
+#: of exact ints
 _INTS = frozenset({int})
-_SEQUENCES = frozenset({list, tuple})
+_TUPLES = frozenset({tuple})
 
 
 def _indented_json(value, indent: str = "", texts: Optional[dict] = None) -> str:
@@ -419,12 +406,14 @@ def _indented_json(value, indent: str = "", texts: Optional[dict] = None) -> str
     This builds the same text with one join per container; a list of ints
     (most of every report) is joined straight from ``map(repr, ...)``.
 
-    ``texts``, when given, keeps for one report the text of every list or
-    tuple of exact ints, and of every list or tuple of those, keyed by its
-    indent and its value as tuples, so a sequence that repeats (a
-    permutation or a partition shared by many regions) is built once.  The
-    key holds exact ints only: ``1``, ``True`` and ``1.0`` are equal and
-    hash alike, but print as ``1``, ``true`` and ``1.0``.
+    ``texts``, when given, keeps for one report the text of every tuple of
+    exact ints, and of every tuple of those, keyed by its indent and the
+    tuple itself, so a tuple that repeats (a permutation or a partition
+    shared by many regions) is built once.  A list is built every time: the
+    reports hold a value that is unique to its region, such as a sign
+    vector, as a list.  The key holds exact ints only: ``1``, ``True`` and
+    ``1.0`` are equal and hash alike, but print as ``1``, ``true`` and
+    ``1.0``.
 
     >>> print(_indented_json({"a": [1, 2], "b": [], "c": {"d": None}}))
     {
@@ -460,14 +449,12 @@ def _indented_json(value, indent: str = "", texts: Optional[dict] = None) -> str
             return "[]"
         types = set(map(type, value))
         key = None
-        if texts is not None:
-            if types == _INTS:
-                key = (indent, tuple(value))
-            elif types <= _SEQUENCES and set(map(type, itertools.chain.from_iterable(value))) <= _INTS:
-                key = (indent, tuple(map(tuple, value)))
-            text = texts.get(key)  # never kept under None
-            if text is not None:
-                return text
+        if texts is not None and kind is tuple:
+            if types == _INTS or (types == _TUPLES and set(map(type, itertools.chain.from_iterable(value))) <= _INTS):
+                key = (indent, value)
+                text = texts.get(key)
+                if text is not None:
+                    return text
         items = map(repr, value) if types == _INTS else [_indented_json(v, inner, texts) for v in value]
         text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
         if key is not None:

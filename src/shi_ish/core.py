@@ -1,4 +1,5 @@
-"""Words, permutations, and set partitions over [n], plus subgraphs of K_n.
+"""Words, permutations, and set partitions over [n], subgraphs of K_n, and
+the statistics of a region.
 
 Shared vocabulary for the whole package.  Values are plain immutable tuples:
 
@@ -9,6 +10,10 @@ Shared vocabulary for the whole package.  Values are plain immutable tuples:
   integers, blocks ordered by their minima.  That canonical form makes
   equality and hashing structural.
 
+A region of a Coxeter, Shi or Ish arrangement has the same three statistics
+whatever labels it: its ceiling partition, its degrees of freedom and its
+dominance, held in one :class:`RegionStatistics`.
+
 All positions and letters are 1-based.
 """
 
@@ -18,7 +23,7 @@ import collections
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Word = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -320,6 +325,23 @@ def set_partitions(n: int) -> Iterator[SetPartition]:
         blocks.pop()
 
     yield from extend(1, [])
+
+
+# ---------------------------------------------------------------------------
+# region statistics
+
+
+class RegionStatistics(NamedTuple):
+    """Ceiling partition, degrees of freedom and dominance of a region."""
+
+    ceiling_partition: SetPartition
+    dof: int
+    dominant: bool
+
+    @property
+    def relatively_bounded(self) -> bool:
+        """One degree of freedom: bounded up to translation along (1, ..., 1)."""
+        return self.dof == 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from typing import Iterator, Optional, Sequence
 from .core import (
     Graph,
     Permutation,
+    RegionStatistics,
     SetPartition,
     identity_permutation,
     partition_from_pairs,
@@ -48,7 +49,7 @@ from .exactlp import Arc, Row, strict_feasible
 from .ish import _decode_rook_word, _rook_word_statistics, ish_ceiling_pairs, ish_region_count
 from .parking import parking_functions
 from .rookwords import rook_words
-from .shi import ShiStatistics, _shi_diagram, _word_statistics, ceiling_hyperplane_tags
+from .shi import _shi_diagram, _word_statistics, ceiling_hyperplane_tags
 
 #: ("cox", i, j) is x_i - x_j = 0; ("shi", i, j) is x_i - x_j = 1;
 #: ("ish", i, j) is x_1 - x_j = i.  Indices are 1-based with i < j.
@@ -407,7 +408,7 @@ def diagram_statistics(kind: str, n: int, graph: Graph) -> Iterator[tuple]:
         singletons = tuple((v,) for v in range(1, n + 1))
         identity = identity_permutation(n)
         for pi in itertools.permutations(range(1, n + 1)):
-            yield pi, ShiStatistics(singletons, n, pi == identity)
+            yield pi, RegionStatistics(singletons, n, pi == identity)
     else:
         raise ValueError(f"unknown arrangement kind: {kind!r}")
 
@@ -499,6 +500,8 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
         geometric[key] = entry
 
     catalog = _combinatorial_catalog(kind, n, arrangement.graph)
+    # a record names a Shi or Ish diagram by its repr, a Cox region by its order
+    shown = tuple if kind == "cox" else repr
     matched = 0
     for key, geo in geometric.items():
         if key not in catalog:
@@ -523,7 +526,7 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
                     "reason": "statistics disagree",
                     "order": key[0],
                     "ceiling_pairs": sorted(key[1]),
-                    "diagram": diagram,
+                    "diagram": shown(diagram),
                     "disagreements": disagreements,
                 }
             )
@@ -536,7 +539,7 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
                     "reason": "diagram has no matching region",
                     "order": key[0],
                     "ceiling_pairs": sorted(key[1]),
-                    "diagram": diagram,
+                    "diagram": shown(diagram),
                 }
             )
 
@@ -567,9 +570,9 @@ def _report(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -> di
             {
                 "signs": list(entry.region.signs),
                 "witness": [str(x) for x in entry.region.witness],
-                "order": list(entry.order),
+                "order": entry.order,
                 "ceilings": [list(h.tag) for h in entry.ceilings],
-                "ceiling_partition": [list(block) for block in entry.ceiling_partition],
+                "ceiling_partition": entry.ceiling_partition,
                 "dof": entry.dof,
                 "dominant": entry.dominant,
             }

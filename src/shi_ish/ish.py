@@ -11,9 +11,12 @@ with eps_i < pi_i and (eps_i, pi_i) an edge of G.
 Where regions are counted or the bijection theorems are checked, a region is
 its rook word, as a Shi region is its parking word:
 :func:`~shi_ish.rookwords.rook_words` with a graph generates them, and
-:func:`region_rook_word_statistics` reads the statistics off the word.  The
-diagram is decoded by :func:`_decode_rook_word` only where a region is
-printed, named in a failure or matched against the geometry.
+:func:`region_rook_word_statistics` reads the statistics off the word, into
+the :class:`~shi_ish.core.RegionStatistics` that Shi regions share.  A
+diagram's statistics are those of its rook word too
+(:func:`ish_statistics`); the paper's rules on (pi, eps) are the tests'
+reference.  The diagram is decoded by :func:`_decode_rook_word` only where a
+region is printed, named in a failure or matched against the geometry.
 
 Diagrams correspond to rook placements on a staircase board whose column i
 has n + i - 1 squares; rows above n exist only where G has the matching
@@ -31,11 +34,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     Graph,
     Permutation,
+    RegionStatistics,
     SetPartition,
     Word,
     _check_int_letters,
@@ -44,8 +48,6 @@ from .core import (
     check_permutation,
     check_word,
     cyclic_shift,
-    identity_permutation,
-    partition_from_pairs,
     set_partitions,
     strict_int,
 )
@@ -81,9 +83,6 @@ class IshCeilingDiagram:
     def n(self) -> int:
         return len(self.pi)
 
-    def dotted_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.eps, start=1) if e > 0)
-
     def to_json(self) -> dict:
         return {"pi": list(self.pi), "eps": list(self.eps)}
 
@@ -109,13 +108,6 @@ def is_valid_ish(diagram: IshCeilingDiagram, graph: Graph) -> bool:
         return False
 
 
-class IshStatistics(NamedTuple):
-    ceiling_partition: SetPartition
-    dof: int
-    dominant: bool
-    relatively_bounded: bool
-
-
 def ish_ceiling_pairs(diagram: IshCeilingDiagram) -> frozenset[tuple[int, int]]:
     """The ceilings of the region, as (i, j) tags of hyperplanes
     x_1 - x_j = i: one pair (eps_i, pi_i) per dotted position.  ValueError
@@ -131,30 +123,24 @@ def ish_ceiling_pairs(diagram: IshCeilingDiagram) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
-def ish_statistics(diagram: IshCeilingDiagram) -> IshStatistics:
-    """Ceiling partition, degrees of freedom, dominance, and relative
-    boundedness of a region.
+def ish_statistics(diagram: IshCeilingDiagram) -> RegionStatistics:
+    """Ceiling partition, degrees of freedom, and dominance of a region:
+    the statistics of its rook word (:func:`region_rook_word_statistics`),
+    as :func:`~shi_ish.shi.shi_statistics` reads the parking word.
 
-    The ceiling partition is generated by joining eps_i with pi_i at every
-    dotted position.  With k the last dotted position (the position of the
-    letter 1 if no dots), the region has n - k + pi^{-1}(1) degrees of
-    freedom.  A region is relatively bounded when it has one degree of
-    freedom: it is bounded up to translation along (1, ..., 1).
+    ValueError unless the diagram is coherent, as for
+    :func:`ish_ceiling_pairs`.
+
+    >>> ish_statistics(IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0)))
+    RegionStatistics(ceiling_partition=((1, 7), (2, 3, 5, 6), (4,), (8,)), dof=3, dominant=False)
     """
-    pairs = ish_ceiling_pairs(diagram)
-    n = diagram.n
-    one_at = diagram.pi.index(1) + 1
-    last = max(diagram.dotted_positions(), default=one_at)
-    dof = n - last + one_at
-    return IshStatistics(
-        ceiling_partition=partition_from_pairs(n, pairs),
-        dof=dof,
-        dominant=diagram.pi == identity_permutation(n),
-        relatively_bounded=dof == 1,
-    )
+    stats = _rook_word_statistics(_encode_rook_word(diagram), None)
+    if stats is None:
+        raise AssertionError(f"{diagram!r} encodes to a word that is not a rook word")
+    return stats
 
 
-def region_rook_word_statistics(word: Sequence[int], graph: Graph) -> Optional[IshStatistics]:
+def region_rook_word_statistics(word: Sequence[int], graph: Graph) -> Optional[RegionStatistics]:
     """Statistics of the region of Ish(G) labeled by ``word``, or None when
     the word labels no region: it must have n letters, be a rook word, and
     every arc of its position partition must be an edge of G.  A letter
@@ -172,13 +158,14 @@ def region_rook_word_statistics(word: Sequence[int], graph: Graph) -> Optional[I
     return _rook_word_statistics(word, graph.edges) if len(word) == graph.n else None
 
 
-def _rook_word_statistics(word: Sequence[int], edges: frozenset[tuple[int, int]]) -> Optional[IshStatistics]:
-    """:func:`region_rook_word_statistics` of a word of n int letters,
-    without the float test: the keys of the blocks of one
-    :func:`~shi_ish.core._region_scan` give the rook test and the tail."""
+def _rook_word_statistics(word: Sequence[int], edges: Optional[frozenset[tuple[int, int]]]) -> Optional[RegionStatistics]:
+    """:func:`region_rook_word_statistics` of a word of n int letters with
+    every arc in ``edges`` (None: any arc), without the float test: the
+    keys of the blocks of one :func:`~shi_ish.core._region_scan` give the
+    rook test and the tail."""
     scan = _region_scan(word, edges)
     dof = None if scan is None else _rook_tail_dof(scan[0], word[0], len(word))
-    return None if dof is None else IshStatistics(tuple(map(tuple, scan[0].values())), dof, scan[1], dof == 1)
+    return None if dof is None else RegionStatistics(tuple(map(tuple, scan[0].values())), dof, scan[1])
 
 
 # ---------------------------------------------------------------------------

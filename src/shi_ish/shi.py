@@ -5,7 +5,8 @@ The Shi arrangement of a graph G on [n] adds the hyperplanes x_i - x_j = 1
 the parking functions of size n whose position partition has every arc among
 the edges of G, and that word is the region wherever regions are counted:
 :func:`shi_word_statistics` reads the ceiling partition, the degrees of
-freedom and dominance straight off it, in one scan of the word.
+freedom and dominance straight off it, in one scan of the word, into the
+:class:`~shi_ish.core.RegionStatistics` that Ish regions share.
 
 A ceiling diagram is the geometric view of the same region: a permutation pi,
 giving the coordinate order on the region, together with a nonnesting
@@ -20,11 +21,12 @@ between the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     Graph,
     Permutation,
+    RegionStatistics,
     SetPartition,
     Word,
     _check_int_letters,
@@ -90,18 +92,7 @@ def is_valid_shi(diagram: ShiCeilingDiagram, graph: Graph) -> bool:
         return False
 
 
-class ShiStatistics(NamedTuple):
-    ceiling_partition: SetPartition
-    dof: int
-    dominant: bool
-
-    @property
-    def relatively_bounded(self) -> bool:
-        """One degree of freedom: bounded up to translation along (1, ..., 1)."""
-        return self.dof == 1
-
-
-def shi_statistics(diagram: ShiCeilingDiagram) -> ShiStatistics:
+def shi_statistics(diagram: ShiCeilingDiagram) -> RegionStatistics:
     """Ceiling partition, degrees of freedom, and dominance of a region:
     the statistics of its parking word (:func:`shi_word_statistics`).
 
@@ -128,7 +119,7 @@ def parking_dof(word: Sequence[int]) -> int:
     return dof
 
 
-def shi_word_statistics(word: Sequence[int]) -> ShiStatistics:
+def shi_word_statistics(word: Sequence[int]) -> RegionStatistics:
     """Statistics of the Shi region labeled by the parking function ``word``,
     read off the word itself by :func:`_word_statistics`.
 
@@ -140,9 +131,9 @@ def shi_word_statistics(word: Sequence[int]) -> ShiStatistics:
     :func:`parking_dof`.
 
     >>> shi_word_statistics((3, 2, 3, 7, 1, 2, 7, 2))
-    ShiStatistics(ceiling_partition=((1, 3), (2, 6, 8), (4, 7), (5,)), dof=3, dominant=False)
+    RegionStatistics(ceiling_partition=((1, 3), (2, 6, 8), (4, 7), (5,)), dof=3, dominant=False)
     >>> shi_word_statistics((1, 2, 1))
-    ShiStatistics(ceiling_partition=((1, 3), (2,)), dof=1, dominant=True)
+    RegionStatistics(ceiling_partition=((1, 3), (2,)), dof=1, dominant=True)
     """
     _check_int_letters(word)
     stats = _word_statistics(word, None)
@@ -151,7 +142,7 @@ def shi_word_statistics(word: Sequence[int]) -> ShiStatistics:
     return stats
 
 
-def region_word_statistics(word: Sequence[int], graph: Graph) -> Optional[ShiStatistics]:
+def region_word_statistics(word: Sequence[int], graph: Graph) -> Optional[RegionStatistics]:
     """Statistics of the region of Shi(G) labeled by ``word``, or None when
     the word labels no region: it must have n letters, be a parking
     function, and every arc of its position partition (the ceilings) must be
@@ -168,14 +159,14 @@ def region_word_statistics(word: Sequence[int], graph: Graph) -> Optional[ShiSta
     return _word_statistics(word, graph.edges) if len(word) == graph.n else None
 
 
-def _word_statistics(word: Sequence[int], edges: Optional[frozenset[tuple[int, int]]]) -> Optional[ShiStatistics]:
+def _word_statistics(word: Sequence[int], edges: Optional[frozenset[tuple[int, int]]]) -> Optional[RegionStatistics]:
     """The statistics of a parking word of int letters with every arc in
     ``edges`` (None: any arc), else None, without the float test: the
     blocks of one :func:`~shi_ish.core._region_scan` give the parking test
     and the diagonal touches."""
     scan = _region_scan(word, edges)
     dof = None if scan is None else _diagonal_touches(scan[0], len(word))
-    return None if dof is None else ShiStatistics(tuple(map(tuple, scan[0].values())), dof, scan[1])
+    return None if dof is None else RegionStatistics(tuple(map(tuple, scan[0].values())), dof, scan[1])
 
 
 def ceiling_hyperplane_tags(diagram: ShiCeilingDiagram) -> frozenset[tuple[int, int]]:

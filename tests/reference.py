@@ -11,6 +11,7 @@ them, and the slow paths of the geometry, kept so that the fast code in
 - the ``freedom`` bijection's stage views, in diamond words;
 - the cycle-lemma converters and Pollak's circular parking lot;
 - the region iterators ``shi_diagrams`` and ``ish_diagrams``;
+- the Ish region statistics read off ``(pi, eps)``;
 - the solver-based single-region measurements, the brute-force region
   sweep and the simplex optimum as fractions.
 
@@ -434,6 +435,26 @@ def stir(graph: Graph, k: int) -> int:
     if not 0 <= k <= graph.n:
         raise ValueError(f"block count {k} out of range for n = {graph.n}")
     return _block_counts(graph)[k]
+
+
+def reference_ish_statistics(diagram: IshCeilingDiagram) -> tuple[SetPartition, int, bool]:
+    """The ceiling partition, degrees of freedom and dominance of a region,
+    read off ``(pi, eps)`` as the paper defines them.
+
+    The ceiling partition joins eps_i with pi_i at every dotted position.
+    With k the last dotted position (the position of the letter 1 if there
+    are no dots), the region has n - k + pi^{-1}(1) degrees of freedom.  It
+    is dominant when pi is the identity.
+
+    >>> reference_ish_statistics(IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0)))
+    (((1, 7), (2, 3, 5, 6), (4,), (8,)), 3, False)
+    """
+    n = diagram.n
+    one_at = diagram.pi.index(1) + 1
+    dotted = [i for i, e in enumerate(diagram.eps, start=1) if e > 0]
+    pairs = [(diagram.eps[i - 1], diagram.pi[i - 1]) for i in dotted]
+    dof = n - max(dotted, default=one_at) + one_at
+    return partition_from_pairs(n, pairs), dof, diagram.pi == identity_permutation(n)
 
 
 # ---------------------------------------------------------------------------

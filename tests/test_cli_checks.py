@@ -6,14 +6,18 @@ in wherever either module holds the original: as a module global or as a
 value of a module-level dict such as the bijection table.
 """
 
+import dataclasses
 import io
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import shi_ish.cli as cli
+import shi_ish.geometry as geometry
 import shi_ish.verify as verify
 from shi_ish.cli import main
 from shi_ish.core import Graph, all_graphs
@@ -60,16 +64,15 @@ def rebind(monkeypatch, original, fake):
 
 def falsify_shi_statistic(monkeypatch, field, change):
     """The CLI reads a Shi image's statistics off its parking word, through
-    the check that the word labels a region of Shi(G): ``map`` through
-    ``region_word_statistics``, the theorem sweeps through its float-free
-    core ``_word_statistics``."""
-    for real in (cli.region_word_statistics, verify._word_statistics):
+    the check that the word labels a region of Shi(G): ``map`` and the
+    theorem sweeps alike through its float-free core ``_word_statistics``."""
+    real = verify._word_statistics
 
-        def fake(word, graph_or_edges, real=real):
-            stats = real(word, graph_or_edges)
-            return stats and stats._replace(**{field: change(getattr(stats, field))})
+    def fake(word, edges):
+        stats = real(word, edges)
+        return stats and stats._replace(**{field: change(getattr(stats, field))})
 
-        rebind(monkeypatch, real, fake)
+    rebind(monkeypatch, real, fake)
 
 
 def bump(value):
@@ -510,6 +513,29 @@ def test_diagram_file_refuses_unknown_keys(data, unknown, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("data, missing", [({"edges": []}, "n"), ({"n": 3}, "edges")])
+def test_graph_file_names_a_missing_key(data, missing, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "count", "--n", "3", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: malformed graph file {str(path)!r}: missing key {missing!r}; expected n and edges"
+    ]
+
+
+@pytest.mark.parametrize("data, missing", [({"eps": [0, 0, 1]}, "pi"), ({"pi": [1, 3, 2]}, "eps")])
+def test_diagram_input_names_a_missing_key(data, missing, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    code, out, err = run(capsys, "map", "--n", "3", "--bijection", "freedom")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: cannot read Ish diagram from '-': missing key {missing!r}; expected pi and eps"
+    ]
+
+
 def reader_runs(path):
     """``count --graph``, ``oracle --graph`` and ``map --input`` reading the
     file at ``path``, and ``map --input -`` reading stdin."""
@@ -783,3 +809,158 @@ def test_negative_controls_holds_n_to_the_suites_limit(n, capsys):
     assert out == ""
     assert f"negative-controls is limited to n <= 5, got n = {n}" in err
     assert "--allow-large" not in err
+
+
+# ---------------------------------------------------------------------------
+# oracle mismatches: each reason, forced in the pass at n = 2
+
+
+def _shared_key(monkeypatch):
+    """The last region is measured twice."""
+    measure = geometry._measure_regions
+
+    def doubled(arrangement):
+        measured = measure(arrangement)
+        return measured + measured[-1:]
+
+    monkeypatch.setattr(geometry, "_measure_regions", doubled)
+
+
+def _diagram_without_region(monkeypatch):
+    """The last region is never measured."""
+    measure = geometry._measure_regions
+    monkeypatch.setattr(geometry, "_measure_regions", lambda arrangement: measure(arrangement)[:-1])
+
+
+def _region_without_diagram(monkeypatch):
+    """The stream drops its first region."""
+    stream = geometry.diagram_statistics
+    monkeypatch.setattr(geometry, "diagram_statistics", lambda *args: itertools.islice(stream(*args), 1, None))
+
+
+def _statistics_disagree(monkeypatch):
+    """The first region is measured with a wrong ceiling partition, dof and
+    dominance."""
+    measure = geometry._measure_regions
+
+    def falsified(arrangement):
+        first, *rest = measure(arrangement)
+        wrong = dataclasses.replace(
+            first, ceiling_partition=first.ceiling_partition + ((3,),), dof=first.dof + 1, dominant=not first.dominant
+        )
+        return [wrong, *rest]
+
+    monkeypatch.setattr(geometry, "_measure_regions", falsified)
+
+
+#: (fault, arrangement) -> the one mismatch record ``oracle --n 2`` prints
+ORACLE_MISMATCHES = {
+    **{
+        (_shared_key, kind): {"reason": "two regions share a combinatorial key", "key": "((2, 1), frozenset())"}
+        for kind in ("cox", "shi", "ish")
+    },
+    **{
+        (_diagram_without_region, kind): {
+            "reason": "diagram has no matching region",
+            "order": [2, 1],
+            "ceiling_pairs": [],
+            "diagram": diagram,
+        }
+        for kind, diagram in (
+            ("cox", [2, 1]),
+            ("shi", "ShiCeilingDiagram(pi=(2, 1), partition=((1,), (2,)))"),
+            ("ish", "IshCeilingDiagram(pi=(2, 1), eps=(0, 0))"),
+        )
+    },
+    (_region_without_diagram, "cox"): {
+        "reason": "region has no matching diagram",
+        "order": [1, 2],
+        "ceiling_pairs": [],
+        "witness": ["1", "-1"],
+    },
+    **{
+        (_region_without_diagram, kind): {
+            "reason": "region has no matching diagram",
+            "order": [1, 2],
+            "ceiling_pairs": [[1, 2]],
+            "witness": ["1/2", "0"],
+        }
+        for kind in ("shi", "ish")
+    },
+    **{
+        (_statistics_disagree, kind): {
+            "reason": "statistics disagree",
+            "order": [1, 2],
+            "ceiling_pairs": [],
+            "diagram": diagram,
+            "disagreements": {
+                "ceiling_partition": {"geometric": [[1], [2], [3]], "combinatorial": [[1], [2]]},
+                "dof": {"geometric": 3, "combinatorial": 2},
+                "dominant": {"geometric": False, "combinatorial": True},
+            },
+        }
+        for kind, diagram in (
+            ("cox", [1, 2]),
+            ("shi", "ShiCeilingDiagram(pi=(1, 2), partition=((1,), (2,)))"),
+            ("ish", "IshCeilingDiagram(pi=(1, 2), eps=(0, 0))"),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "fault, kind", ORACLE_MISMATCHES, ids=[f"{fault.__name__[1:]}-{kind}" for fault, kind in ORACLE_MISMATCHES]
+)
+def test_oracle_prints_each_mismatch_and_fails(fault, kind, monkeypatch, capsys):
+    """No honest pass reaches these records: each is forced by faking the
+    measured regions or the combinatorial stream, and printed as JSON."""
+    fault(monkeypatch)
+    code, out, _ = run(capsys, "oracle", "--n", "2", "--arrangement", kind)
+    doc = json.loads(out)
+    assert code == 1
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert doc["ok"] is False
+    assert doc["mismatches"] == [ORACLE_MISMATCHES[fault, kind]]
+
+
+# ---------------------------------------------------------------------------
+# map on the complete graph builds no graph
+
+
+def bounded_diagram(n, seed):
+    """A relatively bounded region of Ish(K_n) as the CLI's JSON: pi_1 = 1,
+    the dot counts increase by one from dotted position to dotted position,
+    each below its letter, and the last position, holding n, is dotted."""
+    rng = random.Random(seed)
+    rest = list(range(2, n))
+    rng.shuffle(rest)
+    pi = [1, *rest, n]
+    eps, last = [0] * n, 0
+    for i in range(1, n):
+        if (i == n - 1 or rng.random() < 0.3) and last + 1 < pi[i]:
+            last = eps[i] = last + 1
+    return {"pi": pi, "eps": eps}
+
+
+def test_map_on_the_complete_graph_builds_no_graph(tmp_path, capsys, monkeypatch):
+    """``map --graph complete`` never builds K_n, whose O(n^2) edges it
+    would only test arcs against: every bijection at n = 300 gives the
+    exit code, image and certificates of the same map on a graph file
+    holding all the edges."""
+    n = 300
+    diagram = tmp_path / "d.json"
+    diagram.write_text(json.dumps(bounded_diagram(n, seed=7)))
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"n": n, "edges": [list(e) for e in itertools.combinations(range(1, n + 1), 2)]}))
+
+    def refuse(cls, n):
+        raise AssertionError(f"Graph.complete({n}) was called")
+
+    monkeypatch.setattr(Graph, "complete", classmethod(refuse))
+    for bijection in ("basic", "dominance", "bounded", "freedom"):
+        argv = ("map", "--n", str(n), "--bijection", bijection, "--input", str(diagram))
+        preset, on_file = run(capsys, *argv), run(capsys, *argv, "--graph", str(full))
+        assert preset[0] == on_file[0] == 0, preset[2]
+        preset_doc, file_doc = json.loads(preset[1]), json.loads(on_file[1])
+        for key in ("input", "output", "certificates"):
+            assert preset_doc.get(key) == file_doc.get(key), (bijection, key)

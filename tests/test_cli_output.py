@@ -105,8 +105,9 @@ def test_alike_sequences_keep_their_own_text():
 
 
 def test_the_text_of_a_repeated_sequence_is_kept_once_per_indent():
+    """Tuples of exact ints, and tuples of those, are kept; lists are not."""
     texts = {}
-    doc = {"a": [[1, 2], [1, 2]], "b": [[1, 2], (1, 2)], "c": [True, 1]}
+    doc = {"a": ((1, 2), (1, 2)), "b": [[1, 2], (1, 2)], "c": [True, 1], "d": (True, 1), "e": ([1, 2],)}
     assert _indented_json(doc, "", texts) == json.dumps(doc, indent=2)
     assert set(texts) == {("  ", ((1, 2), (1, 2))), ("    ", (1, 2))}
 

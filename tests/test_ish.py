@@ -36,6 +36,7 @@ from reference import (
     placement_to_ish_diagram,
     placement_to_parking,
     placement_to_rook_word,
+    reference_ish_statistics,
     restrict_placement,
     rook_word_to_placement,
     stir,
@@ -101,6 +102,27 @@ def test_dof_reads_the_last_dot():
     # dot at the last position with pi_1 = 1: one degree of freedom
     tight = IshCeilingDiagram((1, 4, 3, 2), (0, 0, 0, 1))
     assert ish_statistics(tight).dof == 1
+
+
+def _holds_to_the_reference(diagrams):
+    for d in diagrams:
+        stats = ish_statistics(d)
+        partition, dof, dominant = reference_ish_statistics(d)
+        assert (stats.ceiling_partition, stats.dof, stats.dominant) == (partition, dof, dominant), d
+        assert stats.relatively_bounded == (dof == 1), d
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_statistics_are_the_paper_definition_on_every_diagram(n):
+    """The statistics the rook word gives are those the paper reads off
+    ``(pi, eps)``, on every region of Ish(K_n)."""
+    _holds_to_the_reference(ish_diagrams(n))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_statistics_are_the_paper_definition_on_every_graph(n):
+    for graph in all_graphs(n):
+        _holds_to_the_reference(ish_diagrams(n, graph))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

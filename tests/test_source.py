@@ -115,13 +115,13 @@ def test_the_verify_engine_stands_apart_from_the_command_shell():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_a_suite_called_directly_gives_the_printed_report(name, n, capsys):
-    """A suite is a plain function of ``(n, allow_large)``: its report, made
-    JSON-ready, is the ``report`` that ``verify`` prints for the same
-    suite and size."""
+    """A suite is a plain function of ``(n, allow_large)``: its report, as
+    JSON, is the ``report`` that ``verify`` prints for the same suite and
+    size."""
     passed, report = SUITES[name](n, False)
     code = cli.main(["verify", "--n", str(n), "--suite", name])
     printed = json.loads(capsys.readouterr().out)
-    assert cli._jsonify(report) == printed["report"]
+    assert json.loads(json.dumps(report)) == printed["report"]
     assert (passed, code) == (printed["passed"], 0 if passed else 1)
 
 
@@ -138,6 +138,8 @@ KEEP = {
     "geometry.check_region": "tests/test_oracle_golden.py, which keeps its bytes, imports it from shi_ish.geometry",
     "core.orbit": "it backs OrbitCertificate.shifts",
     "core.check_partition_of": "it checks the public ShiCeilingDiagram(pi, partition) constructor",
+    "shi.region_word_statistics": "the public, float-checked read of a parking word on a graph, whose core commands run",
+    "ish.region_rook_word_statistics": "the public, float-checked read of a rook word on a graph, whose core commands run",
     "rookwords.is_rook_word": "the public rook test, twin of is_parking_function, which commands run",
     "rookwords.is_prime_rook_word": "the public prime rook test, twin of is_prime_parking_function",
     "exactlp.difference_feasible": "the witness solver that is to replace the simplex (ROADMAP item 3)",

@@ -23,6 +23,7 @@ import pytest
 from shi_ish import geometry
 from shi_ish.core import (
     Graph,
+    RegionStatistics,
     all_graphs,
     arcs,
     identity_permutation,
@@ -32,7 +33,7 @@ from shi_ish.core import (
     set_partitions,
 )
 from shi_ish.geometry import diagram_statistics
-from shi_ish.ish import IshStatistics, _decode_rook_word, ish_statistics, region_rook_word_statistics
+from shi_ish.ish import _decode_rook_word, ish_statistics, region_rook_word_statistics
 from shi_ish.parking import (
     is_parking_function,
     is_prime_parking_function,
@@ -41,7 +42,6 @@ from shi_ish.parking import (
 )
 from shi_ish.rookwords import is_prime_rook_word, is_rook_word, prime_rook_words, rook_words, tail_and_dof
 from shi_ish.shi import (
-    ShiStatistics,
     parking_dof,
     parking_to_shi_diagram,
     region_word_statistics,
@@ -76,7 +76,7 @@ def seeded_graphs(n, count, seed):
 def diagram_side_statistics(diagram):
     """Statistics read off a coherent diagram: its partition carried along
     pi, the connected components of its partition, and pi = identity."""
-    return ShiStatistics(
+    return RegionStatistics(
         ceiling_partition=partition_from_blocks(
             [diagram.pi[b - 1] for b in block] for block in diagram.partition
         ),
@@ -259,13 +259,11 @@ def reference_statistics(word, graph, dof_of, make):
 
 
 def reference_shi(word, graph):
-    return reference_statistics(word, graph, reference_parking_dof, ShiStatistics)
+    return reference_statistics(word, graph, reference_parking_dof, RegionStatistics)
 
 
 def reference_ish(word, graph):
-    return reference_statistics(
-        word, graph, reference_rook_dof, lambda partition, dof, dominant: IshStatistics(partition, dof, dominant, dof == 1)
-    )
+    return reference_statistics(word, graph, reference_rook_dof, RegionStatistics)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
