@@ -33,18 +33,15 @@ word maps and ``map`` runs the diagram views.  The rook placements and the
 labeled Dyck paths, as the paper states the constructions, are the tests'
 reference and live with the tests.
 
-The ``freedom`` permutation comes from the prime-component construction
-run on column indices (:func:`_freedom_forward`, :func:`_freedom_inverse`).
-Each run returns the column arrangements it passed through, which the
-tests' stage views render in the paper's terms: a column shows as its least
-label, or as a diamond, the placeholder of a dotted position, when it is
-empty.
+The ``freedom`` word maps run the prime-component construction on column
+indices and read the word off the positions the columns reach; the tests'
+stage views build the same steps on labels, as the paper states them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import Word, check_word
 from .ish import (
@@ -62,7 +59,8 @@ from .shi import ShiCeilingDiagram, parking_to_shi_diagram, shi_diagram_to_parki
 
 
 # ---------------------------------------------------------------------------
-# the four region bijections: the word maps, then their diagram views
+# the four region bijections: the word maps, then their diagram views (the
+# freedom word maps follow them)
 
 
 def _certified_rook_orbit(word: Sequence[int], prime: bool = False) -> OrbitCertificate:
@@ -152,23 +150,6 @@ def bounded_parking_to_rook(word: Sequence[int]) -> Word:
     return orbit_certificate(word, prime=True).rook
 
 
-def freedom_rook_to_parking(word: Sequence[int]) -> Word:
-    """The ``freedom`` map on words: the labeled Dyck path of the region,
-    built from its prime components on the columns of the rook word
-    (:func:`_freedom_forward`).
-
-    >>> freedom_rook_to_parking((2, 8, 8, 1, 8, 8, 2, 5))
-    (2, 4, 4, 1, 4, 4, 2, 7)
-    """
-    return _freedom_forward(word).parking
-
-
-def freedom_parking_to_rook(word: Sequence[int]) -> Word:
-    """Inverse of :func:`freedom_rook_to_parking`, on the columns of the
-    parking word's labeled Dyck path (:func:`_freedom_inverse`)."""
-    return _freedom_inverse(word).rook
-
-
 def basic_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:
     """Map an Ish region to a Shi region through rightward lasers.
 
@@ -234,30 +215,7 @@ def freedom_bijection_inverse(diagram: ShiCeilingDiagram) -> IshCeilingDiagram:
 
 
 # ---------------------------------------------------------------------------
-# the freedom construction on column indices
-
-
-class _InverseRun(NamedTuple):
-    """One run of :func:`_freedom_inverse`: the rook word and the column
-    arrangements it passed through."""
-
-    rook: Word
-    ranges: list[tuple[int, int]]  # the components, columns lo..hi-1, in splice order
-    spliced: list[int]  # every component spliced in
-    after_prefix: list[int]
-    after_global: list[int]
-
-
-class _ForwardRun(NamedTuple):
-    """One run of :func:`_freedom_forward`: the parking word and the column
-    arrangements it passed through."""
-
-    parking: Word
-    cycle_index: int
-    after_cycling: list[int]
-    after_prefix: tuple[int, ...]
-    components: dict[int, list[int]]  # component i -> its columns, in path order
-    order: tuple[int, ...]  # the components in linear order
+# the freedom word maps: the construction on column indices
 
 
 def _column_sizes(word: Sequence[int]) -> list[int]:
@@ -274,53 +232,10 @@ def _column_sizes(word: Sequence[int]) -> list[int]:
     return size
 
 
-def _freedom_inverse(word: Sequence[int]) -> _InverseRun:
-    """:func:`freedom_parking_to_rook` on the columns 0..n-1 of the parking
-    word's labeled Dyck path, where column c holds the labels v with
-    ``word[v - 1] == c + 1``.
-
-    The prime components are the column ranges between the diagonal
-    touches, listed cyclically from the one holding the label 1.  That one is
-    read cyclically from the column of 1, its last column, which is empty,
-    moved to the end; each later component i = 2..d is spliced in just after
-    position i - 1.  The first d columns rotate left once, and the whole
-    arrangement rotates left until only columns of components left of 1
-    precede the column of 1.  The rook word renames each letter by the
-    position its column reached.
-    """
-    if not is_parking_function(word):
-        raise ValueError(f"{word!r} is not a parking function")
-    n = len(word)
-    size = _column_sizes(word)
-    cuts = [0]  # component k is the columns cuts[k - 1] .. cuts[k] - 1
-    total = 0
-    for c in range(n - 1):
-        total += size[c]
-        if total == c + 1:
-            cuts.append(c + 1)
-    cuts.append(n)
-    d = len(cuts) - 1
-    home = word[0] - 1  # the column of the label 1
-    one_in = bisect_right(cuts, home)  # the rank of its component
-    ranges = [(cuts[k - 1], cuts[k]) for k in (*range(one_in, d + 1), *range(1, one_in))]
-    lo, hi = ranges[0]
-    spliced = [*range(home, hi - 1), *range(lo, home), hi - 1]
-    for i, (lo, hi) in enumerate(ranges[1:], start=1):
-        spliced[i:i] = range(lo, hi)
-    after_prefix = spliced[1:d] + spliced[:1] + spliced[d:]
-    shift = d - one_in
-    working = after_prefix[shift:] + after_prefix[:shift]
-    position = [0] * n
-    for p, c in enumerate(working, start=1):
-        position[c] = p
-    if not all(size[c] for c in working[: position[home] - 1]):
-        raise AssertionError(f"an empty column precedes the column of 1 for {word!r}")
-    return _InverseRun(tuple([position[a - 1] for a in word]), ranges, spliced, after_prefix, working)
-
-
-def _freedom_forward(word: Sequence[int]) -> _ForwardRun:
-    """:func:`freedom_rook_to_parking` on the columns 0..n-1 of the rook
-    word, where column c holds the positions of the letter c + 1.
+def freedom_rook_to_parking(word: Sequence[int]) -> Word:
+    """The ``freedom`` map on words: the labeled Dyck path of the region,
+    built from its prime components on the columns 0..n-1 of the rook word,
+    where column c holds the positions of the letter c + 1.
 
     With d the degrees of freedom, the columns cycle right until the column
     of 1 sits in position d (the cycle index counts the steps), and the first
@@ -331,6 +246,9 @@ def _freedom_forward(word: Sequence[int]) -> _ForwardRun:
     (:func:`~shi_ish.rookwords._parking_shifts`).  The component of 1 lands
     in linear position d minus the cycle index, and the parking word
     renames each letter by the position its column reached.
+
+    >>> freedom_rook_to_parking((2, 8, 8, 1, 8, 8, 2, 5))
+    (2, 4, 4, 1, 4, 4, 2, 7)
     """
     d = _rook_dof(word)
     if d is None:
@@ -348,7 +266,6 @@ def _freedom_forward(word: Sequence[int]) -> _ForwardRun:
     if after_cycling[d - 1] != home:
         raise AssertionError("cycling did not bring 1 to position d")
     working = [home, *after_cycling[: d - 1], *after_cycling[d:]]
-    after_prefix = tuple(working)
     components: dict[int, list[int]] = {}
     for i in range(d, 1, -1):
         end = i - 1
@@ -382,5 +299,48 @@ def _freedom_forward(word: Sequence[int]) -> _ForwardRun:
         if total < p:
             raise AssertionError("the path dips below the diagonal")
         position[c] = p
-    parking = tuple([position[a - 1] for a in word])
-    return _ForwardRun(parking, cycle_index, after_cycling, after_prefix, components, order)
+    return tuple([position[a - 1] for a in word])
+
+
+def freedom_parking_to_rook(word: Sequence[int]) -> Word:
+    """Inverse of :func:`freedom_rook_to_parking`, on the columns 0..n-1 of
+    the parking word's labeled Dyck path, where column c holds the labels v
+    with ``word[v - 1] == c + 1``.
+
+    The prime components are the column ranges between the diagonal
+    touches, listed cyclically from the one holding the label 1.  That one is
+    read cyclically from the column of 1, its last column, which is empty,
+    moved to the end; each later component i = 2..d is spliced in just after
+    position i - 1.  The first d columns rotate left once, and the whole
+    arrangement rotates left until only columns of components left of 1
+    precede the column of 1.  The rook word renames each letter by the
+    position its column reached.
+    """
+    if not is_parking_function(word):
+        raise ValueError(f"{word!r} is not a parking function")
+    n = len(word)
+    size = _column_sizes(word)
+    cuts = [0]  # component k is the columns cuts[k - 1] .. cuts[k] - 1
+    total = 0
+    for c in range(n - 1):
+        total += size[c]
+        if total == c + 1:
+            cuts.append(c + 1)
+    cuts.append(n)
+    d = len(cuts) - 1
+    home = word[0] - 1  # the column of the label 1
+    one_in = bisect_right(cuts, home)  # the rank of its component
+    ranges = [(cuts[k - 1], cuts[k]) for k in (*range(one_in, d + 1), *range(1, one_in))]
+    lo, hi = ranges[0]
+    spliced = [*range(home, hi - 1), *range(lo, home), hi - 1]
+    for i, (lo, hi) in enumerate(ranges[1:], start=1):
+        spliced[i:i] = range(lo, hi)
+    working = spliced[1:d] + spliced[:1] + spliced[d:]
+    shift = d - one_in
+    working = working[shift:] + working[:shift]
+    position = [0] * n
+    for p, c in enumerate(working, start=1):
+        position[c] = p
+    if not all(size[c] for c in working[: position[home] - 1]):
+        raise AssertionError(f"an empty column precedes the column of 1 for {word!r}")
+    return tuple([position[a - 1] for a in word])

@@ -382,6 +382,10 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges if i < j else (j, i) in self.edges
 
+    def admits(self, partition: SetPartition) -> bool:
+        """Whether every arc of ``partition`` is an edge of the graph."""
+        return self.edges.issuperset(arcs(partition))
+
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
@@ -392,12 +396,21 @@ class Graph:
     def from_json(cls, data: dict) -> "Graph":
         """The graph of ``{"n": int, "edges": [[i, j], ...]}``.  A pair of
         exact ints is taken as it is; any other edge goes endpoint by
-        endpoint through :func:`strict_int`, so the first bad endpoint in
-        file order is the one named."""
-        edges = frozenset(
-            (i, j) if type(i) is int and type(j) is int else (strict_int(i), strict_int(j))
-            for i, j in data["edges"]
-        )
+        endpoint through :func:`strict_int`, so the first bad edge in file
+        order is named, or the shape ``edges`` must have if it is no pair."""
+        shape = "'edges' must be a list of [i, j] pairs"
+        if not isinstance(data["edges"], list):
+            raise ValueError(shape)
+        try:
+            edges = frozenset(
+                (i, j) if type(i) is int and type(j) is int else (strict_int(i), strict_int(j))
+                for i, j in data["edges"]
+            )
+        except (TypeError, ValueError):  # the one pass failed: only now find the edge that stopped it
+            bad = next(e for e in data["edges"] if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int))
+            if not isinstance(bad, list) or len(bad) != 2:
+                raise ValueError(shape) from None
+            raise
         return cls(strict_int(data["n"]), edges)
 
 

@@ -490,12 +490,19 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
     kind, n = arrangement.kind, arrangement.n
     geometric: dict[tuple[Permutation, frozenset[tuple[int, int]]], _MeasuredRegion] = {}
     mismatches: list[dict] = []
+
+    def region_record(reason: str, key, entry: _MeasuredRegion) -> dict:
+        return {
+            "reason": reason,
+            "order": key[0],
+            "ceiling_pairs": sorted(key[1]),
+            "witness": [str(x) for x in entry.region.witness],
+        }
+
     for entry in measured:
         key = (entry.order, frozenset((h.tag[1], h.tag[2]) for h in entry.ceilings))
         if key in geometric:
-            mismatches.append(
-                {"reason": "two regions share a combinatorial key", "key": repr(key)}
-            )
+            mismatches.append(region_record("two regions share a combinatorial key", key, entry))
             continue
         geometric[key] = entry
 
@@ -505,14 +512,7 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
     matched = 0
     for key, geo in geometric.items():
         if key not in catalog:
-            mismatches.append(
-                {
-                    "reason": "region has no matching diagram",
-                    "order": key[0],
-                    "ceiling_pairs": sorted(key[1]),
-                    "witness": [str(x) for x in geo.region.witness],
-                }
-            )
+            mismatches.append(region_record("region has no matching diagram", key, geo))
             continue
         diagram, stats = catalog[key]
         disagreements = {

@@ -44,7 +44,6 @@ from .core import (
     Word,
     _check_int_letters,
     _region_scan,
-    arcs,
     check_permutation,
     check_word,
     cyclic_shift,
@@ -88,6 +87,9 @@ class IshCeilingDiagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "IshCeilingDiagram":
+        for key in ("pi", "eps"):
+            if not isinstance(data[key], list):
+                raise ValueError(f"{key!r} must be a list of integers")
         return cls(
             pi=tuple(strict_int(x) for x in data["pi"]),
             eps=tuple(strict_int(x) for x in data["eps"]),
@@ -309,9 +311,8 @@ def _block_counts(graph: Graph) -> list[int]:
     """Entry k: the set partitions of [n] into k blocks with every arc an
     edge of the graph, tallied in one walk over all set partitions."""
     counts = [0] * (graph.n + 1)
-    edges = graph.edges
     for partition in set_partitions(graph.n):
-        if all(e in edges for e in arcs(partition)):
+        if graph.admits(partition):
             counts[len(partition)] += 1
     return counts
 
@@ -332,7 +333,7 @@ def ceiling_partition_count(graph: Graph, partition: SetPartition) -> int:
     """Regions of the arrangement with the given ceiling partition: with
     n - k blocks, exactly n!/(k+1)! of them, for Shi and Ish alike."""
     n = graph.n
-    if any(e not in graph.edges for e in arcs(partition)):
+    if not graph.admits(partition):
         raise ValueError("partition has an arc outside the graph")
     k = n - len(partition)
     return factorial(n) // factorial(k + 1)

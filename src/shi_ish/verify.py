@@ -33,7 +33,6 @@ from .core import (
     _position_partition,
     _region_scan,
     all_graphs,
-    arcs,
     partition_str,
     position_partition,
     set_partitions,
@@ -221,7 +220,7 @@ def _theorem_check(name: str, n: int) -> Callable[[Graph], tuple[Optional[str], 
             targets = {w for w in targets if parking_dof(w) == 1}
         seen = set()
         counts: Counter = Counter()
-        admits = [p is not None and graph.edges.issuperset(arcs(p)) for p in places]  # G has all its arcs
+        admits = [p is not None and graph.admits(p) for p in places]
         every = graph.edges == complete.edges
         for word, region, image, partition, detail, agrees in regions:
             kept = admits[region] if region is not None else every or _region_scan(word, graph.edges)
@@ -284,7 +283,7 @@ def _check_formulas_graph(graph: Graph) -> tuple[Optional[str], int, Counter]:
     if shi_hist != ish_hist:
         return "ceiling-partition histograms differ", formula, Counter()
     for partition in set_partitions(n):
-        admissible = all(graph.has_edge(i, j) for i, j in arcs(partition))
+        admissible = graph.admits(partition)
         expected = ceiling_partition_count(graph, partition) if admissible else 0
         if ish_hist[partition] != expected:
             return f"partition {partition} count {ish_hist[partition]} != {expected}", formula, Counter()

@@ -5,8 +5,9 @@ This is the construction as the paper states it: the labeled Dyck path of a
 parking word, cut into prime components whose label columns are spliced and
 rotated as diamond words, whose diamonds resolve against the position
 partition, and back.  :mod:`shi_ish.bijections` runs the same
-steps on column indices; its word maps and stage views must agree with
-these functions on every word, exceptions included.
+steps on column indices; its word maps must agree with these functions on
+every word, exceptions included, and the stage views here are the ones the
+tests hold to the paper's worked example.
 """
 
 from typing import Sequence, Union
@@ -143,8 +144,8 @@ def parking_to_ish_diagram_stages(word: Sequence[int]) -> DyckToIshStages:
 
 
 def rook_word_to_parking_stages(word: Sequence[int]) -> IshToDyckStages:
-    """The stages of ``ish_diagram_to_parking_stages``, read off the
-    region's rook word.
+    """The stages of the Ish-region-to-Dyck-path construction, read off
+    the region's rook word.
 
     The diamond word puts the first occurrence of each letter a at position
     a; it cycles right until 1 sits in position d, the first d entries

@@ -8,7 +8,8 @@ them, and the slow paths of the geometry, kept so that the fast code in
   downward lasers, and the checked and laser codecs on ``(pi, eps)``;
 - the labeled Dyck paths, their prime components and the shuffle
   factorization of a parking function;
-- the ``freedom`` bijection's stage views, in diamond words;
+- the diamond words and stage records of the ``freedom`` bijection,
+  whose stage views :mod:`freedom_reference` builds;
 - the cycle-lemma converters and Pollak's circular parking lot;
 - the region iterators ``shi_diagrams`` and ``ish_diagrams``;
 - the Ish region statistics read off ``(pi, eps)``;
@@ -38,7 +39,7 @@ from shi_ish.core import (
     partition_from_blocks,
     partition_from_pairs,
 )
-from shi_ish.bijections import _freedom_forward, _freedom_inverse, freedom_parking_to_rook, freedom_rook_to_parking
+from shi_ish.bijections import freedom_parking_to_rook, freedom_rook_to_parking
 from shi_ish.exactlp import Row, _arcs_feasible, _optimum, difference_feasible, strict_feasible
 from shi_ish.geometry import (
     Arrangement,
@@ -853,36 +854,6 @@ class IshToDyckStages(NamedTuple):
     word: Word
 
 
-def _shown(columns: Sequence[int], labels: LabeledDyckPath) -> DiamondWord:
-    """Columns as a diamond word: each shows as its least label, or as
-    :data:`DIAMOND` when it is empty."""
-    return tuple(labels[c][0] if labels[c] else DIAMOND for c in columns)
-
-
-def parking_to_ish_diagram_stages(word: Sequence[int]) -> DyckToIshStages:
-    """Build the Ish diagram of a parking function, keeping every stage of
-    :func:`_freedom_inverse` as label columns and diamond words.  Splicing
-    only inserts, so the stage word after the k-th component is the spliced
-    arrangement restricted to the first k components.  The diagram is the
-    decoded rook word; the last stage, with its diamonds filled by the dots
-    the position partition forces, is its pi.
-    """
-    run = _freedom_inverse(word)
-    labels = _word_columns(word)
-    rank = [0] * len(word)  # column -> the splice rank of its component
-    for k, (lo, hi) in enumerate(run.ranges):
-        rank[lo:hi] = [k] * (hi - lo)
-    return DyckToIshStages(
-        components=tuple(labels[lo:hi] for lo, hi in run.ranges),
-        stage_words=tuple(
-            _shown([c for c in run.spliced if rank[c] <= k], labels) for k in range(len(run.ranges))
-        ),
-        after_prefix_rotation=_shown(run.after_prefix, labels),
-        after_global_rotation=_shown(run.after_global, labels),
-        diagram=_decode_rook_word(run.rook),
-    )
-
-
 def parking_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
     """The Ish ceiling diagram attached to a parking function by the prime
     Dyck component construction: :func:`freedom_parking_to_rook`, decoded.
@@ -893,26 +864,6 @@ def parking_to_ish_diagram(word: Sequence[int]) -> IshCeilingDiagram:
     (0, 0, 0, 1, 2, 5, 0, 6, 0)
     """
     return _decode_rook_word(freedom_parking_to_rook(word))
-
-
-def ish_diagram_to_parking_stages(diagram: IshCeilingDiagram) -> IshToDyckStages:
-    """Recover the parking function of an Ish region, keeping every stage
-    of :func:`_freedom_forward` on its rook word as label columns and
-    diamond words.  The first, the diamond word, is the region's pi with
-    its dotted letters replaced by diamonds.
-    """
-    word = _encode_rook_word(diagram)
-    run = _freedom_forward(word)
-    labels = _word_columns(word)
-    return IshToDyckStages(
-        diamond_word=_shown(range(len(word)), labels),
-        cycle_index=run.cycle_index,
-        after_cycling=_shown(run.after_cycling, labels),
-        after_prefix_rotation=_shown(run.after_prefix, labels),
-        components=tuple(tuple(labels[c] for c in run.components[i]) for i in range(1, len(run.order) + 1)),
-        linear_order=run.order,
-        word=run.parking,
-    )
 
 
 def ish_diagram_to_parking(diagram: IshCeilingDiagram) -> Word:

@@ -19,11 +19,13 @@ from shi_ish.bijections import (
     dominance_bijection_inverse,
     freedom_bijection,
     freedom_bijection_inverse,
+    freedom_parking_to_rook,
 )
 from shi_ish.core import Graph, all_graphs, position_partition, set_partitions, arcs
 from shi_ish.geometry import cross_validate
 from shi_ish.ish import (
     IshCeilingDiagram,
+    _decode_rook_word,
     ish_char_poly,
     ish_region_count,
     ish_statistics,
@@ -42,7 +44,6 @@ from reference import (
     ish_diagram_to_placement,
     ish_diagrams,
     parking_to_ish_diagram,
-    parking_to_ish_diagram_stages,
     placement_laser_word,
     placement_to_parking,
     placement_to_rook_word,
@@ -51,6 +52,7 @@ from reference import (
     rook_word_to_parking,
     shi_diagrams,
 )
+from freedom_reference import parking_to_ish_diagram_stages
 
 EXAMPLE_DIAGRAM = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
 
@@ -224,6 +226,7 @@ def test_criterion_08_worked_examples(capsys):
         assert stages.diagram == IshCeilingDiagram(
             (8, 1, 4, 3, 7, 6, 5, 9, 2), (0, 0, 0, 1, 2, 5, 0, 6, 0)
         )
+        assert _decode_rook_word(freedom_parking_to_rook((3, 7, 3, 8, 2, 2, 7, 1, 2))) == stages.diagram
 
         # prime factorization of the same parking function
         blocks, factors = factorize_parking((3, 7, 3, 8, 2, 2, 7, 1, 2))

@@ -13,7 +13,7 @@ from shi_ish.bijections import (
     freedom_bijection_inverse,
 )
 from shi_ish.core import Graph, all_graphs
-from shi_ish.ish import IshCeilingDiagram, ish_statistics
+from shi_ish.ish import IshCeilingDiagram, _encode_rook_word, ish_statistics
 from shi_ish.parking import parking_functions
 from shi_ish.shi import ShiCeilingDiagram, shi_statistics
 
@@ -21,13 +21,16 @@ from reference import (
     DIAMOND,
     Diamond,
     ish_diagram_to_parking,
-    ish_diagram_to_parking_stages,
     ish_diagrams,
     parking_to_ish_diagram,
-    parking_to_ish_diagram_stages,
     shi_diagrams,
 )
-from freedom_reference import resolve_diamond_word, resolve_rook_word
+from freedom_reference import (
+    parking_to_ish_diagram_stages,
+    resolve_diamond_word,
+    resolve_rook_word,
+    rook_word_to_parking_stages,
+)
 
 EXAMPLE_DIAGRAM = IshCeilingDiagram((4, 1, 7, 3, 8, 5, 6, 2), (0, 0, 1, 2, 0, 3, 5, 0))
 
@@ -89,7 +92,7 @@ def test_dyck_stage_fixture():
 
 def test_dyck_inverse_stage_fixture():
     diagram = IshCeilingDiagram((8, 1, 4, 3, 7, 6, 5, 9, 2), (0, 0, 0, 1, 2, 5, 0, 6, 0))
-    stages = ish_diagram_to_parking_stages(diagram)
+    stages = rook_word_to_parking_stages(_encode_rook_word(diagram))
     assert stages.diamond_word == (8, 1, 4, D, D, D, 5, D, 2)
     assert stages.cycle_index == 1
     assert stages.after_cycling == (2, 8, 1, 4, D, D, D, 5, D)

@@ -457,12 +457,12 @@ def test_graph_file_refuses_non_integers(data, tmp_path, capsys):
         ([[1, 2], [2, True]], "expected an integer, got True"),
         ([[1, 2.0]], "expected an integer, got 2.0"),
         ([["1", 2]], "expected an integer, got '1'"),
-        ([[1, 2, 3]], "too many values to unpack (expected 2)"),
+        ([[1, 2, 3]], "'edges' must be a list of [i, j] pairs"),
         ([[1, 4]], "bad edge (1, 4) on [1, 3]"),
         ([[0, 2]], "bad edge (0, 2) on [1, 3]"),
         # the first bad edge in file order is the one named
         ([[1, "x"], [1, 2, 3]], "expected an integer, got 'x'"),
-        ([[1, 2, 3], [1, "x"]], "too many values to unpack (expected 2)"),
+        ([[1, 2, 3], [1, "x"]], "'edges' must be a list of [i, j] pairs"),
     ],
 )
 def test_graph_file_errors_name_the_bad_edge(edges, detail, tmp_path, capsys):
@@ -472,6 +472,43 @@ def test_graph_file_errors_name_the_bad_edge(edges, detail, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: malformed graph file {str(path)!r}: {detail}"]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [5, {"1": 2}, "12", [[1, 2], 5], [[1, 2], [3]], ["12"], [{"1": 2, "3": 4}]],
+    ids=repr,
+)
+def test_graph_file_names_edges_that_are_no_list_of_pairs(edges, tmp_path, capsys):
+    """A value of ``edges`` that is no list, or an edge that is no pair, is
+    named by its key, not by the unpacking or the letter it stumbled on."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 3, "edges": edges}))
+    code, out, err = run(capsys, "count", "--n", "3", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: malformed graph file {str(path)!r}: 'edges' must be a list of [i, j] pairs"]
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"pi": 5, "eps": [0]}, "pi"),
+        ({"pi": {"a": 1}, "eps": [0]}, "pi"),
+        ({"pi": "1", "eps": [0]}, "pi"),
+        ({"pi": [1], "eps": 0}, "eps"),
+        ({"pi": [1], "eps": {"0": 0}}, "eps"),
+    ],
+    ids=repr,
+)
+def test_diagram_input_names_a_key_that_is_no_list(data, key, monkeypatch, capsys):
+    """A ``pi`` or ``eps`` that is no list is refused by its key: a dict's
+    keys or a string's characters are never read as the letters."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    code, out, err = run(capsys, "map", "--n", "1", "--bijection", "freedom")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot read Ish diagram from '-': {key!r} must be a list of integers"]
 
 
 @pytest.mark.parametrize(
@@ -856,7 +893,12 @@ def _statistics_disagree(monkeypatch):
 #: (fault, arrangement) -> the one mismatch record ``oracle --n 2`` prints
 ORACLE_MISMATCHES = {
     **{
-        (_shared_key, kind): {"reason": "two regions share a combinatorial key", "key": "((2, 1), frozenset())"}
+        (_shared_key, kind): {
+            "reason": "two regions share a combinatorial key",
+            "order": [2, 1],
+            "ceiling_pairs": [],
+            "witness": ["-1", "1"],
+        }
         for kind in ("cox", "shi", "ish")
     },
     **{

@@ -3,7 +3,7 @@
 :mod:`shi_ish.bijections` runs the prime-component construction on column
 indices and reads each word off the positions the columns reach.  The
 label-level construction of :mod:`freedom_reference` is the reference: the
-word maps, the stage views and the refusals must be the same on every word.
+word maps and the refusals must be the same on every word.
 """
 
 import random
@@ -15,7 +15,6 @@ from shi_ish.bijections import freedom_parking_to_rook, freedom_rook_to_parking
 from shi_ish.parking import parking_functions
 from shi_ish.rookwords import orbit_certificate, rook_words
 
-from reference import ish_diagram_to_parking_stages, parking_to_ish_diagram_stages, rook_word_to_ish_diagram
 import freedom_reference as reference
 from test_word_regions import run_under_python_O
 
@@ -53,15 +52,6 @@ def test_word_maps_are_the_reference_on_seeded_words(n):
         assert freedom_parking_to_rook(image) == word, word
     for word in parking:
         assert freedom_parking_to_rook(word) == reference.parking_to_rook(word), word
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_stage_views_are_the_reference_on_every_word(n):
-    for word in parking_functions(n):
-        assert parking_to_ish_diagram_stages(word) == reference.parking_to_ish_diagram_stages(word), word
-    for word in rook_words(n):
-        got = ish_diagram_to_parking_stages(rook_word_to_ish_diagram(word))
-        assert got == reference.rook_word_to_parking_stages(word), word
 
 
 BAD_WORDS = [

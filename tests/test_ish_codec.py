@@ -21,6 +21,7 @@ import shi_ish.ish as ish
 import shi_ish.parking as parking
 import shi_ish.rookwords as rookwords
 import shi_ish.shi as shi
+import shi_ish.verify as verify
 from shi_ish.core import Graph, all_graphs, is_nonnesting, position_partition
 from shi_ish.ish import IshCeilingDiagram, ish_statistics
 from shi_ish.parking import parking_functions
@@ -225,20 +226,27 @@ def test_each_rook_word_is_checked_once_per_direction(name, monkeypatch):
 def test_freedom_checks_each_region_once(capsys, monkeypatch):
     """``verify --suite thm-freedom`` checks each region once per suite,
     however many of its graphs hold it: it reads the region's statistics off
-    its rook word, never through ``ish_statistics``, and runs the column
-    construction once per direction."""
+    its rook word, never through ``ish_statistics``, and runs each word map
+    once.  The suites call the word maps through ``verify``'s tables, which
+    hold the functions themselves, so the counters go there too."""
     calls = count_calls(
         monkeypatch,
         ish.ish_statistics,
         ish._rook_word_statistics,
-        bijections._freedom_forward,
-        bijections._freedom_inverse,
+        bijections.freedom_rook_to_parking,
+        bijections.freedom_parking_to_rook,
     )
+    monkeypatch.setitem(verify._PARKING_MAPS, "freedom", bijections.freedom_rook_to_parking)
+    monkeypatch.setitem(verify._INVERSES, "freedom", bijections.freedom_parking_to_rook)
     assert cli.main(["verify", "--n", "4", "--suite", "thm-freedom"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["regions_checked"] == 4296
     regions = sum(1 for _ in ish_diagrams(4))
     assert regions == 125
-    assert calls == {"_rook_word_statistics": regions, "_freedom_forward": regions, "_freedom_inverse": regions}
+    assert calls == {
+        "_rook_word_statistics": regions,
+        "freedom_rook_to_parking": regions,
+        "freedom_parking_to_rook": regions,
+    }
     assert calls["ish_statistics"] == 0
 
 

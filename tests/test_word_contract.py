@@ -60,7 +60,6 @@ WORD_FUNCTIONS = {
     "rook_word_to_ish_diagram": (),
     "laser_word_to_ish_diagram": (),
     "parking_to_ish_diagram": (),
-    "parking_to_ish_diagram_stages": (),
 }
 
 #: public word functions outside the contract, with the reason
