@@ -31,7 +31,10 @@ Shi region with :func:`parking_to_shi_diagram`, and
 ``_decode_rook_word``.  The theorem sweeps of :mod:`shi_ish.verify` run the
 word maps and ``map`` runs the diagram views.  The rook placements and the
 labeled Dyck paths, as the paper states the constructions, are the tests'
-reference and live with the tests.
+reference and live with the tests.  ``basic`` and ``dominance`` certify
+only the orbit member they return, ``dominance`` tests its input, the other
+member, by substitution, and ``bounded`` keeps the whole certificate (see
+:mod:`shi_ish.rookwords`).
 
 The ``freedom`` word maps run the prime-component construction on column
 indices and read the word off the positions the columns reach; the tests'
@@ -53,24 +56,14 @@ from .ish import (
     _rook_word_rows,
     _rows_to_rook_word,
 )
-from .parking import is_parking_function, is_prime_parking_function
-from .rookwords import OrbitCertificate, _parking_shifts, _rook_dof, orbit_certificate
+from .parking import _is_parking, is_parking_function, is_prime_parking_function
+from .rookwords import _orbit_parking, _orbit_rook, _parking_shifts, _rook_dof, orbit_certificate
 from .shi import ShiCeilingDiagram, parking_to_shi_diagram, shi_diagram_to_parking
 
 
 # ---------------------------------------------------------------------------
 # the four region bijections: the word maps, then their diagram views (the
 # freedom word maps follow them)
-
-
-def _certified_rook_orbit(word: Sequence[int], prime: bool = False) -> OrbitCertificate:
-    """The orbit certificate of a region's rook word.  The certificate checks
-    its (prime) rook member by substitution; that member must be ``word``
-    itself, which certifies the input with that one check."""
-    cert = orbit_certificate(word, prime=prime)
-    if cert.rook != cert.word:
-        raise ValueError(f"{word!r} is not a {'prime ' if prime else ''}rook word")
-    return cert
 
 
 def basic_rook_to_parking(word: Sequence[int]) -> Word:
@@ -88,7 +81,7 @@ def basic_rook_to_parking(word: Sequence[int]) -> Word:
 def _basic_rook_to_parking(word: Word) -> Word:
     """:func:`basic_rook_to_parking` of a word already known to be a rook
     word."""
-    return orbit_certificate(_laser_word(_rook_word_rows(word))).parking
+    return _orbit_parking(_laser_word(_rook_word_rows(word)))
 
 
 def basic_parking_to_rook(word: Sequence[int]) -> Word:
@@ -106,25 +99,24 @@ def dominance_rook_to_parking(word: Sequence[int]) -> Word:
     >>> dominance_rook_to_parking((2, 8, 8, 1, 8, 8, 2, 5))
     (4, 1, 1, 3, 1, 1, 4, 7)
     """
-    return _certified_rook_orbit(word).parking
+    parking = _orbit_parking(word)  # refuses a letter off [1, n + 1] first
+    if _rook_dof(word) is None:
+        raise ValueError(f"{word!r} is not a rook word")
+    return parking
 
 
 def dominance_parking_to_rook(word: Sequence[int]) -> Word:
-    """Inverse of :func:`dominance_rook_to_parking`.
-
-    The orbit certificate checks its parking member by substitution; that
-    member must be ``word`` itself, which certifies the input with that one
-    check, as :func:`_certified_rook_orbit` does for rook words.
-    """
+    """Inverse of :func:`dominance_rook_to_parking`: the rook word of the
+    parking word's orbit."""
     try:
-        cert = orbit_certificate(word)
+        rook = _orbit_rook(word)
     except ValueError:
         if is_parking_function(word):
             raise  # parking-shaped, but a letter is no integer: keep that message
-        cert = None
-    if cert is None or cert.parking != cert.word:
+        rook = None
+    if rook is None or not _is_parking(word):
         raise ValueError(f"{word!r} is not a parking function")
-    return cert.rook
+    return rook
 
 
 def bounded_rook_to_parking(word: Sequence[int]) -> Word:
@@ -139,7 +131,10 @@ def bounded_rook_to_parking(word: Sequence[int]) -> Word:
         raise ValueError(f"{word!r} is not a rook word")
     if dof != 1:
         raise ValueError("input region is not relatively bounded")
-    return _certified_rook_orbit(word, prime=True).parking
+    cert = orbit_certificate(word, prime=True)
+    if cert.rook != cert.word:
+        raise ValueError(f"{word!r} is not a prime rook word")
+    return cert.parking
 
 
 def bounded_parking_to_rook(word: Sequence[int]) -> Word:

@@ -140,7 +140,7 @@ def cyclic_shift(word: Sequence[int], t: int, alphabet: int) -> Word:
 
 def _cyclic_shift(word: Word, t: int, alphabet: int) -> Word:
     """:func:`cyclic_shift` of a word already checked over the alphabet."""
-    return tuple((a - 1 + t) % alphabet + 1 for a in word)
+    return tuple([(a - 1 + t) % alphabet + 1 for a in word])
 
 
 def orbit(word: Sequence[int], alphabet: int) -> tuple[Word, ...]:

@@ -5,13 +5,17 @@ occurs among its letters.  Inside [n+1]^n, each orbit of the cyclic letter
 shift contains exactly one parking function and exactly one rook word; the
 same holds for the prime variants inside [n-1]^n under the Z_{n-1} action.
 Those two uniqueness facts drive every translation in this module.
+:func:`orbit_certificate` certifies both members; its halves
+``_orbit_parking`` and ``_orbit_rook`` certify one each, for the ``basic``
+and ``dominance`` maps.  ``bounded`` (over the prime alphabet, where the
+rook shift is one subtraction) and the ``cycle-lemma`` suite keep the whole.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Collection, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .core import Graph, Word, _check_int_letters, _cyclic_shift, check_word, orbit
 from .parking import _is_parking, _is_prime_parking
@@ -85,6 +89,11 @@ def _is_prime_rook(word: Sequence[int]) -> bool:
     without the float test."""
     top = max(1, len(word) - 1)
     return word[0] == 1 and all(1 <= a <= top for a in word)
+
+
+def _is_rook(word: Sequence[int]) -> bool:
+    """:func:`is_rook_word` without the float test."""
+    return _rook_dof(word) is not None
 
 
 def rook_words(n: int, graph: Optional[Graph] = None) -> Iterator[Word]:
@@ -217,6 +226,43 @@ def _rook_shifts(counts: Sequence[int], first: int) -> list[int]:
     return shifts
 
 
+def _orbit_counts(word: Sequence[int], prime: bool) -> tuple[Word, int, list[int]]:
+    """The word checked over its orbit's alphabet [m], m, and its letter counts."""
+    m = max(1, len(word) - 1) if prime else len(word) + 1
+    word = check_word(word, m)
+    counts = [0] * m
+    for a in word:
+        counts[a - 1] += 1
+    return word, m, counts
+
+
+def _shifted_member(word: Word, m: int, shift: int, is_member: Callable[[Word], bool]) -> Word:
+    """The shift of a checked word to an orbit member, checked by
+    substitution into a float-free core."""
+    member = _cyclic_shift(word, shift, m)
+    if not is_member(member):
+        raise AssertionError(f"orbit certificate of {word!r} names a wrong member")
+    return member
+
+
+def _orbit_parking(word: Sequence[int]) -> Word:
+    """``orbit_certificate(word).parking``, seeking no rook shift."""
+    word, m, counts = _orbit_counts(word, False)
+    hits = _parking_shifts(counts, 0) if word else []
+    if len(hits) != 1:
+        orbit_certificate(word)  # raises the ValueError that counts both kinds
+    return _shifted_member(word, m, hits[0], _is_parking)
+
+
+def _orbit_rook(word: Sequence[int]) -> Word:
+    """``orbit_certificate(word).rook``, seeking no parking shift."""
+    word, m, counts = _orbit_counts(word, False)
+    hits = _rook_shifts(counts, word[0]) if word else []
+    if len(hits) != 1:
+        orbit_certificate(word)  # raises the ValueError that counts both kinds
+    return _shifted_member(word, m, hits[0], _is_rook)
+
+
 def orbit_certificate(word: Sequence[int], prime: bool = False) -> OrbitCertificate:
     """Certify the cycle lemma for the cyclic orbit of a word, from its
     letter counts.
@@ -233,15 +279,10 @@ def orbit_certificate(word: Sequence[int], prime: bool = False) -> OrbitCertific
     >>> cert.parking, cert.rook
     ((4, 1, 1, 5, 2), (1, 4, 4, 2, 5))
     """
-    n = len(word)
-    m = max(1, n - 1) if prime else n + 1
-    word = check_word(word, m)
+    word, m, counts = _orbit_counts(word, prime)
     park_hits: list[int] = []
     rook_hits: list[int] = []
-    if n:
-        counts = [0] * m
-        for a in word:
-            counts[a - 1] += 1
+    if word:
         park_hits = _parking_shifts(counts, 1 if prime else 0)
         rook_hits = [(1 - word[0]) % m] if prime else _rook_shifts(counts, word[0])
     if len(park_hits) != 1 or len(rook_hits) != 1:
@@ -249,14 +290,8 @@ def orbit_certificate(word: Sequence[int], prime: bool = False) -> OrbitCertific
             f"orbit of {word!r} over [1, {m}] has {len(park_hits)} parking "
             f"functions and {len(rook_hits)} rook words; expected one of each"
         )
-    parking, rook = _cyclic_shift(word, park_hits[0], m), _cyclic_shift(word, rook_hits[0], m)
-    # both members are shifts of the checked word: no float test
-    if prime:
-        members = _is_prime_parking(parking) and _is_prime_rook(rook)
-    else:
-        members = _is_parking(parking) and _rook_dof(rook) is not None
-    if not members:
-        raise AssertionError(f"orbit certificate of {word!r} names a wrong member")
+    parking = _shifted_member(word, m, park_hits[0], _is_prime_parking if prime else _is_parking)
+    rook = _shifted_member(word, m, rook_hits[0], _is_prime_rook if prime else _is_rook)
     return OrbitCertificate(word, m, prime, park_hits[0], rook_hits[0], parking, rook)
 
 

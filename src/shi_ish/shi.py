@@ -71,6 +71,10 @@ class ShiCeilingDiagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "ShiCeilingDiagram":
+        if not isinstance(data["pi"], list):
+            raise ValueError("'pi' must be a list of integers")
+        if not (isinstance(data["partition"], list) and all(isinstance(b, list) for b in data["partition"])):
+            raise ValueError("'partition' must be a list of lists of integers")
         return cls(
             pi=tuple(strict_int(x) for x in data["pi"]),
             partition=partition_from_blocks(

@@ -21,6 +21,8 @@ from shi_ish.core import orbit
 from shi_ish.parking import is_parking_function, is_prime_parking_function
 from shi_ish.rookwords import OrbitCertificate, is_prime_rook_word, is_rook_word, orbit_certificate
 
+from test_word_regions import run_under_python_O
+
 
 def scan_certificate(word, prime=False):
     """(parking_index, rook_index, shifts) by testing every shift."""
@@ -166,6 +168,74 @@ def test_the_certificate_calls_no_public_predicate(monkeypatch):
 def test_words_off_the_alphabet_are_refused(word):
     with pytest.raises(ValueError):
         orbit_certificate(word)
+
+
+# ---------------------------------------------------------------------------
+# the halves: one member each, as the certificate names it
+
+
+def assert_halves_agree(word):
+    cert = orbit_certificate(word)
+    assert rookwords._orbit_parking(word) == cert.parking, word
+    assert rookwords._orbit_rook(word) == cert.rook, word
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_halves_are_the_certificate_over_n_plus_one(n):
+    for word in itertools.product(range(1, n + 2), repeat=n):
+        assert_halves_agree(word)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_the_halves_are_the_certificate_on_seeded_words(n):
+    rng = random.Random(n)
+    for _ in range(300):
+        assert_halves_agree(tuple(rng.randint(1, n + 1) for _ in range(n)))
+
+
+HALVES = [("_orbit_parking", "_parking_shifts"), ("_orbit_rook", "_rook_shifts")]
+
+
+@pytest.mark.parametrize("shifts", [[], [0, 1]], ids=["none", "two"])
+@pytest.mark.parametrize("half, counter", HALVES)
+def test_a_half_refuses_any_count_but_one(half, counter, shifts, monkeypatch):
+    """Its message is the certificate's, which counts the other kind too."""
+    word = (1, 4, 4, 2, 5)
+    monkeypatch.setattr(rookwords, counter, lambda *args: shifts)
+    with pytest.raises(ValueError) as refused:
+        getattr(rookwords, half)(word)
+    with pytest.raises(ValueError) as certified:
+        orbit_certificate(word)
+    assert str(refused.value) == str(certified.value)
+    kind = "rook words" if half == "_orbit_rook" else "parking functions"
+    assert f" {len(shifts)} {kind}" in str(refused.value)
+
+
+@pytest.mark.parametrize("half, counter", HALVES)
+def test_a_half_naming_a_wrong_shift_fails_its_substitution_check(half, counter, monkeypatch):
+    word = (1, 4, 4, 2, 5)
+    real = getattr(rookwords, counter)
+    monkeypatch.setattr(rookwords, counter, lambda *args: [(real(*args)[0] + 1) % 6])
+    with pytest.raises(AssertionError, match="names a wrong member"):
+        getattr(rookwords, half)(word)
+
+
+def test_the_halves_keep_their_checks_under_python_O():
+    """Both the count and the substitution checks raise explicitly, so
+    ``python -O`` keeps them."""
+    script = (
+        "from shi_ish import rookwords\n"
+        "real = {name: getattr(rookwords, name) for name in ('_parking_shifts', '_rook_shifts')}\n"
+        "for half, counter in [('_orbit_parking', '_parking_shifts'), ('_orbit_rook', '_rook_shifts')]:\n"
+        "    for patched in (lambda *a: [], lambda *a: [0, 1], lambda *a, c=counter: [(real[c](*a)[0] + 1) % 6]):\n"
+        "        setattr(rookwords, counter, patched)\n"
+        "        try:\n"
+        "            getattr(rookwords, half)((1, 4, 4, 2, 5))\n"
+        "        except (ValueError, AssertionError) as e:\n"
+        "            print(type(e).__name__)\n"
+        "        setattr(rookwords, counter, real[counter])\n"
+    )
+    assert run_under_python_O(script).split() == ["ValueError", "ValueError", "AssertionError"] * 2
 
 
 # ---------------------------------------------------------------------------

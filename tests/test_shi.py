@@ -87,6 +87,29 @@ def test_json_roundtrip():
     assert ShiCeilingDiagram.from_json(d.to_json()) == d
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"pi": {"a": 1}, "partition": [[1]]}, "pi"),
+        ({"pi": 5, "partition": [[1]]}, "pi"),
+        ({"pi": "1", "partition": [[1]]}, "pi"),
+        ({"pi": [1], "partition": 5}, "partition"),
+        ({"pi": [1], "partition": [3]}, "partition"),
+        ({"pi": [1], "partition": ["1"]}, "partition"),
+        ({"pi": [1], "partition": {"1": [1]}}, "partition"),
+        ({"pi": [1, 2], "partition": [[1], 2]}, "partition"),
+    ],
+    ids=repr,
+)
+def test_json_names_a_key_of_the_wrong_shape(data, key):
+    """A ``pi`` that is no list, or a ``partition`` that is no list of
+    lists, is refused by its key, as ``IshCeilingDiagram.from_json`` does:
+    a dict's keys or a string's characters are never read as letters."""
+    with pytest.raises(ValueError) as refused:
+        ShiCeilingDiagram.from_json(data)
+    assert str(refused.value) == f"{key!r} must be a list of {'lists of ' if key == 'partition' else ''}integers"
+
+
 def test_is_valid_shi_conditions():
     k3 = Graph.complete(3)
     # pi must increase along blocks

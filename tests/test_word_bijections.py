@@ -20,11 +20,12 @@ import shi_ish.bijections as bijections
 import shi_ish.cli as cli
 import shi_ish.ish as ish
 import shi_ish.parking as parking
+import shi_ish.rookwords as rookwords
 import shi_ish.shi as shi
 from shi_ish.core import Graph, all_graphs, check_word
 from shi_ish.ish import ish_statistics
 from shi_ish.parking import is_parking_function, is_prime_parking_function, parking_functions
-from shi_ish.rookwords import is_prime_rook_word, is_rook_word
+from shi_ish.rookwords import is_prime_rook_word, is_rook_word, rook_words
 from shi_ish.shi import parking_to_shi_diagram
 
 from reference import (
@@ -212,3 +213,83 @@ def test_dominance_round_trip_tests_each_parking_word_once(monkeypatch):
     for diagram in sample:
         assert inverse(forward(diagram)) == diagram
     assert calls == {"_is_parking": 2 * len(sample)}
+
+
+def test_dominance_round_trip_scans_each_kind_of_shift_once(monkeypatch):
+    """Going forward the orbit is scanned for its parking function only and
+    the input is tested as a rook word; going back it is scanned for its
+    rook word only and the input is tested as a parking function.  ``basic``
+    parks its laser word without looking for a rook shift."""
+    calls = {"_parking_shifts": 0, "_rook_shifts": 0}
+    for name in calls:
+        original = getattr(rookwords, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rookwords, name, counted)
+    forward, inverse = codec_views("dominance")
+    for diagram in itertools.islice(ish_diagrams(5), 0, None, 37):
+        calls.update(dict.fromkeys(calls, 0))
+        assert inverse(forward(diagram)) == diagram
+        assert calls == {"_parking_shifts": 1, "_rook_shifts": 1}, diagram
+    for word in itertools.islice(rook_words(6), 0, None, 53):
+        calls.update(dict.fromkeys(calls, 0))
+        bijections.basic_rook_to_parking(word)
+        assert calls == {"_parking_shifts": 1, "_rook_shifts": 0}, word
+
+
+#: (word map, input, exception type, message) for inputs outside each map's
+#: domain at n = 4: letters 0 and n + 2, words of [n+1]^n that are no rook
+#: word or no parking function, a float letter and things that are no word
+REFUSALS = [
+    pytest.param(name, word, error, message, id=f"{name}-{word!r}")
+    for name, rows in {
+        "dominance_rook_to_parking": [
+            ((1, 0, 2, 3), ValueError, "letter 0 outside alphabet [1, 5]"),
+            ((1, 6, 2, 3), ValueError, "letter 6 outside alphabet [1, 5]"),
+            ((3, 1, 1, 1), ValueError, "(3, 1, 1, 1) is not a rook word"),
+            ((1, 4, 4, 5), ValueError, "(1, 4, 4, 5) is not a rook word"),
+            ([3, 1, 1, 1], ValueError, "[3, 1, 1, 1] is not a rook word"),
+            ((1, 2.0, 1, 1), ValueError, "letter 2.0 outside alphabet [1, 5]"),
+            (2.0, TypeError, "object of type 'float' has no len()"),
+            ("a", ValueError, "letter 'a' outside alphabet [1, 2]"),
+            (None, TypeError, "object of type 'NoneType' has no len()"),
+            ((), ValueError, "orbit of () over [1, 1] has 0 parking functions and 0 rook words; expected one of each"),
+        ],
+        "dominance_parking_to_rook": [
+            ((1, 0, 2, 3), ValueError, "(1, 0, 2, 3) is not a parking function"),
+            ((1, 6, 2, 3), ValueError, "(1, 6, 2, 3) is not a parking function"),
+            ((1, 4, 4, 2), ValueError, "(1, 4, 4, 2) is not a parking function"),
+            ((1, 4, 4, 5), ValueError, "(1, 4, 4, 5) is not a parking function"),
+            ([1, 4, 4, 2], ValueError, "[1, 4, 4, 2] is not a parking function"),
+            ((1, 2.0, 1, 1), ValueError, "letter 2.0 outside alphabet [1, 4]"),
+            (2.0, TypeError, "object of type 'float' has no len()"),
+            ("a", ValueError, "letter 'a' outside alphabet [1, 1]"),
+            (None, TypeError, "object of type 'NoneType' has no len()"),
+            ((), ValueError, "() is not a parking function"),
+        ],
+        "basic_rook_to_parking": [
+            ((1, 0, 2, 3), ValueError, "(1, 0, 2, 3) is not a rook word"),
+            ((1, 6, 2, 3), ValueError, "(1, 6, 2, 3) is not a rook word"),
+            ((3, 1, 1, 1), ValueError, "(3, 1, 1, 1) is not a rook word"),
+            ((1, 4, 4, 5), ValueError, "(1, 4, 4, 5) is not a rook word"),
+            ([3, 1, 1, 1], ValueError, "[3, 1, 1, 1] is not a rook word"),
+            ((1, 2.0, 1, 1), ValueError, "letter 2.0 outside alphabet [1, 4]"),
+            (2.0, TypeError, "object of type 'float' has no len()"),
+            ("a", ValueError, "letter 'a' outside alphabet [1, 1]"),
+            (None, ValueError, "None is not a rook word"),
+            ((), ValueError, "() is not a rook word"),
+        ],
+    }.items()
+    for word, error, message in rows
+]
+
+
+@pytest.mark.parametrize("name, word, error, message", REFUSALS)
+def test_cycle_lemma_maps_keep_their_refusals(name, word, error, message):
+    """Each refusal keeps its exception type and its message exactly."""
+    with pytest.raises(Exception) as refused:
+        getattr(bijections, name)(word)
+    assert (type(refused.value), str(refused.value)) == (error, message)
