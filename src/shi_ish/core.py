@@ -396,8 +396,10 @@ class Graph:
     def from_json(cls, data: dict) -> "Graph":
         """The graph of ``{"n": int, "edges": [[i, j], ...]}``.  A pair of
         exact ints is taken as it is; any other edge goes endpoint by
-        endpoint through :func:`strict_int`, so the first bad edge in file
-        order is named, or the shape ``edges`` must have if it is no pair."""
+        endpoint through :func:`strict_int`.  A refused file is read again
+        in file order, so the first bad edge is named: by the shape
+        ``edges`` must have if it is no pair, by its first endpoint that is
+        no int, or as outside 1 <= i < j <= n."""
         shape = "'edges' must be a list of [i, j] pairs"
         if not isinstance(data["edges"], list):
             raise ValueError(shape)
@@ -406,12 +408,16 @@ class Graph:
                 (i, j) if type(i) is int and type(j) is int else (strict_int(i), strict_int(j))
                 for i, j in data["edges"]
             )
-        except (TypeError, ValueError):  # the one pass failed: only now find the edge that stopped it
-            bad = next(e for e in data["edges"] if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int))
-            if not isinstance(bad, list) or len(bad) != 2:
-                raise ValueError(shape) from None
+            return cls(strict_int(data["n"]), edges)
+        except (TypeError, ValueError):  # the one pass failed: only now find the first bad edge
+            n = data["n"] if type(data["n"]) is int else 0  # a bad n keeps the error it raised
+            for edge in data["edges"]:
+                if not isinstance(edge, list) or len(edge) != 2:
+                    raise ValueError(shape) from None
+                i, j = strict_int(edge[0]), strict_int(edge[1])
+                if n >= 1 and not 1 <= i < j <= n:
+                    raise ValueError(f"bad edge ({i}, {j}) on [1, {n}]") from None
             raise
-        return cls(strict_int(data["n"]), edges)
 
 
 @functools.lru_cache(maxsize=16, typed=True)

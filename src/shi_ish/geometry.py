@@ -26,12 +26,17 @@ and measures every region off that pass with no further solver call:
 ceilings from the neighbouring regions' sign vectors, degrees of freedom
 from intervals of the region's order.  It builds both the cross-validation
 and the report from those measurements.
+
+Only :func:`diagram_statistics`, :func:`_combinatorial_catalog` and
+:func:`_validation` read the combinatorial modules (``shi``, ``ish``,
+``parking`` and ``rookwords``); the measurement reads none of them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -490,29 +495,24 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
     kind, n = arrangement.kind, arrangement.n
     geometric: dict[tuple[Permutation, frozenset[tuple[int, int]]], _MeasuredRegion] = {}
     mismatches: list[dict] = []
+    # a record names a Shi or Ish diagram by its repr, a Cox region by its order
+    shown = tuple if kind == "cox" else repr
 
-    def region_record(reason: str, key, entry: _MeasuredRegion) -> dict:
-        return {
-            "reason": reason,
-            "order": key[0],
-            "ceiling_pairs": sorted(key[1]),
-            "witness": [str(x) for x in entry.region.witness],
-        }
+    def mismatch(reason: str, key, **fields) -> None:
+        mismatches.append({"reason": reason, "order": key[0], "ceiling_pairs": sorted(key[1]), **fields})
 
     for entry in measured:
         key = (entry.order, frozenset((h.tag[1], h.tag[2]) for h in entry.ceilings))
         if key in geometric:
-            mismatches.append(region_record("two regions share a combinatorial key", key, entry))
+            mismatch("two regions share a combinatorial key", key, witness=[str(x) for x in entry.region.witness])
             continue
         geometric[key] = entry
 
     catalog = _combinatorial_catalog(kind, n, arrangement.graph)
-    # a record names a Shi or Ish diagram by its repr, a Cox region by its order
-    shown = tuple if kind == "cox" else repr
     matched = 0
     for key, geo in geometric.items():
         if key not in catalog:
-            mismatches.append(region_record("region has no matching diagram", key, geo))
+            mismatch("region has no matching diagram", key, witness=[str(x) for x in geo.region.witness])
             continue
         diagram, stats = catalog[key]
         disagreements = {
@@ -521,27 +521,12 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
             if getattr(geo, stat) != getattr(stats, stat)
         }
         if disagreements:
-            mismatches.append(
-                {
-                    "reason": "statistics disagree",
-                    "order": key[0],
-                    "ceiling_pairs": sorted(key[1]),
-                    "diagram": shown(diagram),
-                    "disagreements": disagreements,
-                }
-            )
+            mismatch("statistics disagree", key, diagram=shown(diagram), disagreements=disagreements)
         else:
             matched += 1
     for key, (diagram, _) in catalog.items():
         if key not in geometric:
-            mismatches.append(
-                {
-                    "reason": "diagram has no matching region",
-                    "order": key[0],
-                    "ceiling_pairs": sorted(key[1]),
-                    "diagram": shown(diagram),
-                }
-            )
+            mismatch("diagram has no matching region", key, diagram=shown(diagram))
 
     formula = (
         ish_region_count(arrangement.graph) if kind in ("shi", "ish") else math.factorial(n)
@@ -561,12 +546,16 @@ def _validation(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -
 
 
 def _report(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -> dict:
-    entries = []
-    by_dof: dict[int, int] = {}
-    by_partition: dict[str, int] = {}
-    dominant_count = 0
-    for entry in measured:
-        entries.append(
+    by_dof = Counter(entry.dof for entry in measured)
+    by_partition = Counter(partition_str(entry.ceiling_partition) for entry in measured)
+    dominant_count = sum(entry.dominant for entry in measured)
+    return {
+        "arrangement": {
+            "kind": arrangement.kind,
+            "n": arrangement.n,
+            "edges": [list(e) for e in arrangement.graph.sorted_edges()],
+        },
+        "regions": [
             {
                 "signs": list(entry.region.signs),
                 "witness": [str(x) for x in entry.region.witness],
@@ -576,18 +565,8 @@ def _report(arrangement: Arrangement, measured: Sequence[_MeasuredRegion]) -> di
                 "dof": entry.dof,
                 "dominant": entry.dominant,
             }
-        )
-        by_dof[entry.dof] = by_dof.get(entry.dof, 0) + 1
-        key = partition_str(entry.ceiling_partition)
-        by_partition[key] = by_partition.get(key, 0) + 1
-        dominant_count += entry.dominant
-    return {
-        "arrangement": {
-            "kind": arrangement.kind,
-            "n": arrangement.n,
-            "edges": [list(e) for e in arrangement.graph.sorted_edges()],
-        },
-        "regions": entries,
+            for entry in measured
+        ],
         "summary": {
             "region_count": len(measured),
             "by_dof": {str(d): by_dof[d] for d in sorted(by_dof)},

@@ -290,17 +290,11 @@ def _laser_rows(word: Sequence[int]) -> list[int]:
         raise ValueError("a laser word has at least one letter")
     n = len(word)
     v = cyclic_shift(word, 1 - word[0], n + 1)
-    used: list[int] = []  # rows of the rooks placed so far, sorted
-
-    def free_row(k: int) -> int:
-        # the k-th unused row is k + j, j the used rows below it: the first j
-        # with used[j] - j > k, and used[j] - j never decreases
-        row = k + bisect.bisect_right(range(len(used)), k, key=lambda j: used[j] - j)
-        bisect.insort(used, row)
-        return row
-
-    rows = [free_row(k) for k in v[1:]]
-    return [free_row(1)] + rows
+    # the unused rows, in order: a letter is at most n + 1 and at most n - 2
+    # rows are taken before each pop, so the k-th is at most 2n - 1
+    free = list(range(1, 2 * n))
+    rows = [free.pop(k - 1) for k in v[1:]]
+    return [free[0]] + rows
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,9 @@ def test_graph_file_refuses_non_integers(data, tmp_path, capsys):
         # the first bad edge in file order is the one named
         ([[1, "x"], [1, 2, 3]], "expected an integer, got 'x'"),
         ([[1, 2, 3], [1, "x"]], "'edges' must be a list of [i, j] pairs"),
+        ([[1, 9], [1, 7]], "bad edge (1, 9) on [1, 3]"),
+        ([[5, 4], [3, 1], [9, 2]], "bad edge (5, 4) on [1, 3]"),
+        ([[1, 9], [1, "x"]], "bad edge (1, 9) on [1, 3]"),
     ],
 )
 def test_graph_file_errors_name_the_bad_edge(edges, detail, tmp_path, capsys):
@@ -963,6 +966,76 @@ def test_oracle_prints_each_mismatch_and_fails(fault, kind, monkeypatch, capsys)
     assert out == json.dumps(doc, indent=2) + "\n"
     assert doc["ok"] is False
     assert doc["mismatches"] == [ORACLE_MISMATCHES[fault, kind]]
+
+
+def _stacked_records(kind, shared, disagree, unmatched, missing):
+    """The four records of one stacked-fault report, in the order printed."""
+    diagram = {
+        "cox": lambda pi, label: list(pi),
+        "shi": lambda pi, label: f"ShiCeilingDiagram(pi={pi}, partition={label})",
+        "ish": lambda pi, label: f"IshCeilingDiagram(pi={pi}, eps={label})",
+    }[kind]
+    return [
+        {"reason": "two regions share a combinatorial key", **shared},
+        {
+            "reason": "statistics disagree",
+            "order": [1, 3, 2],
+            "ceiling_pairs": [],
+            "diagram": diagram((1, 3, 2), disagree),
+            "disagreements": {
+                "ceiling_partition": {"geometric": [[1], [2], [3], [3]], "combinatorial": [[1], [2], [3]]},
+                "dof": {"geometric": 4, "combinatorial": 3},
+                "dominant": {"geometric": True, "combinatorial": False},
+            },
+        },
+        {"reason": "region has no matching diagram", "order": [1, 2, 3], **unmatched},
+        {
+            "reason": "diagram has no matching region",
+            "order": [2, 1, 3],
+            "ceiling_pairs": missing[0],
+            "diagram": diagram((2, 1, 3), missing[1]),
+        },
+    ]
+
+
+#: arrangement -> every mismatch record ``oracle --n 3`` prints with all four
+#: faults stacked, in the order printed
+STACKED_MISMATCHES = {
+    "cox": _stacked_records(
+        "cox",
+        {"order": [3, 2, 1], "ceiling_pairs": [], "witness": ["0", "1", "2"]},
+        None,
+        {"ceiling_pairs": [], "witness": ["2", "1", "0"]},
+        ([], None),
+    ),
+    "shi": _stacked_records(
+        "shi",
+        {"order": [2, 1, 3], "ceiling_pairs": [[1, 3]], "witness": ["3/4", "2", "1/4"]},
+        ((1,), (2,), (3,)),
+        {"ceiling_pairs": [[1, 2], [2, 3]], "witness": ["4/3", "2/3", "0"]},
+        ([[2, 3]], ((1, 3), (2,))),
+    ),
+    "ish": _stacked_records(
+        "ish",
+        {"order": [2, 1, 3], "ceiling_pairs": [[2, 3]], "witness": ["5/4", "2", "-1/4"]},
+        (0, 0, 0),
+        {"ceiling_pairs": [[1, 2], [2, 3]], "witness": ["7/4", "5/4", "0"]},
+        ([[1, 3]], (0, 0, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STACKED_MISMATCHES))
+def test_oracle_prints_stacked_mismatches_in_a_fixed_order(kind, monkeypatch, capsys):
+    """All four faults on one ``oracle --n 3`` run: the first measured region
+    falsified, the last dropped, the new last doubled, and the stream's first
+    region dropped.  Every reason then appears in one report, and the order
+    of records with different reasons is pinned as well as each record."""
+    for fault in (_statistics_disagree, _diagram_without_region, _shared_key, _region_without_diagram):
+        fault(monkeypatch)
+    code, out, _ = run(capsys, "oracle", "--n", "3", "--arrangement", kind)
+    assert code == 1
+    assert json.loads(out)["mismatches"] == STACKED_MISMATCHES[kind]
 
 
 # ---------------------------------------------------------------------------

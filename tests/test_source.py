@@ -112,6 +112,61 @@ def test_the_verify_engine_stands_apart_from_the_command_shell():
     assert engine == set()
 
 
+#: the modules that label regions combinatorially
+COMBINATORICS = ("shi", "ish", "parking", "rookwords")
+#: the functions of ``geometry.py`` that may read them: the stream, the
+#: catalog built from it, and the comparison with the measured regions
+GEOMETRY_READERS = {"diagram_statistics", "_combinatorial_catalog", "_validation"}
+
+
+def _imported_from(tree, modules):
+    """The local names that the tree's imports bind from ``modules`` (given
+    without the package), or to one of those modules itself."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("shi_ish.")
+            for alias in node.names:
+                if module in modules or (module in ("", "shi_ish") and alias.name in modules):
+                    found.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.removeprefix("shi_ish.") in modules:
+                    found.add(alias.asname or alias.name.split(".")[0])
+    return found
+
+
+def test_the_oracle_measures_regions_apart_from_the_combinatorics():
+    """The geometric oracle checks the combinatorics, so it must not measure
+    with it.  In ``geometry.py`` only :data:`GEOMETRY_READERS` read a name
+    imported from the combinatorial modules, and nothing is imported from
+    the bijections, the verify engine or the CLI.  The solvers in
+    ``exactlp.py`` import the standard library alone."""
+    tree = _module_tree("geometry.py")
+    combinatorial = _imported_from(tree, COMBINATORICS)
+    assert combinatorial  # the readers do read the combinatorics
+    readers = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        names = {child.id for child in ast.walk(node) if isinstance(child, ast.Name)} & combinatorial
+        if names:
+            readers[getattr(node, "name", f"line {node.lineno}")] = sorted(names)
+    assert set(readers) <= GEOMETRY_READERS, readers
+    modules = {name.lstrip(".").removeprefix("shi_ish.").split(".")[0] for name in _imports(tree)}
+    assert modules & {"bijections", "verify", "cli"} == set()
+
+    for node in ast.walk(_module_tree("exactlp.py")):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"exactlp.py:{node.lineno} imports from the package"
+            imported = [node.module]
+        elif isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        else:
+            continue
+        assert all(module.split(".")[0] in sys.stdlib_module_names for module in imported), imported
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_a_suite_called_directly_gives_the_printed_report(name, n, capsys):
