@@ -32,7 +32,6 @@ from .core import (
     all_graphs,
     cyclic_shift,
     is_nonnesting,
-    orbit,
     position_partition,
     set_partitions,
 )

@@ -33,8 +33,8 @@ word maps and ``map`` runs the diagram views.  The rook placements and the
 labeled Dyck paths, as the paper states the constructions, are the tests'
 reference and live with the tests.  ``basic`` and ``dominance`` certify
 only the orbit member they return, ``dominance`` tests its input, the other
-member, by substitution, and ``bounded`` keeps the whole certificate (see
-:mod:`shi_ish.rookwords`).
+member, by substitution, and ``bounded`` keeps the whole certificate going
+forward only (see :mod:`shi_ish.rookwords`).
 
 The ``freedom`` word maps run the prime-component construction on column
 indices and read the word off the positions the columns reach; the tests'
@@ -58,6 +58,7 @@ from .ish import (
 )
 from .parking import _is_parking, is_parking_function, is_prime_parking_function
 from .rookwords import _orbit_parking, _orbit_rook, _parking_shifts, _rook_dof, orbit_certificate
+from .rookwords import _is_prime_rook, _prime_rook_shift, _shifted_member
 from .shi import ShiCeilingDiagram, parking_to_shi_diagram, shi_diagram_to_parking
 
 
@@ -138,11 +139,11 @@ def bounded_rook_to_parking(word: Sequence[int]) -> Word:
 
 
 def bounded_parking_to_rook(word: Sequence[int]) -> Word:
-    """Inverse of :func:`bounded_rook_to_parking`; the certificate checks the
-    prime rook word it returns."""
+    """Inverse of :func:`bounded_rook_to_parking`: a prime parking word's
+    prime rook shift, checked by substitution, with no parking shift sought."""
     if not is_prime_parking_function(word):
         raise ValueError("input region is not relatively bounded")
-    return orbit_certificate(word, prime=True).rook
+    return _shifted_member(tuple(word), max(1, len(word) - 1), _prime_rook_shift(word), _is_prime_rook)
 
 
 def basic_bijection(diagram: IshCeilingDiagram) -> ShiCeilingDiagram:

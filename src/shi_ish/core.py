@@ -20,7 +20,6 @@ All positions and letters are 1-based.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -53,6 +52,14 @@ def check_word(letters: Sequence[int], alphabet: int) -> Word:
         if not isinstance(a, int) or not 1 <= a <= alphabet:
             raise ValueError(f"letter {a!r} outside alphabet [1, {alphabet}]")
     return word
+
+
+def _check_int_entries(**entries: Iterable[object]) -> None:
+    """ValueError naming the first entry that is not an int, as :func:`check_word` names a letter."""
+    for name, values in entries.items():
+        for value in values:
+            if not isinstance(value, int):
+                raise ValueError(f"{name} entry {value!r} is not an integer")
 
 
 def _check_int_letters(word: Sequence[int]) -> None:
@@ -143,22 +150,13 @@ def _cyclic_shift(word: Word, t: int, alphabet: int) -> Word:
     return tuple([(a - 1 + t) % alphabet + 1 for a in word])
 
 
-def orbit(word: Sequence[int], alphabet: int) -> tuple[Word, ...]:
-    """All ``alphabet`` cyclic shifts of a word, starting with shift 0."""
-    return tuple(cyclic_shift(word, t, alphabet) for t in range(alphabet))
-
-
 # ---------------------------------------------------------------------------
 # permutations
 
 
-def is_permutation(seq: Sequence[int]) -> bool:
-    return sorted(seq) == list(range(1, len(seq) + 1))
-
-
 def check_permutation(seq: Sequence[int]) -> Permutation:
     perm = tuple(seq)
-    if not is_permutation(perm):
+    if sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError(f"{seq!r} is not a permutation of [1, {len(seq)}]")
     return perm
 
@@ -367,9 +365,7 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        """K_n.  A Graph is immutable, so every call shares one instance per n;
-        a subclass gets a fresh object of its own class."""
-        return _complete_graph(n) if cls is Graph else cls(n, _complete_graph(n).edges)
+        return cls(n, frozenset(itertools.combinations(range(1, n + 1), 2)))
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -379,18 +375,12 @@ class Graph:
     def path(cls, n: int) -> "Graph":
         return cls(n, frozenset((i, i + 1) for i in range(1, n)))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges if i < j else (j, i) in self.edges
-
     def admits(self, partition: SetPartition) -> bool:
         """Whether every arc of ``partition`` is an edge of the graph."""
         return self.edges.issuperset(arcs(partition))
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
@@ -418,11 +408,6 @@ class Graph:
                 if n >= 1 and not 1 <= i < j <= n:
                     raise ValueError(f"bad edge ({i}, {j}) on [1, {n}]") from None
             raise
-
-
-@functools.lru_cache(maxsize=16, typed=True)
-def _complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset(itertools.combinations(range(1, n + 1), 2)))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

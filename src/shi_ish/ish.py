@@ -42,6 +42,7 @@ from .core import (
     RegionStatistics,
     SetPartition,
     Word,
+    _check_int_entries,
     _check_int_letters,
     _region_scan,
     check_permutation,
@@ -63,6 +64,7 @@ class IshCeilingDiagram:
     eps: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_int_entries(pi=self.pi, eps=self.eps)
         check_permutation(self.pi)
         if len(self.eps) != len(self.pi):
             raise ValueError("eps must have one entry per position")

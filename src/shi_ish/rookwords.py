@@ -7,8 +7,8 @@ same holds for the prime variants inside [n-1]^n under the Z_{n-1} action.
 Those two uniqueness facts drive every translation in this module.
 :func:`orbit_certificate` certifies both members; its halves
 ``_orbit_parking`` and ``_orbit_rook`` certify one each, for the ``basic``
-and ``dominance`` maps.  ``bounded`` (over the prime alphabet, where the
-rook shift is one subtraction) and the ``cycle-lemma`` suite keep the whole.
+and ``dominance`` maps.  The inverse of ``bounded`` takes the prime rook
+shift, one subtraction; the forward map and ``cycle-lemma`` keep the whole.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import math
 from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
-from .core import Graph, Word, _check_int_letters, _cyclic_shift, check_word, orbit
+from .core import Graph, Word, _check_int_letters, _cyclic_shift, check_word
 from .parking import _is_parking, _is_prime_parking
 
 
@@ -169,11 +169,6 @@ class OrbitCertificate(NamedTuple):
     parking: Word
     rook: Word
 
-    @property
-    def shifts(self) -> tuple[Word, ...]:
-        """The whole orbit: ``shifts[t]`` is the shift of ``word`` by t."""
-        return orbit(self.word, self.alphabet)
-
 
 def _parking_shifts(counts: Sequence[int], bar: int) -> list[int]:
     """The shifts t over [m] whose image has every proper prefix of its
@@ -224,6 +219,11 @@ def _rook_shifts(counts: Sequence[int], first: int) -> list[int]:
         if 0 < (first - 1 - u) % m < run:
             shifts.append((m - 1 - u) % m)
     return shifts
+
+
+def _prime_rook_shift(word: Sequence[int]) -> int:
+    """The one shift of a word over [n - 1] to a prime rook word: first letter to 1."""
+    return (1 - word[0]) % max(1, len(word) - 1)
 
 
 def _orbit_counts(word: Sequence[int], prime: bool) -> tuple[Word, int, list[int]]:
@@ -284,7 +284,7 @@ def orbit_certificate(word: Sequence[int], prime: bool = False) -> OrbitCertific
     rook_hits: list[int] = []
     if word:
         park_hits = _parking_shifts(counts, 1 if prime else 0)
-        rook_hits = [(1 - word[0]) % m] if prime else _rook_shifts(counts, word[0])
+        rook_hits = [_prime_rook_shift(word)] if prime else _rook_shifts(counts, word[0])
     if len(park_hits) != 1 or len(rook_hits) != 1:
         raise ValueError(
             f"orbit of {word!r} over [1, {m}] has {len(park_hits)} parking "

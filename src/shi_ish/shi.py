@@ -29,6 +29,7 @@ from .core import (
     RegionStatistics,
     SetPartition,
     Word,
+    _check_int_entries,
     _check_int_letters,
     _region_scan,
     check_partition_of,
@@ -50,6 +51,7 @@ class ShiCeilingDiagram:
     partition: SetPartition
 
     def __post_init__(self) -> None:
+        _check_int_entries(pi=self.pi, partition=(x for block in self.partition for x in block))
         check_permutation(self.pi)
         check_partition_of(self.partition, len(self.pi))
 

@@ -10,7 +10,8 @@ them, and the slow paths of the geometry, kept so that the fast code in
   factorization of a parking function;
 - the diamond words and stage records of the ``freedom`` bijection,
   whose stage views :mod:`freedom_reference` builds;
-- the cycle-lemma converters and Pollak's circular parking lot;
+- the cyclic orbit of a word, the cycle-lemma converters and Pollak's
+  circular parking lot;
 - the region iterators ``shi_diagrams`` and ``ish_diagrams``;
 - the Ish region statistics read off ``(pi, eps)``;
 - the solver-based single-region measurements, the brute-force region
@@ -318,7 +319,16 @@ def factorize_parking(word: Sequence[int]) -> tuple[tuple[Block, ...], tuple[Wor
 
 
 # ---------------------------------------------------------------------------
-# rookwords: the cycle-lemma converters
+# rookwords: the cyclic orbit and the cycle-lemma converters
+
+
+def orbit(word: Sequence[int], alphabet: int) -> tuple[Word, ...]:
+    """All ``alphabet`` cyclic shifts of a word, starting with shift 0.
+
+    >>> orbit((1, 3), 3)
+    ((1, 3), (2, 1), (3, 2))
+    """
+    return tuple(cyclic_shift(word, t, alphabet) for t in range(alphabet))
 
 
 def rook_word_to_parking(word: Sequence[int]) -> Word:

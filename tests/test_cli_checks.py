@@ -1079,3 +1079,23 @@ def test_map_on_the_complete_graph_builds_no_graph(tmp_path, capsys, monkeypatch
         preset_doc, file_doc = json.loads(preset[1]), json.loads(on_file[1])
         for key in ("input", "output", "certificates"):
             assert preset_doc.get(key) == file_doc.get(key), (bijection, key)
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (("count", "--n", "5"), 1),
+        (("enumerate", "--n", "5", "--arrangement", "ish"), 1),
+        (("oracle", "--n", "4"), 1),
+        (("verify", "--n", "5", "--suite", "thm-dominance"), 2),
+        (("verify", "--n", "3", "--suite", "formulas"), 1),
+    ],
+)
+def test_no_command_builds_the_complete_graph_per_region(argv, builds, capsys, monkeypatch):
+    """Nothing caches K_n, so each command builds it a fixed number of
+    times, whatever its region count: at most ``builds``."""
+    complete = Graph.complete.__func__
+    calls = []
+    monkeypatch.setattr(Graph, "complete", classmethod(lambda cls, n: calls.append(n) or complete(cls, n)))
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) <= builds, calls

@@ -18,6 +18,7 @@ from shi_ish.rookwords import (
 )
 
 from reference import (
+    orbit,
     parking_to_rook_word,
     pollak_empty_spot,
     prime_parking_to_rook_word,
@@ -57,11 +58,10 @@ def test_orbit_certificate_cycle_lemma(word):
     """Every orbit over [n+1] holds exactly one parking function and one
     rook word, and the certificate points at them."""
     cert = orbit_certificate(word)
-    assert cert.shifts[cert.parking_index] == rook_word_to_parking(
-        cert.shifts[cert.rook_index]
-    )
-    assert sum(is_parking_function(w) for w in cert.shifts) == 1
-    assert sum(is_rook_word(w) for w in cert.shifts) == 1
+    shifts = orbit(cert.word, cert.alphabet)
+    assert shifts[cert.parking_index] == rook_word_to_parking(shifts[cert.rook_index])
+    assert sum(is_parking_function(w) for w in shifts) == 1
+    assert sum(is_rook_word(w) for w in shifts) == 1
 
 
 def test_translation_fixtures():

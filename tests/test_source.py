@@ -180,8 +180,9 @@ def test_a_suite_called_directly_gives_the_printed_report(name, n, capsys):
     assert (passed, code) == (printed["passed"], 0 if passed else 1)
 
 
-#: module-level functions of ``src/shi_ish`` that no command runs, each with
-#: the reason it stays in the package rather than in ``tests/reference.py``
+#: functions of ``src/shi_ish``, at module level or in a class body, that no
+#: command runs, each with the reason it stays in the package rather than in
+#: ``tests/reference.py``
 KEEP = {
     "ish.is_valid_ish": "perfbench's tests import it from shi_ish",
     "shi.is_valid_shi": "the Shi twin of is_valid_ish, and perfbench names it in a per-layer metric",
@@ -191,7 +192,6 @@ KEEP = {
     "bijections.freedom_bijection_inverse": "perfbench's map check runs every {name}_bijection_inverse",
     "geometry.cross_validate": "perfbench's tests patch it on shi_ish.cli",
     "geometry.check_region": "tests/test_oracle_golden.py, which keeps its bytes, imports it from shi_ish.geometry",
-    "core.orbit": "it backs OrbitCertificate.shifts",
     "core.check_partition_of": "it checks the public ShiCeilingDiagram(pi, partition) constructor",
     "shi.region_word_statistics": "the public, float-checked read of a parking word on a graph, whose core commands run",
     "ish.region_rook_word_statistics": "the public, float-checked read of a rook word on a graph, whose core commands run",
@@ -200,10 +200,15 @@ KEEP = {
     "exactlp.difference_feasible": "the witness solver that is to replace the simplex (ROADMAP item 3)",
     "exactlp._difference_arc": "difference_feasible reads its rows with it",
     "exactlp._arcs_feasible": "difference_feasible runs it",
+    "geometry.Hyperplane.value_at": "check_region reads each hyperplane's side of the witness with it",
+    "shi.ShiCeilingDiagram.__post_init__": "perfbench's map check builds the printed Shi diagram through it",
+    "shi.ShiCeilingDiagram.from_json": "perfbench's map check reads the printed Shi diagram with it",
 }
 
 #: ``map`` inputs at n = 3; the last is relatively bounded, for ``bounded``
 REACH_DIAGRAM = {"pi": [1, 2, 3], "eps": [0, 0, 1]}
+#: the graph file of ``count --graph FILE``, written where ``GRAPH_FILE`` stands
+REACH_GRAPH = {"n": 3, "edges": [[1, 3]]}
 
 REACH_COMMANDS = (
     [
@@ -221,6 +226,7 @@ REACH_COMMANDS = (
     + [["map", "--n", "3", "--bijection", name, "--input", "-"] for name in ("basic", "dominance", "bounded", "freedom")]
     + [["verify", "--n", "4", "--suite", suite] for suite in sorted(SUITES)]
     + [["verify", "--n", "1", "--suite", "cycle-lemma"]]
+    + [["count", "--n", "3", "--graph", "GRAPH_FILE"]]
 )
 
 #: run in a fresh interpreter, so that the functions the import runs count
@@ -235,27 +241,44 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         exits.append(cli.main(argv))
 sys.setprofile(None)
+
+def definitions(owner, body, prefix):
+    # each function of a module's or a class's body, and of its classes'
+    # bodies, as (dotted name, the object ``owner`` binds to it)
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, vars(owner)[node.name]
+        elif isinstance(node, ast.ClassDef):
+            yield from definitions(vars(owner)[node.name], node.body, prefix + node.name + ".")
+
 unreached = []
 for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
     module = importlib.import_module("shi_ish" if path.stem == "__init__" else "shi_ish." + path.stem)
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.FunctionDef):
-            if inspect.unwrap(getattr(module, node.name)).__code__ not in seen:
-                unreached.append(path.stem + "." + node.name)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, function in definitions(module, tree.body, path.stem + "."):
+        # a property runs its getter, a classmethod or staticmethod its function
+        function = getattr(function, "fget", None) or getattr(function, "__func__", function)
+        if inspect.unwrap(function).__code__ not in seen:
+            unreached.append(name)
 print(json.dumps({"exits": exits, "unreached": unreached}))
 """
 
 
-def test_every_package_function_runs_in_a_command_or_is_kept_for_a_reason():
+def test_every_package_function_runs_in_a_command_or_is_kept_for_a_reason(tmp_path):
     """Trace every function call, from the import of ``shi_ish.cli`` on,
     over small ``count``, ``enumerate`` and ``oracle`` runs of each
-    arrangement in each format on the presets, ``map`` through each
-    bijection and every ``verify`` suite.  Every module-level function of
-    the package must run, or be in :data:`KEEP` with its reason: reference
-    code that no command runs belongs in ``tests/reference.py``."""
+    arrangement in each format on the presets, ``count`` on a graph file,
+    ``map`` through each bijection and every ``verify`` suite.  Every
+    function of the package, at module level or in a class body (methods,
+    properties, classmethods, ``__post_init__``), must run, or be in
+    :data:`KEEP` with its reason: reference code that no command runs
+    belongs in ``tests/reference.py``."""
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(REACH_GRAPH), encoding="utf-8")
+    commands = [[str(graph_file) if arg == "GRAPH_FILE" else arg for arg in argv] for argv in REACH_COMMANDS]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run(
-        [sys.executable, "-c", REACH_SCRIPT, json.dumps(REACH_COMMANDS), json.dumps(REACH_DIAGRAM)],
+        [sys.executable, "-c", REACH_SCRIPT, json.dumps(commands), json.dumps(REACH_DIAGRAM)],
         capture_output=True,
         text=True,
         env=env,

@@ -240,6 +240,24 @@ def test_dominance_round_trip_scans_each_kind_of_shift_once(monkeypatch):
         assert calls == {"_parking_shifts": 1, "_rook_shifts": 0}, word
 
 
+def test_bounded_inverse_takes_the_prime_rook_member_without_a_parking_scan(monkeypatch):
+    """``bounded_parking_to_rook`` has tested its input as a prime parking
+    function, so it seeks no parking shift: it returns the certificate's
+    prime rook member, the shift that sends the first letter to 1."""
+    calls = []
+    original = rookwords._parking_shifts
+    monkeypatch.setattr(rookwords, "_parking_shifts", lambda *args: calls.append(args) or original(*args))
+    words = list(parking.prime_parking_functions(5))
+    assert len(words) == 256
+    for word in words:
+        bijections.bounded_parking_to_rook(word)
+    assert calls == []
+    monkeypatch.undo()
+    for n in range(1, 7):
+        for word in parking.prime_parking_functions(n):
+            assert bijections.bounded_parking_to_rook(list(word)) == rookwords.orbit_certificate(word, prime=True).rook
+
+
 #: (word map, input, exception type, message) for inputs outside each map's
 #: domain at n = 4: letters 0 and n + 2, words of [n+1]^n that are no rook
 #: word or no parking function, a float letter and things that are no word
@@ -281,6 +299,18 @@ REFUSALS = [
             ("a", ValueError, "letter 'a' outside alphabet [1, 1]"),
             (None, ValueError, "None is not a rook word"),
             ((), ValueError, "() is not a rook word"),
+        ],
+        "bounded_parking_to_rook": [
+            ((1, 0, 2, 3), ValueError, "input region is not relatively bounded"),
+            ((1, 4, 2, 3), ValueError, "input region is not relatively bounded"),
+            ((1, 1, 3, 3), ValueError, "input region is not relatively bounded"),
+            ([1, 1, 3, 3], ValueError, "input region is not relatively bounded"),
+            ((2,), ValueError, "input region is not relatively bounded"),
+            ((1, 2.0, 1, 1), ValueError, "letter 2.0 outside alphabet [1, 4]"),
+            (2.0, TypeError, "object of type 'float' has no len()"),
+            ("a", ValueError, "letter 'a' outside alphabet [1, 1]"),
+            (None, ValueError, "input region is not relatively bounded"),
+            ((), ValueError, "input region is not relatively bounded"),
         ],
     }.items()
     for word, error, message in rows

@@ -4,7 +4,8 @@ Every public function whose first argument is a word refuses a letter that
 is not an int, a float equal to an integer included, with the ValueError
 of ``check_word`` and with no other exception.  The functions are listed
 by name, and a second test finds every public function that takes a word
-first, so that a new one has to be added here.
+first, so that a new one has to be added here.  The two ceiling diagrams
+hold their entries to the same contract when they are built.
 """
 
 import inspect
@@ -13,7 +14,10 @@ import re
 import pytest
 
 from shi_ish import bijections, core, ish, parking, rookwords, shi
+from shi_ish.bijections import dominance_bijection
 from shi_ish.core import Graph
+from shi_ish.ish import IshCeilingDiagram, ish_statistics
+from shi_ish.shi import ShiCeilingDiagram, shi_statistics
 
 import reference
 
@@ -93,3 +97,28 @@ def test_a_letter_that_is_no_int_is_refused(name, word):
     with pytest.raises(ValueError) as refused:
         public_word_functions()[name](word, *WORD_FUNCTIONS[name])
     assert re.fullmatch(rf"letter {re.escape(repr(bad))} outside alphabet \[1, \d+\]", str(refused.value))
+
+
+@pytest.mark.parametrize(
+    "read, build, message",
+    [
+        (ish_statistics, lambda: IshCeilingDiagram((1, 2.0), (0, 1)), "pi entry 2.0"),
+        (dominance_bijection, lambda: IshCeilingDiagram((1, 2.0), (0, 0)), "pi entry 2.0"),
+        (shi_statistics, lambda: ShiCeilingDiagram((1.0, 2), ((1,), (2,))), "pi entry 1.0"),
+        (ish_statistics, lambda: IshCeilingDiagram((1, 2), (0, 1.0)), "eps entry 1.0"),
+        (shi_statistics, lambda: ShiCeilingDiagram((1, 2), ((1.0,), (2,))), "partition entry 1.0"),
+    ],
+    ids=["ish-pi", "dominance-pi", "shi-pi", "ish-eps", "shi-block"],
+)
+def test_a_diagram_entry_that_is_no_int_is_refused_when_built(read, build, message):
+    """A float entry of ``pi``, ``eps`` or a block is named by the
+    constructor, not met later as a float index by the public read."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)} is not an integer$"):
+        read(build())
+
+
+def test_a_diagram_takes_bools_as_check_word_does():
+    assert ish_statistics(IshCeilingDiagram((True, 2), (0, False))) == ish_statistics(IshCeilingDiagram((1, 2), (0, 0)))
+    assert shi_statistics(ShiCeilingDiagram((1, 2), ((True,), (2,)))) == shi_statistics(
+        ShiCeilingDiagram((1, 2), ((1,), (2,)))
+    )
